@@ -7,14 +7,19 @@ Two routes, cross-validated against each other:
   is exact at arbitrary times.  Requires a well-conditioned eigenbasis;
   collective modes are not orthogonal, so the condition number is checked.
 * adaptive ODE: embedded explicit Runge-Kutta (DOP853) for arbitrary
-  envelopes, restarted at envelope discontinuities.  Off-grid states come
-  from cubic Hermite interpolation using stored derivative evaluations.
+  envelopes, one solver pass per jump-free stretch of the envelope: only
+  jumps force a restart, and steps end exactly on the kinks in between.
+  The right-hand side is one excited-block product plus O(N) drive work.
+  Off-grid states come from cubic Hermite interpolation using stored
+  derivative evaluations.
 """
 
 from __future__ import annotations
 
+import bisect
+
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
 
 from .core import SUBLEVELS, AmplitudeState
 from .envelope import PulseEnvelope
@@ -41,6 +46,8 @@ class Trajectory:
         self.states = states
         self.kind = kind
         self._segments = segments
+        if segments is not None:
+            self._segment_ends = np.array([seg[1] for seg in segments]) + 1e-12
         self._derivs = derivs
         if np.any(np.diff(self.times) <= 0):
             raise InvalidArgumentError("trajectory times must be strictly increasing")
@@ -64,12 +71,10 @@ class Trajectory:
         u = float(u)
         self._check_coverage(u)
         if self.kind == "eigen":
-            seg = self._segments[-1]
-            for cand in self._segments:
-                if u <= cand[1] + 1e-12:
-                    seg = cand
-                    break
-            t0, _, V, lam, c0 = seg
+            # first segment ending at or after u: a boundary time belongs
+            # to the earlier segment
+            k = int(np.searchsorted(self._segment_ends, u, side="left"))
+            t0, _, V, lam, c0 = self._segments[min(k, len(self._segments) - 1)]
             return V @ (np.exp(lam * (u - t0)) * c0)
         k = int(np.searchsorted(self.times, u, side="right") - 1)
         k = min(max(k, 0), len(self.times) - 2)
@@ -168,16 +173,44 @@ def propagate_eigen(H: EffectiveHamiltonian, psi0: AmplitudeState,
     return Trajectory(H, times, states, kind="eigen", segments=segments)
 
 
+class _DOP853Stops(DOP853):
+    """DOP853 whose steps end exactly on the given stop times.
+
+    A step across a kink of the envelope carries a low-order local error
+    that the embedded error estimate misses.  The right-hand side is
+    continuous at a kink, so ending a step there needs no restart: the
+    solver goes on with its step size and last derivative.
+    """
+
+    def __init__(self, fun, t0, y0, t_bound, stops=(), **options):
+        super().__init__(fun, t0, y0, t_bound, **options)
+        self._stops = sorted(stops)
+        self._t_final = t_bound
+
+    def _step_impl(self):
+        # the parent clips the step to t_bound
+        k = bisect.bisect_right(self._stops, self.t)
+        if k < len(self._stops):
+            self.t_bound = self._stops[k]
+        try:
+            return super()._step_impl()
+        finally:
+            self.t_bound = self._t_final
+
+
 def propagate_ode(H: EffectiveHamiltonian, psi0: AmplitudeState,
                   envelope: PulseEnvelope | None = None, t_end: float = None,
                   tol: float = 1e-8, atol: float = 1e-12,
                   times=None) -> Trajectory:
     """Adaptive DOP853 integration up to t_end.
 
-    envelope defaults to the drive's own; integration restarts at envelope
-    breakpoints so square pulses keep full order.  times selects the
-    storage grid (default: the solver's accepted steps, whose spacing
-    tracks the local dynamics).
+    envelope defaults to the drive's own.  Each jump-free stretch of the
+    envelope is one solver pass: the integration restarts only at the
+    envelope's jumps (PulseEnvelope.breakpoints), and steps end on its
+    kinks (PulseEnvelope.kinks), so piecewise-linear and square envelopes
+    keep full order.  times selects the storage grid, passed to the solver
+    as t_eval (default: the solver's accepted steps, whose spacing tracks
+    the local dynamics).
     """
     if t_end is None:
         raise InvalidArgumentError("t_end is required")
@@ -188,21 +221,17 @@ def propagate_ode(H: EffectiveHamiltonian, psi0: AmplitudeState,
     if t_end <= t0:
         raise InvalidArgumentError("t_end must exceed the initial time")
 
-    S, D = H.static_part, H.drive_part
-    has_drive = H.drive.omega_L0 > 0
-
     def rhs(t, y):
-        out = S @ y
-        if has_drive:
-            out += env(t) * (D @ y)
-        return out
+        return H.apply(y, env(t))
 
     if times is not None:
         times = np.asarray(times, dtype=float)
         if times[0] < t0 - 1e-12 or times[-1] > t_end + 1e-12:
             raise InvalidArgumentError("storage grid outside [t0, t_end]")
 
-    bounds = np.concatenate([[t0], env.breakpoints(t_end), [t_end]])
+    jumps = env.breakpoints(t_end)
+    kinks = env.kinks(t_end)
+    bounds = np.concatenate([[t0], jumps[jumps > t0], [t_end]])
     y = H.pack(psi0)
     t_out, y_out = [], []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
@@ -212,7 +241,8 @@ def propagate_ode(H: EffectiveHamiltonian, psi0: AmplitudeState,
             inside = times[(times >= lo) & (times < hi)]
             # chunk ends always evaluated so the next chunk restarts from hi
             t_eval = np.unique(np.concatenate([inside, [lo, hi]]))
-        sol = solve_ivp(rhs, (lo, hi), y, method="DOP853",
+        stops = kinks[(kinks > lo) & (kinks < hi)].tolist()
+        sol = solve_ivp(rhs, (lo, hi), y, method=_DOP853Stops, stops=stops,
                         rtol=tol, atol=atol, t_eval=t_eval)
         if not sol.success:
             raise NumericError(f"integrator failed on [{lo:g}, {hi:g}]: "
@@ -227,9 +257,7 @@ def propagate_ode(H: EffectiveHamiltonian, psi0: AmplitudeState,
     if times is not None:
         sel = np.searchsorted(t_all, times)
         t_all, y_all = t_all[sel], y_all[:, sel]
-    derivs = S @ y_all
-    if has_drive:
-        derivs += env(t_all)[None, :] * (D @ y_all)
+    derivs = H.apply(y_all, env(t_all))
     return Trajectory(H, t_all, y_all, kind="ode", derivs=derivs)
 
 

@@ -2,13 +2,15 @@
 
 An envelope is a piecewise-linear function of time with values in [0, 1].
 Discontinuities (square pulses) are represented as zero-length jumps between
-segments; integrators restart at those breakpoints.  The cumulative integral
-of f^2, used by the pulse-shaping reparametrization, is evaluated in closed
-form per segment so it carries no quadrature error.
+segments; integrators restart only at those jumps and merely end a step on
+each kink, where f is continuous but its slope changes.  The cumulative
+integral of f^2, used by the pulse-shaping reparametrization, is evaluated in
+closed form per segment so it carries no quadrature error.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
@@ -60,6 +62,10 @@ class PulseEnvelope:
         s = self._slope
         seg = f0s**2 * L + f0s * s * L**2 + s**2 * L**3 / 3.0
         self._tau0 = np.concatenate([[0.0], np.cumsum(seg)[:-1]])
+        # Python lists for the scalar path the ODE right-hand side takes
+        self._t0_list = t0s.tolist()
+        self._f0_list = f0s.tolist()
+        self._slope_list = self._slope.tolist()
 
     # ---- constructors -------------------------------------------------
 
@@ -117,6 +123,11 @@ class PulseEnvelope:
         return float(self._t0[0])
 
     def __call__(self, t):
+        if isinstance(t, (float, int)):
+            # same arithmetic as the array path, so the values are identical
+            k = min(max(bisect.bisect_right(self._t0_list, t) - 1, 0),
+                    len(self._t0_list) - 1)
+            return self._f0_list[k] + self._slope_list[k] * (t - self._t0_list[k])
         t = np.asarray(t, dtype=float)
         k = np.clip(np.searchsorted(self._t0, t, side="right") - 1, 0, len(self._t0) - 1)
         out = self._f0[k] + self._slope[k] * (t - self._t0[k])
@@ -132,9 +143,17 @@ class PulseEnvelope:
         return out if out.ndim else float(out)
 
     def breakpoints(self, t_end: float) -> np.ndarray:
-        """Interior segment boundaries in (t_start, t_end)."""
-        b = self._t0[1:]
-        return b[(b > self._t0[0]) & (b < t_end)]
+        """Jumps of f in (t_start, t_end): segment boundaries where the value
+        changes.  Kinks, where only the slope changes, are not included."""
+        b = self._t0[1:][self._f1[:-1] != self._f0[1:]]
+        return b[b < t_end]
+
+    def kinks(self, t_end: float) -> np.ndarray:
+        """Kinks of f in (t_start, t_end): segment boundaries where f is
+        continuous but its slope changes."""
+        b = self._t0[1:][(self._f1[:-1] == self._f0[1:])
+                         & (self._slope[:-1] != self._slope[1:])]
+        return b[b < t_end]
 
     def is_constant(self) -> bool:
         return bool(np.all(self._f0 == self._f0[0]) and np.all(self._f1 == self._f0[0]))

@@ -17,7 +17,8 @@ envelope scales only the drive block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -62,6 +63,25 @@ class EffectiveHamiltonian:
         """Full generator for one envelope value."""
         return self.static_part + f_value * self.drive_part
 
+    def apply(self, y: np.ndarray, f_value) -> np.ndarray:
+        """generator_at(f_value) @ y without forming the generator.
+
+        Costs one excited-block product plus O(N) drive work.  y may also
+        be a (dim, K) stack of states with f_value a length-K ndarray, one
+        envelope value per column.
+        """
+        n = self.n_atoms
+        out = np.empty(y.shape, dtype=complex)
+        np.matmul(self._excited_contiguous, y[n:], out=out[n:])
+        if self.drive.omega_L0 > 0:
+            driven = self._driven
+            c = (-0.5j * self.drive.omega_L0) * f_value
+            out[:n] = c * y[driven]
+            out[driven] += c * y[:n]
+        else:
+            out[:n] = 0.0
+        return out
+
     @property
     def generator(self) -> np.ndarray:
         """Generator at the envelope's initial value (time independent for
@@ -72,6 +92,15 @@ class EffectiveHamiltonian:
     def excited_block(self) -> np.ndarray:
         n = self.n_atoms
         return self.static_part[n:, n:]
+
+    @cached_property
+    def _excited_contiguous(self) -> np.ndarray:
+        return np.ascontiguousarray(self.excited_block)
+
+    @cached_property
+    def _driven(self) -> slice:
+        return _driven_amplitudes(self.n_atoms, self.n_sublevels,
+                                  self.sublevels.index(self.drive.target_sublevel))
 
     @property
     def drive_block(self) -> np.ndarray:
@@ -149,6 +178,12 @@ class ModeSpectrum:
                          f"{int(self.subradiant[k])}\n")
 
 
+def _driven_amplitudes(n: int, m: int, si0: int) -> slice:
+    """Flat positions n + m*l + si0 of the beta_l^{nu0} the drive couples to
+    a_l (atom-major layout, m sublevels per atom)."""
+    return slice(n + si0, None, m)
+
+
 def assemble(array: AtomArray, drive: LaserDrive,
              include_sublevels=SUBLEVELS, decay: bool = True) -> EffectiveHamiltonian:
     """Build the rotating-frame generator.
@@ -179,9 +214,9 @@ def assemble(array: AtomArray, drive: LaserDrive,
 
     drive_part = np.zeros((dim, dim), dtype=complex)
     if drive.omega_L0 > 0:
-        si0 = subs.index(drive.target_sublevel)
         rows = np.arange(n)
-        cols = n + m * rows + si0
+        driven = _driven_amplitudes(n, m, subs.index(drive.target_sublevel))
+        cols = np.arange(dim)[driven]
         drive_part[rows, cols] = -0.5j * drive.omega_L0
         drive_part[cols, rows] = -0.5j * drive.omega_L0
 

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid
 
+from arraylight import dynamics
 from arraylight.core import (AmplitudeState, LaserDrive, build_lattice,
                              single_f_excitation, timed_dicke_state)
 from arraylight.dynamics import populations, propagate_eigen, propagate_ode
@@ -106,6 +108,61 @@ def test_eigen_vs_ode_square_pulse():
     assert np.max(np.abs(tr_e.states - tr_o.states)) < 1e-6
 
 
+def _count_solver_calls(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return solve_ivp(*args, **kwargs)
+
+    solve_ivp = dynamics.solve_ivp
+    monkeypatch.setattr(dynamics, "solve_ivp", counting)
+    return calls
+
+
+def test_ode_bare_rabi_closed_form_across_kinks(monkeypatch):
+    # decay off, delta = 0, one sublevel: a = a0 cos(theta),
+    # beta = -i a0 sin(theta), theta = (Omega/2) * integral of f, which the
+    # trapezoid rule gives exactly for a piecewise-linear f
+    knots = np.array([0.0, 0.7, 1.5, 2.2, 3.6, 4.1, 5.0, 6.3])
+    fk = np.array([0.0, 0.9, 0.4, 1.0, 0.2, 0.6, 0.05, 0.3])
+    env = PulseEnvelope.from_samples(knots, fk)
+    omega = 5.0
+    arr = build_lattice(1, 1, 1, 0.5)
+    H = assemble(arr, LaserDrive(omega, 0.0, envelope=env),
+                 include_sublevels=(1,), decay=False)
+    a0 = 0.6 - 0.8j
+    psi0 = AmplitudeState(np.array([a0]))
+    t = np.linspace(0.0, 8.0, 161)
+    calls = _count_solver_calls(monkeypatch)
+    traj = propagate_ode(H, psi0, t_end=8.0, times=t)
+    assert calls == [(0.0, 8.0)]  # kinks need no restart
+
+    grid = np.union1d(knots, t)
+    integral = cumulative_trapezoid(env(grid), grid, initial=0.0)
+    theta = 0.5 * omega * integral[np.searchsorted(grid, t)]
+    assert np.max(np.abs(traj.states[0] - a0 * np.cos(theta))) < 1e-7
+    assert np.max(np.abs(traj.states[1] + 1j * a0 * np.sin(theta))) < 1e-7
+
+
+def test_ode_restarts_only_at_jumps(monkeypatch):
+    arr = build_lattice(1, 1, 2, 0.35)
+    env = PulseEnvelope.square(0.75)
+    H = assemble(arr, LaserDrive(6.0, 0.0, envelope=env))
+    psi0 = timed_dicke_state(arr, np.array([0.0, 0.0, K0]))
+    calls = _count_solver_calls(monkeypatch)
+    propagate_ode(H, psi0, t_end=5.0, times=np.linspace(0.0, 5.0, 11))
+    assert calls == [(0.0, 0.75), (0.75, 5.0)]
+    # a start after the jump leaves nothing to restart at
+    calls.clear()
+    later = AmplitudeState(psi0.a, psi0.beta, t=1.0)
+    t = np.linspace(1.0, 5.0, 41)
+    tr_o = propagate_ode(H, later, t_end=5.0, times=t)
+    assert calls == [(1.0, 5.0)]
+    tr_e = propagate_eigen(H, later, t)
+    assert np.max(np.abs(tr_e.states - tr_o.states)) < 1e-6
+
+
 def test_ode_tolerance_tightening_converges():
     arr = build_lattice(1, 1, 2, 0.35)
     H = assemble(arr, LaserDrive(2.0, 3.0))
@@ -137,6 +194,38 @@ def test_state_at_exact_on_nodes():
     traj = propagate_ode(H, psi0, t_end=3.0, times=t)
     for k in (0, 10, 30):
         assert np.array_equal(traj.state_at(t[k]), traj.states[:, k])
+
+
+def test_state_at_eigen_segment_at_step():
+    # a time on a segment boundary (within 1e-12) belongs to the earlier
+    # segment, as in a linear scan over the segments
+    arr = build_lattice(1, 1, 2, 0.35)
+    H = assemble(arr, LaserDrive(6.0, 1.0,
+                                 envelope=PulseEnvelope.square(0.75)))
+    psi0 = timed_dicke_state(arr, np.array([0.0, 0.0, K0]))
+    t = np.linspace(0.0, 3.0, 61)
+    traj = propagate_eigen(H, psi0, t)
+    segments = traj._segments
+    assert len(segments) == 2
+
+    def scan(u):
+        for seg in segments:
+            if u <= seg[1] + 1e-12:
+                return seg
+        return segments[-1]
+
+    step = 0.75
+    for u in (0.0, np.nextafter(step, 0.0), step - 1e-13, step,
+              np.nextafter(step, 1.0), step + 5e-13, step + 1e-12,
+              step + 2e-12, 1.2, 3.0):
+        t0, _, V, lam, c0 = scan(u)
+        assert np.array_equal(traj.state_at(u), V @ (np.exp(lam * (u - t0)) * c0))
+    k = int(np.argmin(np.abs(t - step)))
+    assert t[k] == step
+    assert np.allclose(traj.state_at(step), traj.states[:, k], rtol=0.0,
+                       atol=1e-12)
+    assert np.allclose(traj.state_at(3.0), traj.states[:, -1], rtol=0.0,
+                       atol=1e-12)
 
 
 def test_state_at_outside_coverage_raises():

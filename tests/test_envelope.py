@@ -1,7 +1,11 @@
 """Pulse envelope evaluation and the exact integrated-intensity clock."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arraylight.envelope import PulseEnvelope
 from arraylight.errors import InvalidArgumentError
@@ -24,8 +28,56 @@ def test_square_envelope():
     assert env(10.0) == 0.0
     assert np.allclose(env.tau(np.array([1.0, 3.0, 9.0])), [1.0, 3.0, 3.0])
     assert np.allclose(env.breakpoints(10.0), [3.0])
+    assert env.kinks(10.0).size == 0
     segs = env.constant_segments(10.0)
     assert segs == [(0.0, 3.0, 1.0), (3.0, 10.0, 0.0)]
+
+
+def test_breakpoints_are_jumps_and_kinks_are_slope_changes():
+    knots = [0.0, 1.0, 2.5, 4.0]
+    env = PulseEnvelope.from_samples(knots, [0.2, 0.9, 0.4, 0.7])
+    assert env.breakpoints(10.0).size == 0
+    assert env.kinks(10.0).tolist() == [1.0, 2.5, 4.0]  # 4.0: flat tail
+    assert env.kinks(3.0).tolist() == [1.0, 2.5]
+    # one jump at t = 2 among linear segments; 1, 3 and 5 are kinks, and
+    # the boundary at 4 joins two segments of equal slope
+    env = PulseEnvelope([0.0, 1.0, 2.0, 3.0, 4.0, 5.0],
+                        [1.0, 2.0, 3.0, 4.0, 5.0, math.inf],
+                        [0.0, 0.5, 0.8, 0.75, 0.5, 0.25],
+                        [0.5, 0.6, 0.75, 0.5, 0.25, 0.25])
+    assert env.breakpoints(10.0).tolist() == [2.0]
+    assert env.breakpoints(2.0).size == 0
+    assert env.kinks(10.0).tolist() == [1.0, 3.0, 5.0]
+
+
+@st.composite
+def _envelopes(draw):
+    n = draw(st.integers(1, 8))
+    start = draw(st.floats(0.0, 5.0))
+    widths = draw(st.lists(st.floats(1e-3, 3.0), min_size=n, max_size=n))
+    edges = np.concatenate([[start], start + np.cumsum(widths)])
+    unit = st.floats(0.0, 1.0)
+    f0 = draw(st.lists(unit, min_size=n, max_size=n))
+    f1 = draw(st.lists(unit, min_size=n, max_size=n))
+    # contiguous segments: jumps where f0[k] != f1[k-1], then a flat tail
+    tail = f1[-1] if draw(st.booleans()) else draw(unit)
+    env = PulseEnvelope(edges, np.append(edges[1:], math.inf),
+                        f0 + [tail], f1 + [tail])
+    knot = draw(st.sampled_from(edges.tolist()))
+    t = draw(st.sampled_from([
+        knot, np.nextafter(knot, -math.inf), np.nextafter(knot, math.inf),
+        start - draw(st.floats(1e-9, 5.0)),
+        edges[-1] + draw(st.floats(1e-9, 1e3)),
+        draw(st.floats(start, float(edges[-1]))),
+    ]))
+    return env, float(t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_envelopes())
+def test_scalar_evaluation_matches_array_path(case):
+    env, t = case
+    assert env(t) == env(np.array([t]))[0]
 
 
 def test_square_high_low():

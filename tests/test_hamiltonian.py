@@ -115,6 +115,39 @@ def test_generator_at_scales_drive():
     assert np.allclose(G0, H.static_part, atol=1e-15)
 
 
+def _rel_err(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+def test_apply_matches_dense_generator():
+    # the structured product must equal the dense generator on every layout
+    rng = np.random.default_rng(23)
+    subsets = [(-1,), (0,), (1,), (-1, 0), (-1, 1), (0, 1), (-1, 0, 1)]
+    for _ in range(4):
+        nx, ny, nz = rng.integers(1, 4, size=3)
+        arr = build_lattice(int(nx), int(ny), int(nz), rng.uniform(0.2, 0.9))
+        for subs in subsets:
+            for target in subs:
+                for omega, decay in ((rng.uniform(0.5, 50.0), True),
+                                     (rng.uniform(0.5, 50.0), False),
+                                     (0.0, True)):
+                    drive = LaserDrive(omega, rng.uniform(-20.0, 20.0),
+                                       target_sublevel=target)
+                    H = assemble(arr, drive, include_sublevels=subs,
+                                 decay=decay)
+                    y = rng.normal(size=H.dim) + 1j * rng.normal(size=H.dim)
+                    f = rng.uniform(0.0, 1.0)
+                    assert _rel_err(H.apply(y, f),
+                                    H.generator_at(f) @ y) < 1e-13
+                    # a stack of states, one envelope value per column
+                    Y = (rng.normal(size=(H.dim, 5))
+                         + 1j * rng.normal(size=(H.dim, 5)))
+                    fs = rng.uniform(0.0, 1.0, size=5)
+                    want = np.stack([H.generator_at(fk) @ Y[:, k]
+                                     for k, fk in enumerate(fs)], axis=1)
+                    assert _rel_err(H.apply(Y, fs), want) < 1e-13
+
+
 def test_driven_sublevel_must_be_included():
     arr = build_lattice(2, 1, 1, 0.5)
     with pytest.raises(InvalidArgumentError):

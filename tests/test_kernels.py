@@ -84,13 +84,14 @@ def test_backend_name_reports():
 
 def test_numpy_flag_forces_fallback():
     # subprocess so the import-time flag is actually exercised
+    import os
     import subprocess
     import sys
 
     code = ("import arraylight._kernels as k; "
             "print(k.backend_name())")
     out = subprocess.run([sys.executable, "-c", code],
-                         env={"ARRAYLIGHT_NUMBA": "0", "PATH": "/usr/bin"},
+                         env={**os.environ, "ARRAYLIGHT_NUMBA": "0"},
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "numpy"
