@@ -1,61 +1,99 @@
-"""Hot numeric kernels with a numba backend and a pure-numpy fallback.
+"""All-pairs kernels of the dipole-dipole Green's tensor, in plain numpy.
 
-Backend selection, checked once at import:
-  ARRAYLIGHT_NUMBA=1  require numba (ImportError if missing)
-  ARRAYLIGHT_NUMBA=0  force the numpy path
-  unset               use numba when importable
-
-Both backends produce identical results up to floating-point summation
-order; a fixed backend is bit-reproducible run to run.  Kernels are
-single-threaded by design so outputs never depend on a thread count.
+pair_blocks gives the coupling blocks of the generator, flux_blocks the
+exact full-sphere flux operators of the far field.  Both take their radial
+coefficients from greens.fg_scalar_coefficients through one pair-geometry
+step.  direction_sums gives the plane-wave sums behind angular maps.
+Blocks are in the spherical basis, indices ordered nu = -1, 0, +1.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-__all__ = ["pair_blocks", "direction_sums", "backend_name"]
+from .greens import fg_scalar_coefficients, spherical_basis
+
+__all__ = ["pair_blocks", "flux_blocks", "model_matrix", "direction_sums"]
 
 K0 = 2.0 * np.pi
-_SQRT1_2 = 1.0 / np.sqrt(2.0)
+
+_EMATRIX = spherical_basis().matrix  # columns e_{-1}, e_0, e_{+1}
+# _CROSS[b] = E^dag [e_b]_x E, where [n]_x v = n x v
+_CROSS = np.einsum("ap,bca,cq->bpq", _EMATRIX.conj(),
+                   np.cross(np.eye(3)[:, None], np.eye(3)[None, :]), _EMATRIX)
 
 
-def _pair_blocks_numpy(pos: np.ndarray) -> np.ndarray:
-    """Spherical-basis coupling blocks for all atom pairs.
-
-    Returns (N, N, 3, 3) complex with zero diagonal blocks; indices
-    ordered nu = -1, 0, +1.  Block = A*I - B*conj(u)u^T where u_mu is the
-    separation direction contracted with the spherical basis vectors.
-    """
+def _pair_geometry(pos: np.ndarray):
+    """x = k0 |r_l - r_j|, r_hat of r_l - r_j and u = r_hat . e_mu, indexed
+    [l, j].  The diagonal is a dummy (x = k0, r_hat = 0) that callers
+    overwrite."""
     pos = np.asarray(pos, dtype=float)
-    n = len(pos)
     R = pos[:, None, :] - pos[None, :, :]
     dist = np.linalg.norm(R, axis=-1)
-    np.fill_diagonal(dist, 1.0)  # dummy, diagonal zeroed below
+    np.fill_diagonal(dist, 1.0)
     rhat = R / dist[..., None]
-    x = K0 * dist
-    f1 = 1.5 * np.sin(x) / x
-    f2 = 1.5 * (np.cos(x) / x**2 - np.sin(x) / x**3)
-    g1 = 1.5 * np.cos(x) / x
-    g2 = -1.5 * (np.sin(x) / x**2 + np.cos(x) / x**3)
-    A = (f1 + f2) - 1j * (g1 + g2)
-    B = (f1 + 3.0 * f2) - 1j * (g1 + 3.0 * g2)
-    # u[l, j, mu] = rhat . e_mu, columns mu = -1, 0, +1
-    u = np.empty((n, n, 3), dtype=complex)
-    u[..., 0] = (rhat[..., 0] - 1j * rhat[..., 1]) * _SQRT1_2
-    u[..., 1] = rhat[..., 2]
-    u[..., 2] = -(rhat[..., 0] + 1j * rhat[..., 1]) * _SQRT1_2
-    blocks = A[..., None, None] * np.eye(3) \
-        - B[..., None, None] * (np.conj(u)[..., :, None] * u[..., None, :])
-    idx = np.arange(n)
+    return K0 * dist, rhat, rhat @ _EMATRIX
+
+
+def _dyad_blocks(a, b, u):
+    """Spherical blocks of the Cartesian tensor a I - b r_hat r_hat^T."""
+    return a[..., None, None] * np.eye(3) \
+        - b[..., None, None] * (np.conj(u)[..., :, None] * u[..., None, :])
+
+
+def pair_blocks(pos: np.ndarray) -> np.ndarray:
+    """Coupling blocks e_eta^dag F(k0 R) e_nu for all atom pairs.
+
+    Returns (N, N, 3, 3) complex with zero diagonal blocks; F is even in
+    the separation, so the result is symmetric under swapping atoms.
+    """
+    x, _, u = _pair_geometry(pos)
+    f1, f2, g1, g2 = fg_scalar_coefficients(x)
+    blocks = _dyad_blocks((f1 + f2) - 1j * (g1 + g2),
+                          (f1 + 3.0 * f2) - 1j * (g1 + 3.0 * g2), u)
+    idx = np.arange(len(x))
     blocks[idx, idx] = 0.0
     return blocks
 
 
-def _direction_sums_numpy(dirs: np.ndarray, pos: np.ndarray,
-                          s: np.ndarray) -> np.ndarray:
+def flux_blocks(pos: np.ndarray):
+    """Exact per-helicity flux operators (Q_plus, Q_minus), each (N, N, 3, 3).
+
+    Integrating the far-field intensity of a source beta over the sphere
+    gives flux_sigma = sum_{l,j} beta_l^dag Q_sigma[l, j] beta_j.  With
+    R = r_j - r_l, summing the helicities gives the dissipative tensor
+    (Lehmberg, Phys. Rev. A 2, 883 (1970)),
+
+        Q_plus + Q_minus = delta_lj I + f(k0 R),
+
+    and the helicity difference eps_+ eps_+^dag - eps_- eps_-^dag =
+    i [r_hat]_x integrates to
+
+        Q_plus - Q_minus = -(3/2) j1(k0 R) [R_hat]_x,   zero for l = j,
+
+    where (3/2) j1(x) = -x f2(x).
+    """
+    x, rhat, u = _pair_geometry(pos)
+    f1, f2, _, _ = fg_scalar_coefficients(x)
+    total = _dyad_blocks(f1 + f2, f1 + 3.0 * f2, u)
+    idx = np.arange(len(x))
+    total[idx, idx] = np.eye(3)
+    # R_hat = -rhat[l, j]; the zero diagonal of rhat zeroes diagonal blocks
+    diff = np.einsum("ljb,bpq->ljpq", (-x * f2)[..., None] * rhat, _CROSS)
+    return 0.5 * (total + diff), 0.5 * (total - diff)
+
+
+def model_matrix(blocks: np.ndarray, cols) -> np.ndarray:
+    """(N m, N m) matrix of (N, N, 3, 3) blocks restricted to the sublevel
+    columns cols, in the atom-major amplitude layout."""
+    n, m = len(blocks), len(cols)
+    sel = np.asarray(cols)
+    sub = blocks[:, :, sel[:, None], sel[None, :]]
+    return sub.transpose(0, 2, 1, 3).reshape(n * m, n * m)
+
+
+def direction_sums(dirs: np.ndarray, pos: np.ndarray,
+                   s: np.ndarray) -> np.ndarray:
     """V[m, c] = sum_j exp(+i k0 dirs[m].pos[j]) s[j, c], chunked gemm."""
     dirs = np.asarray(dirs, dtype=float)
     m, n = len(dirs), len(pos)
@@ -66,85 +104,3 @@ def _direction_sums_numpy(dirs: np.ndarray, pos: np.ndarray,
         phases = np.exp(1j * K0 * (dirs[lo:hi] @ pos.T))
         out[lo:hi] = phases @ s
     return out
-
-
-_FLAG = os.environ.get("ARRAYLIGHT_NUMBA", "").strip()
-_numba = None
-if _FLAG != "0":
-    try:
-        import numba as _numba
-    except ImportError:
-        if _FLAG == "1":
-            raise
-        _numba = None
-
-if _numba is not None:
-
-    @_numba.njit(cache=True)
-    def _pair_blocks_jit(pos):  # pragma: no cover - numba
-        n = pos.shape[0]
-        out = np.zeros((n, n, 3, 3), dtype=np.complex128)
-        u = np.empty(3, dtype=np.complex128)
-        for l in range(n):
-            for j in range(l + 1, n):
-                rx = pos[l, 0] - pos[j, 0]
-                ry = pos[l, 1] - pos[j, 1]
-                rz = pos[l, 2] - pos[j, 2]
-                dist = np.sqrt(rx * rx + ry * ry + rz * rz)
-                rx /= dist
-                ry /= dist
-                rz /= dist
-                x = K0 * dist
-                sx, cx = np.sin(x), np.cos(x)
-                f1 = 1.5 * sx / x
-                f2 = 1.5 * (cx / x**2 - sx / x**3)
-                g1 = 1.5 * cx / x
-                g2 = -1.5 * (sx / x**2 + cx / x**3)
-                A = complex(f1 + f2, -(g1 + g2))
-                B = complex(f1 + 3.0 * f2, -(g1 + 3.0 * g2))
-                u[0] = complex(rx, -ry) * _SQRT1_2
-                u[1] = rz
-                u[2] = -complex(rx, ry) * _SQRT1_2
-                for p in range(3):
-                    for q in range(3):
-                        v = -B * np.conj(u[p]) * u[q]
-                        if p == q:
-                            v += A
-                        # F is even in the separation, blocks symmetric
-                        out[l, j, p, q] = v
-                        out[j, l, p, q] = v
-        return out
-
-    @_numba.njit(cache=True)
-    def _direction_sums_jit(dirs, pos, s):  # pragma: no cover - numba
-        m = dirs.shape[0]
-        n = pos.shape[0]
-        out = np.zeros((m, s.shape[1]), dtype=np.complex128)
-        for i in range(m):
-            for j in range(n):
-                ph = K0 * (dirs[i, 0] * pos[j, 0] + dirs[i, 1] * pos[j, 1]
-                           + dirs[i, 2] * pos[j, 2])
-                e = complex(np.cos(ph), np.sin(ph))
-                for c in range(s.shape[1]):
-                    out[i, c] += e * s[j, c]
-        return out
-
-    def pair_blocks(pos):
-        return _pair_blocks_jit(np.ascontiguousarray(pos, dtype=np.float64))
-
-    def direction_sums(dirs, pos, s):
-        return _direction_sums_jit(
-            np.ascontiguousarray(dirs, dtype=np.float64),
-            np.ascontiguousarray(pos, dtype=np.float64),
-            np.ascontiguousarray(s, dtype=np.complex128),
-        )
-
-    def backend_name() -> str:
-        return "numba"
-
-else:
-    pair_blocks = _pair_blocks_numpy
-    direction_sums = _direction_sums_numpy
-
-    def backend_name() -> str:
-        return "numpy"

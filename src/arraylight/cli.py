@@ -90,13 +90,12 @@ def cmd_simulate(cfg: RunConfig, out_dir: str) -> int:
     traj, method = _propagate(cfg, ham, psi0, times)
     t1 = _time.perf_counter()
 
-    grid = cfg.build_grid()
-    wave = waveform(traj, grid=grid, allow_truncation=True)
+    wave = waveform(traj, allow_truncation=True)
     t2 = _time.perf_counter()
 
     flux = wave.flux_total
     u_peak = float(wave.u_grid[int(np.argmax(flux))])
-    amap = angular_map(traj, u_peak, grid=grid)
+    amap = angular_map(traj, u_peak, grid=cfg.build_grid())
     k = int(np.argmax(amap.total))
     spectrum = eigenmodes(ham)
 
@@ -210,7 +209,7 @@ def cmd_shape(cfg: RunConfig, out_dir: str, target_path=None) -> int:
                               k_gf=cfg.k_gf_vector(),
                               target_sublevel=cfg.target_sublevel,
                               include_sublevels=cfg.sublevels,
-                              grid=cfg.build_grid(), tol=cfg.ode_rtol)
+                              tol=cfg.ode_rtol)
     _write_summary(out_dir, cfg, {"shaping": report.summary()})
     return 0
 
@@ -263,8 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="YAML run configuration")
         p.add_argument("--out", default=None,
                        help="output directory (overrides config)")
-        p.add_argument("--threads", type=int, default=None,
-                       help="cap BLAS thread count")
         p.add_argument("--tol", type=float, default=None,
                        help="override ODE relative tolerance")
 
@@ -296,17 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _limit_threads(n: int) -> None:
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS"):
-        os.environ[var] = str(n)
-    try:
-        import threadpoolctl
-        threadpoolctl.threadpool_limits(n)
-    except ImportError:
-        pass  # env vars still apply to late-loading pools
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -324,8 +310,6 @@ def main(argv=None) -> int:
             return exc.exit_code
 
     try:
-        if getattr(args, "threads", None):
-            _limit_threads(args.threads)
         cfg = RunConfig.from_yaml(args.config)
         if args.tol is not None:
             cfg.ode_rtol = args.tol

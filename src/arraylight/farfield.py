@@ -14,21 +14,21 @@ fixed by photon balance: a single excited atom emits exactly one photon,
 and the helicity-summed single-atom pattern is (1 + cos^2 theta)/2
 relative to 2/(8pi/3).
 
-Angular integration uses a Gauss-Legendre grid in cos(theta) crossed with
-a uniform phi grid.  Total-flux evaluation against many times reuses a
-quadrature flux operator Q = sum_m w_m B_m^dag B_m, an exact regrouping
-of the per-direction quadrature sum into one small quadratic form.
+Angular maps use a Gauss-Legendre grid in cos(theta) crossed with a
+uniform phi grid.  Waveforms need no grid: the full-sphere flux per
+helicity is a quadratic form of the excited amplitudes whose operators
+have a closed form in the dissipative part f of the coupling tensor and
+the spherical Bessel function j1 (_kernels.flux_blocks).
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
-from .core import AtomArray
+from .core import SUBLEVELS, AtomArray
 from .dynamics import Trajectory
 from .errors import InvalidArgumentError
 from .greens import spherical_basis
@@ -226,59 +226,39 @@ def integrate_flux(amap: AngularMap):
     return float(amap.weights @ amap.I_plus), float(amap.weights @ amap.I_minus)
 
 
-_flux_op_cache: dict = {}
+def _quadratic_forms(Q: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Re(b^dag Q b) for every column b of B, without a conjugated copy
+    of B."""
+    QB = Q @ B
+    return np.einsum("ik,ik->k", B.real, QB.real) \
+        + np.einsum("ik,ik->k", B.imag, QB.imag)
 
 
-def _flux_operators(positions: np.ndarray, grid: AngularGrid):
-    """Per-helicity quadrature flux operators Q_sigma, (3N, 3N).
-
-    flux_sigma(u) = s(u)^dag Q_sigma s(u) with s the flattened Cartesian
-    source; algebraically identical to summing w_m I_sigma(r_hat_m) over
-    the grid, but turns a waveform evaluation into one small mat-vec.
-    """
-    key = (grid.n_theta, grid.n_phi,
-           hashlib.sha256(positions.tobytes()).hexdigest())
-    hit = _flux_op_cache.get(key)
-    if hit is not None:
-        return hit
-    n = len(positions)
-    phases = np.exp(1j * 2.0 * np.pi * (grid.dirs @ positions.T))
-    ops = []
-    for eps in (grid.eps_plus, grid.eps_minus):
-        B = (phases[:, :, None] * eps.conj()[:, None, :]).reshape(len(grid), 3 * n)
-        ops.append(NORMALIZATION * (B.conj().T * grid.weights) @ B)
-    if len(_flux_op_cache) > 8:
-        _flux_op_cache.clear()
-    _flux_op_cache[key] = tuple(ops)
-    return tuple(ops)
-
-
-def waveform(traj: Trajectory, grid: AngularGrid | None = None,
-             u_grid=None, allow_truncation: bool = False) -> Waveform:
+def waveform(traj: Trajectory, u_grid=None,
+             allow_truncation: bool = False) -> Waveform:
     """Angular-integrated flux and cumulative photon number versus u.
 
+    The flux of each helicity is the quadratic form of the excited
+    amplitudes with its exact flux operator, applied to all samples in one
+    product.  With decay on, the total flux equals -d|psi|^2/dt exactly.
     u_grid defaults to the trajectory's own sample times.  The trajectory
     should be long enough that the residual excitation is below 1e-3;
     pass allow_truncation=True to accept a truncated waveform.
     """
-    grid = grid or AngularGrid()
     u = np.asarray(traj.times if u_grid is None else u_grid, dtype=float)
     residual = float(np.sum(np.abs(traj.state_at(u[-1])) ** 2))
     if residual > 1e-3 and not allow_truncation:
         raise InvalidArgumentError(
             f"residual norm {residual:.3e} > 1e-3 at u = {u[-1]:g}; "
             f"extend t_end or pass allow_truncation=True")
-    Qp, Qm = _flux_operators(traj.H.array.positions, grid)
-    K = len(u)
-    fp = np.empty(K)
-    fm = np.empty(K)
-    ns = np.empty(K)
-    for k in range(K):
-        psi = traj.state_at(u[k]) if u_grid is not None else traj.states[:, k]
-        s = _cartesian_source(traj.H.beta_matrix(psi)).ravel()
-        fp[k] = np.real(np.vdot(s, Qp @ s))
-        fm[k] = np.real(np.vdot(s, Qm @ s))
-        ns[k] = 1.0 - np.sum(np.abs(psi) ** 2)
+    H = traj.H
+    psi = traj.states if u_grid is None \
+        else np.column_stack([traj.state_at(x) for x in u])
+    beta = psi[H.n_atoms:]
+    cols = [SUBLEVELS.index(s) for s in H.sublevels]
+    fp, fm = (_quadratic_forms(_kernels.model_matrix(Q, cols), beta)
+              for Q in _kernels.flux_blocks(H.array.positions))
+    ns = 1.0 - np.sum(np.abs(psi) ** 2, axis=0)
     total = fp + fm
     cum = np.concatenate(
         [[0.0], np.cumsum(0.5 * (total[1:] + total[:-1]) * np.diff(u))])

@@ -208,9 +208,8 @@ def assemble(array: AtomArray, drive: LaserDrive,
     static[n:, n:] += np.diag(ex)
     if decay and n > 1:
         blocks = _kernels.pair_blocks(array.positions)
-        sel = np.array([SUBLEVELS.index(s) for s in subs])
-        sub = blocks[:, :, sel[:, None], sel[None, :]]
-        static[n:, n:] += -0.5 * sub.transpose(0, 2, 1, 3).reshape(n * m, n * m)
+        cols = [SUBLEVELS.index(s) for s in subs]
+        static[n:, n:] += -0.5 * _kernels.model_matrix(blocks, cols)
 
     drive_part = np.zeros((dim, dim), dtype=complex)
     if drive.omega_L0 > 0:

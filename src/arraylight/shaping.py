@@ -327,15 +327,14 @@ def validate(envelope: PulseEnvelope, array: AtomArray, omega_L0: float,
              delta: float, target: TargetWaveform,
              reference: AdiabaticReference | None = None, k_gf=None,
              target_sublevel: int = 1, include_sublevels=(-1, 0, 1),
-             grid: farfield.AngularGrid | None = None,
              tol: float = 1e-8) -> ShapingReport:
     """Insert the designed envelope into the full multilevel model.
 
     Runs the adaptive propagator from a timed Dicke state, computes the
-    far-field waveform on the target's grid, and reports the relative L2
-    mismatch against the normalized target flux.  Pass the same reference
-    used for the design so the normalization matches it exactly; without
-    one, a reference long enough to cover the envelope is built.
+    exact far-field flux on the target's time grid, and reports the
+    relative L2 mismatch against the normalized target flux.  Pass the same
+    reference used for the design so the normalization matches it exactly;
+    without one, a reference long enough to cover the envelope is built.
     """
     u = target.u_grid
     if reference is None:
@@ -351,7 +350,7 @@ def validate(envelope: PulseEnvelope, array: AtomArray, omega_L0: float,
     psi0 = timed_dicke_state(array, k_gf)
     traj = propagate_ode(H, psi0, envelope, t_end=float(u[-1]), tol=tol,
                          times=u)
-    wf = farfield.waveform(traj, grid=grid, allow_truncation=True)
+    wf = farfield.waveform(traj, allow_truncation=True)
     # normalize the target exactly as the designer does
     total = np.trapezoid(target.intensity, u)
     I = target.intensity * (target.photon_fraction * reference.n[-1] / total)

@@ -83,7 +83,7 @@ def _driven_slab(d):
     times = np.concatenate([np.arange(0.0, 30.0, 0.01),
                             np.arange(30.0, 200.0, 0.1), [200.0]])
     traj = propagate_eigen(H, psi0, times)
-    wave = waveform(traj, grid=GRID, allow_truncation=True)
+    wave = waveform(traj, allow_truncation=True)
     return traj, wave
 
 
@@ -110,7 +110,7 @@ def test_single_atom_decay_and_photon_balance():
     traj_o = propagate_ode(H, psi0, t_end=30.0, times=times)
     err_ode = float(np.max(np.abs(traj_o.states[3] - exact)))
 
-    wave = waveform(traj_e, grid=GRID)
+    wave = waveform(traj_e)
     bal = float(np.max(np.abs(wave.cumulative - wave.state_side)))
     n_inf = float(wave.cumulative[-1])
 
@@ -186,7 +186,7 @@ def test_driven_array_photon_accounting():
                             np.arange(30.0, 200.0, 0.1),
                             np.arange(200.0, 2000.0, 1.0), [2000.0]])
     traj = propagate_eigen(H, psi0, times)
-    wave = waveform(traj, grid=GRID, allow_truncation=True)
+    wave = waveform(traj, allow_truncation=True)
     rel = np.abs(wave.cumulative - wave.state_side) / \
         np.maximum(wave.state_side, 0.01)
     worst = float(np.max(rel))
@@ -238,7 +238,7 @@ def test_pulsed_subradiant_afterglow():
     psi0 = timed_dicke_state(arr, K0 * Z_HAT)
     times = np.concatenate([np.arange(0.0, 6.0, 0.01), [6.0]])
     traj = propagate_eigen(H, psi0, times)
-    wave = waveform(traj, grid=GRID, allow_truncation=True)
+    wave = waveform(traj, allow_truncation=True)
     u, flux = wave.u_grid, wave.flux_total
 
     burst = (u >= 0.2) & (u <= 1.0)
@@ -298,7 +298,7 @@ def test_waveform_designer():
                                        dt=0.05, photon_fraction=0.75)
     env_a = design_envelope(ref_a, target_a)
     report = validate(env_a, arr, 42.0, 120.0, target_a, reference=ref_a,
-                      k_gf=k_gf, grid=GRID)
+                      k_gf=k_gf)
     l2 = report.l2_mismatch
 
     model_b = AdiabaticModel(arr, 38.85, 120.0)
@@ -308,7 +308,7 @@ def test_waveform_designer():
                                             photon_fraction=0.70)
     env_b = design_envelope(ref_b, target_b)
     rep_b = validate(env_b, arr, 38.85, 120.0, target_b, reference=ref_b,
-                     k_gf=k_gf, grid=GRID)
+                     k_gf=k_gf)
     u, f = rep_b.u_grid, rep_b.flux_sim
     h1 = float(np.max(f[(u >= 25.0) & (u <= 45.0)]))
     h2 = float(np.max(f[(u >= 60.0) & (u <= 80.0)]))

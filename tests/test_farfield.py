@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from arraylight.core import AmplitudeState, LaserDrive, build_lattice
-from arraylight.dynamics import propagate_eigen
+from arraylight.core import (AmplitudeState, AtomArray, LaserDrive,
+                             build_lattice)
+from arraylight.dynamics import Trajectory, propagate_eigen
 from arraylight.errors import InvalidArgumentError
 from arraylight.farfield import (AngularGrid, angular_map, helicity_frame,
                                  integrate_flux, intensity, intensity_map,
@@ -131,7 +134,7 @@ def test_waveform_matches_per_time_maps():
     t = np.linspace(0.0, 6.0, 31)
     traj = propagate_eigen(H, psi0, t)
     grid = AngularGrid(24, 48)
-    wave = waveform(traj, grid=grid, allow_truncation=True)
+    wave = waveform(traj, allow_truncation=True)
     for k in (0, 7, 19, 30):
         amap = angular_map(traj, t[k], grid=grid)
         assert np.isclose(wave.flux_plus[k], grid.weights @ amap.I_plus,
@@ -145,7 +148,7 @@ def test_waveform_single_atom_decay():
     H = assemble(arr, LaserDrive(0.0, 0.0))
     t = np.linspace(0.0, 30.0, 3001)  # trapezoid error ~ dt^2/12
     traj = propagate_eigen(H, psi0, t)
-    wave = waveform(traj, grid=AngularGrid(32, 64))
+    wave = waveform(traj)
     assert np.max(np.abs(wave.flux_total - np.exp(-t))) < 1e-10
     assert abs(wave.cumulative[-1] - 1.0) < 1e-4
     # state-side and field-side photon counts agree
@@ -158,8 +161,8 @@ def test_waveform_truncation_guard():
     t = np.linspace(0.0, 1.0, 11)  # barely decayed
     traj = propagate_eigen(H, psi0, t)
     with pytest.raises(InvalidArgumentError):
-        waveform(traj, grid=AngularGrid(16, 32))
-    wave = waveform(traj, grid=AngularGrid(16, 32), allow_truncation=True)
+        waveform(traj)
+    wave = waveform(traj, allow_truncation=True)
     assert wave.u_grid.shape == t.shape
 
 
@@ -169,7 +172,7 @@ def test_waveform_custom_u_grid():
     t = np.linspace(0.0, 20.0, 2001)
     traj = propagate_eigen(H, psi0, t)
     u = np.linspace(0.0, 20.0, 41)
-    wave = waveform(traj, grid=AngularGrid(16, 32), u_grid=u)
+    wave = waveform(traj, u_grid=u)
     assert np.allclose(wave.flux_total, np.exp(-u), atol=1e-9)
 
 
@@ -205,3 +208,51 @@ def test_intensity_against_direct_formula():
                 phase = np.exp(1j * K0 * (r_hat @ arr.positions[j]))
                 amp += phase * (eps.conj() @ (E @ beta[j]))
             assert np.isclose(got, NORM * abs(amp) ** 2, rtol=1e-12)
+
+
+@st.composite
+def _sampled_trajectories(draw):
+    """Random array (N <= 8, spacing >= 0.1) and sublevel subset, with
+    random model states as the samples of a trajectory."""
+    n = draw(st.integers(1, 8))
+    coord = st.floats(-1.0, 1.0)
+    pos = np.array(draw(st.lists(st.tuples(coord, coord, coord),
+                                 min_size=n, max_size=n)))
+    dist = np.linalg.norm(pos[:, None] - pos[None], axis=-1)
+    np.fill_diagonal(dist, np.inf)
+    assume(dist.min() >= 0.1)
+    subs = sorted(draw(st.sets(st.sampled_from((-1, 0, 1)), min_size=1)))
+    H = assemble(AtomArray(pos), LaserDrive(1.0, 2.0, target_sublevel=subs[0]),
+                 include_sublevels=subs)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(2, 4))
+    states = rng.normal(size=(H.dim, k)) + 1j * rng.normal(size=(H.dim, k))
+    states /= np.linalg.norm(states, axis=0)
+    return Trajectory(H, np.arange(k, dtype=float), states, kind="ode",
+                      derivs=np.zeros_like(states))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_sampled_trajectories())
+def test_total_flux_is_norm_loss(traj):
+    # photon balance per sample: flux_total = -d|psi|^2/dt
+    #                                       = -2 Re <beta|X|beta>
+    H = traj.H
+    wave = waveform(traj, allow_truncation=True)
+    beta = traj.states[H.n_atoms:]
+    loss = -2.0 * np.real(np.einsum("ik,ik->k", beta.conj(),
+                                    H.excited_block @ beta))
+    assert np.allclose(wave.flux_total, loss, rtol=1e-12, atol=0.0)
+    assert np.array_equal(wave.flux_plus + wave.flux_minus, wave.flux_total)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_sampled_trajectories())
+def test_flux_operators_match_quadrature(traj):
+    # the exact per-helicity operators against the 96 x 192 sphere quadrature
+    wave = waveform(traj, allow_truncation=True)
+    grid = AngularGrid(96, 192)
+    for k, u in enumerate(traj.times):
+        fp, fm = integrate_flux(angular_map(traj, u, grid=grid))
+        assert np.isclose(wave.flux_plus[k], fp, rtol=1e-10, atol=0.0)
+        assert np.isclose(wave.flux_minus[k], fm, rtol=1e-10, atol=0.0)

@@ -1,7 +1,6 @@
-"""Kernel correctness and backend agreement."""
+"""Pair-block and plane-wave-sum kernels against reference formulas."""
 
 import numpy as np
-import pytest
 
 from arraylight import _kernels
 from arraylight.greens import coupling_block
@@ -52,46 +51,3 @@ def test_direction_sums_match_einsum():
     ref = phases @ s
     assert got.shape == (37, 3)
     assert np.allclose(got, ref, atol=1e-12)
-
-
-def test_numpy_fallback_matches_active_backend():
-    rng = np.random.default_rng(3)
-    pos = _random_positions(rng, 7)
-    dirs = rng.normal(size=(21, 3))
-    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    s = rng.normal(size=(7, 3)) + 1j * rng.normal(size=(7, 3))
-    b_active = _kernels.pair_blocks(pos)
-    b_numpy = _kernels._pair_blocks_numpy(pos)
-    d_active = _kernels.direction_sums(dirs, pos, s)
-    d_numpy = _kernels._direction_sums_numpy(dirs, pos, s)
-    assert np.allclose(b_active, b_numpy, atol=1e-13)
-    assert np.allclose(d_active, d_numpy, atol=1e-12)
-
-
-@pytest.mark.skipif(_kernels.backend_name() != "numba",
-                    reason="numba backend not active")
-def test_numba_backend_deterministic():
-    rng = np.random.default_rng(17)
-    pos = _random_positions(rng, 8)
-    a = _kernels.pair_blocks(pos)
-    b = _kernels.pair_blocks(pos)
-    assert np.array_equal(a, b)
-
-
-def test_backend_name_reports():
-    assert _kernels.backend_name() in ("numpy", "numba")
-
-
-def test_numpy_flag_forces_fallback():
-    # subprocess so the import-time flag is actually exercised
-    import os
-    import subprocess
-    import sys
-
-    code = ("import arraylight._kernels as k; "
-            "print(k.backend_name())")
-    out = subprocess.run([sys.executable, "-c", code],
-                         env={**os.environ, "ARRAYLIGHT_NUMBA": "0"},
-                         capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "numpy"
