@@ -21,8 +21,7 @@ the transition wavelength, so the lattice spacing d is dimensionless.
 """
 
 from .core import (SUBLEVELS, AmplitudeState, AtomArray, LaserDrive,
-                   UnitSystem, build_lattice, single_f_excitation,
-                   timed_dicke_state)
+                   build_lattice, single_f_excitation, timed_dicke_state)
 from .dynamics import Trajectory, populations, propagate_eigen, propagate_ode
 from .envelope import PulseEnvelope
 from .errors import (ArrayLightError, ConfigError, EigenConditionError,
@@ -47,7 +46,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # core
-    "SUBLEVELS", "UnitSystem", "AtomArray", "LaserDrive", "AmplitudeState",
+    "SUBLEVELS", "AtomArray", "LaserDrive", "AmplitudeState",
     "build_lattice", "timed_dicke_state", "single_f_excitation",
     # envelope
     "PulseEnvelope",

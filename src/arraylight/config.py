@@ -86,8 +86,6 @@ class RunConfig:
     ode_atol: float = 1e-12
     eigen_cond_max: float = 1e8
     propagator: str = "auto"
-    c_tilde: float = 100.0
-    seed: int = 0
     out_dir: str = "."
     shaping: dict = field(default_factory=dict)
     config_dir: str = "."
@@ -111,8 +109,8 @@ class RunConfig:
     @classmethod
     def from_dict(cls, raw: dict, config_dir: str = ".") -> "RunConfig":
         _check_keys(raw, {"lattice", "k_gf", "drive", "sublevels", "time",
-                          "grid", "tolerances", "propagator", "c_tilde",
-                          "seed", "output", "shaping"}, "")
+                          "grid", "tolerances", "propagator", "output",
+                          "shaping"}, "")
         kw = {"config_dir": config_dir}
 
         lat = _require(raw, "lattice", "")
@@ -201,11 +199,6 @@ class RunConfig:
                 raise ConfigError("'propagator' must be auto, eigen or ode")
             kw["propagator"] = raw["propagator"]
 
-        if "c_tilde" in raw:
-            kw["c_tilde"] = _number(raw["c_tilde"], "c_tilde", 1e-12)
-        if "seed" in raw:
-            kw["seed"] = _integer(raw["seed"], "seed", 0)
-
         if "output" in raw:
             out = raw["output"]
             _check_keys(out, {"directory"}, "output")
@@ -249,8 +242,6 @@ class RunConfig:
                            "ode_atol": self.ode_atol,
                            "eigen_cond_max": self.eigen_cond_max},
             "propagator": self.propagator,
-            "c_tilde": self.c_tilde,
-            "seed": self.seed,
             "output": {"directory": self.out_dir},
             "shaping": self.shaping,
         }

@@ -2,9 +2,7 @@
 
 Natural units throughout: the single-atom decay rate Gamma is the unit of
 frequency (time in Gamma^-1) and the transition wavelength lambda0 is the
-unit of length, so k0 = 2*pi exactly.  The speed of light enters only
-through retarded times u = t - r/c and is kept as a configurable constant
-c_tilde in units of lambda0*Gamma.
+unit of length, so k0 = 2*pi exactly.
 
 Each atom has a ground state g, a metastable state f holding the shared
 excitation (amplitudes a_j), and three excited Zeeman sublevels e_nu,
@@ -22,7 +20,6 @@ from .envelope import PulseEnvelope
 from .errors import InvalidArgumentError
 
 __all__ = [
-    "UnitSystem",
     "AtomArray",
     "AmplitudeState",
     "LaserDrive",
@@ -33,24 +30,6 @@ __all__ = [
 ]
 
 SUBLEVELS = (-1, 0, 1)
-
-
-@dataclass(frozen=True)
-class UnitSystem:
-    """Natural units: gamma = 1, lambda0 = 1, k0 = 2*pi."""
-
-    c_tilde: float = 100.0
-
-    gamma: float = field(default=1.0, init=False)
-    lambda0: float = field(default=1.0, init=False)
-
-    def __post_init__(self):
-        if self.c_tilde <= 0:
-            raise InvalidArgumentError("c_tilde must be positive")
-
-    @property
-    def k0(self) -> float:
-        return 2.0 * np.pi
 
 
 @dataclass(frozen=True)
@@ -115,14 +94,14 @@ class AmplitudeState:
     a:    (N,) complex metastable amplitudes
     beta: (N, 3) complex excited amplitudes, columns ordered nu = -1, 0, +1
     t:    time (Gamma^-1)
-    frame: 'rotating' marks the detuning-rotating convention
-    beta_tilde = beta * exp(i*delta*t) in which the constant-drive
+    Amplitudes are in the detuning-rotating frame
+    beta_tilde = beta * exp(i*delta*t), in which the constant-drive
     generator is time independent.
     """
 
-    __slots__ = ("a", "beta", "t", "frame")
+    __slots__ = ("a", "beta", "t")
 
-    def __init__(self, a, beta=None, t=0.0, frame="rotating"):
+    def __init__(self, a, beta=None, t=0.0):
         a = np.asarray(a, dtype=complex)
         if a.ndim != 1 or len(a) == 0:
             raise InvalidArgumentError("a must be a nonempty complex vector")
@@ -134,7 +113,6 @@ class AmplitudeState:
         self.a = a
         self.beta = beta
         self.t = float(t)
-        self.frame = frame
 
     @property
     def n_atoms(self) -> int:
@@ -145,7 +123,7 @@ class AmplitudeState:
         return float(np.sum(np.abs(self.a) ** 2) + np.sum(np.abs(self.beta) ** 2))
 
     def copy(self) -> "AmplitudeState":
-        return AmplitudeState(self.a.copy(), self.beta.copy(), self.t, self.frame)
+        return AmplitudeState(self.a.copy(), self.beta.copy(), self.t)
 
 
 def build_lattice(nx: int, ny: int, nz: int, d: float) -> AtomArray:

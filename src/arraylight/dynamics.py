@@ -21,8 +21,7 @@ import bisect
 import numpy as np
 from scipy.integrate import DOP853, solve_ivp
 
-from .core import SUBLEVELS, AmplitudeState
-from .envelope import PulseEnvelope
+from .core import AmplitudeState
 from .errors import EigenConditionError, InvalidArgumentError, NumericError
 from .hamiltonian import EffectiveHamiltonian
 
@@ -110,8 +109,7 @@ class Trajectory:
         exc = np.abs(self.states[n:]) ** 2
         exc = exc.reshape(n, m, -1).sum(axis=0).T  # (K, m)
         full = np.zeros((len(self.times), 3))
-        for i, s in enumerate(self.H.sublevels):
-            full[:, SUBLEVELS.index(s)] = exc[:, i]
+        full[:, self.H.columns] = exc
         return meta, full
 
     def to_csv(self, path, atoms=(0,), header_lines=()) -> None:
@@ -199,24 +197,21 @@ class _DOP853Stops(DOP853):
 
 
 def propagate_ode(H: EffectiveHamiltonian, psi0: AmplitudeState,
-                  envelope: PulseEnvelope | None = None, t_end: float = None,
-                  tol: float = 1e-8, atol: float = 1e-12,
+                  t_end: float, tol: float = 1e-8, atol: float = 1e-12,
                   times=None) -> Trajectory:
-    """Adaptive DOP853 integration up to t_end.
+    """Adaptive DOP853 integration up to t_end under H.drive.envelope.
 
-    envelope defaults to the drive's own.  Each jump-free stretch of the
-    envelope is one solver pass: the integration restarts only at the
-    envelope's jumps (PulseEnvelope.breakpoints), and steps end on its
-    kinks (PulseEnvelope.kinks), so piecewise-linear and square envelopes
-    keep full order.  times selects the storage grid, passed to the solver
-    as t_eval (default: the solver's accepted steps, whose spacing tracks
-    the local dynamics).
+    Each jump-free stretch of the envelope is one solver pass: the
+    integration restarts only at the envelope's jumps
+    (PulseEnvelope.breakpoints), and steps end on its kinks
+    (PulseEnvelope.kinks), so piecewise-linear and square envelopes keep
+    full order.  times selects the storage grid, passed to the solver as
+    t_eval (default: the solver's accepted steps, whose spacing tracks the
+    local dynamics).
     """
-    if t_end is None:
-        raise InvalidArgumentError("t_end is required")
     if tol <= 0:
         raise InvalidArgumentError("tol must be positive")
-    env = envelope if envelope is not None else H.drive.envelope
+    env = H.drive.envelope
     t0 = psi0.t
     if t_end <= t0:
         raise InvalidArgumentError("t_end must exceed the initial time")

@@ -98,22 +98,7 @@ class PulseEnvelope:
 
     @classmethod
     def from_csv(cls, path) -> "PulseEnvelope":
-        rows = []
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                parts = line.split(",")
-                try:
-                    rows.append((float(parts[0]), float(parts[1])))
-                except (ValueError, IndexError):
-                    if rows:  # header allowed only before the data
-                        raise InvalidArgumentError(
-                            f"malformed envelope row in {path}: {line!r}")
-        if len(rows) < 2:
-            raise InvalidArgumentError(f"envelope file {path} needs columns t,f")
-        data = np.asarray(rows)
+        data = read_two_columns(path, "envelope", "t,f")
         return cls.from_samples(data[:, 0], data[:, 1])
 
     # ---- queries ------------------------------------------------------
@@ -185,3 +170,28 @@ class PulseEnvelope:
             fh.write("t,f\n")
             for ti, fi in zip(t, f):
                 fh.write(f"{ti:.17g},{fi:.17g}\n")
+
+
+def read_two_columns(path, what: str, columns: str) -> np.ndarray:
+    """Rows of a two-column CSV file as an (n, 2) float array.
+
+    Blank and '#' lines are skipped; a header is allowed only before the
+    data.  what and columns name the file's content in error messages.
+    """
+    rows = []
+    with open(path) as fh:
+        for line in fh:
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split(",")
+            try:
+                rows.append((float(parts[0]), float(parts[1])))
+            except (ValueError, IndexError):
+                if rows:  # header allowed only before the data
+                    raise InvalidArgumentError(
+                        f"malformed {what} row in {path}: {line!r}")
+    if len(rows) < 2:
+        raise InvalidArgumentError(
+            f"{what} file {path} needs columns {columns}")
+    return np.asarray(rows)

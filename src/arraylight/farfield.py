@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .core import SUBLEVELS, AtomArray
+from .core import AtomArray
 from .dynamics import Trajectory
 from .errors import InvalidArgumentError
 from .greens import spherical_basis
@@ -255,8 +255,7 @@ def waveform(traj: Trajectory, u_grid=None,
     psi = traj.states if u_grid is None \
         else np.column_stack([traj.state_at(x) for x in u])
     beta = psi[H.n_atoms:]
-    cols = [SUBLEVELS.index(s) for s in H.sublevels]
-    fp, fm = (_quadratic_forms(_kernels.model_matrix(Q, cols), beta)
+    fp, fm = (_quadratic_forms(_kernels.model_matrix(Q, H.columns), beta)
               for Q in _kernels.flux_blocks(H.array.positions))
     ns = 1.0 - np.sum(np.abs(psi) ** 2, axis=0)
     total = fp + fm

@@ -12,7 +12,9 @@ ascending order, atom-major.  In the frame rotating at the drive frequency
 
 with G the spherical-basis pair coupling blocks.  For a constant envelope
 the generator is a single time-independent matrix; a time-dependent
-envelope scales only the drive block.
+envelope scales only the 2N drive entries a_l <-> beta_l^{nu0}.  All
+collective physics lives in the excited block, which is the only matrix
+stored; the dense generator is built on demand.
 """
 
 from __future__ import annotations
@@ -33,19 +35,25 @@ __all__ = ["EffectiveHamiltonian", "ModeSpectrum", "assemble",
 
 @dataclass(frozen=True)
 class EffectiveHamiltonian:
-    """Assembled generator, split into a static part and a drive part.
+    """Assembled generator, stored as its excited block and the drive.
 
-    static_part: (N + N*m) square matrix holding detuning, decay and all
-    pair couplings; drive_part: the a <-> beta coupling at peak Rabi
-    frequency (the envelope value multiplies it during propagation).
+    excited_block: C-contiguous, read-only (N*m, N*m) matrix holding the
+    detuning, decay and all pair couplings of the excited amplitudes.  The
+    drive couples each a_l to beta_l^{nu0} with -(i/2) Omega_L f(t); these
+    2N entries are applied from drive, never stored.  generator_at builds
+    the dense (dim, dim) generator on demand.
     """
 
     array: AtomArray
     drive: LaserDrive
     sublevels: tuple
-    static_part: np.ndarray
-    drive_part: np.ndarray
+    excited_block: np.ndarray
     decay: bool = True
+
+    def __post_init__(self):
+        block = np.ascontiguousarray(self.excited_block, dtype=complex)
+        block.setflags(write=False)
+        object.__setattr__(self, "excited_block", block)
 
     @property
     def n_atoms(self) -> int:
@@ -53,15 +61,28 @@ class EffectiveHamiltonian:
 
     @property
     def dim(self) -> int:
-        return self.static_part.shape[0]
+        return self.n_atoms + self.excited_block.shape[0]
 
     @property
     def n_sublevels(self) -> int:
         return len(self.sublevels)
 
+    @cached_property
+    def columns(self) -> list:
+        """Columns of the model's sublevels in an (N, 3) beta array."""
+        return _sublevel_columns(self.sublevels)
+
     def generator_at(self, f_value: float) -> np.ndarray:
-        """Full generator for one envelope value."""
-        return self.static_part + f_value * self.drive_part
+        """Dense generator for one envelope value."""
+        n = self.n_atoms
+        G = np.zeros((self.dim, self.dim), dtype=complex)
+        G[n:, n:] = self.excited_block
+        if self.drive.omega_L0 > 0:
+            rows = np.arange(n)
+            cols = np.arange(self.dim)[self._driven]
+            c = (-0.5j * self.drive.omega_L0) * f_value
+            G[rows, cols] = G[cols, rows] = c
+        return G
 
     def apply(self, y: np.ndarray, f_value) -> np.ndarray:
         """generator_at(f_value) @ y without forming the generator.
@@ -72,7 +93,7 @@ class EffectiveHamiltonian:
         """
         n = self.n_atoms
         out = np.empty(y.shape, dtype=complex)
-        np.matmul(self._excited_contiguous, y[n:], out=out[n:])
+        np.matmul(self.excited_block, y[n:], out=out[n:])
         if self.drive.omega_L0 > 0:
             driven = self._driven
             c = (-0.5j * self.drive.omega_L0) * f_value
@@ -88,24 +109,10 @@ class EffectiveHamiltonian:
         constant envelopes)."""
         return self.generator_at(self.drive.envelope(self.drive.envelope.t_start))
 
-    @property
-    def excited_block(self) -> np.ndarray:
-        n = self.n_atoms
-        return self.static_part[n:, n:]
-
-    @cached_property
-    def _excited_contiguous(self) -> np.ndarray:
-        return np.ascontiguousarray(self.excited_block)
-
     @cached_property
     def _driven(self) -> slice:
         return _driven_amplitudes(self.n_atoms, self.n_sublevels,
                                   self.sublevels.index(self.drive.target_sublevel))
-
-    @property
-    def drive_block(self) -> np.ndarray:
-        n = self.n_atoms
-        return self.drive_part[:n, n:]
 
     # ---- state packing -------------------------------------------------
 
@@ -114,26 +121,21 @@ class EffectiveHamiltonian:
         which must be empty)."""
         if state.n_atoms != self.n_atoms:
             raise InvalidArgumentError("state size does not match array")
-        cols = [SUBLEVELS.index(s) for s in self.sublevels]
-        excluded = [c for c in range(3) if c not in cols]
+        excluded = [c for c in range(3) if c not in self.columns]
         if excluded and np.max(np.abs(state.beta[:, excluded]), initial=0.0) > 1e-12:
             raise InvalidArgumentError(
                 "state has population in sublevels excluded from the model")
-        return np.concatenate([state.a, state.beta[:, cols].ravel()])
+        return np.concatenate([state.a, state.beta[:, self.columns].ravel()])
 
     def unpack(self, vec: np.ndarray, t: float) -> AmplitudeState:
-        n, m = self.n_atoms, self.n_sublevels
-        beta = np.zeros((n, 3), dtype=complex)
-        cols = [SUBLEVELS.index(s) for s in self.sublevels]
-        beta[:, cols] = vec[n:].reshape(n, m)
-        return AmplitudeState(vec[:n].copy(), beta, t=t)
+        return AmplitudeState(vec[:self.n_atoms].copy(), self.beta_matrix(vec),
+                              t=t)
 
     def beta_matrix(self, vec: np.ndarray) -> np.ndarray:
         """Excited sector of a flat vector as an (N, 3) array."""
         n, m = self.n_atoms, self.n_sublevels
         beta = np.zeros((n, 3), dtype=complex)
-        cols = [SUBLEVELS.index(s) for s in self.sublevels]
-        beta[:, cols] = vec[n:].reshape(n, m)
+        beta[:, self.columns] = vec[n:].reshape(n, m)
         return beta
 
 
@@ -184,6 +186,10 @@ def _driven_amplitudes(n: int, m: int, si0: int) -> slice:
     return slice(n + si0, None, m)
 
 
+def _sublevel_columns(sublevels) -> list:
+    return [SUBLEVELS.index(s) for s in sublevels]
+
+
 def assemble(array: AtomArray, drive: LaserDrive,
              include_sublevels=SUBLEVELS, decay: bool = True) -> EffectiveHamiltonian:
     """Build the rotating-frame generator.
@@ -199,29 +205,16 @@ def assemble(array: AtomArray, drive: LaserDrive,
                                    "subset of {-1, 0, +1}")
     if drive.omega_L0 > 0 and drive.target_sublevel not in subs:
         raise InvalidArgumentError("driven sublevel is excluded from the model")
-    n, m = array.n_atoms, len(subs)
-    dim = n + n * m
-    static = np.zeros((dim, dim), dtype=complex)
-
-    diag = 1j * drive.delta - (0.5 if decay else 0.0)
-    ex = np.full(n * m, diag, dtype=complex)
-    static[n:, n:] += np.diag(ex)
-    if decay and n > 1:
+    nm = array.n_atoms * len(subs)
+    # subtract from zeros: -0.5 * M alone leaves -0.0 entries, which shift
+    # the rounding of LAPACK's eig
+    block = np.zeros((nm, nm), dtype=complex)
+    if decay and array.n_atoms > 1:
         blocks = _kernels.pair_blocks(array.positions)
-        cols = [SUBLEVELS.index(s) for s in subs]
-        static[n:, n:] += -0.5 * _kernels.model_matrix(blocks, cols)
-
-    drive_part = np.zeros((dim, dim), dtype=complex)
-    if drive.omega_L0 > 0:
-        rows = np.arange(n)
-        driven = _driven_amplitudes(n, m, subs.index(drive.target_sublevel))
-        cols = np.arange(dim)[driven]
-        drive_part[rows, cols] = -0.5j * drive.omega_L0
-        drive_part[cols, rows] = -0.5j * drive.omega_L0
-
+        block -= 0.5 * _kernels.model_matrix(blocks, _sublevel_columns(subs))
+    block.flat[::nm + 1] += 1j * drive.delta - (0.5 if decay else 0.0)
     return EffectiveHamiltonian(array=array, drive=drive, sublevels=subs,
-                                static_part=static, drive_part=drive_part,
-                                decay=decay)
+                                excited_block=block, decay=decay)
 
 
 def split_hermitian(H: EffectiveHamiltonian):

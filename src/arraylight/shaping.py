@@ -33,7 +33,7 @@ from scipy.interpolate import CubicHermiteSpline
 from . import farfield
 from .core import AtomArray, LaserDrive, timed_dicke_state
 from .dynamics import propagate_ode
-from .envelope import PulseEnvelope
+from .envelope import PulseEnvelope, read_two_columns
 from .errors import (InfeasibleTargetError, InvalidArgumentError,
                      NumericError)
 from .hamiltonian import assemble
@@ -238,40 +238,19 @@ class TargetWaveform:
 
     @classmethod
     def from_csv(cls, path, photon_fraction: float = 0.99):
-        rows = []
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                parts = line.split(",")
-                try:
-                    rows.append((float(parts[0]), float(parts[1])))
-                except (ValueError, IndexError):
-                    if rows:
-                        raise InvalidArgumentError(
-                            f"malformed target row in {path}: {line!r}")
-        if len(rows) < 2:
-            raise InvalidArgumentError(f"target file {path} needs columns "
-                                       f"u,intensity")
-        data = np.asarray(rows)
+        data = read_two_columns(path, "target", "u,intensity")
         return cls(data[:, 0], data[:, 1], photon_fraction)
 
 
-def design_envelope(reference: AdiabaticReference, target: TargetWaveform,
-                    omega_L0: float | None = None,
-                    delta: float | None = None) -> PulseEnvelope:
+def design_envelope(reference: AdiabaticReference,
+                    target: TargetWaveform) -> PulseEnvelope:
     """Envelope f(t) whose reparametrized emission matches the target.
 
-    omega_L0/delta, when given, must match the reference model (they are
-    accepted for interface symmetry and consistency checking).  The target
-    is normalized to photon_fraction * n0(end of reference).
+    The drive is the one of the reference's model.  The target is
+    normalized to photon_fraction * n0(end of reference), with n0 the
+    trapezoid integral of the reference flux.  Raises
+    InfeasibleTargetError when the target needs f > 1.
     """
-    m = reference.model
-    if omega_L0 is not None and not np.isclose(omega_L0, m.omega_L0):
-        raise InvalidArgumentError("omega_L0 differs from the reference model")
-    if delta is not None and not np.isclose(delta, m.delta):
-        raise InvalidArgumentError("delta differs from the reference model")
     # invert the cumulative count with the same trapezoid rule used for the
     # target below, and pin the inverse slope to the exact 1/flux; then a
     # target equal to the free-running waveform maps back to f = 1 exactly
@@ -325,33 +304,26 @@ class ShapingReport:
 
 def validate(envelope: PulseEnvelope, array: AtomArray, omega_L0: float,
              delta: float, target: TargetWaveform,
-             reference: AdiabaticReference | None = None, k_gf=None,
-             target_sublevel: int = 1, include_sublevels=(-1, 0, 1),
-             tol: float = 1e-8) -> ShapingReport:
+             reference: AdiabaticReference,
+             k_gf=(0.0, 0.0, 2.0 * np.pi), target_sublevel: int = 1,
+             include_sublevels=(-1, 0, 1), tol: float = 1e-8) -> ShapingReport:
     """Insert the designed envelope into the full multilevel model.
 
-    Runs the adaptive propagator from a timed Dicke state, computes the
-    exact far-field flux on the target's time grid, and reports the
-    relative L2 mismatch against the normalized target flux.  Pass the same
-    reference used for the design so the normalization matches it exactly;
-    without one, a reference long enough to cover the envelope is built.
+    Runs the adaptive propagator under a drive carrying the envelope from
+    a timed Dicke state, computes the exact far-field flux on the target's
+    time grid, and reports the relative L2 mismatch against the normalized
+    target flux.  reference is the adiabatic solution used for the design;
+    its photon number n(end) = 1 - |a|^2 sets the target normalization.
     """
     u = target.u_grid
-    if reference is None:
-        m = AdiabaticModel(array, omega_L0, delta, target_sublevel)
-        a0 = timed_dicke_state(array, np.array([0.0, 0.0, 2.0 * np.pi])
-                               if k_gf is None else np.asarray(k_gf)).a
-        horizon = max(float(envelope.tau(u[-1])) * 1.05, 10.0)
-        reference = adiabatic_simulate(m, a0, t_end=horizon)
     drive = LaserDrive(omega_L0, delta, envelope, target_sublevel)
     H = assemble(array, drive, include_sublevels)
-    if k_gf is None:
-        k_gf = np.array([0.0, 0.0, 2.0 * np.pi])
     psi0 = timed_dicke_state(array, k_gf)
-    traj = propagate_ode(H, psi0, envelope, t_end=float(u[-1]), tol=tol,
-                         times=u)
+    traj = propagate_ode(H, psi0, t_end=float(u[-1]), tol=tol, times=u)
     wf = farfield.waveform(traj, allow_truncation=True)
-    # normalize the target exactly as the designer does
+    # scale the target to photon_fraction * (1 - |a|^2) at the reference's
+    # end; the designer scales by its trapezoid n0[-1] instead, which
+    # differs from this by the trapezoid error of the reference flux
     total = np.trapezoid(target.intensity, u)
     I = target.intensity * (target.photon_fraction * reference.n[-1] / total)
     flux = wf.flux_total

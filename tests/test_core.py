@@ -4,19 +4,11 @@ import numpy as np
 import pytest
 
 from arraylight.core import (SUBLEVELS, AmplitudeState, AtomArray, LaserDrive,
-                             UnitSystem, build_lattice, single_f_excitation,
+                             build_lattice, single_f_excitation,
                              timed_dicke_state)
 from arraylight.errors import InvalidArgumentError
 
 K0 = 2.0 * np.pi
-
-
-def test_unit_system_defaults():
-    units = UnitSystem()
-    assert units.gamma == 1.0
-    assert units.lambda0 == 1.0
-    assert units.c_tilde == 100.0
-    assert np.isclose(units.k0, 2.0 * np.pi)
 
 
 def test_sublevel_order():

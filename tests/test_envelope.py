@@ -1,6 +1,7 @@
 """Pulse envelope evaluation and the exact integrated-intensity clock."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from arraylight.envelope import PulseEnvelope
 from arraylight.errors import InvalidArgumentError
+from arraylight.shaping import TargetWaveform
 
 
 def test_constant_envelope():
@@ -156,3 +158,25 @@ def test_ramping_envelope_has_no_constant_segments():
 def test_start_before_zero_rejected():
     with pytest.raises(InvalidArgumentError):
         PulseEnvelope.from_samples([-1.0, 1.0], [0.5, 0.5])
+
+
+@pytest.mark.parametrize("read, samples, what", [
+    (PulseEnvelope.from_csv, lambda env: env(np.array([0.0, 1.0])),
+     "envelope"),
+    (TargetWaveform.from_csv, lambda target: target.intensity, "target"),
+], ids=["envelope", "target"])
+def test_two_column_csv_readers(tmp_path, read, samples, what):
+    path = tmp_path / "in.csv"
+    where = re.escape(str(path))
+    # comments, blank lines and a header before the data are skipped
+    path.write_text("# made by hand\nt,value\n\n0.0,0.5\n1.0,0.25\n")
+    assert np.array_equal(samples(read(path)), [0.5, 0.25])
+    # a header after the data is a malformed row
+    path.write_text("0.0,0.5\nt,value\n1.0,0.25\n")
+    with pytest.raises(InvalidArgumentError,
+                       match=f"malformed {what} row in {where}"):
+        read(path)
+    path.write_text("t,value\n0.0,0.5\n")
+    with pytest.raises(InvalidArgumentError,
+                       match=f"{what} file {where} needs"):
+        read(path)

@@ -5,7 +5,6 @@ import pytest
 
 from arraylight.core import (AmplitudeState, AtomArray, LaserDrive,
                              build_lattice, single_f_excitation)
-from arraylight.envelope import PulseEnvelope
 from arraylight.errors import InvalidArgumentError
 from arraylight.greens import coupling_block, eval_f_g, spherical_basis
 from arraylight.hamiltonian import (assemble, eigenmodes, split_hermitian)
@@ -92,27 +91,21 @@ def test_drive_block_placement():
     arr = build_lattice(2, 1, 1, 0.5)
     omega = 1.8
     H = assemble(arr, LaserDrive(omega, 0.0, target_sublevel=1))
-    D = H.drive_part
     n = 2
     expected = np.zeros((8, 8), dtype=complex)
     for j in range(n):
         col = n + 3 * j + 2  # nu = +1 column within atom j
         expected[j, col] = -0.5j * omega
         expected[col, j] = -0.5j * omega
-    assert np.allclose(D, expected, atol=1e-15)
-    # static part has no a-sector coupling
-    assert np.allclose(H.static_part[:n, :], 0.0)
-    assert np.allclose(H.static_part[:, :n], 0.0)
-
-
-def test_generator_at_scales_drive():
-    arr = build_lattice(2, 1, 1, 0.5)
-    H = assemble(arr, LaserDrive(2.0, 1.0,
-                                 envelope=PulseEnvelope.square(1.0)))
-    G1 = H.generator_at(1.0)
     G0 = H.generator_at(0.0)
-    assert np.allclose(G1 - G0, H.drive_part, atol=1e-15)
-    assert np.allclose(G0, H.static_part, atol=1e-15)
+    assert np.allclose(H.generator_at(1.0) - G0, expected, atol=1e-15)
+    assert np.allclose(H.generator_at(0.5) - G0, 0.5 * expected, atol=1e-15)
+    # without drive there is no a-sector coupling; the rest is the block
+    assert np.allclose(G0[:n, :], 0.0)
+    assert np.allclose(G0[:, :n], 0.0)
+    assert np.array_equal(G0[n:, n:], H.excited_block)
+    assert H.excited_block.flags.c_contiguous
+    assert not H.excited_block.flags.writeable
 
 
 def _rel_err(got, want):
@@ -221,28 +214,34 @@ def test_two_atom_z_pair_modes():
 
 
 def test_generator_residual_against_manual_rhs():
-    # apply the assembled generator and re-derive the rhs from first parts
+    # apply the assembled generator and re-derive the rhs from first parts,
+    # for every sublevel subset and driven sublevel
     rng = np.random.default_rng(21)
     arr = build_lattice(2, 2, 1, 0.5)
     n = arr.n_atoms
     omega, delta = 1.7, 3.0
-    H = assemble(arr, LaserDrive(omega, delta, target_sublevel=1))
-    psi = rng.normal(size=H.dim) + 1j * rng.normal(size=H.dim)
-    got = H.generator @ psi
+    G = {(l, j): coupling_block(arr.positions[l], arr.positions[j])
+         for l in range(n) for j in range(n) if l != j}
+    subsets = [(-1,), (0,), (1,), (-1, 0), (-1, 1), (0, 1), (-1, 0, 1)]
+    for subs in subsets:
+        cols = [nu + 1 for nu in subs]
+        for target in subs:
+            H = assemble(arr, LaserDrive(omega, delta, target_sublevel=target),
+                         include_sublevels=subs)
+            psi = rng.normal(size=H.dim) + 1j * rng.normal(size=H.dim)
+            got = H.generator @ psi
 
-    a = psi[:n]
-    beta = psi[n:].reshape(n, 3)
-    da = -1j * (omega / 2) * beta[:, 2]
-    dbeta = (1j * delta - 0.5) * beta
-    dbeta[:, 2] += -1j * (omega / 2) * a
-    for l in range(n):
-        for j in range(n):
-            if l == j:
-                continue
-            G = coupling_block(arr.positions[l], arr.positions[j])
-            dbeta[l] += -0.5 * G @ beta[j]
-    ref = np.concatenate([da, dbeta.ravel()])
-    assert np.max(np.abs(got - ref)) < 1e-12 * max(1.0, np.max(np.abs(ref)))
+            a = psi[:n]
+            beta = np.zeros((n, 3), dtype=complex)
+            beta[:, cols] = psi[n:].reshape(n, len(subs))
+            da = -1j * (omega / 2) * beta[:, target + 1]
+            dbeta = (1j * delta - 0.5) * beta
+            dbeta[:, target + 1] += -1j * (omega / 2) * a
+            for (l, j), Glj in G.items():
+                dbeta[l] += -0.5 * Glj @ beta[j]
+            ref = np.concatenate([da, dbeta[:, cols].ravel()])
+            assert (np.max(np.abs(got - ref))
+                    < 1e-12 * max(1.0, np.max(np.abs(ref))))
 
 
 def test_no_decay_generator_is_antihermitian():

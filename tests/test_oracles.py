@@ -33,9 +33,7 @@ def test_amplitudes_match_decoupled_propagation():
     k = np.array([0.0, 0.0, K0])
     H = assemble(arr, LaserDrive(0.0, 0.0))
     n = arr.n_atoms
-    static = H.static_part.copy()
-    static[n:, n:] = -0.5 * np.eye(3 * n)
-    H0 = dataclasses.replace(H, static_part=static)
+    H0 = dataclasses.replace(H, excited_block=-0.5 * np.eye(3 * n))
     td = timed_dicke_state(arr, k)
     psi0 = AmplitudeState(np.zeros(n, dtype=complex),
                           np.outer(td.a, [0.0, 0.0, 1.0]))

@@ -202,16 +202,3 @@ def test_target_csv_roundtrip(tmp_path):
     assert np.allclose(target.u_grid, u)
     assert np.allclose(target.intensity, intensity)
     assert target.photon_fraction == 0.5
-
-
-def test_design_checks_drive_consistency():
-    model = _model()
-    a0 = _td(model)
-    ref = adiabatic_simulate(model, a0, 500.0)
-    target = TargetWaveform.gaussian(center=30.0, width=10.0, t_end=80.0,
-                                     photon_fraction=0.3)
-    design_envelope(ref, target, omega_L0=42.0, delta=120.0)  # consistent
-    with pytest.raises(InvalidArgumentError):
-        design_envelope(ref, target, omega_L0=20.0)
-    with pytest.raises(InvalidArgumentError):
-        design_envelope(ref, target, delta=80.0)
