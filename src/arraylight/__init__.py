@@ -22,7 +22,7 @@ the transition wavelength, so the lattice spacing d is dimensionless.
 
 from .core import (SUBLEVELS, AmplitudeState, AtomArray, LaserDrive,
                    build_lattice, single_f_excitation, timed_dicke_state)
-from .dynamics import Trajectory, populations, propagate_eigen, propagate_ode
+from .dynamics import Trajectory, propagate_eigen, propagate_ode
 from .envelope import PulseEnvelope
 from .errors import (ArrayLightError, ConfigError, EigenConditionError,
                      InfeasibleTargetError, InvalidArgumentError,
@@ -57,7 +57,7 @@ __all__ = [
     "EffectiveHamiltonian", "ModeSpectrum", "assemble", "split_hermitian",
     "eigenmodes",
     # dynamics
-    "Trajectory", "propagate_eigen", "propagate_ode", "populations",
+    "Trajectory", "propagate_eigen", "propagate_ode",
     # farfield
     "HelicityFrame", "helicity_frame", "AngularGrid", "AngularMap",
     "Waveform", "intensity", "intensity_map", "angular_map",

@@ -29,13 +29,12 @@ from . import __version__
 from .config import RunConfig
 from .core import timed_dicke_state
 from .dynamics import propagate_eigen, propagate_ode
-from .errors import (ArrayLightError, ConfigError, EigenConditionError,
-                     InvalidArgumentError)
+from .errors import ArrayLightError, EigenConditionError, InvalidArgumentError
 from .farfield import angular_map, waveform
 from .hamiltonian import assemble, eigenmodes
 from .oracles import two_atom_rates
-from .shaping import (AdiabaticModel, TargetWaveform, adiabatic_simulate,
-                      design_envelope, validate as validate_shaping)
+from .shaping import (AdiabaticModel, adiabatic_simulate, design_envelope,
+                      validate as validate_shaping)
 
 __all__ = ["main"]
 
@@ -64,21 +63,19 @@ def _prepare(cfg: RunConfig, out_dir: str):
 
 
 def _propagate(cfg: RunConfig, ham, psi0, times):
-    """Pick the propagator: diagonalization when the envelope allows it."""
+    """Pick the propagator: diagonalization when the envelope allows it;
+    auto falls back to the ODE on an ill-conditioned eigenbasis."""
     choice = cfg.propagator
+    if choice == "auto":
+        segments = ham.drive.envelope.constant_segments(times[-1])
+        choice = "ode" if segments is None else "eigen"
     if choice == "eigen":
-        return propagate_eigen(ham, psi0, times,
-                               cond_limit=cfg.eigen_cond_max), "eigen"
-    if choice == "ode":
-        return propagate_ode(ham, psi0, t_end=times[-1], tol=cfg.ode_rtol,
-                             atol=cfg.ode_atol, times=times), "ode"
-    segments = ham.drive.envelope.constant_segments(times[-1])
-    if segments is not None:
         try:
             return propagate_eigen(ham, psi0, times,
                                    cond_limit=cfg.eigen_cond_max), "eigen"
         except EigenConditionError:
-            pass
+            if cfg.propagator == "eigen":
+                raise
     return propagate_ode(ham, psi0, t_end=times[-1], tol=cfg.ode_rtol,
                          atol=cfg.ode_atol, times=times), "ode"
 
@@ -161,39 +158,10 @@ def cmd_modes(cfg: RunConfig, out_dir: str) -> int:
     return 0
 
 
-def _target_from_config(cfg: RunConfig, target_path=None) -> TargetWaveform:
-    spec = dict(cfg.shaping.get("target", {}))
-    if target_path is not None:
-        spec = {"kind": "file", "path": target_path}
-    if not spec:
-        raise ConfigError("shape command needs 'shaping.target' in the "
-                          "config or a --target file")
-    kind = spec["kind"]
-    fraction = float(cfg.shaping.get("fraction", 0.99))
-    if kind == "file":
-        path = spec.get("path")
-        if not path:
-            raise ConfigError("'shaping.target.path' is required for "
-                              "kind file")
-        if not os.path.isabs(path):
-            path = os.path.join(cfg.config_dir, path)
-        return TargetWaveform.from_csv(path, photon_fraction=fraction)
-    if kind == "gaussian":
-        return TargetWaveform.gaussian(
-            center=float(spec["center"]), width=float(spec["width"]),
-            t_end=float(spec["t_end"]), dt=float(spec.get("dt", 0.05)),
-            photon_fraction=fraction)
-    centers = tuple(float(c) for c in spec["centers"])
-    return TargetWaveform.two_gaussians(
-        centers=centers, width=float(spec["width"]),
-        t_end=float(spec["t_end"]), dt=float(spec.get("dt", 0.05)),
-        photon_fraction=fraction)
-
-
 def cmd_shape(cfg: RunConfig, out_dir: str, target_path=None) -> int:
     os.makedirs(out_dir, exist_ok=True)
     array = cfg.build_array()
-    target = _target_from_config(cfg, target_path)
+    target = cfg.build_target(target_path)
     model = AdiabaticModel(array, cfg.omega_L0, cfg.delta,
                            target_sublevel=cfg.target_sublevel)
     a0 = timed_dicke_state(array, cfg.k_gf_vector()).a
@@ -204,10 +172,7 @@ def cmd_shape(cfg: RunConfig, out_dir: str, target_path=None) -> int:
     header = _header_lines(cfg)
     envelope.to_csv(os.path.join(out_dir, "envelope.csv"),
                     t_grid=target.u_grid, header_lines=header)
-    report = validate_shaping(envelope, array, cfg.omega_L0, cfg.delta,
-                              target, reference=reference,
-                              k_gf=cfg.k_gf_vector(),
-                              target_sublevel=cfg.target_sublevel,
+    report = validate_shaping(envelope, target, reference,
                               include_sublevels=cfg.sublevels,
                               tol=cfg.ode_rtol)
     _write_summary(out_dir, cfg, {"shaping": report.summary()})
@@ -215,6 +180,9 @@ def cmd_shape(cfg: RunConfig, out_dir: str, target_path=None) -> int:
 
 
 def cmd_validate(cfg: RunConfig) -> int:
+    cfg.build_envelope()
+    if "target" in cfg.shaping:
+        cfg.build_target()
     print(f"config ok: digest {cfg.digest()}, "
           f"{cfg.lattice[0]}x{cfg.lattice[1]}x{cfg.lattice[2]} lattice, "
           f"d = {cfg.lattice[3]!r}")

@@ -18,9 +18,11 @@ import numpy as np
 import yaml
 
 from .core import AtomArray, LaserDrive, build_lattice
+from .dynamics import piecewise_grid
 from .envelope import PulseEnvelope
 from .errors import ConfigError
 from .farfield import AngularGrid
+from .shaping import TargetWaveform
 
 __all__ = ["RunConfig"]
 
@@ -218,6 +220,8 @@ class RunConfig:
                         "gaussian", "two_gaussians", "file"):
                     raise ConfigError("'shaping.target.kind' must be "
                                       "gaussian, two_gaussians or file")
+            if "tau_end" in sh:
+                _number(sh["tau_end"], "shaping.tau_end", 1e-12)
             kw["shaping"] = dict(sh)
 
         return cls(**kw)
@@ -261,23 +265,54 @@ class RunConfig:
         v = np.asarray(self.k_gf_direction, dtype=float)
         return self.k_gf_magnitude * v / np.linalg.norm(v)
 
+    def _config_path(self, spec: dict, where: str) -> str:
+        path = _require(spec, "path", where)
+        if not isinstance(path, str) or not path:
+            raise ConfigError(f"'{where}.path' must be a nonempty string")
+        return path if os.path.isabs(path) else os.path.join(self.config_dir,
+                                                             path)
+
     def build_envelope(self) -> PulseEnvelope:
-        spec = self.envelope_spec
+        spec, where = self.envelope_spec, "drive.envelope"
         kind = spec.get("kind", "constant")
         if kind == "constant":
-            return PulseEnvelope.constant(float(spec.get("value", 1.0)))
+            return PulseEnvelope.constant(
+                _number(spec.get("value", 1.0), f"{where}.value"))
         if kind == "square":
-            if "t_w" not in spec:
-                raise ConfigError("square envelope needs 'drive.envelope.t_w'")
-            return PulseEnvelope.square(float(spec["t_w"]),
-                                        high=float(spec.get("high", 1.0)),
-                                        low=float(spec.get("low", 0.0)))
-        path = spec.get("path")
-        if not path:
-            raise ConfigError("file envelope needs 'drive.envelope.path'")
-        if not os.path.isabs(path):
-            path = os.path.join(self.config_dir, path)
-        return PulseEnvelope.from_csv(path)
+            return PulseEnvelope.square(
+                _number(_require(spec, "t_w", where), f"{where}.t_w"),
+                high=_number(spec.get("high", 1.0), f"{where}.high"),
+                low=_number(spec.get("low", 0.0), f"{where}.low"))
+        return PulseEnvelope.from_csv(self._config_path(spec, where))
+
+    def build_target(self, path=None) -> TargetWaveform:
+        """Shaping target from 'shaping.target', or from the CSV at path."""
+        spec, where = self.shaping.get("target"), "shaping.target"
+        if path is not None:
+            spec = {"kind": "file", "path": path}
+        if not spec:
+            raise ConfigError("shape command needs 'shaping.target' in the "
+                              "config or a --target file")
+        fraction = _number(self.shaping.get("fraction", 0.99),
+                           "shaping.fraction", 0.0, 1.0)
+        if spec["kind"] == "file":
+            return TargetWaveform.from_csv(self._config_path(spec, where),
+                                           photon_fraction=fraction)
+        width = _number(_require(spec, "width", where), f"{where}.width",
+                        1e-12)
+        t_end = _number(_require(spec, "t_end", where), f"{where}.t_end",
+                        1e-12)
+        dt = _number(spec.get("dt", 0.05), f"{where}.dt", 1e-9)
+        if spec["kind"] == "gaussian":
+            center = _number(_require(spec, "center", where),
+                             f"{where}.center")
+            return TargetWaveform.gaussian(center, width, t_end, dt, fraction)
+        centers = _require(spec, "centers", where)
+        if not isinstance(centers, (list, tuple)):
+            raise ConfigError(f"'{where}.centers' must be a list")
+        return TargetWaveform.two_gaussians(
+            tuple(_number(c, f"{where}.centers[i]") for c in centers),
+            width, t_end, dt, fraction)
 
     def build_drive(self) -> LaserDrive:
         return LaserDrive(self.omega_L0, self.delta, self.build_envelope(),
@@ -288,12 +323,6 @@ class RunConfig:
 
     def time_grid(self) -> np.ndarray:
         """Piecewise-uniform grid, dense early where transients live."""
-        t_end = self.t_end
-        parts = [np.arange(0.0, min(self.t_early, t_end), self.dt_early)]
-        if t_end > self.t_early:
-            parts.append(np.arange(self.t_early, min(self.t_mid, t_end),
-                                   self.dt_mid))
-        if t_end > self.t_mid:
-            parts.append(np.arange(self.t_mid, t_end, self.dt_late))
-        parts.append([t_end])
-        return np.concatenate(parts)
+        return piecewise_grid(self.t_end, ((0.0, self.dt_early),
+                                           (self.t_early, self.dt_mid),
+                                           (self.t_mid, self.dt_late)))

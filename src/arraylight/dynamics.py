@@ -25,9 +25,19 @@ from .core import AmplitudeState
 from .errors import EigenConditionError, InvalidArgumentError, NumericError
 from .hamiltonian import EffectiveHamiltonian
 
-__all__ = ["Trajectory", "propagate_eigen", "propagate_ode", "populations"]
+__all__ = ["Trajectory", "piecewise_grid", "propagate_eigen", "propagate_ode"]
 
 EIGEN_COND_LIMIT = 1e8
+
+
+def piecewise_grid(t_end: float, bands) -> np.ndarray:
+    """Piecewise-uniform grid on [0, t_end], closed by t_end.  bands is
+    ((0, dt_0), (t_1, dt_1), ...): spacing dt_k from t_k to the next start
+    or t_end; bands starting at or after t_end are left out."""
+    stops = [start for start, _ in bands[1:]] + [t_end]
+    parts = [np.arange(start, min(stop, t_end), dt)
+             for (start, dt), stop in zip(bands, stops) if t_end > start]
+    return np.concatenate(parts + [[t_end]])
 
 
 class Trajectory:
@@ -91,9 +101,6 @@ class Trajectory:
         h01 = s * s * (3 - 2 * s)
         h11 = s * s * (s - 1)
         return h00 * y0 + h * h10 * d0 + h01 * y1 + h * h11 * d1
-
-    def amplitude_state_at(self, u: float) -> AmplitudeState:
-        return self.H.unpack(self.state_at(u), t=float(u))
 
     def beta_at(self, u: float) -> np.ndarray:
         """(N, 3) excited amplitudes at time u."""
@@ -254,8 +261,3 @@ def propagate_ode(H: EffectiveHamiltonian, psi0: AmplitudeState,
         t_all, y_all = t_all[sel], y_all[:, sel]
     derivs = H.apply(y_all, env(t_all))
     return Trajectory(H, t_all, y_all, kind="ode", derivs=derivs)
-
-
-def populations(traj: Trajectory):
-    """Metastable and per-sublevel excited populations along a trajectory."""
-    return traj.populations()

@@ -179,7 +179,12 @@ def read_two_columns(path, what: str, columns: str) -> np.ndarray:
     data.  what and columns name the file's content in error messages.
     """
     rows = []
-    with open(path) as fh:
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise InvalidArgumentError(f"cannot read {what} file {path}: "
+                                   f"{exc.strerror}")
+    with fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):

@@ -18,6 +18,10 @@ analytic (finite differences on a nearly flat n0 produce spikes) and a
 target equal to the free-running waveform recovers f = 1 identically.
 Feasibility requires f <= 1; the first violating time is reported
 otherwise.
+
+The reduced matrix is the driven-sublevel excited block of assemble(),
+rescaled.  One AdiabaticReference carries a shaping run: the designer
+reads its flux, validate its model's drive and its initial amplitudes.
 """
 
 from __future__ import annotations
@@ -31,8 +35,8 @@ from scipy.integrate import cumulative_trapezoid, solve_ivp
 from scipy.interpolate import CubicHermiteSpline
 
 from . import farfield
-from .core import AtomArray, LaserDrive, timed_dicke_state
-from .dynamics import propagate_ode
+from .core import SUBLEVELS, AmplitudeState, AtomArray, LaserDrive
+from .dynamics import piecewise_grid, propagate_ode
 from .envelope import PulseEnvelope, read_two_columns
 from .errors import (InfeasibleTargetError, InvalidArgumentError,
                      NumericError)
@@ -54,8 +58,10 @@ __all__ = [
 class AdiabaticModel:
     """Reduced a-amplitude model after adiabatic elimination.
 
-    coupling is the pairwise G block restricted to the driven sublevel
-    (N x N, zero diagonal).
+    matrix, the generator of da/dtau under a unit envelope, is cut from the
+    full generator: with X1 the excited block of assemble(...) restricted
+    to the driven sublevel, matrix = gamma_eff X1 - 2i light_shift I.  It
+    is computed once and read only.
     """
 
     array: AtomArray
@@ -64,7 +70,8 @@ class AdiabaticModel:
     target_sublevel: int = 1
     gamma_eff: float = field(init=False, default=0.0)
     light_shift: float = field(init=False, default=0.0)
-    coupling: np.ndarray = field(init=False, default=None)
+    matrix: np.ndarray = field(init=False, default=None, repr=False,
+                               compare=False)
 
     def __post_init__(self):
         if self.delta == 0.0:
@@ -74,27 +81,16 @@ class AdiabaticModel:
         if abs(self.delta) < 2.0 * self.omega_L0 or abs(self.delta) < 10.0:
             warnings.warn("detuning does not dominate the drive; adiabatic "
                           "elimination is marginal", stacklevel=2)
-        object.__setattr__(self, "gamma_eff",
-                           self.omega_L0**2 / (4.0 * self.delta**2))
-        object.__setattr__(self, "light_shift",
-                           self.omega_L0**2 / (4.0 * self.delta))
-        from . import _kernels
-        n = self.array.n_atoms
-        if n > 1:
-            blocks = _kernels.pair_blocks(self.array.positions)
-            c = self.target_sublevel + 1
-            coup = np.ascontiguousarray(blocks[:, :, c, c])
-        else:
-            coup = np.zeros((1, 1), dtype=complex)
-        coup.setflags(write=False)
-        object.__setattr__(self, "coupling", coup)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """Generator of da/dtau (unit envelope)."""
-        n = self.array.n_atoms
-        return ((-1j * self.light_shift - 0.5 * self.gamma_eff) * np.eye(n)
-                - 0.5 * self.gamma_eff * self.coupling)
+        gamma_eff = self.omega_L0**2 / (4.0 * self.delta**2)
+        light_shift = self.omega_L0**2 / (4.0 * self.delta)
+        ts = self.target_sublevel
+        drive = LaserDrive(self.omega_L0, self.delta, target_sublevel=ts)
+        x1 = assemble(self.array, drive, include_sublevels=(ts,)).excited_block
+        matrix = gamma_eff * x1 - 2j * light_shift * np.eye(self.array.n_atoms)
+        matrix.setflags(write=False)
+        object.__setattr__(self, "gamma_eff", gamma_eff)
+        object.__setattr__(self, "light_shift", light_shift)
+        object.__setattr__(self, "matrix", matrix)
 
     def beta_from_a(self, a: np.ndarray, f_value: float = 1.0) -> np.ndarray:
         """Leading-order excited amplitudes (N, 3); only the driven
@@ -106,39 +102,32 @@ class AdiabaticModel:
         return beta
 
 
+@dataclass(frozen=True, eq=False)
 class AdiabaticReference:
-    """Adiabatic solution on a time grid with exact spectral evaluation."""
+    """One adiabatic run, the source of a shaping run's drive and state.
 
-    def __init__(self, model: AdiabaticModel, times, a, n, flux):
-        self.model = model
-        self.times = times
-        self.a = a            # (N, K)
-        self.n = n            # emitted photons, 1 - |a|^2
-        self.flux = flux      # -d|a|^2/dt
-        self._eig = None
+    a is (N, K) on the tau grid times, n = 1 - |a|^2 the emitted photon
+    number and flux = -d|a|^2/dt.  model.matrix = V diag(lam) V^-1 is
+    eigendecomposed once; c0 is the initial state in that basis.
+    """
 
-    def _spectral(self):
-        if self._eig is None:
-            lam, V = scipy.linalg.eig(self.model.matrix)
-            c0 = np.linalg.solve(V, self.a[:, 0])
-            self._eig = (lam, V, c0)
-        return self._eig
+    model: AdiabaticModel
+    times: np.ndarray
+    a: np.ndarray
+    n: np.ndarray
+    flux: np.ndarray
+    lam: np.ndarray
+    V: np.ndarray
+    c0: np.ndarray
 
     def a_at(self, tau):
-        """Exact a0(tau) for scalar or vector tau (constant-drive runs)."""
-        lam, V, c0 = self._spectral()
+        """Exact unit-envelope a0(tau) for scalar or vector tau."""
         tau = np.atleast_1d(np.asarray(tau, dtype=float))
-        return V @ (np.exp(np.outer(lam, tau - self.times[0])) * c0[:, None])
+        return self.V @ (np.exp(np.outer(self.lam, tau - self.times[0]))
+                         * self.c0[:, None])
 
 
-def _default_tau_grid(t_end: float) -> np.ndarray:
-    parts = [np.arange(0.0, min(30.0, t_end), 0.02)]
-    if t_end > 30.0:
-        parts.append(np.arange(30.0, min(200.0, t_end), 0.1))
-    if t_end > 200.0:
-        parts.append(np.arange(200.0, t_end, 0.5))
-    parts.append([t_end])
-    return np.concatenate(parts)
+_TAU_BANDS = ((0.0, 0.02), (30.0, 0.1), (200.0, 0.5))
 
 
 def adiabatic_simulate(model: AdiabaticModel, a0, t_end: float,
@@ -149,21 +138,22 @@ def adiabatic_simulate(model: AdiabaticModel, a0, t_end: float,
     Constant envelope (the default) uses the exact spectral solution;
     a genuine time-dependent envelope is integrated with DOP853 (this is
     the independent cross-check for the reparametrization identity).
-    Returns the solution with a, emitted photon number n(t) = 1 - |a|^2,
-    and the emission flux -d|a|^2/dt.
+    Either way model.matrix is eigendecomposed once, for the reference's
+    exact evaluation.  Returns the solution with a, emitted photon number
+    n(t) = 1 - |a|^2, and the emission flux -d|a|^2/dt.
     """
     a0 = np.asarray(a0, dtype=complex)
     if a0.shape != (model.array.n_atoms,):
         raise InvalidArgumentError("a0 must have one amplitude per atom")
-    times = _default_tau_grid(float(t_end)) if t_grid is None \
+    times = piecewise_grid(float(t_end), _TAU_BANDS) if t_grid is None \
         else np.asarray(t_grid, dtype=float)
     M = model.matrix
+    lam, V = scipy.linalg.eig(M)
+    c0 = np.linalg.solve(V, a0)
     if envelope is None or envelope.is_constant():
-        scale = 1.0 if envelope is None else float(envelope(envelope.t_start)) ** 2
-        lam, V = scipy.linalg.eig(M)
-        c0 = np.linalg.solve(V, a0)
-        A = V @ (np.exp(np.outer(lam * scale, times - times[0])) * c0[:, None])
-        flux = -2.0 * np.real(np.einsum("ik,ik->k", A.conj(), scale * (M @ A)))
+        f2 = 1.0 if envelope is None \
+            else float(envelope(envelope.t_start)) ** 2
+        A = V @ (np.exp(np.outer(lam * f2, times - times[0])) * c0[:, None])
     else:
         def rhs(t, y):
             return float(envelope(t)) ** 2 * (M @ y)
@@ -173,11 +163,10 @@ def adiabatic_simulate(model: AdiabaticModel, a0, t_end: float,
             raise NumericError(f"adiabatic integration failed: {sol.message}")
         A = sol.y
         f2 = np.asarray(envelope(times), dtype=float) ** 2
-        flux = -2.0 * np.real(np.einsum("ik,ik->k", A.conj(), (M @ A) * f2))
-    ref = AdiabaticReference(model, times, A,
-                             n=1.0 - np.sum(np.abs(A) ** 2, axis=0),
-                             flux=flux)
-    return ref
+    flux = -2.0 * np.real(np.einsum("ik,ik->k", A.conj(), (M @ A) * f2))
+    return AdiabaticReference(model, times, A,
+                              n=1.0 - np.sum(np.abs(A) ** 2, axis=0),
+                              flux=flux, lam=lam, V=V, c0=c0)
 
 
 def reparametrize(reference: AdiabaticReference, envelope: PulseEnvelope,
@@ -302,23 +291,24 @@ class ShapingReport:
         }
 
 
-def validate(envelope: PulseEnvelope, array: AtomArray, omega_L0: float,
-             delta: float, target: TargetWaveform,
-             reference: AdiabaticReference,
-             k_gf=(0.0, 0.0, 2.0 * np.pi), target_sublevel: int = 1,
-             include_sublevels=(-1, 0, 1), tol: float = 1e-8) -> ShapingReport:
+def validate(envelope: PulseEnvelope, target: TargetWaveform,
+             reference: AdiabaticReference, include_sublevels=SUBLEVELS,
+             tol: float = 1e-8) -> ShapingReport:
     """Insert the designed envelope into the full multilevel model.
 
-    Runs the adaptive propagator under a drive carrying the envelope from
-    a timed Dicke state, computes the exact far-field flux on the target's
-    time grid, and reports the relative L2 mismatch against the normalized
-    target flux.  reference is the adiabatic solution used for the design;
-    its photon number n(end) = 1 - |a|^2 sets the target normalization.
+    The run is the reference's: the drive carries the array, omega_L0,
+    delta and target sublevel of reference.model, and the state starts
+    from the reference's initial amplitudes reference.a[:, 0].  Propagates
+    adaptively, computes the exact far-field flux on the target's time
+    grid, and reports the relative L2 mismatch against the normalized
+    target flux.
     """
+    model = reference.model
     u = target.u_grid
-    drive = LaserDrive(omega_L0, delta, envelope, target_sublevel)
-    H = assemble(array, drive, include_sublevels)
-    psi0 = timed_dicke_state(array, k_gf)
+    drive = LaserDrive(model.omega_L0, model.delta, envelope,
+                       model.target_sublevel)
+    H = assemble(model.array, drive, include_sublevels)
+    psi0 = AmplitudeState(reference.a[:, 0])
     traj = propagate_ode(H, psi0, t_end=float(u[-1]), tol=tol, times=u)
     wf = farfield.waveform(traj, allow_truncation=True)
     # scale the target to photon_fraction * (1 - |a|^2) at the reference's

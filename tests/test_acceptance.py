@@ -297,8 +297,7 @@ def test_waveform_designer():
     target_a = TargetWaveform.gaussian(center=45.0, width=15.0, t_end=100.0,
                                        dt=0.05, photon_fraction=0.75)
     env_a = design_envelope(ref_a, target_a)
-    report = validate(env_a, arr, 42.0, 120.0, target_a, reference=ref_a,
-                      k_gf=k_gf)
+    report = validate(env_a, target_a, ref_a)
     l2 = report.l2_mismatch
 
     model_b = AdiabaticModel(arr, 38.85, 120.0)
@@ -307,8 +306,7 @@ def test_waveform_designer():
                                             t_end=100.0, dt=0.05,
                                             photon_fraction=0.70)
     env_b = design_envelope(ref_b, target_b)
-    rep_b = validate(env_b, arr, 38.85, 120.0, target_b, reference=ref_b,
-                     k_gf=k_gf)
+    rep_b = validate(env_b, target_b, ref_b)
     u, f = rep_b.u_grid, rep_b.flux_sim
     h1 = float(np.max(f[(u >= 25.0) & (u <= 45.0)]))
     h2 = float(np.max(f[(u >= 60.0) & (u <= 80.0)]))

@@ -10,8 +10,10 @@ import yaml
 from arraylight import __version__
 from arraylight.cli import main
 from arraylight.config import RunConfig
+from arraylight.core import build_lattice
 from arraylight.errors import ConfigError
 from arraylight.oracles import two_atom_rates
+from arraylight.shaping import AdiabaticModel, adiabatic_simulate
 
 
 def _minimal():
@@ -150,6 +152,15 @@ def test_time_grid_structure():
     np.testing.assert_allclose(np.diff(mid), 0.1, atol=1e-12)
     late = t[(t >= 200.0) & (t < 500.0)]
     np.testing.assert_allclose(np.diff(late), 1.0, atol=1e-12)
+    np.testing.assert_array_equal(t, np.concatenate([
+        np.arange(0.0, 30.0, 0.005), np.arange(30.0, 200.0, 0.1),
+        np.arange(200.0, 500.0, 1.0), [500.0]]))
+    # the adiabatic reference's tau grid has the same band structure
+    model = AdiabaticModel(build_lattice(1, 1, 1, 0.5), 20.0, 200.0)
+    tau = adiabatic_simulate(model, np.ones(1), 500.0).times
+    np.testing.assert_array_equal(tau, np.concatenate([
+        np.arange(0.0, 30.0, 0.02), np.arange(30.0, 200.0, 0.1),
+        np.arange(200.0, 500.0, 0.5), [500.0]]))
 
 
 def test_time_grid_short_run_single_band():
@@ -214,6 +225,33 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
     assert main(["validate", "--config", path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "drive.deltaa" in err
+
+
+@pytest.mark.parametrize("command, section, edit, needle", [
+    ("shape", "shaping", {"target": {"kind": "gaussian", "width": 3.0,
+                                     "t_end": 60.0}},
+     "'shaping.target.center'"),
+    ("simulate", "drive", {"envelope": {"kind": "square", "t_w": 2.0,
+                                        "high": "x"}},
+     "'drive.envelope.high'"),
+    ("shape", "shaping", {"fraction": 1.5,
+                          "target": {"kind": "gaussian", "center": 10.0,
+                                     "width": 3.0, "t_end": 60.0}},
+     "'shaping.fraction'"),
+    ("simulate", "drive", {"envelope": {"kind": "file",
+                                        "path": "missing.csv"}},
+     "missing.csv"),
+])
+def test_cli_validate_rejects_what_runs_reject(tmp_path, capsys, command,
+                                               section, edit, needle):
+    raw = _fast_run_cfg()
+    raw.setdefault(section, {}).update(edit)
+    path = _write_yaml(tmp_path / "run.yaml", raw)
+    assert main(["validate", "--config", path]) == 2
+    assert needle in capsys.readouterr().err
+    assert main([command, "--config", path,
+                 "--out", str(tmp_path / "out")]) == 2
+    assert needle in capsys.readouterr().err
 
 
 def test_cli_simulate_outputs(tmp_path):

@@ -7,7 +7,7 @@ from scipy.integrate import cumulative_trapezoid
 from arraylight import dynamics
 from arraylight.core import (AmplitudeState, LaserDrive, build_lattice,
                              single_f_excitation, timed_dicke_state)
-from arraylight.dynamics import populations, propagate_eigen, propagate_ode
+from arraylight.dynamics import propagate_eigen, propagate_ode
 from arraylight.envelope import PulseEnvelope
 from arraylight.errors import InvalidArgumentError
 from arraylight.hamiltonian import assemble
@@ -27,7 +27,7 @@ def test_single_atom_decay_eigen():
     H = assemble(arr, LaserDrive(0.0, 0.0))
     t = np.linspace(0.0, 8.0, 81)
     traj = propagate_eigen(H, psi0, t)
-    pe = populations(traj)[1][:, 2]
+    pe = traj.populations()[1][:, 2]
     assert np.max(np.abs(pe - np.exp(-t))) < 1e-12
 
 
@@ -36,7 +36,7 @@ def test_single_atom_decay_ode():
     H = assemble(arr, LaserDrive(0.0, 0.0))
     t = np.linspace(0.0, 8.0, 81)
     traj = propagate_ode(H, psi0, t_end=8.0, times=t)
-    pe = populations(traj)[1][:, 2]
+    pe = traj.populations()[1][:, 2]
     assert np.max(np.abs(pe - np.exp(-t))) < 1e-6
 
 
@@ -48,7 +48,7 @@ def test_rabi_oscillation_without_decay():
     psi0 = single_f_excitation(arr, 0)
     t = np.linspace(0.0, 6.0, 121)
     traj = propagate_eigen(H, psi0, t)
-    pf = populations(traj)[0]
+    pf = traj.populations()[0]
     assert np.max(np.abs(pf - np.cos(omega * t / 2.0) ** 2)) < 1e-10
     # norm conserved without decay
     assert np.max(np.abs(traj.norm_squared() - 1.0)) < 1e-10
@@ -253,7 +253,7 @@ def test_populations_shapes():
     psi0 = timed_dicke_state(arr, np.zeros(3))
     t = np.linspace(0.0, 2.0, 21)
     traj = propagate_eigen(H, psi0, t)
-    meta, excited = populations(traj)
+    meta, excited = traj.populations()
     assert meta.shape == (21,)
     assert excited.shape == (21, 3)
     assert np.isclose(meta[0], 1.0)

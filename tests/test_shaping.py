@@ -7,10 +7,11 @@ from arraylight.core import LaserDrive, build_lattice, timed_dicke_state
 from arraylight.dynamics import propagate_ode
 from arraylight.envelope import PulseEnvelope
 from arraylight.errors import InfeasibleTargetError, InvalidArgumentError
+from arraylight.farfield import waveform
 from arraylight.hamiltonian import assemble
 from arraylight.shaping import (AdiabaticModel, TargetWaveform,
                                 adiabatic_simulate, design_envelope,
-                                reparametrize)
+                                reparametrize, validate)
 
 K0 = 2.0 * np.pi
 
@@ -151,6 +152,29 @@ def test_feasibility_monotone_in_fraction():
     flags = [feasible(frac) for frac in (0.5, 0.7, 0.75, 0.9, 0.99)]
     assert flags == sorted(flags, reverse=True)
     assert flags[2] and not flags[-1]
+
+
+def test_validate_runs_from_the_reference():
+    # a reference built from an x-directed timed state is validated from
+    # that state, under the drive of the reference's model
+    model = _model(dims=(2, 2, 2))
+    psi0 = timed_dicke_state(model.array, np.array([K0, 0.0, 0.0]))
+    ref = adiabatic_simulate(model, psi0.a, 2000.0)
+    target = TargetWaveform.gaussian(center=10.0, width=4.0, t_end=20.0,
+                                     photon_fraction=0.05)
+    env = design_envelope(ref, target)
+    report = validate(env, target, ref)
+
+    u = target.u_grid
+    H = assemble(model.array, LaserDrive(42.0, 120.0, env))
+    traj = propagate_ode(H, psi0, t_end=float(u[-1]), times=u)
+    flux = waveform(traj, allow_truncation=True).flux_total
+    I = target.intensity * (0.05 * ref.n[-1]
+                            / np.trapezoid(target.intensity, u))
+    l2 = np.linalg.norm(flux - I) / np.linalg.norm(I)
+    assert np.linalg.norm(report.flux_sim - flux) \
+        <= 1e-12 * np.linalg.norm(flux)
+    assert abs(report.l2_mismatch - l2) <= 1e-12 * l2
 
 
 def _beta_slaving_deviation(delta, omega=2.0):
