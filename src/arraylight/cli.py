@@ -62,6 +62,14 @@ def _prepare(cfg: RunConfig, out_dir: str):
     return array, drive, ham, psi0
 
 
+def _peak(amap) -> int:
+    """Index of the angular map's peak: the first grid point within rel
+    1e-12 of the maximum, so lobes that are equal by symmetry give one
+    answer whatever the rounding."""
+    total = amap.total
+    return int(np.flatnonzero(total >= (1.0 - 1e-12) * total.max())[0])
+
+
 def _propagate(cfg: RunConfig, ham, psi0, times):
     """Pick the propagator: diagonalization when the envelope allows it;
     auto falls back to the ODE on an ill-conditioned eigenbasis."""
@@ -93,7 +101,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: str) -> int:
     flux = wave.flux_total
     u_peak = float(wave.u_grid[int(np.argmax(flux))])
     amap = angular_map(traj, u_peak, grid=cfg.build_grid())
-    k = int(np.argmax(amap.total))
+    k = _peak(amap)
     spectrum = eigenmodes(ham)
 
     header = _header_lines(cfg)
@@ -106,6 +114,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: str) -> int:
     _write_summary(out_dir, cfg, {
         "n_atoms": array.n_atoms,
         "propagator": method,
+        "eigen_blocks": traj.eigen_blocks,
         "n_infinity": float(wave.cumulative[-1]),
         "n_stateside_end": float(wave.state_side[-1]),
         "u_peak_flux": u_peak,
@@ -129,9 +138,9 @@ def cmd_angular(cfg: RunConfig, out_dir: str, u: float) -> int:
     amap = angular_map(traj, u, grid=cfg.build_grid())
     amap.to_csv(os.path.join(out_dir, "angular_map.csv"),
                 header_lines=_header_lines(cfg) + [f"u {u!r}"])
-    k = int(np.argmax(amap.total))
+    k = _peak(amap)
     _write_summary(out_dir, cfg, {
-        "u": u, "propagator": method,
+        "u": u, "propagator": method, "eigen_blocks": traj.eigen_blocks,
         "peak_direction": {"theta": float(amap.theta[k]),
                            "phi": float(amap.phi[k])},
         "peak_intensity": float(amap.total[k]),

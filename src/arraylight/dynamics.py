@@ -4,8 +4,11 @@ Two routes, cross-validated against each other:
 
 * spectral: for piecewise-constant drive envelopes the generator is
   constant on each segment, so psi(t) = V exp(Lambda (t-t0)) V^-1 psi(t0)
-  is exact at arbitrary times.  Requires a well-conditioned eigenbasis;
-  collective modes are not orthogonal, so the condition number is checked.
+  is exact at arbitrary times.  When the array has a rotation symmetry
+  about z (hamiltonian.rotation_blocks), only the symmetry blocks the
+  initial state touches are diagonalized, each on its own; otherwise the
+  whole generator is.  Requires a well-conditioned eigenbasis; collective
+  modes are not orthogonal, so the condition number is checked.
 * adaptive ODE: embedded explicit Runge-Kutta (DOP853) for arbitrary
   envelopes, one solver pass per jump-free stretch of the envelope: only
   jumps force a restart, and steps end exactly on the kinks in between.
@@ -23,7 +26,7 @@ from scipy.integrate import DOP853, solve_ivp
 
 from .core import AmplitudeState
 from .errors import EigenConditionError, InvalidArgumentError, NumericError
-from .hamiltonian import EffectiveHamiltonian
+from .hamiltonian import EffectiveHamiltonian, rotation_blocks
 
 __all__ = ["Trajectory", "piecewise_grid", "propagate_eigen", "propagate_ode"]
 
@@ -46,14 +49,18 @@ class Trajectory:
     times: strictly increasing sample grid; states: (dim, K) flat vectors.
     Spectral trajectories evaluate off-grid states exactly from the cached
     eigendecompositions; ODE trajectories interpolate with cubic Hermite
-    polynomials built on stored derivative evaluations.
+    polynomials built on stored derivative evaluations.  eigen_blocks lists,
+    per spectral segment, the dimensions of the blocks diagonalized (None
+    for ODE trajectories).
     """
 
-    def __init__(self, H, times, states, kind, segments=None, derivs=None):
+    def __init__(self, H, times, states, kind, segments=None, derivs=None,
+                 eigen_blocks=None):
         self.H = H
         self.times = np.asarray(times, dtype=float)
         self.states = states
         self.kind = kind
+        self.eigen_blocks = eigen_blocks
         self._segments = segments
         if segments is not None:
             self._segment_ends = np.array([seg[1] for seg in segments]) + 1e-12
@@ -142,9 +149,16 @@ def propagate_eigen(H: EffectiveHamiltonian, psi0: AmplitudeState,
     """Spectral propagation on a time grid.
 
     The drive envelope must be piecewise constant (constant or square);
-    each constant segment gets one eigendecomposition.  Raises
-    EigenConditionError when an eigenbasis is ill-conditioned, in which
-    case propagate_ode is the fallback.
+    each constant segment gets one eigendecomposition.  With a rotation
+    symmetry about z, the generator is block diagonal in the bases Q_k of
+    rotation_blocks, and the drive is the same on every atom, so the blocks
+    psi0 touches stay the only ones touched on every segment: each of them
+    is diagonalized on its own, Q_k^H G Q_k = W_k diag(lam_k) W_k^-1, and
+    the segment stores V = [Q_k W_k ...].  Without a symmetry the whole
+    generator is diagonalized.  The condition number is that of V, in the
+    2-norm: max sigma_max / min sigma_min over the W_k, since the Q_k are
+    orthonormal and mutually orthogonal.  Raises EigenConditionError when it
+    exceeds cond_limit, in which case propagate_ode is the fallback.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
@@ -158,24 +172,46 @@ def propagate_eigen(H: EffectiveHamiltonian, psi0: AmplitudeState,
             "envelope is not piecewise constant; use propagate_ode")
 
     psi = H.pack(psi0)
+    bases = _touched_bases(H, psi)
     states = np.empty((H.dim, len(times)), dtype=complex)
-    segments = []
+    segments, dims = [], []
     for s0, s1, f in segs_f:
         lo, hi = max(s0, t0), s1
         if hi <= t0:
             continue
         G = H.generator_at(f)
-        lam, V = np.linalg.eig(G)
-        cond = np.linalg.cond(V)
+        eigs = [(Q, *np.linalg.eig(G if Q is None else Q.conj().T @ G @ Q))
+                for Q in bases]
+        sv = [np.linalg.svd(W, compute_uv=False) for _, _, W in eigs]
+        cond = max(s[0] for s in sv) / min(s[-1] for s in sv)
         if cond > cond_limit:
             raise EigenConditionError(cond, cond_limit)
-        c0 = np.linalg.solve(V, psi)
+        lam = np.concatenate([lam_k for _, lam_k, _ in eigs])
+        V = np.hstack([W if Q is None else Q @ W for Q, _, W in eigs])
+        c0 = np.concatenate([np.linalg.solve(W, psi if Q is None
+                                             else Q.conj().T @ psi)
+                             for Q, _, W in eigs])
         segments.append((lo, hi, V, lam, c0))
-        mask = (times >= lo - 1e-12) & (times <= hi + 1e-12)
-        if np.any(mask):
-            states[:, mask] = V @ (np.exp(np.outer(lam, times[mask] - lo)) * c0[:, None])
+        dims.append([len(lam_k) for _, lam_k, _ in eigs])
+        # the sorted samples in [lo, hi] (1e-12 slack), written in place
+        on = slice(np.searchsorted(times, lo - 1e-12, side="left"),
+                   np.searchsorted(times, hi + 1e-12, side="right"))
+        np.matmul(V, np.exp(np.outer(lam, times[on] - lo)) * c0[:, None],
+                  out=states[:, on])
         psi = V @ (np.exp(lam * (hi - lo)) * c0)
-    return Trajectory(H, times, states, kind="eigen", segments=segments)
+    return Trajectory(H, times, states, kind="eigen", segments=segments,
+                      eigen_blocks=dims)
+
+
+def _touched_bases(H: EffectiveHamiltonian, psi: np.ndarray) -> list:
+    """Symmetry bases with a component of psi above rounding (dim * eps
+    relative), or [None] for the whole space when there is no symmetry."""
+    blocks = rotation_blocks(H)
+    if blocks is None:
+        return [None]
+    tol = psi.size * np.finfo(float).eps * np.linalg.norm(psi)
+    touched = [Q for Q in blocks if np.linalg.norm(Q.conj().T @ psi) > tol]
+    return touched or list(blocks)
 
 
 class _DOP853Stops(DOP853):

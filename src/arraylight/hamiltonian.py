@@ -15,6 +15,14 @@ the generator is a single time-independent matrix; a time-dependent
 envelope scales only the 2N drive entries a_l <-> beta_l^{nu0}.  All
 collective physics lives in the excited block, which is the only matrix
 stored; the dense generator is built on demand.
+
+Symmetry: when a rotation about z by 2 pi/4 (else 2 pi/2) maps the atom
+positions onto themselves, the generator commutes with the unitary U that
+moves each atom's amplitudes to its rotated partner and multiplies
+sublevel nu by w^nu, w = exp(-2 pi i/order), and a_l by w^nu0 (the drive
+couples a_l to beta_l^nu0 with the same factor on every atom).
+U^order = I, and rotation_blocks builds the orthonormal bases of U's
+eigenspaces, in which the generator is block diagonal.
 """
 
 from __future__ import annotations
@@ -24,13 +32,14 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from . import _kernels
 from .core import AmplitudeState, AtomArray, LaserDrive, SUBLEVELS
 from .errors import InvalidArgumentError, NumericError
 
 __all__ = ["EffectiveHamiltonian", "ModeSpectrum", "assemble",
-           "split_hermitian", "eigenmodes"]
+           "split_hermitian", "eigenmodes", "rotation_blocks"]
 
 
 @dataclass(frozen=True)
@@ -127,10 +136,6 @@ class EffectiveHamiltonian:
                 "state has population in sublevels excluded from the model")
         return np.concatenate([state.a, state.beta[:, self.columns].ravel()])
 
-    def unpack(self, vec: np.ndarray, t: float) -> AmplitudeState:
-        return AmplitudeState(vec[:self.n_atoms].copy(), self.beta_matrix(vec),
-                              t=t)
-
     def beta_matrix(self, vec: np.ndarray) -> np.ndarray:
         """Excited sector of a flat vector as an (N, 3) array."""
         n, m = self.n_atoms, self.n_sublevels
@@ -151,7 +156,14 @@ class ModeSpectrum:
 
     eigenvalues: np.ndarray
     right_vectors: np.ndarray
-    condition_estimate: float
+
+    @cached_property
+    def condition_estimate(self) -> float:
+        """2-norm condition number of the eigenvector matrix."""
+        try:
+            return float(np.linalg.cond(self.right_vectors))
+        except np.linalg.LinAlgError:  # pragma: no cover - rare
+            return np.inf
 
     @property
     def rates(self) -> np.ndarray:
@@ -232,15 +244,87 @@ def split_hermitian(H: EffectiveHamiltonian):
     return herm, anti
 
 
+# w^q = _QUARTER_TURNS[q % 4] for w = exp(-2 pi i/4), exact in floating point
+_QUARTER_TURNS = np.array([1.0, -1.0j, -1.0, 1.0j])
+
+
+def _rotation_permutation(positions: np.ndarray, order: int):
+    """perm[l] = index of the atom at R r_l, R the rotation by 2 pi/order
+    about z; None unless every rotated position is exactly an atom's."""
+    index = {tuple(p): l for l, p in enumerate(positions.tolist())}
+    x, y, z = positions.T
+    rotated = np.column_stack([-y, x, z] if order == 4 else [-x, -y, z])
+    perm = [index.get(tuple(p)) for p in rotated.tolist()]
+    return None if None in perm else perm
+
+
+def rotation_blocks(H: EffectiveHamiltonian, excited_only: bool = False):
+    """Orbit bases of the rotation symmetry about z (C4, else C2), or None
+    when the array has neither.
+
+    Returns one sparse (dim, b_k) isometry Q_k per nonempty irrep k, in
+    the order of the U eigenvalues w^k, k = 0, 1, ...; the b_k sum to dim,
+    and the generator splits into the blocks Q_k^H G Q_k.  Each orbit
+    l -> perm[l] -> ... of length L and each sector (a, then the sublevels
+    nu) give the columns sum_j w^{(nu - k) j} e_{perm^j l} / sqrt(L), one
+    for each k with L (nu - k) = 0 mod order.  A fixed-point atom (L = 1)
+    thus enters only the irrep of its own phase.  excited_only builds the
+    bases of the excited block instead of the full generator.
+    """
+    for order in (4, 2):
+        perm = _rotation_permutation(H.array.positions, order)
+        if perm is not None:
+            break
+    else:
+        return None
+    n, m = H.n_atoms, H.n_sublevels
+    rows = np.arange(n * m).reshape(n, m)
+    nus = list(H.sublevels)
+    if not excited_only:
+        rows = np.column_stack([np.arange(n), n + rows])
+        nus.insert(0, H.drive.target_sublevel)
+    step = 4 // order
+    columns = [[] for _ in range(order)]  # per irrep: (rows, coefficients)
+    seen = np.zeros(n, dtype=bool)
+    for start in range(n):
+        if seen[start]:
+            continue
+        orbit = [start]
+        while perm[orbit[-1]] != start:
+            orbit.append(perm[orbit[-1]])
+        seen[orbit] = True
+        L = len(orbit)
+        for s, nu in enumerate(nus):
+            for k in range(order):
+                if (L * (nu - k)) % order == 0:
+                    phase = _QUARTER_TURNS[(step * (nu - k) * np.arange(L)) % 4]
+                    columns[k].append((rows[orbit, s], phase / np.sqrt(L)))
+    bases = []
+    for cols in filter(None, columns):
+        col_rows, col_values = zip(*cols)
+        index = (np.concatenate(col_rows),
+                 np.repeat(np.arange(len(cols)), [len(r) for r in col_rows]))
+        bases.append(scipy.sparse.csc_array(
+            (np.concatenate(col_values), index), shape=(rows.size, len(cols))))
+    return tuple(bases)
+
+
 def eigenmodes(H: EffectiveHamiltonian) -> ModeSpectrum:
-    """Full complex eigendecomposition of the excited-sector generator."""
-    try:
-        lam, vecs = scipy.linalg.eig(H.excited_block)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare
-        raise NumericError(f"eigendecomposition failed: {exc}") from exc
-    try:
-        cond = float(np.linalg.cond(vecs))
-    except np.linalg.LinAlgError:  # pragma: no cover - rare
-        cond = np.inf
-    return ModeSpectrum(eigenvalues=lam, right_vectors=vecs,
-                        condition_estimate=cond)
+    """Complex eigendecomposition of the excited-sector generator.
+
+    With a rotation symmetry each irrep block Q_k^H M Q_k is diagonalized
+    on its own and right_vectors collects the Q_k V_k; otherwise the whole
+    excited block is.
+    """
+    blocks = rotation_blocks(H, excited_only=True)
+    M = H.excited_block
+    lams, vecs = [], []
+    for Q in (blocks or (None,)):
+        try:
+            lam, V = scipy.linalg.eig(M if Q is None else Q.conj().T @ M @ Q)
+        except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare
+            raise NumericError(f"eigendecomposition failed: {exc}") from exc
+        lams.append(lam)
+        vecs.append(V if Q is None else Q @ V)
+    return ModeSpectrum(eigenvalues=np.concatenate(lams),
+                        right_vectors=np.hstack(vecs))

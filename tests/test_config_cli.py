@@ -274,6 +274,9 @@ def test_cli_simulate_outputs(tmp_path):
     assert summary["config_digest"] == cfg.digest()
     assert summary["n_atoms"] == 2
     assert summary["propagator"] == "eigen"
+    # two atoms on the z axis, driven on nu = +1: the irrep block holds
+    # both a_l and both beta_l^{+1}
+    assert summary["eigen_blocks"] == [[4]]
     assert 0.0 < summary["n_infinity"] <= 1.0001
 
 
@@ -298,6 +301,7 @@ def test_cli_angular_and_range_check(tmp_path, capsys):
     assert (out / "angular_map.csv").is_file()
     summary = json.loads((out / "summary.json").read_text())
     assert summary["u"] == 1.0
+    assert summary["eigen_blocks"] == [[4]]
     assert summary["integrated_flux"] > 0.0
 
     assert main(["angular", "--config", path, "--out", str(out),
@@ -355,3 +359,4 @@ def test_cli_tol_override_applies(tmp_path):
                  "--tol", "1e-6"]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["propagator"] == "ode"
+    assert summary["eigen_blocks"] is None

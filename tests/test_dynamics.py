@@ -5,11 +5,12 @@ import pytest
 from scipy.integrate import cumulative_trapezoid
 
 from arraylight import dynamics
-from arraylight.core import (AmplitudeState, LaserDrive, build_lattice,
-                             single_f_excitation, timed_dicke_state)
+from arraylight.core import (AmplitudeState, AtomArray, LaserDrive,
+                             build_lattice, single_f_excitation,
+                             timed_dicke_state)
 from arraylight.dynamics import propagate_eigen, propagate_ode
 from arraylight.envelope import PulseEnvelope
-from arraylight.errors import InvalidArgumentError
+from arraylight.errors import EigenConditionError, InvalidArgumentError
 from arraylight.hamiltonian import assemble
 
 K0 = 2.0 * np.pi
@@ -292,3 +293,41 @@ def test_trajectory_csv(tmp_path):
     data = np.array([row.split(",") for row in lines[2:]], dtype=float)
     assert data.shape[0] == 11
     assert np.allclose(data[:, 4], np.exp(-t), atol=1e-12)
+
+
+def test_eigen_blocks_follow_the_initial_state():
+    # a z-directed timed state is a rotation eigenvector: one block; an
+    # x-directed one splits over several irreps
+    arr = build_lattice(3, 3, 2, 0.4)
+    H = assemble(arr, LaserDrive(2.0, 1.0,
+                                 envelope=PulseEnvelope.square(1.0, 1.0, 0.5)))
+    t = np.linspace(0.0, 2.0, 21)
+    z = propagate_eigen(H, timed_dicke_state(arr, [0.0, 0.0, K0]), t)
+    assert len(z.eigen_blocks) == 2
+    assert all(len(dims) == 1 for dims in z.eigen_blocks)
+    x = propagate_eigen(H, timed_dicke_state(arr, [K0, 0.0, 0.0]), t)
+    for dims in x.eigen_blocks:
+        assert len(dims) > 1 and sum(dims) <= H.dim
+    ode = propagate_ode(H, timed_dicke_state(arr, [K0, 0.0, 0.0]), 2.0)
+    assert ode.eigen_blocks is None
+
+
+def test_eigen_condition_is_the_2norm_condition_of_V():
+    # over several symmetry blocks the checked number is cond(V), exactly
+    # as on the full matrix; on this chiral C4 array (two orbits, no
+    # mirror plane) the largest single-block condition number is smaller
+    pos = []
+    for x, y, z in ((-0.422, 0.384, 0.22), (0.345, -0.37, 0.363)):
+        for _ in range(4):
+            pos.append((x, y, z))
+            x, y = -y, x
+    arr = AtomArray(np.array(pos))
+    H = assemble(arr, LaserDrive(2.0, 1.0))
+    psi0 = single_f_excitation(arr, 0)
+    t = np.linspace(0.0, 1.0, 11)
+    traj = propagate_eigen(H, psi0, t)
+    assert len(traj.eigen_blocks[0]) == 4
+    cond = np.linalg.cond(traj._segments[0][2])
+    propagate_eigen(H, psi0, t, cond_limit=cond * (1 + 1e-9))
+    with pytest.raises(EigenConditionError):
+        propagate_eigen(H, psi0, t, cond_limit=cond * (1 - 1e-9))

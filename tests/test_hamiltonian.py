@@ -7,7 +7,8 @@ from arraylight.core import (AmplitudeState, AtomArray, LaserDrive,
                              build_lattice, single_f_excitation)
 from arraylight.errors import InvalidArgumentError
 from arraylight.greens import coupling_block, eval_f_g, spherical_basis
-from arraylight.hamiltonian import (assemble, eigenmodes, split_hermitian)
+from arraylight.hamiltonian import (assemble, eigenmodes, rotation_blocks,
+                                    split_hermitian)
 
 K0 = 2.0 * np.pi
 
@@ -156,10 +157,9 @@ def test_pack_unpack_roundtrip():
     beta = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
     state = AmplitudeState(a, beta, t=1.5)
     vec = H.pack(state)
-    back = H.unpack(vec, 1.5)
-    assert np.allclose(back.a, a)
-    assert np.allclose(back.beta, beta)
-    assert back.t == 1.5
+    assert vec.shape == (H.dim,)
+    assert np.array_equal(vec[:4], a)
+    assert np.array_equal(H.beta_matrix(vec), beta)
 
 
 def test_pack_rejects_population_in_excluded_sublevels():
@@ -265,3 +265,26 @@ def test_spectrum_csv(tmp_path):
     assert np.all(np.diff(rates) >= -1e-12)  # sorted by rate
     assert np.allclose(rates.sum(), 9.0, atol=1e-8)
     assert set(body[:, 3]) <= {0.0, 1.0}
+
+
+def test_condition_estimate_is_cond_of_right_vectors():
+    arr = build_lattice(3, 3, 2, 0.45)
+    H = assemble(arr, LaserDrive(0.0, 2.0))
+    spec = eigenmodes(H)
+    assert spec.condition_estimate == np.linalg.cond(spec.right_vectors)
+    # the assembled symmetry-block vectors diagonalize the excited block
+    V, lam = spec.right_vectors, spec.eigenvalues
+    assert np.max(np.abs(H.excited_block @ V - V * lam)) < 1e-13
+
+
+def test_rotation_blocks_find_the_lattice_symmetry():
+    drive = LaserDrive(1.0, 0.0)
+    # the central column of 3x3x8 holds 8 fixed points: the block of the
+    # driven sublevel's irrep is 80 of 288, not a quarter
+    blocks = rotation_blocks(assemble(build_lattice(3, 3, 8, 0.6), drive))
+    assert [Q.shape[1] for Q in blocks] == [72, 80, 64, 72]
+    # nx != ny: only the half turn, two irreps
+    assert len(rotation_blocks(assemble(build_lattice(2, 3, 2, 0.6),
+                                        drive))) == 2
+    shifted = AtomArray(build_lattice(2, 2, 2, 0.6).positions + [0.1, 0, 0])
+    assert rotation_blocks(assemble(shifted, drive)) is None

@@ -1,16 +1,27 @@
 """Invariants of the coupling blocks and the adiabatic model over random
-arrays (N <= 6, spacing >= 0.1)."""
+arrays (N <= 6, spacing >= 0.1), and of the rotation-symmetry blocks over
+random lattices and rotation-symmetric arrays."""
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from arraylight import _kernels
-from arraylight.core import AtomArray
+from arraylight.core import (SUBLEVELS, AmplitudeState, AtomArray,
+                             LaserDrive, build_lattice, single_f_excitation,
+                             timed_dicke_state)
+from arraylight.dynamics import propagate_eigen
 from arraylight.envelope import PulseEnvelope
 from arraylight.greens import coupling_block
+from arraylight.hamiltonian import assemble, eigenmodes, rotation_blocks
 from arraylight.shaping import (AdiabaticModel, adiabatic_simulate,
                                 reparametrize)
+
+K0 = 2.0 * np.pi
+# a failing example is reported as found, without shrinking: each one runs
+# whole propagations
+NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate, Phase.target)
 
 
 @st.composite
@@ -54,7 +65,7 @@ def test_adiabatic_matrix_matches_coupling_blocks(pos, omega, delta, sign):
             <= 1e-13 * np.linalg.norm(ref)
 
 
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=10, deadline=None, phases=NO_SHRINK)
 @given(_positions(), st.integers(0, 2**32 - 1))
 def test_reparametrization_identity(pos, seed):
     # the envelope-driven solution is the reference at tau = integral f^2,
@@ -70,3 +81,112 @@ def test_reparametrization_identity(pos, seed):
     direct = adiabatic_simulate(model, a0, 120.0, t_grid=t_q,
                                 envelope=env).a
     assert np.max(np.abs(direct - reparametrize(ref, env, t_q))) <= 1e-6
+
+
+def _rotation_operator(H, order):
+    """Dense U of the C_order rotation about z, built from the positions:
+    atom l's amplitudes move to the atom at R r_l, sublevel nu times w^nu
+    and a_l times w^nu0, with w = exp(-2 pi i/order)."""
+    pos = H.array.positions
+    x, y, z = pos.T
+    rotated = np.column_stack([-y, x, z] if order == 4 else [-x, -y, z])
+    perm = np.array([np.flatnonzero((pos == p).all(axis=1))[0]
+                     for p in rotated])
+    w = np.exp(-2j * np.pi / order)
+    n, m = H.n_atoms, H.n_sublevels
+    U = np.zeros((H.dim, H.dim), dtype=complex)
+    U[perm, np.arange(n)] = w ** H.drive.target_sublevel
+    for s, nu in enumerate(H.sublevels):
+        U[n + m * perm + s, n + m * np.arange(n) + s] = w ** nu
+    return U
+
+
+_SUBSETS = [(-1,), (0,), (1,), (-1, 0), (-1, 1), (0, 1), (-1, 0, 1)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 3),
+       st.floats(0.2, 0.9), st.sampled_from(_SUBSETS), st.data())
+def test_rotation_blocks_are_orthonormal_and_commute(nx, ny, nz, d, subs,
+                                                      data):
+    # square lattices (odd nx has a fixed-point column) get C4, the others
+    # C2; the bases are jointly orthonormal and span the whole space
+    nu0 = data.draw(st.sampled_from(subs))
+    H = assemble(build_lattice(nx, ny, nz, d),
+                 LaserDrive(1.3, 0.7, target_sublevel=nu0),
+                 include_sublevels=subs)
+    blocks = [Qk.toarray() for Qk in rotation_blocks(H)]
+    order = 4 if nx == ny else 2
+    Q = np.hstack(blocks)
+    assert Q.shape == (H.dim, H.dim)
+    assert np.max(np.abs(Q.conj().T @ Q - np.eye(H.dim))) <= 1e-14
+    # each basis spans one eigenspace of U, a distinct order-th root of 1
+    U = _rotation_operator(H, order)
+    phases = [(Qk.conj().T @ U @ Qk)[0, 0] for Qk in blocks]
+    for phase, Qk in zip(phases, blocks):
+        assert np.max(np.abs(U @ Qk - phase * Qk)) <= 1e-14
+    assert np.allclose(np.power(phases, order), 1.0, rtol=0, atol=1e-14)
+    assert np.min(np.abs(np.subtract.outer(phases, phases))
+                  + np.eye(len(phases))) > 0.5
+    for f in (0.0, 0.5, 1.0):
+        G = H.generator_at(f)
+        assert np.linalg.norm(U @ G - G @ U) <= 1e-13 * np.linalg.norm(G)
+    excited = rotation_blocks(H, excited_only=True)
+    assert sum(Qk.shape[1] for Qk in excited) == H.excited_block.shape[0]
+
+
+@st.composite
+def _symmetric_positions(draw):
+    """C4 or C2 orbits of 1-3 random points about the z axis, plus up to
+    two atoms on the axis; spacing >= 0.2."""
+    order = draw(st.sampled_from((4, 2)))
+    coord = st.floats(-0.8, 0.8)
+    seeds = draw(st.lists(st.tuples(coord, coord, coord), min_size=1,
+                          max_size=3))
+    axis = draw(st.lists(coord, max_size=2))
+    pos = []
+    for x, y, z in seeds:
+        for _ in range(order):
+            pos.append((x, y, z))
+            x, y = (-y, x) if order == 4 else (-x, -y)
+    pos += [(0.0, 0.0, z) for z in axis]
+    pos = np.array(pos)
+    dist = np.linalg.norm(pos[:, None] - pos[None], axis=-1)
+    np.fill_diagonal(dist, np.inf)
+    assume(dist.min() >= 0.2)
+    return pos
+
+
+def _same_multiset(a, b, tol):
+    rows, cols = linear_sum_assignment(np.abs(a[:, None] - b[None, :]))
+    return len(a) == len(b) and np.max(np.abs(a[rows] - b[cols])) <= tol
+
+
+@settings(max_examples=40, deadline=None, phases=NO_SHRINK)
+@given(_symmetric_positions(), st.sampled_from(SUBLEVELS),
+       st.sampled_from(("z", "x", "single", "small")), st.booleans(),
+       st.floats(0.5, 3.0), st.floats(-5.0, 5.0))
+def test_block_path_matches_full_path(pos, nu0, state, square, omega, delta):
+    # the same array moved off the z axis has no rotation symmetry, so it
+    # runs the full-matrix path on the same generator
+    env = (PulseEnvelope.square(1.0, 1.0, 0.4) if square
+           else PulseEnvelope.constant())
+    drive = LaserDrive(omega, delta, envelope=env, target_sublevel=nu0)
+    sym = AtomArray(pos)
+    moved = AtomArray(pos + np.array([0.37, 0.0, 0.0]))
+    H_sym, H_full = assemble(sym, drive), assemble(moved, drive)
+    assert rotation_blocks(H_sym) is not None
+    assert rotation_blocks(H_full) is None
+    z_state = timed_dicke_state(sym, [0.0, 0.0, K0])
+    x_state = timed_dicke_state(sym, [K0, 0.0, 0.0])
+    # "small": a weak admixture in other irreps must be propagated too
+    psi0 = {"z": z_state, "x": x_state,
+            "single": single_f_excitation(sym, 0),
+            "small": AmplitudeState(z_state.a + 1e-7 * x_state.a)}[state]
+    t = np.linspace(0.0, 3.0, 31)
+    block = propagate_eigen(H_sym, psi0, t)
+    full = propagate_eigen(H_full, psi0, t)
+    assert all(dims == [H_full.dim] for dims in full.eigen_blocks)
+    assert np.max(np.abs(block.states - full.states)) <= 1e-10
+    lam_b, lam_f = eigenmodes(H_sym).eigenvalues, eigenmodes(H_full).eigenvalues
+    assert _same_multiset(lam_b, lam_f, 1e-10 * np.max(np.abs(lam_f)))
