@@ -12,9 +12,13 @@ Two routes, cross-validated against each other:
 * adaptive ODE: embedded explicit Runge-Kutta (DOP853) for arbitrary
   envelopes, one solver pass per jump-free stretch of the envelope: only
   jumps force a restart, and steps end exactly on the kinks in between.
-  The right-hand side is one excited-block product plus O(N) drive work.
-  Off-grid states come from cubic Hermite interpolation using stored
-  derivative evaluations.
+  It integrates the same touched symmetry blocks (the whole space without
+  a symmetry); the right-hand side is one product with each block's
+  constant excited part plus O(orbits) drive work.  Off-grid states come
+  from cubic Hermite interpolation using stored derivative evaluations.
+
+Both routes take their blocks from EffectiveHamiltonian.block: a constant
+excited part, projected once, and the drive pairing, scaled by f(t).
 """
 
 from __future__ import annotations
@@ -154,7 +158,9 @@ def propagate_eigen(H: EffectiveHamiltonian, psi0: AmplitudeState,
     rotation_blocks, and the drive is the same on every atom, so the blocks
     psi0 touches stay the only ones touched on every segment: each of them
     is diagonalized on its own, Q_k^H G Q_k = W_k diag(lam_k) W_k^-1, and
-    the segment stores V = [Q_k W_k ...].  Without a symmetry the whole
+    the segment stores V = [Q_k W_k ...].  Each segment's block is the
+    block's constant excited part plus the drive pairing at that f; the
+    dense generator is never formed.  Without a symmetry the whole
     generator is diagonalized.  The condition number is that of V, in the
     2-norm: max sigma_max / min sigma_min over the W_k, since the Q_k are
     orthonormal and mutually orthogonal.  Raises EigenConditionError when it
@@ -172,27 +178,24 @@ def propagate_eigen(H: EffectiveHamiltonian, psi0: AmplitudeState,
             "envelope is not piecewise constant; use propagate_ode")
 
     psi = H.pack(psi0)
-    bases = _touched_bases(H, psi)
+    blocks = _touched_blocks(H, psi)
     states = np.empty((H.dim, len(times)), dtype=complex)
     segments, dims = [], []
     for s0, s1, f in segs_f:
         lo, hi = max(s0, t0), s1
         if hi <= t0:
             continue
-        G = H.generator_at(f)
-        eigs = [(Q, *np.linalg.eig(G if Q is None else Q.conj().T @ G @ Q))
-                for Q in bases]
-        sv = [np.linalg.svd(W, compute_uv=False) for _, _, W in eigs]
+        eigs = [np.linalg.eig(blk.matrix(f)) for blk in blocks]
+        sv = [np.linalg.svd(W, compute_uv=False) for _, W in eigs]
         cond = max(s[0] for s in sv) / min(s[-1] for s in sv)
         if cond > cond_limit:
             raise EigenConditionError(cond, cond_limit)
-        lam = np.concatenate([lam_k for _, lam_k, _ in eigs])
-        V = np.hstack([W if Q is None else Q @ W for Q, _, W in eigs])
-        c0 = np.concatenate([np.linalg.solve(W, psi if Q is None
-                                             else Q.conj().T @ psi)
-                             for Q, _, W in eigs])
+        lam = np.concatenate([lam_k for lam_k, _ in eigs])
+        V = np.hstack([blk.lift(W) for blk, (_, W) in zip(blocks, eigs)])
+        c0 = np.concatenate([np.linalg.solve(W, blk.project(psi))
+                             for blk, (_, W) in zip(blocks, eigs)])
         segments.append((lo, hi, V, lam, c0))
-        dims.append([len(lam_k) for _, lam_k, _ in eigs])
+        dims.append([len(lam_k) for lam_k, _ in eigs])
         # the sorted samples in [lo, hi] (1e-12 slack), written in place
         on = slice(np.searchsorted(times, lo - 1e-12, side="left"),
                    np.searchsorted(times, hi + 1e-12, side="right"))
@@ -203,15 +206,21 @@ def propagate_eigen(H: EffectiveHamiltonian, psi0: AmplitudeState,
                       eigen_blocks=dims)
 
 
-def _touched_bases(H: EffectiveHamiltonian, psi: np.ndarray) -> list:
-    """Symmetry bases with a component of psi above rounding (dim * eps
-    relative), or [None] for the whole space when there is no symmetry."""
-    blocks = rotation_blocks(H)
-    if blocks is None:
-        return [None]
+def _touched_blocks(H: EffectiveHamiltonian, psi: np.ndarray) -> list:
+    """The generator's blocks (EffectiveHamiltonian.block) on the symmetry
+    bases with a component of psi above rounding (dim * eps relative), or
+    the whole generator as one block when there is no symmetry.
+
+    The drive is the same on every atom, so no other block is ever
+    reached: propagate_eigen and propagate_ode both work in these blocks
+    only and lift their results to the full space.
+    """
+    bases = rotation_blocks(H)
+    if bases is None:
+        return [H.block()]
     tol = psi.size * np.finfo(float).eps * np.linalg.norm(psi)
-    touched = [Q for Q in blocks if np.linalg.norm(Q.conj().T @ psi) > tol]
-    return touched or list(blocks)
+    touched = [Q for Q in bases if np.linalg.norm(Q.conj().T @ psi) > tol]
+    return [H.block(Q) for Q in touched or bases]
 
 
 class _DOP853Stops(DOP853):
@@ -248,9 +257,13 @@ def propagate_ode(H: EffectiveHamiltonian, psi0: AmplitudeState,
     integration restarts only at the envelope's jumps
     (PulseEnvelope.breakpoints), and steps end on its kinks
     (PulseEnvelope.kinks), so piecewise-linear and square envelopes keep
-    full order.  times selects the storage grid, passed to the solver as
-    t_eval (default: the solver's accepted steps, whose spacing tracks the
-    local dynamics).
+    full order.  As in propagate_eigen, only the symmetry blocks psi0
+    touches are integrated, stacked in one vector; the right-hand side is
+    one product with each block's constant excited part plus the drive
+    pairing.  The stored states and the derivatives for the Hermite
+    interpolation are lifted back to the full space.  times selects the
+    storage grid, passed to the solver as t_eval (default: the solver's
+    accepted steps, whose spacing tracks the local dynamics).
     """
     if tol <= 0:
         raise InvalidArgumentError("tol must be positive")
@@ -259,18 +272,32 @@ def propagate_ode(H: EffectiveHamiltonian, psi0: AmplitudeState,
     if t_end <= t0:
         raise InvalidArgumentError("t_end must exceed the initial time")
 
-    def rhs(t, y):
-        return H.apply(y, env(t))
-
     if times is not None:
         times = np.asarray(times, dtype=float)
         if times[0] < t0 - 1e-12 or times[-1] > t_end + 1e-12:
             raise InvalidArgumentError("storage grid outside [t0, t_end]")
 
+    psi = H.pack(psi0)
+    blocks = _touched_blocks(H, psi)
+    # the integrated vector stacks the coordinates of each block in turn
+    ends = np.cumsum([blk.dim for blk in blocks])
+    spans = [slice(end - blk.dim, end) for blk, end in zip(blocks, ends)]
+
+    def apply(y, f):
+        parts = [blk.apply(y[s], f) for blk, s in zip(blocks, spans)]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    def lift(y):
+        return sum((blk.lift(y[s]) for blk, s in zip(blocks[1:], spans[1:])),
+                   blocks[0].lift(y[spans[0]]))
+
+    def rhs(t, y):
+        return apply(y, env(t))
+
     jumps = env.breakpoints(t_end)
     kinks = env.kinks(t_end)
     bounds = np.concatenate([[t0], jumps[jumps > t0], [t_end]])
-    y = H.pack(psi0)
+    y = np.concatenate([blk.project(psi) for blk in blocks])
     t_out, y_out = [], []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         if times is None:
@@ -295,5 +322,5 @@ def propagate_ode(H: EffectiveHamiltonian, psi0: AmplitudeState,
     if times is not None:
         sel = np.searchsorted(t_all, times)
         t_all, y_all = t_all[sel], y_all[:, sel]
-    derivs = H.apply(y_all, env(t_all))
-    return Trajectory(H, t_all, y_all, kind="ode", derivs=derivs)
+    derivs = apply(y_all, env(t_all))
+    return Trajectory(H, t_all, lift(y_all), kind="ode", derivs=lift(derivs))

@@ -22,7 +22,9 @@ moves each atom's amplitudes to its rotated partner and multiplies
 sublevel nu by w^nu, w = exp(-2 pi i/order), and a_l by w^nu0 (the drive
 couples a_l to beta_l^nu0 with the same factor on every atom).
 U^order = I, and rotation_blocks builds the orthonormal bases of U's
-eigenspaces, in which the generator is block diagonal.
+eigenspaces, in which the generator is block diagonal.  Each block is
+again a constant excited part plus the drive, which pairs each orbit of
+the a_l with the same orbit of the beta_l^nu0 (EffectiveHamiltonian.block).
 """
 
 from __future__ import annotations
@@ -49,8 +51,10 @@ class EffectiveHamiltonian:
     excited_block: C-contiguous, read-only (N*m, N*m) matrix holding the
     detuning, decay and all pair couplings of the excited amplitudes.  The
     drive couples each a_l to beta_l^{nu0} with -(i/2) Omega_L f(t); these
-    2N entries are applied from drive, never stored.  generator_at builds
-    the dense (dim, dim) generator on demand.
+    2N entries are applied from drive, never stored.  block gives the
+    generator on one symmetry basis, or whole, in the same form; both
+    propagators work with it.  generator_at builds the dense (dim, dim)
+    generator, against which the tests check the projected blocks.
     """
 
     array: AtomArray
@@ -83,40 +87,35 @@ class EffectiveHamiltonian:
 
     def generator_at(self, f_value: float) -> np.ndarray:
         """Dense generator for one envelope value."""
-        n = self.n_atoms
-        G = np.zeros((self.dim, self.dim), dtype=complex)
-        G[n:, n:] = self.excited_block
-        if self.drive.omega_L0 > 0:
-            rows = np.arange(n)
-            cols = np.arange(self.dim)[self._driven]
-            c = (-0.5j * self.drive.omega_L0) * f_value
-            G[rows, cols] = G[cols, rows] = c
-        return G
+        return self.block().matrix(f_value)
 
-    def apply(self, y: np.ndarray, f_value) -> np.ndarray:
-        """generator_at(f_value) @ y without forming the generator.
+    def block(self, basis=None) -> "GeneratorBlock":
+        """The generator in one basis of rotation_blocks, Q^H G(f) Q, kept
+        as a constant excited part and the drive pairing; the whole
+        generator when basis is None.
 
-        Costs one excited-block product plus O(N) drive work.  y may also
-        be a (dim, K) stack of states with f_value a length-K ndarray, one
-        envelope value per column.
+        The columns of Q start with the metastable ones, so the block has
+        the generator's own layout.  The drive couples each metastable
+        column (an orbit of a_l) only to the nu0 column of the same orbit
+        and irrep, with the same -(i/2) Omega_L f(t) as on every atom.
         """
         n = self.n_atoms
-        out = np.empty(y.shape, dtype=complex)
-        np.matmul(self.excited_block, y[n:], out=out[n:])
-        if self.drive.omega_L0 > 0:
-            driven = self._driven
-            c = (-0.5j * self.drive.omega_L0) * f_value
-            out[:n] = c * y[driven]
-            out[driven] += c * y[:n]
-        else:
-            out[:n] = 0.0
-        return out
-
-    @property
-    def generator(self) -> np.ndarray:
-        """Generator at the envelope's initial value (time independent for
-        constant envelopes)."""
-        return self.generator_at(self.drive.envelope(self.drive.envelope.t_start))
+        coupling = -0.5j * self.drive.omega_L0
+        if basis is None:
+            return GeneratorBlock(None, n, self.excited_block,
+                                  self._driven if coupling else None, coupling)
+        Q_meta = basis[:n]  # csc: the metastable columns have entries here
+        n_meta = int(np.count_nonzero(np.diff(Q_meta.indptr)))
+        Q_exc = basis[n:, n_meta:]
+        excited = Q_exc.conj().T @ self.excited_block @ Q_exc
+        driven = None
+        if coupling:
+            # one entry per metastable column, at its nu0 partner
+            pairs = (Q_meta.conj().T
+                     @ basis[np.arange(self.dim)[self._driven]]).tocoo()
+            driven = pairs.col[np.argsort(pairs.row)]
+        return GeneratorBlock(basis, n_meta, np.ascontiguousarray(excited),
+                              driven, coupling)
 
     @cached_property
     def _driven(self) -> slice:
@@ -142,6 +141,65 @@ class EffectiveHamiltonian:
         beta = np.zeros((n, 3), dtype=complex)
         beta[:, self.columns] = vec[n:].reshape(n, m)
         return beta
+
+
+@dataclass(frozen=True)
+class GeneratorBlock:
+    """One diagonal block of the generator (EffectiveHamiltonian.block).
+
+    The block's first n_meta amplitudes are metastable, the rest excited.
+    excited is the constant excited part; the drive couples metastable
+    amplitude i and block amplitude driven[i] with coupling * f(t), both
+    ways.  basis is the block's (dim, b) isometry Q, or None for the whole
+    generator.
+    """
+
+    basis: object
+    n_meta: int
+    excited: np.ndarray
+    driven: object  # slice or index array; None without a drive
+    coupling: complex  # -(i/2) Omega_L
+
+    @property
+    def dim(self) -> int:
+        return self.n_meta + self.excited.shape[0]
+
+    def apply(self, y: np.ndarray, f_value) -> np.ndarray:
+        """matrix(f_value) @ y without forming the matrix.
+
+        Costs one product with the excited part plus O(N) drive work.  y
+        may also be a (dim, K) stack of states with f_value a length-K
+        ndarray, one envelope value per column.
+        """
+        n = self.n_meta
+        out = np.empty(y.shape, dtype=complex)
+        np.matmul(self.excited, y[n:], out=out[n:])
+        if self.coupling:
+            c = self.coupling * f_value
+            out[:n] = c * y[self.driven]
+            out[self.driven] += c * y[:n]
+        else:
+            out[:n] = 0.0
+        return out
+
+    def matrix(self, f_value: float) -> np.ndarray:
+        """Dense block for one envelope value."""
+        n = self.n_meta
+        G = np.zeros((self.dim, self.dim), dtype=complex)
+        G[n:, n:] = self.excited
+        if self.coupling:
+            rows = np.arange(n)
+            cols = np.arange(self.dim)[self.driven]
+            G[rows, cols] = G[cols, rows] = self.coupling * f_value
+        return G
+
+    def project(self, psi: np.ndarray) -> np.ndarray:
+        """Full-space state(s) -> block coordinates Q^H psi."""
+        return psi if self.basis is None else self.basis.conj().T @ psi
+
+    def lift(self, y: np.ndarray) -> np.ndarray:
+        """Block coordinates -> full space, Q y."""
+        return y if self.basis is None else self.basis @ y
 
 
 @dataclass(frozen=True)
@@ -268,8 +326,10 @@ def rotation_blocks(H: EffectiveHamiltonian, excited_only: bool = False):
     l -> perm[l] -> ... of length L and each sector (a, then the sublevels
     nu) give the columns sum_j w^{(nu - k) j} e_{perm^j l} / sqrt(L), one
     for each k with L (nu - k) = 0 mod order.  A fixed-point atom (L = 1)
-    thus enters only the irrep of its own phase.  excited_only builds the
-    bases of the excited block instead of the full generator.
+    thus enters only the irrep of its own phase.  The metastable (a)
+    columns of each Q_k come first, in orbit order, then the excited ones,
+    so Q_k^H G Q_k has the generator's own layout.  excited_only builds
+    the bases of the excited block instead of the full generator.
     """
     for order in (4, 2):
         perm = _rotation_permutation(H.array.positions, order)
@@ -280,6 +340,7 @@ def rotation_blocks(H: EffectiveHamiltonian, excited_only: bool = False):
     n, m = H.n_atoms, H.n_sublevels
     rows = np.arange(n * m).reshape(n, m)
     nus = list(H.sublevels)
+    n_meta = 0 if excited_only else n  # rows of the a_l
     if not excited_only:
         rows = np.column_stack([np.arange(n), n + rows])
         nus.insert(0, H.drive.target_sublevel)
@@ -301,6 +362,7 @@ def rotation_blocks(H: EffectiveHamiltonian, excited_only: bool = False):
                     columns[k].append((rows[orbit, s], phase / np.sqrt(L)))
     bases = []
     for cols in filter(None, columns):
+        cols.sort(key=lambda col: col[0][0] >= n_meta)  # stable
         col_rows, col_values = zip(*cols)
         index = (np.concatenate(col_rows),
                  np.repeat(np.arange(len(cols)), [len(r) for r in col_rows]))

@@ -110,15 +110,18 @@ def test_eigen_vs_ode_square_pulse():
 
 
 def _count_solver_calls(monkeypatch):
-    calls = []
+    """Records each solve_ivp call's t_span in calls and its y0 size in
+    sizes."""
+    calls, sizes = [], []
 
     def counting(*args, **kwargs):
         calls.append(args[1])
+        sizes.append(len(args[2]))
         return solve_ivp(*args, **kwargs)
 
     solve_ivp = dynamics.solve_ivp
     monkeypatch.setattr(dynamics, "solve_ivp", counting)
-    return calls
+    return calls, sizes
 
 
 def test_ode_bare_rabi_closed_form_across_kinks(monkeypatch):
@@ -135,7 +138,7 @@ def test_ode_bare_rabi_closed_form_across_kinks(monkeypatch):
     a0 = 0.6 - 0.8j
     psi0 = AmplitudeState(np.array([a0]))
     t = np.linspace(0.0, 8.0, 161)
-    calls = _count_solver_calls(monkeypatch)
+    calls, _ = _count_solver_calls(monkeypatch)
     traj = propagate_ode(H, psi0, t_end=8.0, times=t)
     assert calls == [(0.0, 8.0)]  # kinks need no restart
 
@@ -151,7 +154,7 @@ def test_ode_restarts_only_at_jumps(monkeypatch):
     env = PulseEnvelope.square(0.75)
     H = assemble(arr, LaserDrive(6.0, 0.0, envelope=env))
     psi0 = timed_dicke_state(arr, np.array([0.0, 0.0, K0]))
-    calls = _count_solver_calls(monkeypatch)
+    calls, _ = _count_solver_calls(monkeypatch)
     propagate_ode(H, psi0, t_end=5.0, times=np.linspace(0.0, 5.0, 11))
     assert calls == [(0.0, 0.75), (0.75, 5.0)]
     # a start after the jump leaves nothing to restart at
@@ -162,6 +165,23 @@ def test_ode_restarts_only_at_jumps(monkeypatch):
     assert calls == [(1.0, 5.0)]
     tr_e = propagate_eigen(H, later, t)
     assert np.max(np.abs(tr_e.states - tr_o.states)) < 1e-6
+
+
+def test_ode_matches_eigen_across_an_off_grid_jump():
+    # the last step before a jump ends on it, where the envelope returns
+    # its right limit; the error estimate still holds that step to the
+    # tolerance, before and after the jump alike
+    arr = build_lattice(2, 2, 2, 0.35)
+    t_w = 2.37
+    H = assemble(arr, LaserDrive(6.0, 1.0, envelope=PulseEnvelope.square(t_w)))
+    psi0 = timed_dicke_state(arr, np.array([0.0, 0.0, K0]))
+    t = np.linspace(0.0, 5.0, 51)
+    assert not np.any(np.isclose(t, t_w))
+    tr_e = propagate_eigen(H, psi0, t)
+    tr_o = propagate_ode(H, psi0, t_end=5.0, tol=1e-12, atol=1e-14, times=t)
+    err = np.max(np.abs(tr_o.states - tr_e.states), axis=0)
+    assert np.max(err[t < t_w]) < 2e-12
+    assert np.max(err[t > t_w]) < 2e-12
 
 
 def test_ode_tolerance_tightening_converges():
@@ -295,21 +315,32 @@ def test_trajectory_csv(tmp_path):
     assert np.allclose(data[:, 4], np.exp(-t), atol=1e-12)
 
 
-def test_eigen_blocks_follow_the_initial_state():
+def test_eigen_blocks_follow_the_initial_state(monkeypatch):
     # a z-directed timed state is a rotation eigenvector: one block; an
-    # x-directed one splits over several irreps
+    # x-directed one splits over several irreps.  The ODE integrates the
+    # same blocks, stacked, and returns full-space states
     arr = build_lattice(3, 3, 2, 0.4)
     H = assemble(arr, LaserDrive(2.0, 1.0,
                                  envelope=PulseEnvelope.square(1.0, 1.0, 0.5)))
     t = np.linspace(0.0, 2.0, 21)
-    z = propagate_eigen(H, timed_dicke_state(arr, [0.0, 0.0, K0]), t)
+    z_state = timed_dicke_state(arr, [0.0, 0.0, K0])
+    x_state = timed_dicke_state(arr, [K0, 0.0, 0.0])
+    z = propagate_eigen(H, z_state, t)
     assert len(z.eigen_blocks) == 2
     assert all(len(dims) == 1 for dims in z.eigen_blocks)
-    x = propagate_eigen(H, timed_dicke_state(arr, [K0, 0.0, 0.0]), t)
+    x = propagate_eigen(H, x_state, t)
     for dims in x.eigen_blocks:
         assert len(dims) > 1 and sum(dims) <= H.dim
-    ode = propagate_ode(H, timed_dicke_state(arr, [K0, 0.0, 0.0]), 2.0)
-    assert ode.eigen_blocks is None
+    _, sizes = _count_solver_calls(monkeypatch)
+    for eig, psi0 in ((z, z_state), (x, x_state)):
+        sizes.clear()
+        ode = propagate_ode(H, psi0, 2.0, times=t)
+        assert ode.eigen_blocks is None
+        # one solver pass per jump-free stretch, on the touched blocks
+        assert sizes == [sum(eig.eigen_blocks[0])] * 2
+        assert ode.states.shape == (H.dim, len(t))
+        assert np.max(np.abs(ode.states - eig.states)) < 1e-6
+    assert z.eigen_blocks[0][0] < H.dim
 
 
 def test_eigen_condition_is_the_2norm_condition_of_V():

@@ -114,7 +114,8 @@ def _rel_err(got, want):
 
 
 def test_apply_matches_dense_generator():
-    # the structured product must equal the dense generator on every layout
+    # the structured product of every block, the whole generator and each
+    # rotation block, must equal the projected dense generator Q^H G Q
     rng = np.random.default_rng(23)
     subsets = [(-1,), (0,), (1,), (-1, 0), (-1, 1), (0, 1), (-1, 0, 1)]
     for _ in range(4):
@@ -129,17 +130,22 @@ def test_apply_matches_dense_generator():
                                        target_sublevel=target)
                     H = assemble(arr, drive, include_sublevels=subs,
                                  decay=decay)
+                    blocks = [H.block()] + [H.block(Q) for Q
+                                            in rotation_blocks(H) or ()]
                     y = rng.normal(size=H.dim) + 1j * rng.normal(size=H.dim)
                     f = rng.uniform(0.0, 1.0)
-                    assert _rel_err(H.apply(y, f),
-                                    H.generator_at(f) @ y) < 1e-13
                     # a stack of states, one envelope value per column
                     Y = (rng.normal(size=(H.dim, 5))
                          + 1j * rng.normal(size=(H.dim, 5)))
                     fs = rng.uniform(0.0, 1.0, size=5)
-                    want = np.stack([H.generator_at(fk) @ Y[:, k]
-                                     for k, fk in enumerate(fs)], axis=1)
-                    assert _rel_err(H.apply(Y, fs), want) < 1e-13
+                    for blk in blocks:
+                        yb, Yb = blk.project(y), blk.project(Y)
+                        want = blk.project(H.generator_at(f) @ blk.lift(yb))
+                        assert _rel_err(blk.apply(yb, f), want) < 1e-13
+                        want = np.stack([blk.project(H.generator_at(fk)
+                                                     @ blk.lift(Yb[:, k]))
+                                         for k, fk in enumerate(fs)], axis=1)
+                        assert _rel_err(blk.apply(Yb, fs), want) < 1e-13
 
 
 def test_driven_sublevel_must_be_included():
@@ -229,7 +235,7 @@ def test_generator_residual_against_manual_rhs():
             H = assemble(arr, LaserDrive(omega, delta, target_sublevel=target),
                          include_sublevels=subs)
             psi = rng.normal(size=H.dim) + 1j * rng.normal(size=H.dim)
-            got = H.generator @ psi
+            got = H.generator_at(1.0) @ psi
 
             a = psi[:n]
             beta = np.zeros((n, 3), dtype=complex)
@@ -247,7 +253,7 @@ def test_generator_residual_against_manual_rhs():
 def test_no_decay_generator_is_antihermitian():
     arr = build_lattice(2, 1, 1, 0.5)
     H = assemble(arr, LaserDrive(1.5, 2.0), decay=False)
-    G = H.generator
+    G = H.generator_at(1.0)
     assert np.allclose(G, -G.conj().T, atol=1e-14)
 
 
