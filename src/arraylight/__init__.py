@@ -33,7 +33,7 @@ from .farfield import (AngularGrid, AngularMap, HelicityFrame, Waveform,
 from .greens import (CouplingTensor, PolarizationBasis, coupling_block,
                      eval_f_g, fg_scalar_coefficients, spherical_basis)
 from .hamiltonian import (EffectiveHamiltonian, ModeSpectrum, assemble,
-                          eigenmodes, split_hermitian)
+                          eigenmodes)
 from .oracles import (noninteracting_amplitudes, noninteracting_intensity,
                       two_atom_rates)
 from .shaping import (AdiabaticModel, AdiabaticReference, ShapingReport,
@@ -54,8 +54,7 @@ __all__ = [
     "CouplingTensor", "PolarizationBasis", "spherical_basis",
     "fg_scalar_coefficients", "eval_f_g", "coupling_block",
     # hamiltonian
-    "EffectiveHamiltonian", "ModeSpectrum", "assemble", "split_hermitian",
-    "eigenmodes",
+    "EffectiveHamiltonian", "ModeSpectrum", "assemble", "eigenmodes",
     # dynamics
     "Trajectory", "propagate_eigen", "propagate_ode",
     # farfield

@@ -13,9 +13,12 @@ Two routes, cross-validated against each other:
   envelopes, one solver pass per jump-free stretch of the envelope: only
   jumps force a restart, and steps end exactly on the kinks in between.
   It integrates the same touched symmetry blocks (the whole space without
-  a symmetry); the right-hand side is one product with each block's
-  constant excited part plus O(orbits) drive work.  Off-grid states come
-  from cubic Hermite interpolation using stored derivative evaluations.
+  a symmetry).  The right-hand side is linear, y' = G(f(t)) y: one product
+  with each block's constant excited part plus O(orbits) drive work.  The
+  DOP853 step is written for it: the stage envelope values come from the
+  linear piece of f that holds on the step, so a step ending on a jump
+  reads the left limit there.  Off-grid states come from cubic Hermite
+  interpolation using stored derivative evaluations.
 
 Both routes take their blocks from EffectiveHamiltonian.block: a constant
 excited part, projected once, and the drive pairing, scaled by f(t).
@@ -24,6 +27,7 @@ excited part, projected once, and the drive pairing, scaled by f(t).
 from __future__ import annotations
 
 import bisect
+import math
 
 import numpy as np
 from scipy.integrate import DOP853, solve_ivp
@@ -223,29 +227,126 @@ def _touched_blocks(H: EffectiveHamiltonian, psi: np.ndarray) -> list:
     return [H.block(Q) for Q in touched or bases]
 
 
+# scipy's RungeKutta step-size controller, which _DOP853Stops keeps exactly
+_SAFETY = 0.9
+_MIN_FACTOR = 0.2
+_MAX_FACTOR = 10
+
+
 class _DOP853Stops(DOP853):
-    """DOP853 whose steps end exactly on the given stop times.
+    """DOP853 for the linear right-hand side y' = G(f(t)) y, with steps
+    that end exactly on the given stop times.
 
     A step across a kink of the envelope carries a low-order local error
     that the embedded error estimate misses.  The right-hand side is
     continuous at a kink, so ending a step there needs no restart: the
     solver goes on with its step size and last derivative.
+
+    The step is scipy's DOP853 step with its controller, written for this
+    right-hand side and for forward time; solve_ivp drives it as any other
+    method, and it takes stock DOP853's steps up to rounding.
+    product(y, f, out) writes G(f) y into out.  No step
+    crosses a stop, so f is linear on each step, and the stage envelope
+    values all come from the piece of f that holds at the step's start
+    (PulseEnvelope.piece): a step that ends on a jump reads its left limit.
+    Each stage input is one product of a row of the precomputed complex
+    tableau [1 | h A] with the rows y, K[0], K[1], ...; each stage product
+    is written straight into K[s], and nfev counts the 12 evaluations of
+    every attempt.  K, y_old, h_previous and f are kept as scipy keeps
+    them for DOP853's dense output, which still evaluates fun.
     """
 
-    def __init__(self, fun, t0, y0, t_bound, stops=(), **options):
+    def __init__(self, fun, t0, y0, t_bound, *, stops, product, envelope,
+                 **options):
         super().__init__(fun, t0, y0, t_bound, **options)
         self._stops = sorted(stops)
-        self._t_final = t_bound
+        self._product = product
+        self._envelope = envelope
+        # row 0 holds y, the rest are scipy's stages K_extended (K the first
+        # n_stages + 1 of them), so y + h sum_j a_j K[j] is one product
+        ns = self.n_stages
+        yK = np.empty((1 + len(self.K_extended), self.n), dtype=self.y.dtype)
+        self.K_extended = yK[1:]
+        self.K = self.K_extended[:ns + 1]
+        self._y_row = yK[0]
+        # row s - 1 of [1 | A] gives the input of stage s = 1 .. ns - 1, its
+        # last row [1 | B] gives y_new, the input of f_new; each attempt
+        # writes [1 | h A] into _tableau_h
+        self._tableau = np.zeros((ns, ns + 1), dtype=complex)
+        self._tableau[:, 0] = 1.0
+        self._tableau[:-1, 1:] = self.A[1:]
+        self._tableau[-1, 1:] = self.B
+        self._tableau_h = self._tableau.copy()
+        # (tableau row, rows it combines, stage it feeds), one per product
+        self._stages = [(self._tableau_h[s - 1, :s + 1], yK[:s + 1], self.K[s])
+                        for s in range(1, ns + 1)]
+        self._nodes = self.C[1:].tolist() + [1.0]
+        self._errors = np.array([self.E5, self.E3], dtype=complex)
 
     def _step_impl(self):
-        # the parent clips the step to t_bound
-        k = bisect.bisect_right(self._stops, self.t)
-        if k < len(self._stops):
-            self.t_bound = self._stops[k]
-        try:
-            return super()._step_impl()
-        finally:
-            self.t_bound = self._t_final
+        t, y = self.t, self.y
+        k = bisect.bisect_right(self._stops, t)
+        t_bound = self._stops[k] if k < len(self._stops) else self.t_bound
+        min_step = 10 * (np.nextafter(t, np.inf) - t)
+        if self.h_abs > self.max_step:
+            h_abs = self.max_step
+        else:
+            h_abs = max(self.h_abs, min_step)
+
+        f_t, slope = self._envelope.piece(t)
+        product = self._product
+        self._y_row[:] = y
+        self.K[0] = self.f
+        y_abs = np.abs(y)
+        step_rejected = False
+        while True:
+            if h_abs < min_step:
+                return False, self.TOO_SMALL_STEP
+            t_new = t + h_abs
+            if t_new > t_bound:
+                t_new = t_bound
+            h = t_new - t
+            h_abs = abs(h)
+
+            np.multiply(self._tableau[:, 1:], h, out=self._tableau_h[:, 1:])
+            for (row, rows, stage), c in zip(self._stages, self._nodes):
+                y_new = row @ rows  # the last stage's input is y_new
+                product(y_new, f_t + slope * (c * h), stage)
+            self.nfev += self.n_stages
+
+            scale = np.abs(y_new)
+            np.maximum(scale, y_abs, out=scale)
+            scale *= self.rtol
+            scale += self.atol
+            err5, err3 = self._errors @ self.K
+            err5 /= scale
+            err3 /= scale
+            err5_2 = np.vdot(err5, err5).real
+            err3_2 = np.vdot(err3, err3).real
+            if err5_2 == 0 and err3_2 == 0:
+                error_norm = 0.0
+            else:
+                error_norm = h_abs * err5_2 / math.sqrt(
+                    (err5_2 + 0.01 * err3_2) * self.n)
+
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = _MAX_FACTOR
+                else:
+                    factor = min(_MAX_FACTOR,
+                                 _SAFETY * error_norm ** self.error_exponent)
+                h_abs *= min(1, factor) if step_rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** self.error_exponent)
+            step_rejected = True
+
+        self.h_previous = h
+        self.y_old = y
+        self.t = t_new
+        self.y = y_new
+        self.h_abs = h_abs
+        self.f = self.K[-1].copy()
+        return True, None
 
 
 def propagate_ode(H: EffectiveHamiltonian, psi0: AmplitudeState,
@@ -259,11 +360,14 @@ def propagate_ode(H: EffectiveHamiltonian, psi0: AmplitudeState,
     (PulseEnvelope.kinks), so piecewise-linear and square envelopes keep
     full order.  As in propagate_eigen, only the symmetry blocks psi0
     touches are integrated, stacked in one vector; the right-hand side is
-    one product with each block's constant excited part plus the drive
-    pairing.  The stored states and the derivatives for the Hermite
-    interpolation are lifted back to the full space.  times selects the
-    storage grid, passed to the solver as t_eval (default: the solver's
-    accepted steps, whose spacing tracks the local dynamics).
+    linear, one product with each block's constant excited part plus the
+    drive pairing, and the step (_DOP853Stops) takes the stage envelope
+    values from the piece of f that holds on it, so the stretch before a
+    jump ends on the jump's left limit.  The stored states and the
+    derivatives for the Hermite interpolation are lifted back to the full
+    space.  times selects the storage grid, passed to the solver as t_eval
+    (default: the solver's accepted steps, whose spacing tracks the local
+    dynamics).
     """
     if tol <= 0:
         raise InvalidArgumentError("tol must be positive")
@@ -283,16 +387,22 @@ def propagate_ode(H: EffectiveHamiltonian, psi0: AmplitudeState,
     ends = np.cumsum([blk.dim for blk in blocks])
     spans = [slice(end - blk.dim, end) for blk, end in zip(blocks, ends)]
 
-    def apply(y, f):
-        parts = [blk.apply(y[s], f) for blk, s in zip(blocks, spans)]
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+    if len(blocks) == 1:
+        product = blocks[0].apply
+    else:
+        def product(y, f, out=None):
+            if out is None:
+                out = np.empty(y.shape, dtype=complex)
+            for blk, s in zip(blocks, spans):
+                blk.apply(y[s], f, out[s])
+            return out
 
     def lift(y):
         return sum((blk.lift(y[s]) for blk, s in zip(blocks[1:], spans[1:])),
                    blocks[0].lift(y[spans[0]]))
 
     def rhs(t, y):
-        return apply(y, env(t))
+        return product(y, env(t))
 
     jumps = env.breakpoints(t_end)
     kinks = env.kinks(t_end)
@@ -308,7 +418,8 @@ def propagate_ode(H: EffectiveHamiltonian, psi0: AmplitudeState,
             t_eval = np.unique(np.concatenate([inside, [lo, hi]]))
         stops = kinks[(kinks > lo) & (kinks < hi)].tolist()
         sol = solve_ivp(rhs, (lo, hi), y, method=_DOP853Stops, stops=stops,
-                        rtol=tol, atol=atol, t_eval=t_eval)
+                        product=product, envelope=env, rtol=tol, atol=atol,
+                        t_eval=t_eval)
         if not sol.success:
             raise NumericError(f"integrator failed on [{lo:g}, {hi:g}]: "
                                f"{sol.message}")
@@ -322,5 +433,5 @@ def propagate_ode(H: EffectiveHamiltonian, psi0: AmplitudeState,
     if times is not None:
         sel = np.searchsorted(t_all, times)
         t_all, y_all = t_all[sel], y_all[:, sel]
-    derivs = apply(y_all, env(t_all))
+    derivs = product(y_all, env(t_all))
     return Trajectory(H, t_all, lift(y_all), kind="ode", derivs=lift(derivs))

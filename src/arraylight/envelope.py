@@ -62,7 +62,7 @@ class PulseEnvelope:
         s = self._slope
         seg = f0s**2 * L + f0s * s * L**2 + s**2 * L**3 / 3.0
         self._tau0 = np.concatenate([[0.0], np.cumsum(seg)[:-1]])
-        # Python lists for the scalar path the ODE right-hand side takes
+        # Python lists for the scalar queries of the ODE step (piece, __call__)
         self._t0_list = t0s.tolist()
         self._f0_list = f0s.tolist()
         self._slope_list = self._slope.tolist()
@@ -109,14 +109,21 @@ class PulseEnvelope:
 
     def __call__(self, t):
         if isinstance(t, (float, int)):
-            # same arithmetic as the array path, so the values are identical
-            k = min(max(bisect.bisect_right(self._t0_list, t) - 1, 0),
-                    len(self._t0_list) - 1)
-            return self._f0_list[k] + self._slope_list[k] * (t - self._t0_list[k])
+            return self.piece(t)[0]
         t = np.asarray(t, dtype=float)
         k = np.clip(np.searchsorted(self._t0, t, side="right") - 1, 0, len(self._t0) - 1)
         out = self._f0[k] + self._slope[k] * (t - self._t0[k])
         return out if out.ndim else float(out)
+
+    def piece(self, t: float):
+        """(f(t), slope) of the linear piece that starts at or before the
+        scalar t: f(t + x) = f(t) + slope * x up to the next segment
+        boundary, whose left limit this gives at x = that boundary - t."""
+        # same arithmetic as the array path, so the values are identical
+        k = min(max(bisect.bisect_right(self._t0_list, t) - 1, 0),
+                len(self._t0_list) - 1)
+        slope = self._slope_list[k]
+        return self._f0_list[k] + slope * (t - self._t0_list[k]), slope
 
     def tau(self, t):
         """Cumulative integral of f^2 from t_start to t, exact."""

@@ -40,8 +40,8 @@ from . import _kernels
 from .core import AmplitudeState, AtomArray, LaserDrive, SUBLEVELS
 from .errors import InvalidArgumentError, NumericError
 
-__all__ = ["EffectiveHamiltonian", "ModeSpectrum", "assemble",
-           "split_hermitian", "eigenmodes", "rotation_blocks"]
+__all__ = ["EffectiveHamiltonian", "ModeSpectrum", "assemble", "eigenmodes",
+           "rotation_blocks"]
 
 
 @dataclass(frozen=True)
@@ -164,19 +164,21 @@ class GeneratorBlock:
     def dim(self) -> int:
         return self.n_meta + self.excited.shape[0]
 
-    def apply(self, y: np.ndarray, f_value) -> np.ndarray:
-        """matrix(f_value) @ y without forming the matrix.
+    def apply(self, y: np.ndarray, f_value, out=None) -> np.ndarray:
+        """matrix(f_value) @ y without forming the matrix, written into
+        out when given (it must not overlap y).
 
         Costs one product with the excited part plus O(N) drive work.  y
         may also be a (dim, K) stack of states with f_value a length-K
         ndarray, one envelope value per column.
         """
         n = self.n_meta
-        out = np.empty(y.shape, dtype=complex)
+        if out is None:
+            out = np.empty(y.shape, dtype=complex)
         np.matmul(self.excited, y[n:], out=out[n:])
         if self.coupling:
             c = self.coupling * f_value
-            out[:n] = c * y[self.driven]
+            np.multiply(y[self.driven], c, out=out[:n])
             out[self.driven] += c * y[:n]
         else:
             out[:n] = 0.0
@@ -235,10 +237,6 @@ class ModeSpectrum:
     def subradiant(self) -> np.ndarray:
         return self.rates < 1.0
 
-    @property
-    def superradiant(self) -> np.ndarray:
-        return self.rates > 1.0
-
     def to_csv(self, path, header_lines=()) -> None:
         order = np.lexsort((self.shifts, self.rates))
         with open(path, "w") as fh:
@@ -285,21 +283,6 @@ def assemble(array: AtomArray, drive: LaserDrive,
     block.flat[::nm + 1] += 1j * drive.delta - (0.5 if decay else 0.0)
     return EffectiveHamiltonian(array=array, drive=drive, sublevels=subs,
                                 excited_block=block, decay=decay)
-
-
-def split_hermitian(H: EffectiveHamiltonian):
-    """Hermitian / anti-Hermitian split of the excited-sector Hamiltonian.
-
-    The split is applied to M = -i * excited_block, the Hamiltonian-like
-    matrix generating beta_tilde' = i M beta_tilde.  With this sign choice
-    the Hermitian part carries the detuning and the dispersive pair terms
-    +(Gamma/2) g, and the anti-Hermitian part carries the decay,
-    i(Gamma/2)(I + f pair terms).  The parts recombine exactly to M.
-    """
-    M = -1j * H.excited_block
-    herm = 0.5 * (M + M.conj().T)
-    anti = 0.5 * (M - M.conj().T)
-    return herm, anti
 
 
 # w^q = _QUARTER_TURNS[q % 4] for w = exp(-2 pi i/4), exact in floating point

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy.integrate import cumulative_trapezoid
+from scipy.integrate import cumulative_trapezoid, solve_ivp
 
 from arraylight import dynamics
 from arraylight.core import (AmplitudeState, AtomArray, LaserDrive,
@@ -182,6 +182,77 @@ def test_ode_matches_eigen_across_an_off_grid_jump():
     err = np.max(np.abs(tr_o.states - tr_e.states), axis=0)
     assert np.max(err[t < t_w]) < 2e-12
     assert np.max(err[t > t_w]) < 2e-12
+
+
+def _record_solutions(monkeypatch):
+    """Records the result of each solve_ivp call in the returned list."""
+    sols = []
+
+    def recording(*args, **kwargs):
+        sols.append(solve_ivp(*args, **kwargs))
+        return sols[-1]
+
+    solve_ivp = dynamics.solve_ivp
+    monkeypatch.setattr(dynamics, "solve_ivp", recording)
+    return sols
+
+
+def test_ode_reads_the_left_limit_at_a_stretch_ending_jump(monkeypatch):
+    # the square pulse's jump at t_w ends the run: the step that ends on it
+    # takes its stage envelope values from the piece before it, so the run
+    # is the constant-drive one, with the same steps (a right-limit read
+    # took 686 RHS calls against 242)
+    arr = build_lattice(2, 2, 2, 0.35)
+    psi0 = timed_dicke_state(arr, np.array([0.0, 0.0, K0]))
+    sols = _record_solutions(monkeypatch)
+    runs = []
+    for env in (PulseEnvelope.square(2.37), PulseEnvelope.constant(1.0)):
+        H = assemble(arr, LaserDrive(6.0, 1.0, envelope=env))
+        runs.append(propagate_ode(H, psi0, t_end=2.37))
+    square, constant = sols
+    assert square.nfev == constant.nfev
+    assert np.array_equal(runs[0].times, runs[1].times)
+    assert np.max(np.abs(runs[0].states - runs[1].states)) <= 1e-15
+
+
+@pytest.mark.parametrize("direction", [[0.0, 0.0, K0], [K0, 0.0, 0.0]])
+def test_ode_step_matches_stock_dop853(monkeypatch, direction):
+    # the step is scipy's DOP853 step written for the linear right-hand
+    # side: on a ramp whose one kink (t = 10) lies past t_end, stock DOP853
+    # on the same block products takes the same steps.  The z-directed
+    # state touches one symmetry block, the x-directed one several
+    env = PulseEnvelope.from_samples([0.0, 10.0], [0.2, 1.0])
+    arr = build_lattice(2, 2, 2, 0.35)
+    H = assemble(arr, LaserDrive(6.0, 1.0, envelope=env))
+    psi0 = timed_dicke_state(arr, np.array(direction))
+    psi = H.pack(psi0)
+    blocks = dynamics._touched_blocks(H, psi)
+    assert (len(blocks) == 1) == (direction[2] != 0.0)
+    ends = np.cumsum([blk.dim for blk in blocks])
+    spans = [slice(end - blk.dim, end) for blk, end in zip(blocks, ends)]
+
+    def rhs(t, y):
+        return np.concatenate([blk.apply(y[s], env(t))
+                               for blk, s in zip(blocks, spans)])
+
+    def lift(y):
+        return sum(blk.lift(y[s]) for blk, s in zip(blocks, spans))
+
+    y0 = np.concatenate([blk.project(psi) for blk in blocks])
+    sols = _record_solutions(monkeypatch)
+    t_end = 6.0
+    for times in (None, np.linspace(0.0, t_end, 61)):
+        traj = propagate_ode(H, psi0, t_end=t_end, times=times)
+        ref = solve_ivp(rhs, (0.0, t_end), y0, method="DOP853", rtol=1e-8,
+                        atol=1e-12, t_eval=times)
+        assert sols[-1].nfev == ref.nfev
+        if times is None:
+            # the solver's accepted steps.  Their times agree to about 1e-6
+            # only: the error estimate of components near zero is mostly
+            # rounding, which the different summation order moves
+            assert len(traj.times) == len(ref.t)
+        else:
+            assert np.max(np.abs(traj.states - lift(ref.y))) < 1e-12
 
 
 def test_ode_tolerance_tightening_converges():

@@ -52,6 +52,20 @@ def test_breakpoints_are_jumps_and_kinks_are_slope_changes():
     assert env.kinks(10.0).tolist() == [1.0, 3.0, 5.0]
 
 
+def test_piece_is_the_segment_line_up_to_its_end():
+    env = PulseEnvelope.from_samples([0.0, 1.0, 2.5], [0.2, 0.9, 0.4])
+    value, slope = env.piece(0.5)
+    assert value == env(0.5) and slope == pytest.approx(0.7)
+    # at a knot the piece is the segment that starts there
+    value, slope = env.piece(1.0)
+    assert value == env(1.0) and slope == pytest.approx(-1.0 / 3.0)
+    # before a jump the piece runs on to the left limit; at it, the next
+    sq = PulseEnvelope.square(2.0, high=0.8, low=0.1)
+    value, slope = sq.piece(1.5)
+    assert value + slope * 0.5 == 0.8 and sq(2.0) == 0.1
+    assert sq.piece(2.0) == (0.1, 0.0)
+
+
 @st.composite
 def _envelopes(draw):
     n = draw(st.integers(1, 8))

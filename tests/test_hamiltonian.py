@@ -6,9 +6,8 @@ import pytest
 from arraylight.core import (AmplitudeState, AtomArray, LaserDrive,
                              build_lattice, single_f_excitation)
 from arraylight.errors import InvalidArgumentError
-from arraylight.greens import coupling_block, eval_f_g, spherical_basis
-from arraylight.hamiltonian import (assemble, eigenmodes, rotation_blocks,
-                                    split_hermitian)
+from arraylight.greens import coupling_block, eval_f_g
+from arraylight.hamiltonian import assemble, eigenmodes, rotation_blocks
 
 K0 = 2.0 * np.pi
 
@@ -28,7 +27,7 @@ def test_single_atom_modes():
     assert np.allclose(spec.rates, 1.0, atol=1e-14)
     assert np.allclose(spec.shifts, 0.0, atol=1e-14)
     assert not spec.subradiant.any()
-    assert not spec.superradiant.any()
+    assert not (spec.rates > 1.0).any()
 
 
 def test_mode_count_follows_sublevels():
@@ -176,35 +175,6 @@ def test_pack_rejects_population_in_excluded_sublevels():
     beta[0, 2] = 0.1  # nu = +1 excluded
     with pytest.raises(InvalidArgumentError):
         H.pack(AmplitudeState(np.zeros(2, dtype=complex), beta))
-
-
-def test_split_hermitian_parts():
-    arr = build_lattice(2, 2, 2, 0.45)
-    delta = 2.5
-    H = assemble(arr, LaserDrive(0.0, delta))
-    herm, anti = split_hermitian(H)
-    M = -1j * H.excited_block
-    assert np.allclose(herm + anti, M, atol=1e-14)
-    assert np.allclose(herm, herm.conj().T, atol=1e-14)
-    assert np.allclose(anti, -anti.conj().T, atol=1e-14)
-
-    # herm = delta I + (1/2) g-contraction; anti = (i/2)(I + f-contraction)
-    basis = spherical_basis()
-    E = basis.matrix
-    n = arr.n_atoms
-    f_big = np.zeros((3 * n, 3 * n), dtype=complex)
-    g_big = np.zeros((3 * n, 3 * n), dtype=complex)
-    for l in range(n):
-        for j in range(n):
-            if l == j:
-                continue
-            sep = arr.positions[l] - arr.positions[j]
-            dist = np.linalg.norm(sep)
-            t = eval_f_g(K0 * dist, sep / dist)
-            f_big[3*l:3*l+3, 3*j:3*j+3] = E.conj().T @ t.f_part @ E
-            g_big[3*l:3*l+3, 3*j:3*j+3] = E.conj().T @ t.g_part @ E
-    assert np.allclose(herm, delta * np.eye(3 * n) + 0.5 * g_big, atol=1e-13)
-    assert np.allclose(anti, 0.5j * (np.eye(3 * n) + f_big), atol=1e-13)
 
 
 def test_two_atom_z_pair_modes():
