@@ -10,15 +10,15 @@ Two routes, cross-validated against each other:
   whole generator is.  Requires a well-conditioned eigenbasis; collective
   modes are not orthogonal, so the condition number is checked.
 * adaptive ODE: embedded explicit Runge-Kutta (DOP853) for arbitrary
-  envelopes, one solver pass per jump-free stretch of the envelope: only
-  jumps force a restart, and steps end exactly on the kinks in between.
-  It integrates the same touched symmetry blocks (the whole space without
-  a symmetry).  The right-hand side is linear, y' = G(f(t)) y: one product
+  envelopes, in one solver pass; jumps and kinks are both stops, on which
+  steps end exactly; a step from a jump starts on its right limit.  It
+  integrates the same touched symmetry blocks (the whole space without a
+  symmetry).  The right-hand side is linear, y' = G(f(t)) y: one product
   with each block's constant excited part plus O(orbits) drive work.  The
   DOP853 step is written for it: the stage envelope values come from the
   linear piece of f that holds on the step, so a step ending on a jump
-  reads the left limit there.  Off-grid states come from cubic Hermite
-  interpolation using stored derivative evaluations.
+  reads the left limit there.  Off-grid states are integrated from the
+  stored sample before them, at the run's tolerances.
 
 Both routes take their blocks from EffectiveHamiltonian.block: a constant
 excited part, projected once, and the drive pairing, scaled by f(t).
@@ -33,6 +33,7 @@ import numpy as np
 from scipy.integrate import DOP853, solve_ivp
 
 from .core import AmplitudeState
+from .envelope import write_columns
 from .errors import EigenConditionError, InvalidArgumentError, NumericError
 from .hamiltonian import EffectiveHamiltonian, rotation_blocks
 
@@ -56,14 +57,15 @@ class Trajectory:
 
     times: strictly increasing sample grid; states: (dim, K) flat vectors.
     Spectral trajectories evaluate off-grid states exactly from the cached
-    eigendecompositions; ODE trajectories interpolate with cubic Hermite
-    polynomials built on stored derivative evaluations.  eigen_blocks lists,
-    per spectral segment, the dimensions of the blocks diagonalized (None
-    for ODE trajectories).
+    eigendecompositions; ODE trajectories integrate to an off-grid time
+    from the stored sample at or before it with propagate_ode, at the
+    run's own tolerances tols = (rtol, atol).  eigen_blocks lists, per
+    spectral segment, the dimensions of the blocks diagonalized (None for
+    ODE trajectories).
     """
 
-    def __init__(self, H, times, states, kind, segments=None, derivs=None,
-                 eigen_blocks=None):
+    def __init__(self, H, times, states, kind, segments=None,
+                 eigen_blocks=None, tols=None):
         self.H = H
         self.times = np.asarray(times, dtype=float)
         self.states = states
@@ -72,7 +74,7 @@ class Trajectory:
         self._segments = segments
         if segments is not None:
             self._segment_ends = np.array([seg[1] for seg in segments]) + 1e-12
-        self._derivs = derivs
+        self._tols = tols
         if np.any(np.diff(self.times) <= 0):
             raise InvalidArgumentError("trajectory times must be strictly increasing")
 
@@ -91,7 +93,8 @@ class Trajectory:
                 f"coverage [{self.times[0]:g}, {self.times[-1]:g}]")
 
     def state_at(self, u: float) -> np.ndarray:
-        """Flat state vector at time u (exact for spectral trajectories)."""
+        """Flat state vector at time u (exact for spectral trajectories,
+        to the run's tolerances for ODE ones)."""
         u = float(u)
         self._check_coverage(u)
         if self.kind == "eigen":
@@ -100,22 +103,17 @@ class Trajectory:
             k = int(np.searchsorted(self._segment_ends, u, side="left"))
             t0, _, V, lam, c0 = self._segments[min(k, len(self._segments) - 1)]
             return V @ (np.exp(lam * (u - t0)) * c0)
+        # within the coverage slack, u is the end sample
+        u = min(max(u, self.t_start), self.t_end)
         k = int(np.searchsorted(self.times, u, side="right") - 1)
-        k = min(max(k, 0), len(self.times) - 2)
-        t0, t1 = self.times[k], self.times[k + 1]
-        if u == t0:
-            return self.states[:, k].copy()
-        if u == t1:
-            return self.states[:, k + 1].copy()
-        h = t1 - t0
-        s = (u - t0) / h
-        y0, y1 = self.states[:, k], self.states[:, k + 1]
-        d0, d1 = self._derivs[:, k], self._derivs[:, k + 1]
-        h00 = (1 + 2 * s) * (1 - s) ** 2
-        h10 = s * (1 - s) ** 2
-        h01 = s * s * (3 - 2 * s)
-        h11 = s * s * (s - 1)
-        return h00 * y0 + h * h10 * d0 + h01 * y1 + h * h11 * d1
+        y = self.states[:, k]
+        if u == self.times[k]:
+            return y.copy()
+        n = self.H.n_atoms
+        start = AmplitudeState(y[:n], self.H.beta_matrix(y), t=self.times[k])
+        tol, atol = self._tols
+        return propagate_ode(self.H, start, u, tol=tol, atol=atol,
+                             times=[u]).states[:, 0]
 
     def beta_at(self, u: float) -> np.ndarray:
         """(N, 3) excited amplitudes at time u."""
@@ -144,12 +142,7 @@ class Trajectory:
             a = self.states[j]
             cols += [f"re_a_{j}", f"im_a_{j}"]
             data += [a.real, a.imag]
-        with open(path, "w") as fh:
-            for line in header_lines:
-                fh.write(f"# {line}\n")
-            fh.write(",".join(cols) + "\n")
-            for row in zip(*data):
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        write_columns(path, cols, data, header_lines)
 
 
 def propagate_eigen(H: EffectiveHamiltonian, psi0: AmplitudeState,
@@ -235,20 +228,24 @@ _MAX_FACTOR = 10
 
 class _DOP853Stops(DOP853):
     """DOP853 for the linear right-hand side y' = G(f(t)) y, with steps
-    that end exactly on the given stop times.
+    that end exactly on the envelope's kinks and jumps.
 
-    A step across a kink of the envelope carries a low-order local error
-    that the embedded error estimate misses.  The right-hand side is
-    continuous at a kink, so ending a step there needs no restart: the
-    solver goes on with its step size and last derivative.
+    A step across a kink or a jump of the envelope carries a low-order
+    local error that the embedded error estimate misses, so no step
+    crosses one; the solver goes on with its step size.  At a kink the
+    right-hand side is continuous and the next step starts on the last
+    derivative.  At a jump it is not: the step that starts there computes
+    its first stage K[0] from the right limit of f (one more evaluation),
+    while f keeps the left-limit derivative at the end of the step before,
+    which DOP853's dense output on that step reads.
 
     The step is scipy's DOP853 step with its controller, written for this
     right-hand side and for forward time; solve_ivp drives it as any other
     method, and it takes stock DOP853's steps up to rounding.
-    product(y, f, out) writes G(f) y into out.  No step
-    crosses a stop, so f is linear on each step, and the stage envelope
-    values all come from the piece of f that holds at the step's start
-    (PulseEnvelope.piece): a step that ends on a jump reads its left limit.
+    product(y, f, out) writes G(f) y into out.  f is linear on each step,
+    and the stage envelope values all come from the piece of f that holds
+    at the step's start (PulseEnvelope.piece): a step that ends on a jump
+    reads its left limit.
     Each stage input is one product of a row of the precomputed complex
     tableau [1 | h A] with the rows y, K[0], K[1], ...; each stage product
     is written straight into K[s], and nfev counts the 12 evaluations of
@@ -256,10 +253,11 @@ class _DOP853Stops(DOP853):
     them for DOP853's dense output, which still evaluates fun.
     """
 
-    def __init__(self, fun, t0, y0, t_bound, *, stops, product, envelope,
-                 **options):
+    def __init__(self, fun, t0, y0, t_bound, *, kinks, jumps, product,
+                 envelope, **options):
         super().__init__(fun, t0, y0, t_bound, **options)
-        self._stops = sorted(stops)
+        self._stops = sorted(kinks + jumps)
+        self._jumps = set(jumps)
         self._product = product
         self._envelope = envelope
         # row 0 holds y, the rest are scipy's stages K_extended (K the first
@@ -296,7 +294,11 @@ class _DOP853Stops(DOP853):
         f_t, slope = self._envelope.piece(t)
         product = self._product
         self._y_row[:] = y
-        self.K[0] = self.f
+        if t in self._jumps:
+            product(y, f_t, self.K[0])
+            self.nfev += 1
+        else:
+            self.K[0] = self.f
         y_abs = np.abs(y)
         step_rejected = False
         while True:
@@ -354,20 +356,17 @@ def propagate_ode(H: EffectiveHamiltonian, psi0: AmplitudeState,
                   times=None) -> Trajectory:
     """Adaptive DOP853 integration up to t_end under H.drive.envelope.
 
-    Each jump-free stretch of the envelope is one solver pass: the
-    integration restarts only at the envelope's jumps
-    (PulseEnvelope.breakpoints), and steps end on its kinks
-    (PulseEnvelope.kinks), so piecewise-linear and square envelopes keep
-    full order.  As in propagate_eigen, only the symmetry blocks psi0
-    touches are integrated, stacked in one vector; the right-hand side is
-    linear, one product with each block's constant excited part plus the
-    drive pairing, and the step (_DOP853Stops) takes the stage envelope
-    values from the piece of f that holds on it, so the stretch before a
-    jump ends on the jump's left limit.  The stored states and the
-    derivatives for the Hermite interpolation are lifted back to the full
-    space.  times selects the storage grid, passed to the solver as t_eval
-    (default: the solver's accepted steps, whose spacing tracks the local
-    dynamics).
+    One solver pass whose steps end on the envelope's jumps
+    (PulseEnvelope.breakpoints) and kinks (PulseEnvelope.kinks), so
+    piecewise-linear and square envelopes keep full order; a step that
+    starts on a jump starts on its right limit (_DOP853Stops).  As in
+    propagate_eigen, only the symmetry blocks psi0 touches are integrated,
+    stacked in one vector; the right-hand side is linear, one product with
+    each block's constant excited part plus the drive pairing.  The stored
+    states are lifted back to the full space.  times selects the storage
+    grid, passed to the solver as t_eval; ends up to 1e-12 outside
+    [t0, t_end] are taken as t0 and t_end (default: the solver's accepted
+    steps, whose spacing tracks the local dynamics).
     """
     if tol <= 0:
         raise InvalidArgumentError("tol must be positive")
@@ -380,6 +379,7 @@ def propagate_ode(H: EffectiveHamiltonian, psi0: AmplitudeState,
         times = np.asarray(times, dtype=float)
         if times[0] < t0 - 1e-12 or times[-1] > t_end + 1e-12:
             raise InvalidArgumentError("storage grid outside [t0, t_end]")
+        times = np.clip(times, t0, t_end)
 
     psi = H.pack(psi0)
     blocks = _touched_blocks(H, psi)
@@ -397,41 +397,21 @@ def propagate_ode(H: EffectiveHamiltonian, psi0: AmplitudeState,
                 blk.apply(y[s], f, out[s])
             return out
 
-    def lift(y):
-        return sum((blk.lift(y[s]) for blk, s in zip(blocks[1:], spans[1:])),
-                   blocks[0].lift(y[spans[0]]))
-
     def rhs(t, y):
         return product(y, env(t))
 
     jumps = env.breakpoints(t_end)
     kinks = env.kinks(t_end)
-    bounds = np.concatenate([[t0], jumps[jumps > t0], [t_end]])
-    y = np.concatenate([blk.project(psi) for blk in blocks])
-    t_out, y_out = [], []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        if times is None:
-            t_eval = None
-        else:
-            inside = times[(times >= lo) & (times < hi)]
-            # chunk ends always evaluated so the next chunk restarts from hi
-            t_eval = np.unique(np.concatenate([inside, [lo, hi]]))
-        stops = kinks[(kinks > lo) & (kinks < hi)].tolist()
-        sol = solve_ivp(rhs, (lo, hi), y, method=_DOP853Stops, stops=stops,
-                        product=product, envelope=env, rtol=tol, atol=atol,
-                        t_eval=t_eval)
-        if not sol.success:
-            raise NumericError(f"integrator failed on [{lo:g}, {hi:g}]: "
-                               f"{sol.message}")
-        keep = slice(None) if lo == bounds[0] else slice(1, None)
-        t_out.append(sol.t[keep])
-        y_out.append(sol.y[:, keep])
-        y = sol.y[:, -1]
-
-    t_all = np.concatenate(t_out)
-    y_all = np.concatenate(y_out, axis=1)
-    if times is not None:
-        sel = np.searchsorted(t_all, times)
-        t_all, y_all = t_all[sel], y_all[:, sel]
-    derivs = product(y_all, env(t_all))
-    return Trajectory(H, t_all, lift(y_all), kind="ode", derivs=lift(derivs))
+    y0 = np.concatenate([blk.project(psi) for blk in blocks])
+    # a jump at t0 is no stop: the solver's first derivative, rhs(t0, y0),
+    # already reads its right limit
+    sol = solve_ivp(rhs, (t0, t_end), y0, method=_DOP853Stops,
+                    kinks=kinks[kinks > t0].tolist(),
+                    jumps=jumps[jumps > t0].tolist(), product=product,
+                    envelope=env, rtol=tol, atol=atol, t_eval=times)
+    if not sol.success:
+        raise NumericError(f"integrator failed on [{t0:g}, {t_end:g}]: "
+                           f"{sol.message}")
+    states = sum((blk.lift(sol.y[s]) for blk, s in zip(blocks[1:], spans[1:])),
+                 blocks[0].lift(sol.y[spans[0]]))
+    return Trajectory(H, sol.t, states, kind="ode", tols=(tol, atol))

@@ -2,10 +2,11 @@
 
 An envelope is a piecewise-linear function of time with values in [0, 1].
 Discontinuities (square pulses) are represented as zero-length jumps between
-segments; integrators restart only at those jumps and merely end a step on
-each kink, where f is continuous but its slope changes.  The cumulative
-integral of f^2, used by the pulse-shaping reparametrization, is evaluated in
-closed form per segment so it carries no quadrature error.
+segments; the integrator ends a step on each jump and on each kink, where f
+is continuous but its slope changes, and starts the step after a jump on its
+right limit.  The cumulative integral of f^2, used by the pulse-shaping
+reparametrization, is evaluated in closed form per segment so it carries no
+quadrature error.
 """
 
 from __future__ import annotations
@@ -170,13 +171,20 @@ class PulseEnvelope:
 
     def to_csv(self, path, t_grid, header_lines=()) -> None:
         t = np.asarray(t_grid, dtype=float)
-        f = self(t)
-        with open(path, "w") as fh:
-            for line in header_lines:
-                fh.write(f"# {line}\n")
-            fh.write("t,f\n")
-            for ti, fi in zip(t, f):
-                fh.write(f"{ti:.17g},{fi:.17g}\n")
+        write_columns(path, ["t", "f"], [t, self(t)], header_lines)
+
+
+def write_columns(path, names, columns, header_lines=()) -> None:
+    """Write equal-length columns as a CSV file: one '# ' line per header
+    line, the column names, then one row per sample with every value as
+    %.17g, which round-trips a float64."""
+    row = ",".join(["%.17g"] * len(names)) + "\n"
+    with open(path, "w") as fh:
+        for line in header_lines:
+            fh.write(f"# {line}\n")
+        fh.write(",".join(names) + "\n")
+        for values in np.column_stack(columns):
+            fh.write(row % tuple(values.tolist()))
 
 
 def read_two_columns(path, what: str, columns: str) -> np.ndarray:

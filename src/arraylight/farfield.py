@@ -30,6 +30,7 @@ import numpy as np
 from . import _kernels
 from .core import AtomArray
 from .dynamics import Trajectory
+from .envelope import write_columns
 from .errors import InvalidArgumentError
 from .greens import spherical_basis
 
@@ -134,13 +135,9 @@ class AngularMap:
         return self.I_plus + self.I_minus
 
     def to_csv(self, path, header_lines=()) -> None:
-        with open(path, "w") as fh:
-            for line in header_lines:
-                fh.write(f"# {line}\n")
-            fh.write("theta,phi,I_plus,I_minus,weight\n")
-            for row in zip(self.theta, self.phi, self.I_plus, self.I_minus,
-                           self.weights):
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        write_columns(path, ["theta", "phi", "I_plus", "I_minus", "weight"],
+                      [self.theta, self.phi, self.I_plus, self.I_minus,
+                       self.weights], header_lines)
 
 
 @dataclass(frozen=True)
@@ -164,14 +161,11 @@ class Waveform:
         return self.flux_plus + self.flux_minus
 
     def to_csv(self, path, header_lines=()) -> None:
-        with open(path, "w") as fh:
-            for line in header_lines:
-                fh.write(f"# {line}\n")
-            fh.write("u,flux_plus,flux_minus,flux_total,n_cumulative,"
-                      "n_stateside\n")
-            for row in zip(self.u_grid, self.flux_plus, self.flux_minus,
-                           self.flux_total, self.cumulative, self.state_side):
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        write_columns(path, ["u", "flux_plus", "flux_minus", "flux_total",
+                             "n_cumulative", "n_stateside"],
+                      [self.u_grid, self.flux_plus, self.flux_minus,
+                       self.flux_total, self.cumulative, self.state_side],
+                      header_lines)
 
 
 def _cartesian_source(beta: np.ndarray) -> np.ndarray:

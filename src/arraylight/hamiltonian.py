@@ -38,6 +38,7 @@ import scipy.sparse
 
 from . import _kernels
 from .core import AmplitudeState, AtomArray, LaserDrive, SUBLEVELS
+from .envelope import write_columns
 from .errors import InvalidArgumentError, NumericError
 
 __all__ = ["EffectiveHamiltonian", "ModeSpectrum", "assemble", "eigenmodes",
@@ -238,14 +239,13 @@ class ModeSpectrum:
         return self.rates < 1.0
 
     def to_csv(self, path, header_lines=()) -> None:
+        # the integer columns print as integers under %.17g
         order = np.lexsort((self.shifts, self.rates))
-        with open(path, "w") as fh:
-            for line in header_lines:
-                fh.write(f"# {line}\n")
-            fh.write("mode_index,shift_Delta_m,rate_Gamma_m,subradiant_flag\n")
-            for i, k in enumerate(order):
-                fh.write(f"{i},{self.shifts[k]:.17g},{self.rates[k]:.17g},"
-                         f"{int(self.subradiant[k])}\n")
+        write_columns(path, ["mode_index", "shift_Delta_m", "rate_Gamma_m",
+                             "subradiant_flag"],
+                      [np.arange(len(order)), self.shifts[order],
+                       self.rates[order], self.subradiant[order].astype(int)],
+                      header_lines)
 
 
 def _driven_amplitudes(n: int, m: int, si0: int) -> slice:

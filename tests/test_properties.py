@@ -203,7 +203,7 @@ def test_block_path_matches_full_path(pos, nu0, state, square, omega, delta):
     block, full = (propagate_ode(assemble(arr, ramp), psi0, 3.0, tol=1e-10,
                                  atol=1e-13, times=t) for arr in (sym, moved))
     assert np.max(np.abs(block.states - full.states)) <= 1e-9
-    # off the grid: Hermite interpolation on the lifted derivatives
+    # off the grid: integrated from the stored sample before 1.234
     assert (np.max(np.abs(block.state_at(1.234) - full.state_at(1.234)))
             <= 1e-9)
     lam_b, lam_f = eigenmodes(H_sym).eigenvalues, eigenmodes(H_full).eigenvalues
