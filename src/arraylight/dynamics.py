@@ -21,7 +21,11 @@ Two routes, cross-validated against each other:
   stored sample before them, at the run's tolerances.
 
 Both routes take their blocks from EffectiveHamiltonian.block: a constant
-excited part, projected once, and the drive pairing, scaled by f(t).
+excited part, projected once, and the drive pairing, scaled by f(t).  A
+Trajectory stores what they compute, the stacked coordinates in those
+blocks; populations, the norm and (in farfield) the flux of each helicity
+are read from the coordinates, and only single vectors are lifted to the
+full space.
 """
 
 from __future__ import annotations
@@ -55,26 +59,39 @@ def piecewise_grid(t_end: float, bands) -> np.ndarray:
 class Trajectory:
     """Stored propagation result with dense evaluation.
 
-    times: strictly increasing sample grid; states: (dim, K) flat vectors.
-    Spectral trajectories evaluate off-grid states exactly from the cached
-    eigendecompositions; ODE trajectories integrate to an off-grid time
-    from the stored sample at or before it with propagate_ode, at the
-    run's own tolerances tols = (rtol, atol).  eigen_blocks lists, per
-    spectral segment, the dimensions of the blocks diagonalized (None for
-    ODE trajectories).
+    times: strictly increasing sample grid.  blocks: the generator blocks
+    (EffectiveHamiltonian.block) the run worked in, the whole generator
+    (H.block()) by default; coords: (sum of the block dims, K) stacked
+    block coordinates, one column per sample.  The full-space states are
+    never stored: states lifts them all on access, state_at lifts one.
+    Populations, the norm and the CSV's a_j read the coordinates: every
+    column of a block basis lies in one sector (the a_l, or one sublevel),
+    and the bases are orthonormal.  Spectral trajectories evaluate
+    off-grid coordinates exactly from the cached eigendecompositions; ODE
+    trajectories integrate to off-grid times from the stored sample at or
+    before the first of them, in the same blocks, at the run's own
+    tolerances tols = (rtol, atol).  eigen_blocks lists, per spectral
+    segment, the dimensions of the blocks diagonalized (None for ODE
+    trajectories).
     """
 
-    def __init__(self, H, times, states, kind, segments=None,
+    def __init__(self, H, times, coords, kind, blocks=None, segments=None,
                  eigen_blocks=None, tols=None):
         self.H = H
         self.times = np.asarray(times, dtype=float)
-        self.states = states
+        self.blocks = (H.block(),) if blocks is None else tuple(blocks)
+        self.coords = coords
         self.kind = kind
         self.eigen_blocks = eigen_blocks
         self._segments = segments
         if segments is not None:
             self._segment_ends = np.array([seg[1] for seg in segments]) + 1e-12
         self._tols = tols
+        self._spans = _spans(self.blocks)
+        if coords.shape[0] != self._spans[-1].stop:
+            raise InvalidArgumentError(
+                f"{coords.shape[0]} coordinates for blocks of total "
+                f"dimension {self._spans[-1].stop}")
         if np.any(np.diff(self.times) <= 0):
             raise InvalidArgumentError("trajectory times must be strictly increasing")
 
@@ -86,63 +103,128 @@ class Trajectory:
     def t_end(self) -> float:
         return float(self.times[-1])
 
+    @property
+    def states(self) -> np.ndarray:
+        """(dim, K) full-space states, lifted from coords on each access."""
+        return self.lift(self.coords)
+
+    def split(self, y: np.ndarray) -> list:
+        """Stacked block coordinates -> each block's own rows of them."""
+        return [y[s] for s in self._spans]
+
+    def lift(self, y: np.ndarray, rows=None) -> np.ndarray:
+        """Stacked block coordinates, (sum of the block dims,) or with K
+        columns, -> full-space vectors sum_k Q_k y_k; only the full-space
+        rows listed in rows when given."""
+        parts = [blk.lift(y_k, rows)
+                 for blk, y_k in zip(self.blocks, self.split(y))]
+        return sum(parts[1:], parts[0])
+
     def _check_coverage(self, u):
         if np.any(u < self.times[0] - 1e-12) or np.any(u > self.times[-1] + 1e-12):
             raise InvalidArgumentError(
                 f"time {np.min(u):g}..{np.max(u):g} outside trajectory "
                 f"coverage [{self.times[0]:g}, {self.times[-1]:g}]")
 
-    def state_at(self, u: float) -> np.ndarray:
-        """Flat state vector at time u (exact for spectral trajectories,
-        to the run's tolerances for ODE ones)."""
-        u = float(u)
+    def coords_at(self, u) -> np.ndarray:
+        """Stacked block coordinates at the times u, one column each
+        (exact for spectral trajectories, to the run's tolerances for ODE
+        ones).  An ODE trajectory serves all off-grid times with one
+        integration over their sorted grid."""
+        u = np.atleast_1d(np.asarray(u, dtype=float))
         self._check_coverage(u)
         if self.kind == "eigen":
             # first segment ending at or after u: a boundary time belongs
             # to the earlier segment
-            k = int(np.searchsorted(self._segment_ends, u, side="left"))
-            t0, _, V, lam, c0 = self._segments[min(k, len(self._segments) - 1)]
-            return V @ (np.exp(lam * (u - t0)) * c0)
+            k = np.minimum(np.searchsorted(self._segment_ends, u, side="left"),
+                           len(self._segments) - 1)
+            out = np.empty((self.coords.shape[0], len(u)), dtype=complex)
+            for i in np.unique(k):
+                t0, _, modes = self._segments[i]
+                out[:, k == i] = _modal_coords(modes, u[k == i] - t0)
+            return out
         # within the coverage slack, u is the end sample
-        u = min(max(u, self.t_start), self.t_end)
-        k = int(np.searchsorted(self.times, u, side="right") - 1)
-        y = self.states[:, k]
-        if u == self.times[k]:
-            return y.copy()
-        n = self.H.n_atoms
-        start = AmplitudeState(y[:n], self.H.beta_matrix(y), t=self.times[k])
-        tol, atol = self._tols
-        return propagate_ode(self.H, start, u, tol=tol, atol=atol,
-                             times=[u]).states[:, 0]
+        u = np.clip(u, self.t_start, self.t_end)
+        k = np.searchsorted(self.times, u, side="right") - 1
+        out = self.coords[:, k]
+        off = u != self.times[k]
+        if np.any(off):
+            grid = np.unique(u[off])
+            first = int(np.min(k[off]))
+            _, y = _integrate(self.H, self.blocks, self.coords[:, first].copy(),
+                              self.times[first], grid[-1], *self._tols,
+                              times=grid)
+            out[:, off] = y[:, np.searchsorted(grid, u[off])]
+        return out
+
+    def state_at(self, u: float) -> np.ndarray:
+        """Flat state vector at time u (exact for spectral trajectories,
+        to the run's tolerances for ODE ones)."""
+        return self.lift(self.coords_at(float(u))[:, 0])
 
     def beta_at(self, u: float) -> np.ndarray:
         """(N, 3) excited amplitudes at time u."""
         return self.H.beta_matrix(self.state_at(u))
 
     def norm_squared(self) -> np.ndarray:
-        return np.sum(np.abs(self.states) ** 2, axis=0)
+        return np.sum(np.abs(self.coords) ** 2, axis=0)
 
     def populations(self):
         """(metastable, excited-per-sublevel) population time series."""
-        n, m = self.H.n_atoms, self.H.n_sublevels
-        meta = np.sum(np.abs(self.states[:n]) ** 2, axis=0)
-        exc = np.abs(self.states[n:]) ** 2
-        exc = exc.reshape(n, m, -1).sum(axis=0).T  # (K, m)
+        sectors = np.concatenate([_column_sectors(self.H, blk)
+                                  for blk in self.blocks])
+        onehot = sectors == np.arange(1 + self.H.n_sublevels)[:, None]
+        pops = onehot @ np.abs(self.coords) ** 2
         full = np.zeros((len(self.times), 3))
-        full[:, self.H.columns] = exc
-        return meta, full
+        full[:, self.H.columns] = pops[1:].T
+        return pops[0], full
 
     def to_csv(self, path, atoms=(0,), header_lines=()) -> None:
         meta, exc = self.populations()
-        n = self.H.n_atoms
         cols = ["t", "pop_f", "pop_e_m1", "pop_e_0", "pop_e_p1", "norm2"]
         data = [self.times, meta, exc[:, 0], exc[:, 1], exc[:, 2],
                 self.norm_squared()]
-        for j in atoms:
-            a = self.states[j]
+        a = self.lift(self.coords, rows=list(atoms))
+        for j, a_j in zip(atoms, a):
             cols += [f"re_a_{j}", f"im_a_{j}"]
-            data += [a.real, a.imag]
+            data += [a_j.real, a_j.imag]
         write_columns(path, cols, data, header_lines)
+
+
+def _spans(blocks) -> list:
+    """Each block's rows in the stacked coordinates, in turn."""
+    ends = np.cumsum([blk.dim for blk in blocks])
+    return [slice(end - blk.dim, end) for blk, end in zip(blocks, ends)]
+
+
+def _column_sectors(H: EffectiveHamiltonian, blk) -> np.ndarray:
+    """Sector of each column of a block: 0 for the a_l, 1 + s for the
+    model's sublevel s.  Every orbit column lies in one sector, so one of
+    its entries tells which."""
+    if blk.basis is None:
+        rows = np.arange(blk.dim)
+    else:
+        rows = blk.basis.indices[blk.basis.indptr[:-1]]
+    n = H.n_atoms
+    return np.where(rows < n, 0, 1 + (rows - n) % H.n_sublevels)
+
+
+def _modal_coords(modes, dt, out=None) -> np.ndarray:
+    """Stacked block coordinates W_k exp(lam_k dt) c0_k at the offsets dt
+    from a spectral segment's start, one column each; modes holds
+    (W_k, lam_k, c0_k) per block."""
+    dt = np.asarray(dt, dtype=float)
+    if out is None:
+        out = np.empty((sum(len(lam) for _, lam, _ in modes), len(dt)),
+                       dtype=complex)
+    lo = 0
+    for W, lam, c0 in modes:
+        E = np.outer(lam, dt)
+        np.exp(E, out=E)
+        E *= c0[:, None]
+        np.matmul(W, E, out=out[lo:lo + len(lam)])
+        lo += len(lam)
+    return out
 
 
 def propagate_eigen(H: EffectiveHamiltonian, psi0: AmplitudeState,
@@ -155,13 +237,15 @@ def propagate_eigen(H: EffectiveHamiltonian, psi0: AmplitudeState,
     rotation_blocks, and the drive is the same on every atom, so the blocks
     psi0 touches stay the only ones touched on every segment: each of them
     is diagonalized on its own, Q_k^H G Q_k = W_k diag(lam_k) W_k^-1, and
-    the segment stores V = [Q_k W_k ...].  Each segment's block is the
-    block's constant excited part plus the drive pairing at that f; the
-    dense generator is never formed.  Without a symmetry the whole
-    generator is diagonalized.  The condition number is that of V, in the
-    2-norm: max sigma_max / min sigma_min over the W_k, since the Q_k are
-    orthonormal and mutually orthogonal.  Raises EigenConditionError when it
-    exceeds cond_limit, in which case propagate_ode is the fallback.
+    the samples are the block coordinates W_k exp(lam_k t) c0_k, stored
+    as they are (Trajectory); the segment keeps the (W_k, lam_k, c0_k).
+    Each segment's block is the block's constant excited part plus the
+    drive pairing at that f; the dense generator is never formed.  Without
+    a symmetry the whole generator is diagonalized.  The condition number
+    is that of V = [Q_k W_k ...], in the 2-norm: max sigma_max / min
+    sigma_min over the W_k, since the Q_k are orthonormal and mutually
+    orthogonal.  Raises EigenConditionError when it exceeds cond_limit, in
+    which case propagate_ode is the fallback.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
@@ -176,7 +260,9 @@ def propagate_eigen(H: EffectiveHamiltonian, psi0: AmplitudeState,
 
     psi = H.pack(psi0)
     blocks = _touched_blocks(H, psi)
-    states = np.empty((H.dim, len(times)), dtype=complex)
+    y = np.concatenate([blk.project(psi) for blk in blocks])
+    spans = _spans(blocks)
+    coords = np.empty((len(y), len(times)), dtype=complex)
     segments, dims = [], []
     for s0, s1, f in segs_f:
         lo, hi = max(s0, t0), s1
@@ -187,20 +273,17 @@ def propagate_eigen(H: EffectiveHamiltonian, psi0: AmplitudeState,
         cond = max(s[0] for s in sv) / min(s[-1] for s in sv)
         if cond > cond_limit:
             raise EigenConditionError(cond, cond_limit)
-        lam = np.concatenate([lam_k for lam_k, _ in eigs])
-        V = np.hstack([blk.lift(W) for blk, (_, W) in zip(blocks, eigs)])
-        c0 = np.concatenate([np.linalg.solve(W, blk.project(psi))
-                             for blk, (_, W) in zip(blocks, eigs)])
-        segments.append((lo, hi, V, lam, c0))
-        dims.append([len(lam_k) for lam_k, _ in eigs])
+        modes = [(W, lam, np.linalg.solve(W, y[s]))
+                 for (lam, W), s in zip(eigs, spans)]
+        segments.append((lo, hi, modes))
+        dims.append([len(lam) for lam, _ in eigs])
         # the sorted samples in [lo, hi] (1e-12 slack), written in place
         on = slice(np.searchsorted(times, lo - 1e-12, side="left"),
                    np.searchsorted(times, hi + 1e-12, side="right"))
-        np.matmul(V, np.exp(np.outer(lam, times[on] - lo)) * c0[:, None],
-                  out=states[:, on])
-        psi = V @ (np.exp(lam * (hi - lo)) * c0)
-    return Trajectory(H, times, states, kind="eigen", segments=segments,
-                      eigen_blocks=dims)
+        _modal_coords(modes, times[on] - lo, out=coords[:, on])
+        y = _modal_coords(modes, [hi - lo])[:, 0]
+    return Trajectory(H, times, coords, kind="eigen", blocks=blocks,
+                      segments=segments, eigen_blocks=dims)
 
 
 def _touched_blocks(H: EffectiveHamiltonian, psi: np.ndarray) -> list:
@@ -210,7 +293,7 @@ def _touched_blocks(H: EffectiveHamiltonian, psi: np.ndarray) -> list:
 
     The drive is the same on every atom, so no other block is ever
     reached: propagate_eigen and propagate_ode both work in these blocks
-    only and lift their results to the full space.
+    only and store their coordinates in them.
     """
     bases = rotation_blocks(H)
     if bases is None:
@@ -362,15 +445,14 @@ def propagate_ode(H: EffectiveHamiltonian, psi0: AmplitudeState,
     starts on a jump starts on its right limit (_DOP853Stops).  As in
     propagate_eigen, only the symmetry blocks psi0 touches are integrated,
     stacked in one vector; the right-hand side is linear, one product with
-    each block's constant excited part plus the drive pairing.  The stored
-    states are lifted back to the full space.  times selects the storage
-    grid, passed to the solver as t_eval; ends up to 1e-12 outside
-    [t0, t_end] are taken as t0 and t_end (default: the solver's accepted
-    steps, whose spacing tracks the local dynamics).
+    each block's constant excited part plus the drive pairing.  The
+    solver's stacked coordinates are stored as they are (Trajectory).
+    times selects the storage grid, passed to the solver as t_eval; ends
+    up to 1e-12 outside [t0, t_end] are taken as t0 and t_end (default:
+    the solver's accepted steps, whose spacing tracks the local dynamics).
     """
     if tol <= 0:
         raise InvalidArgumentError("tol must be positive")
-    env = H.drive.envelope
     t0 = psi0.t
     if t_end <= t0:
         raise InvalidArgumentError("t_end must exceed the initial time")
@@ -383,9 +465,17 @@ def propagate_ode(H: EffectiveHamiltonian, psi0: AmplitudeState,
 
     psi = H.pack(psi0)
     blocks = _touched_blocks(H, psi)
-    # the integrated vector stacks the coordinates of each block in turn
-    ends = np.cumsum([blk.dim for blk in blocks])
-    spans = [slice(end - blk.dim, end) for blk, end in zip(blocks, ends)]
+    y0 = np.concatenate([blk.project(psi) for blk in blocks])
+    t, y = _integrate(H, blocks, y0, t0, t_end, tol, atol, times)
+    return Trajectory(H, t, y, kind="ode", blocks=blocks, tols=(tol, atol))
+
+
+def _integrate(H: EffectiveHamiltonian, blocks, y0: np.ndarray, t0: float,
+               t_end: float, tol: float, atol: float, times):
+    """One _DOP853Stops pass of the stacked coordinates y0 in blocks from
+    t0 to t_end, stored on times (t_eval); returns the solver's (t, y)."""
+    env = H.drive.envelope
+    spans = _spans(blocks)
 
     if len(blocks) == 1:
         product = blocks[0].apply
@@ -402,7 +492,6 @@ def propagate_ode(H: EffectiveHamiltonian, psi0: AmplitudeState,
 
     jumps = env.breakpoints(t_end)
     kinks = env.kinks(t_end)
-    y0 = np.concatenate([blk.project(psi) for blk in blocks])
     # a jump at t0 is no stop: the solver's first derivative, rhs(t0, y0),
     # already reads its right limit
     sol = solve_ivp(rhs, (t0, t_end), y0, method=_DOP853Stops,
@@ -412,6 +501,4 @@ def propagate_ode(H: EffectiveHamiltonian, psi0: AmplitudeState,
     if not sol.success:
         raise NumericError(f"integrator failed on [{t0:g}, {t_end:g}]: "
                            f"{sol.message}")
-    states = sum((blk.lift(sol.y[s]) for blk, s in zip(blocks[1:], spans[1:])),
-                 blocks[0].lift(sol.y[spans[0]]))
-    return Trajectory(H, sol.t, states, kind="ode", tols=(tol, atol))
+    return sol.t, sol.y

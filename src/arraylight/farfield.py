@@ -228,30 +228,48 @@ def _quadratic_forms(Q: np.ndarray, B: np.ndarray) -> np.ndarray:
         + np.einsum("ik,ik->k", B.imag, QB.imag)
 
 
+def _excited_operator(H, block, M: np.ndarray) -> np.ndarray:
+    """Q_e^H M Q_e: an operator on the excited amplitudes in the excited
+    columns Q_e of one generator block (M itself for the whole one)."""
+    if block.basis is None:
+        return M
+    Q_exc = block.basis[H.n_atoms:, block.n_meta:]
+    return Q_exc.conj().T @ M @ Q_exc
+
+
 def waveform(traj: Trajectory, u_grid=None,
              allow_truncation: bool = False) -> Waveform:
     """Angular-integrated flux and cumulative photon number versus u.
 
     The flux of each helicity is the quadratic form of the excited
-    amplitudes with its exact flux operator, applied to all samples in one
-    product.  With decay on, the total flux equals -d|psi|^2/dt exactly.
-    u_grid defaults to the trajectory's own sample times.  The trajectory
-    should be long enough that the residual excitation is below 1e-3;
-    pass allow_truncation=True to accept a truncated waveform.
+    amplitudes with its exact flux operator.  The flux operators commute
+    with the rotation about z, so they are block diagonal in the
+    trajectory's symmetry blocks: each block's form uses the operator
+    projected onto its excited columns, applied to all of its stored
+    coordinates in one product, and the state is never lifted.  The state
+    side is 1 - |coordinates|^2, the bases being orthonormal.  With decay
+    on, the total flux equals -d|psi|^2/dt exactly.  u_grid defaults to
+    the trajectory's own sample times (Trajectory.coords_at otherwise).
+    The trajectory should be long enough that the residual excitation is
+    below 1e-3; pass allow_truncation=True to accept a truncated waveform.
     """
     u = np.asarray(traj.times if u_grid is None else u_grid, dtype=float)
-    residual = float(np.sum(np.abs(traj.state_at(u[-1])) ** 2))
+    y = traj.coords if u_grid is None else traj.coords_at(u)
+    norm2 = np.sum(np.abs(y) ** 2, axis=0)
+    residual = float(norm2[-1])
     if residual > 1e-3 and not allow_truncation:
         raise InvalidArgumentError(
             f"residual norm {residual:.3e} > 1e-3 at u = {u[-1]:g}; "
             f"extend t_end or pass allow_truncation=True")
     H = traj.H
-    psi = traj.states if u_grid is None \
-        else np.column_stack([traj.state_at(x) for x in u])
-    beta = psi[H.n_atoms:]
-    fp, fm = (_quadratic_forms(_kernels.model_matrix(Q, H.columns), beta)
-              for Q in _kernels.flux_blocks(H.array.positions))
-    ns = 1.0 - np.sum(np.abs(psi) ** 2, axis=0)
+    ops = [_kernels.model_matrix(Q, H.columns)
+           for Q in _kernels.flux_blocks(H.array.positions)]
+    fp, fm = np.zeros((2, len(u)))
+    for block, y_k in zip(traj.blocks, traj.split(y)):
+        beta = y_k[block.n_meta:]
+        fp += _quadratic_forms(_excited_operator(H, block, ops[0]), beta)
+        fm += _quadratic_forms(_excited_operator(H, block, ops[1]), beta)
+    ns = 1.0 - norm2
     total = fp + fm
     cum = np.concatenate(
         [[0.0], np.cumsum(0.5 * (total[1:] + total[:-1]) * np.diff(u))])

@@ -200,9 +200,12 @@ class GeneratorBlock:
         """Full-space state(s) -> block coordinates Q^H psi."""
         return psi if self.basis is None else self.basis.conj().T @ psi
 
-    def lift(self, y: np.ndarray) -> np.ndarray:
-        """Block coordinates -> full space, Q y."""
-        return y if self.basis is None else self.basis @ y
+    def lift(self, y: np.ndarray, rows=None) -> np.ndarray:
+        """Block coordinates -> full space, Q y; only the full-space rows
+        listed in rows when given."""
+        if self.basis is None:
+            return y if rows is None else y[rows]
+        return (self.basis if rows is None else self.basis[rows]) @ y
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from arraylight import __version__
 from arraylight.cli import main
 from arraylight.config import RunConfig
 from arraylight.core import build_lattice
+from arraylight.dynamics import Trajectory
 from arraylight.errors import ConfigError
 from arraylight.oracles import two_atom_rates
 from arraylight.shaping import AdiabaticModel, adiabatic_simulate
@@ -291,6 +292,33 @@ def test_cli_simulate_bit_identical_reruns(tmp_path):
     sb = json.loads((out_b / "summary.json").read_text())
     sa.pop("timings_s"), sb.pop("timings_s")
     assert sa == sb
+
+
+def test_cli_never_lifts_the_whole_trajectory(tmp_path, monkeypatch):
+    # simulate (both propagators, one block and several) and shape read
+    # the flux, populations and CSV columns from the block coordinates
+    def lifted(traj):
+        raise AssertionError("Trajectory.states was read")
+
+    monkeypatch.setattr(Trajectory, "states", property(lifted))
+    runs = []
+    for propagator, direction in (("eigen", [0, 0, 1]), ("ode", [1, 0, 0])):
+        raw = _fast_run_cfg()
+        raw["lattice"] = {"nx": 2, "ny": 2, "nz": 1, "d": 0.4}
+        raw["k_gf"] = {"direction": direction}
+        raw["propagator"] = propagator
+        runs.append(("simulate", raw))
+    raw = _fast_run_cfg()
+    raw["lattice"] = {"nx": 2, "ny": 2, "nz": 2, "d": 0.6}
+    raw["drive"] = {"omega_L0": 42.0, "delta": 120.0}
+    raw["shaping"] = {"fraction": 0.05, "tau_end": 2000.0,
+                      "target": {"kind": "gaussian", "center": 10.0,
+                                 "width": 4.0, "t_end": 20.0, "dt": 0.1}}
+    runs.append(("shape", raw))
+    for i, (command, raw) in enumerate(runs):
+        path = _write_yaml(tmp_path / f"run{i}.yaml", raw)
+        assert main([command, "--config", path,
+                     "--out", str(tmp_path / f"out{i}")]) == 0
 
 
 def test_cli_angular_and_range_check(tmp_path, capsys):

@@ -11,6 +11,7 @@ from arraylight.core import (AmplitudeState, AtomArray, LaserDrive,
 from arraylight.dynamics import propagate_eigen, propagate_ode
 from arraylight.envelope import PulseEnvelope
 from arraylight.errors import EigenConditionError, InvalidArgumentError
+from arraylight.farfield import waveform
 from arraylight.hamiltonian import assemble
 
 K0 = 2.0 * np.pi
@@ -206,6 +207,30 @@ def test_ode_state_at_matches_eigen_around_a_jump(times):
         assert np.max(np.abs(tr_o.state_at(u) - tr_e.state_at(u))) <= 1e-10
 
 
+def test_ode_waveform_on_an_off_grid_grid_matches_eigen(monkeypatch):
+    # an off-grid u_grid on an ODE trajectory is served by one integration
+    # in the trajectory's own blocks, from the stored sample before its
+    # first time, over the sorted grid
+    H, psi0 = _square_pulse_case(PulseEnvelope.square(2.37))
+    t = np.linspace(0.0, 4.9, 50)
+    tr_o = propagate_ode(H, psi0, t_end=4.9, tol=1e-12, atol=1e-14, times=t)
+    tr_e = propagate_eigen(H, psi0, t)
+    u = np.linspace(0.03, 4.87, 121)
+    assert not np.any(np.isin(u, t))
+    calls, _ = _count_solver_calls(monkeypatch)
+    got = waveform(tr_o, u_grid=u, allow_truncation=True)
+    assert calls == [(0.0, 4.87)]
+    want = waveform(tr_e, u_grid=u, allow_truncation=True)
+    for name in ("flux_plus", "flux_minus", "cumulative", "state_side"):
+        assert np.max(np.abs(getattr(got, name) - getattr(want, name))) <= 1e-9
+    # the grid's order does not matter; stored samples are not integrated
+    order = np.random.default_rng(0).permutation(len(u))
+    coords = tr_o.coords_at(u)
+    assert np.array_equal(tr_o.coords_at(u[order]), coords[:, order])
+    assert np.array_equal(tr_o.coords_at(t[[7, 3]]), tr_o.coords[:, [7, 3]])
+    assert len(calls) == 3
+
+
 def test_ode_step_from_a_jump_refreshes_its_first_stage(monkeypatch):
     # the step that starts on the jump computes its first stage from the
     # right limit: one pass costs about what two runs split at the jump
@@ -367,8 +392,10 @@ def test_state_at_eigen_segment_at_step():
     for u in (0.0, np.nextafter(step, 0.0), step - 1e-13, step,
               np.nextafter(step, 1.0), step + 5e-13, step + 1e-12,
               step + 2e-12, 1.2, 3.0):
-        t0, _, V, lam, c0 = scan(u)
-        assert np.array_equal(traj.state_at(u), V @ (np.exp(lam * (u - t0)) * c0))
+        # the segment's block coordinates W_k exp(lam_k (u - t0)) c0_k
+        t0, _, modes = scan(u)
+        want = traj.lift(dynamics._modal_coords(modes, [u - t0])[:, 0])
+        assert np.array_equal(traj.state_at(u), want)
     k = int(np.argmin(np.abs(t - step)))
     assert t[k] == step
     assert np.allclose(traj.state_at(step), traj.states[:, k], rtol=0.0,
@@ -446,7 +473,7 @@ def test_trajectory_csv(tmp_path):
 def test_eigen_blocks_follow_the_initial_state(monkeypatch):
     # a z-directed timed state is a rotation eigenvector: one block; an
     # x-directed one splits over several irreps.  The ODE integrates the
-    # same blocks, stacked, and returns full-space states
+    # same blocks, stacked, and stores their coordinates
     arr = build_lattice(3, 3, 2, 0.4)
     H = assemble(arr, LaserDrive(2.0, 1.0,
                                  envelope=PulseEnvelope.square(1.0, 1.0, 0.5)))
@@ -486,7 +513,9 @@ def test_eigen_condition_is_the_2norm_condition_of_V():
     t = np.linspace(0.0, 1.0, 11)
     traj = propagate_eigen(H, psi0, t)
     assert len(traj.eigen_blocks[0]) == 4
-    cond = np.linalg.cond(traj._segments[0][2])
+    _, _, modes = traj._segments[0]
+    V = np.hstack([blk.lift(W) for blk, (W, _, _) in zip(traj.blocks, modes)])
+    cond = np.linalg.cond(V)
     propagate_eigen(H, psi0, t, cond_limit=cond * (1 + 1e-9))
     with pytest.raises(EigenConditionError):
         propagate_eigen(H, psi0, t, cond_limit=cond * (1 - 1e-9))

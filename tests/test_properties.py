@@ -1,6 +1,11 @@
 """Invariants of the coupling blocks and the adiabatic model over random
 arrays (N <= 6, spacing >= 0.1), and of the rotation-symmetry blocks over
-random lattices and rotation-symmetric arrays."""
+random lattices and rotation-symmetric arrays, and of the observables
+read from the stored block coordinates."""
+
+import itertools
+import os
+import tempfile
 
 import numpy as np
 from hypothesis import Phase, assume, given, settings
@@ -13,6 +18,7 @@ from arraylight.core import (SUBLEVELS, AmplitudeState, AtomArray,
                              timed_dicke_state)
 from arraylight.dynamics import propagate_eigen, propagate_ode
 from arraylight.envelope import PulseEnvelope
+from arraylight.farfield import waveform
 from arraylight.greens import coupling_block
 from arraylight.hamiltonian import assemble, eigenmodes, rotation_blocks
 from arraylight.shaping import (AdiabaticModel, adiabatic_simulate,
@@ -208,3 +214,63 @@ def test_block_path_matches_full_path(pos, nu0, state, square, omega, delta):
             <= 1e-9)
     lam_b, lam_f = eigenmodes(H_sym).eigenvalues, eigenmodes(H_full).eigenvalues
     assert _same_multiset(lam_b, lam_f, 1e-10 * np.max(np.abs(lam_f)))
+
+
+@settings(max_examples=30, deadline=None, phases=NO_SHRINK)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3),
+       st.floats(0.3, 0.8), st.sampled_from(("z", "x")), st.booleans(),
+       st.sampled_from(SUBLEVELS))
+def test_block_observables_match_the_lifted_states(nx, ny, nz, d, direction,
+                                                   square, nu0):
+    # flux, state side, populations, norm and the CSV's a_j, read from the
+    # stored block coordinates, against the same quantities of the lifted
+    # full-space states; a z-directed state touches one block, an
+    # x-directed one several
+    arr = build_lattice(nx, ny, nz, d)
+    env = (PulseEnvelope.square(0.6, 1.0, 0.3) if square
+           else PulseEnvelope.constant())
+    H = assemble(arr, LaserDrive(2.0, 3.0, envelope=env,
+                                 target_sublevel=nu0))
+    k_gf = [0.0, 0.0, K0] if direction == "z" else [K0, 0.0, 0.0]
+    psi0 = timed_dicke_state(arr, k_gf)
+    n, t = arr.n_atoms, np.linspace(0.0, 1.5, 16)
+    ops = [_kernels.model_matrix(Q, H.columns)
+           for Q in _kernels.flux_blocks(arr.positions)]
+    # the flux operators are block diagonal in the rotation irreps
+    bases = rotation_blocks(H, excited_only=True)
+    for Qk, Ql in itertools.permutations(bases, 2):
+        for F in ops:
+            assert np.max(np.abs(Qk.conj().T @ F @ Ql)) <= 1e-14
+    for traj in (propagate_eigen(H, psi0, t),
+                 propagate_ode(H, psi0, 1.5, times=t)):
+        if direction == "z" or len(bases) == 1:
+            assert len(traj.blocks) == 1
+        psi = traj.states
+        beta = psi[n:]
+        wave = waveform(traj, allow_truncation=True)
+        for F, got in zip(ops, (wave.flux_plus, wave.flux_minus)):
+            want = np.real(np.einsum("ik,ik->k", beta.conj(), F @ beta))
+            assert np.max(np.abs(got - want)) <= 1e-13
+        total = np.real(np.einsum("ik,ik->k", beta.conj(),
+                                  (ops[0] + ops[1]) @ beta))
+        cumulative = np.concatenate(
+            [[0.0], np.cumsum(0.5 * (total[1:] + total[:-1]) * np.diff(t))])
+        assert np.max(np.abs(wave.cumulative - cumulative)) <= 1e-13
+        norm2 = np.sum(np.abs(psi) ** 2, axis=0)
+        assert np.max(np.abs(wave.state_side - (1.0 - norm2))) <= 1e-13
+        assert np.max(np.abs(traj.norm_squared() - norm2)) <= 1e-13
+        meta, exc = traj.populations()
+        assert np.max(np.abs(meta - np.sum(np.abs(psi[:n]) ** 2, axis=0))) \
+            <= 1e-13
+        pops = np.abs(beta.reshape(n, H.n_sublevels, -1)) ** 2
+        assert np.max(np.abs(exc[:, H.columns] - pops.sum(axis=0).T)) \
+            <= 1e-13
+        assert not np.any(np.delete(exc, H.columns, axis=1))
+        atoms = (0, n - 1)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "trajectory.csv")
+            traj.to_csv(path, atoms=atoms)
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        for i, j in enumerate(atoms):
+            a_j = data[:, 6 + 2 * i] + 1j * data[:, 7 + 2 * i]
+            assert np.max(np.abs(a_j - psi[j])) <= 1e-13
