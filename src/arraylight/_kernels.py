@@ -16,6 +16,7 @@ from .greens import fg_scalar_coefficients, spherical_basis
 __all__ = ["pair_blocks", "flux_blocks", "model_matrix", "direction_sums"]
 
 K0 = 2.0 * np.pi
+_CHUNK_ENTRIES = 1 << 18  # phase factors per direction_sums chunk (4 MB)
 
 _EMATRIX = spherical_basis().matrix  # columns e_{-1}, e_0, e_{+1}
 # _CROSS[b] = E^dag [e_b]_x E, where [n]_x v = n x v
@@ -94,13 +95,20 @@ def model_matrix(blocks: np.ndarray, cols) -> np.ndarray:
 
 def direction_sums(dirs: np.ndarray, pos: np.ndarray,
                    s: np.ndarray) -> np.ndarray:
-    """V[m, c] = sum_j exp(+i k0 dirs[m].pos[j]) s[j, c], chunked gemm."""
+    """V[m, c] = sum_j exp(+i k0 dirs[m].pos[j]) s[j, c], chunked gemm.
+
+    The phase factors of a chunk of directions (about 2^18 of them in all)
+    are written as cos and sin straight into one complex buffer."""
     dirs = np.asarray(dirs, dtype=float)
     m, n = len(dirs), len(pos)
     out = np.empty((m, s.shape[1]), dtype=complex)
-    chunk = max(1, int(4_000_000 / max(n, 1)))
+    chunk = max(1, _CHUNK_ENTRIES // max(n, 1))
+    phases = np.empty((min(chunk, m), n), dtype=complex)
     for lo in range(0, m, chunk):
         hi = min(lo + chunk, m)
-        phases = np.exp(1j * K0 * (dirs[lo:hi] @ pos.T))
-        out[lo:hi] = phases @ s
+        arg = K0 * (dirs[lo:hi] @ pos.T)
+        buf = phases[:hi - lo]
+        np.cos(arg, out=buf.real)
+        np.sin(arg, out=buf.imag)
+        np.matmul(buf, s, out=out[lo:hi])
     return out

@@ -6,15 +6,19 @@ Two routes, cross-validated against each other:
   constant on each segment, so psi(t) = V exp(Lambda (t-t0)) V^-1 psi(t0)
   is exact at arbitrary times.  When the array has a rotation symmetry
   about z (hamiltonian.rotation_blocks), only the symmetry blocks the
-  initial state touches are diagonalized, each on its own; otherwise the
-  whole generator is.  Requires a well-conditioned eigenbasis; collective
-  modes are not orthogonal, so the condition number is checked.
+  initial state touches are diagonalized, each on its own; they are split
+  by inversion too when the array has it (C4h), which halves each solve.
+  Otherwise the whole generator is diagonalized.  Requires a
+  well-conditioned eigenbasis; collective modes are not orthogonal, so the
+  condition number is checked.
 * adaptive ODE: embedded explicit Runge-Kutta (DOP853) for arbitrary
   envelopes, in one solver pass; jumps and kinks are both stops, on which
   steps end exactly; a step from a jump starts on its right limit.  It
-  integrates the same touched symmetry blocks (the whole space without a
-  symmetry).  The right-hand side is linear, y' = G(f(t)) y: one product
-  with each block's constant excited part plus O(orbits) drive work.  The
+  integrates the touched blocks of the rotation alone (C4, not split by
+  inversion: two half-size products per step cost more than one), or the
+  whole space without a symmetry.  The right-hand side is linear,
+  y' = G(f(t)) y: one product with each block's constant excited part
+  plus O(orbits) drive work.  The
   DOP853 step is written for it: the stage envelope values come from the
   linear piece of f that holds on the step, so a step ending on a jump
   reads the left limit there.  Off-grid states are integrated from the
@@ -25,7 +29,9 @@ excited part, projected once, and the drive pairing, scaled by f(t).  A
 Trajectory stores what they compute, the stacked coordinates in those
 blocks; populations, the norm and (in farfield) the flux of each helicity
 are read from the coordinates, and only single vectors are lifted to the
-full space.
+full space.  The helicity difference of the flux is odd under inversion,
+so it couples each inversion-split block to its parity partner: farfield
+projects the flux operators onto all of a trajectory's blocks at once.
 """
 
 from __future__ import annotations
@@ -234,8 +240,9 @@ def propagate_eigen(H: EffectiveHamiltonian, psi0: AmplitudeState,
     The drive envelope must be piecewise constant (constant or square);
     each constant segment gets one eigendecomposition.  With a rotation
     symmetry about z, the generator is block diagonal in the bases Q_k of
-    rotation_blocks, and the drive is the same on every atom, so the blocks
-    psi0 touches stay the only ones touched on every segment: each of them
+    rotation_blocks (split by inversion too, when the array has it), and
+    the drive is the same on every atom, so the blocks psi0 touches stay
+    the only ones touched on every segment: each of them
     is diagonalized on its own, Q_k^H G Q_k = W_k diag(lam_k) W_k^-1, and
     the samples are the block coordinates W_k exp(lam_k t) c0_k, stored
     as they are (Trajectory); the segment keeps the (W_k, lam_k, c0_k).
@@ -259,7 +266,7 @@ def propagate_eigen(H: EffectiveHamiltonian, psi0: AmplitudeState,
             "envelope is not piecewise constant; use propagate_ode")
 
     psi = H.pack(psi0)
-    blocks = _touched_blocks(H, psi)
+    blocks = _touched_blocks(H, psi, inversion=True)
     y = np.concatenate([blk.project(psi) for blk in blocks])
     spans = _spans(blocks)
     coords = np.empty((len(y), len(times)), dtype=complex)
@@ -286,16 +293,19 @@ def propagate_eigen(H: EffectiveHamiltonian, psi0: AmplitudeState,
                       segments=segments, eigen_blocks=dims)
 
 
-def _touched_blocks(H: EffectiveHamiltonian, psi: np.ndarray) -> list:
+def _touched_blocks(H: EffectiveHamiltonian, psi: np.ndarray,
+                    inversion: bool = False) -> list:
     """The generator's blocks (EffectiveHamiltonian.block) on the symmetry
     bases with a component of psi above rounding (dim * eps relative), or
     the whole generator as one block when there is no symmetry.
 
-    The drive is the same on every atom, so no other block is ever
-    reached: propagate_eigen and propagate_ode both work in these blocks
-    only and store their coordinates in them.
+    The bases are those of the rotation alone, or split by inversion too
+    (rotation_blocks(H, inversion=True), the spectral path's).  The drive
+    is the same on every atom, so no other block is ever reached:
+    propagate_eigen and propagate_ode both work in these blocks only and
+    store their coordinates in them.
     """
-    bases = rotation_blocks(H)
+    bases = rotation_blocks(H, inversion=inversion)
     if bases is None:
         return [H.block()]
     tol = psi.size * np.finfo(float).eps * np.linalg.norm(psi)
@@ -444,7 +454,8 @@ def propagate_ode(H: EffectiveHamiltonian, psi0: AmplitudeState,
     piecewise-linear and square envelopes keep full order; a step that
     starts on a jump starts on its right limit (_DOP853Stops).  As in
     propagate_eigen, only the symmetry blocks psi0 touches are integrated,
-    stacked in one vector; the right-hand side is linear, one product with
+    stacked in one vector, but those of the rotation alone, not split by
+    inversion; the right-hand side is linear, one product with
     each block's constant excited part plus the drive pairing.  The
     solver's stacked coordinates are stored as they are (Trajectory).
     times selects the storage grid, passed to the solver as t_eval; ends

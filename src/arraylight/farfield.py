@@ -228,13 +228,15 @@ def _quadratic_forms(Q: np.ndarray, B: np.ndarray) -> np.ndarray:
         + np.einsum("ik,ik->k", B.imag, QB.imag)
 
 
-def _excited_operator(H, block, M: np.ndarray) -> np.ndarray:
-    """Q_e^H M Q_e: an operator on the excited amplitudes in the excited
-    columns Q_e of one generator block (M itself for the whole one)."""
-    if block.basis is None:
+def _excited_operator(H, blocks, M: np.ndarray) -> np.ndarray:
+    """Q_e^H M Q_e: an operator on the excited amplitudes in the stacked
+    excited columns Q_e = [Q_e,1 Q_e,2 ...] of the generator blocks (M
+    itself for the whole generator)."""
+    if blocks[0].basis is None:
         return M
-    Q_exc = block.basis[H.n_atoms:, block.n_meta:]
-    return Q_exc.conj().T @ M @ Q_exc
+    Qs = [blk.basis[H.n_atoms:, blk.n_meta:] for blk in blocks]
+    QM = np.vstack([Q.conj().T @ M for Q in Qs])
+    return np.hstack([QM @ Q for Q in Qs])
 
 
 def waveform(traj: Trajectory, u_grid=None,
@@ -242,14 +244,17 @@ def waveform(traj: Trajectory, u_grid=None,
     """Angular-integrated flux and cumulative photon number versus u.
 
     The flux of each helicity is the quadratic form of the excited
-    amplitudes with its exact flux operator.  The flux operators commute
-    with the rotation about z, so they are block diagonal in the
-    trajectory's symmetry blocks: each block's form uses the operator
-    projected onto its excited columns, applied to all of its stored
-    coordinates in one product, and the state is never lifted.  The state
-    side is 1 - |coordinates|^2, the bases being orthonormal.  With decay
-    on, the total flux equals -d|psi|^2/dt exactly.  u_grid defaults to
-    the trajectory's own sample times (Trajectory.coords_at otherwise).
+    amplitudes with its exact flux operator.  The operators are projected
+    once onto the stacked excited columns of all the trajectory's blocks
+    and applied to the stacked excited coordinates in one product, so the
+    state is never lifted.  The flux operators commute with the rotation
+    about z, and their sum with inversion, but the helicity difference is
+    odd under inversion: it couples each block split by inversion to its
+    parity partner, so the per-helicity forms are not block diagonal.
+    The state side is 1 - |coordinates|^2, the bases being orthonormal.
+    With decay on, the total flux equals -d|psi|^2/dt exactly.  u_grid
+    defaults to the trajectory's own sample times (Trajectory.coords_at
+    otherwise).
     The trajectory should be long enough that the residual excitation is
     below 1e-3; pass allow_truncation=True to accept a truncated waveform.
     """
@@ -262,13 +267,11 @@ def waveform(traj: Trajectory, u_grid=None,
             f"residual norm {residual:.3e} > 1e-3 at u = {u[-1]:g}; "
             f"extend t_end or pass allow_truncation=True")
     H = traj.H
-    ops = [_kernels.model_matrix(Q, H.columns)
-           for Q in _kernels.flux_blocks(H.array.positions)]
-    fp, fm = np.zeros((2, len(u)))
-    for block, y_k in zip(traj.blocks, traj.split(y)):
-        beta = y_k[block.n_meta:]
-        fp += _quadratic_forms(_excited_operator(H, block, ops[0]), beta)
-        fm += _quadratic_forms(_excited_operator(H, block, ops[1]), beta)
+    beta = np.vstack([y_k[blk.n_meta:]
+                      for blk, y_k in zip(traj.blocks, traj.split(y))])
+    fp, fm = (_quadratic_forms(_excited_operator(
+                  H, traj.blocks, _kernels.model_matrix(F, H.columns)), beta)
+              for F in _kernels.flux_blocks(H.array.positions))
     ns = 1.0 - norm2
     total = fp + fm
     cum = np.concatenate(

@@ -21,10 +21,17 @@ positions onto themselves, the generator commutes with the unitary U that
 moves each atom's amplitudes to its rotated partner and multiplies
 sublevel nu by w^nu, w = exp(-2 pi i/order), and a_l by w^nu0 (the drive
 couples a_l to beta_l^nu0 with the same factor on every atom).
-U^order = I, and rotation_blocks builds the orthonormal bases of U's
-eigenspaces, in which the generator is block diagonal.  Each block is
-again a constant excited part plus the drive, which pairs each orbit of
-the a_l with the same orbit of the beta_l^nu0 (EffectiveHamiltonian.block).
+U^order = I.  When r -> -r maps the positions onto themselves too, as on
+every centred lattice, the generator also commutes with the permutation P
+that moves each atom's amplitudes to the atom at -r, with no phase on the
+sublevels: the Green's tensor is even in the separation.  P commutes with
+U, and rotation_blocks builds the orthonormal bases of their joint
+eigenspaces, the irreps (k, +-) of C4h (C2h), or of U's alone without the
+inversion; the generator is block diagonal in them.  Each block is again a
+constant excited part plus the drive, which pairs each orbit of the a_l
+with the same orbit of the beta_l^nu0 (EffectiveHamiltonian.block).  The
+spectral path (eigenmodes, dynamics.propagate_eigen) uses the blocks split
+by inversion, the ODE those of U alone.
 """
 
 from __future__ import annotations
@@ -33,7 +40,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 
 from . import _kernels
@@ -292,37 +298,64 @@ def assemble(array: AtomArray, drive: LaserDrive,
 _QUARTER_TURNS = np.array([1.0, -1.0j, -1.0, 1.0j])
 
 
-def _rotation_permutation(positions: np.ndarray, order: int):
-    """perm[l] = index of the atom at R r_l, R the rotation by 2 pi/order
-    about z; None unless every rotated position is exactly an atom's."""
+def _position_permutation(positions: np.ndarray, images: np.ndarray):
+    """perm[l] = index of the atom at images[l]; None unless every image is
+    exactly an atom's position."""
     index = {tuple(p): l for l, p in enumerate(positions.tolist())}
-    x, y, z = positions.T
-    rotated = np.column_stack([-y, x, z] if order == 4 else [-x, -y, z])
-    perm = [index.get(tuple(p)) for p in rotated.tolist()]
+    perm = [index.get(tuple(p)) for p in images.tolist()]
     return None if None in perm else perm
 
 
-def rotation_blocks(H: EffectiveHamiltonian, excited_only: bool = False):
-    """Orbit bases of the rotation symmetry about z (C4, else C2), or None
-    when the array has neither.
+def _rotation_permutation(positions: np.ndarray, order: int):
+    """perm[l] = index of the atom at R r_l, R the rotation by 2 pi/order
+    about z; None unless every rotated position is exactly an atom's."""
+    x, y, z = positions.T
+    return _position_permutation(positions, np.column_stack(
+        [-y, x, z] if order == 4 else [-x, -y, z]))
 
-    Returns one sparse (dim, b_k) isometry Q_k per nonempty irrep k, in
-    the order of the U eigenvalues w^k, k = 0, 1, ...; the b_k sum to dim,
-    and the generator splits into the blocks Q_k^H G Q_k.  Each orbit
-    l -> perm[l] -> ... of length L and each sector (a, then the sublevels
-    nu) give the columns sum_j w^{(nu - k) j} e_{perm^j l} / sqrt(L), one
-    for each k with L (nu - k) = 0 mod order.  A fixed-point atom (L = 1)
-    thus enters only the irrep of its own phase.  The metastable (a)
-    columns of each Q_k come first, in orbit order, then the excited ones,
-    so Q_k^H G Q_k has the generator's own layout.  excited_only builds
-    the bases of the excited block instead of the full generator.
+
+def _orbit(perm, start: int) -> list:
+    """start, perm[start], perm[perm[start]], ... up to the return."""
+    orbit = [start]
+    while perm[orbit[-1]] != start:
+        orbit.append(perm[orbit[-1]])
+    return orbit
+
+
+def rotation_blocks(H: EffectiveHamiltonian, excited_only: bool = False,
+                    inversion: bool = True):
+    """Orbit bases of the array's symmetry about z: the rotation (C4, else
+    C2) and, when every -r_l is exactly an atom's position, the inversion
+    r -> -r (C4h, C2h); None when the array has no rotation symmetry.
+
+    Returns one sparse (dim, b) isometry Q per nonempty irrep (k, p), in
+    the order (0, +), (0, -), (1, +), ...: U Q = w^k Q and P Q = p Q.
+    The b sum to dim, and the generator splits into the blocks Q^H G Q.
+    Each rotation orbit l -> perm[l] -> ... of length L and each sector
+    (a, then the sublevels nu) give the columns
+    c = sum_j w^{(nu - k) j} e_{perm^j l} / sqrt(L), one for each k with
+    L (nu - k) = 0 mod order; a fixed-point atom (L = 1) thus enters only
+    the irrep of its own phase.  P commutes with U, so the inversion image
+    of an orbit is again one, enumerated from inv[l], and maps c to the
+    partner column c' of the same k and sector.  An orbit that is its own
+    image (q steps along it from l to inv[l]) has c' = w^{-(nu - k) q} c =
+    +-c, so c is already a parity eigenvector; an atom at the origin enters
+    only the even irreps.  Otherwise the pair gives (c +- c')/sqrt(2).  The
+    metastable (a) columns of each Q come first, in orbit order, then the
+    excited ones, so Q^H G Q has the generator's own layout.  excited_only
+    builds the bases of the excited block instead of the full generator;
+    inversion=False keeps the rotation irreps k alone, unsplit (what the
+    ODE integrates: its per-step products cost less on fewer, larger
+    blocks).
     """
+    pos = H.array.positions
     for order in (4, 2):
-        perm = _rotation_permutation(H.array.positions, order)
+        perm = _rotation_permutation(pos, order)
         if perm is not None:
             break
     else:
         return None
+    inv = _position_permutation(pos, -pos) if inversion else None
     n, m = H.n_atoms, H.n_sublevels
     rows = np.arange(n * m).reshape(n, m)
     nus = list(H.sublevels)
@@ -331,21 +364,35 @@ def rotation_blocks(H: EffectiveHamiltonian, excited_only: bool = False):
         rows = np.column_stack([np.arange(n), n + rows])
         nus.insert(0, H.drive.target_sublevel)
     step = 4 // order
-    columns = [[] for _ in range(order)]  # per irrep: (rows, coefficients)
+    # per irrep (k, p), p = 0 even, 1 odd: the columns as (rows, coefficients)
+    columns = [[] for _ in range(2 * order)]
     seen = np.zeros(n, dtype=bool)
     for start in range(n):
         if seen[start]:
             continue
-        orbit = [start]
-        while perm[orbit[-1]] != start:
-            orbit.append(perm[orbit[-1]])
-        seen[orbit] = True
+        orbit = _orbit(perm, start)
+        partner = [] if inv is None else _orbit(perm, inv[start])
+        seen[orbit + partner] = True
         L = len(orbit)
         for s, nu in enumerate(nus):
             for k in range(order):
-                if (L * (nu - k)) % order == 0:
-                    phase = _QUARTER_TURNS[(step * (nu - k) * np.arange(L)) % 4]
-                    columns[k].append((rows[orbit, s], phase / np.sqrt(L)))
+                if (L * (nu - k)) % order:
+                    continue
+                phase = _QUARTER_TURNS[(step * (nu - k) * np.arange(L)) % 4]
+                if not partner:
+                    columns[2 * k].append((rows[orbit, s], phase / np.sqrt(L)))
+                elif partner[0] in orbit:
+                    # P c = w^{-(nu - k) q} c = +-c, q the steps along
+                    # the orbit from start to inv[start]
+                    q = orbit.index(partner[0])
+                    odd = (step * (nu - k) * q) % 4 == 2
+                    columns[2 * k + odd].append(
+                        (rows[orbit, s], phase / np.sqrt(L)))
+                else:
+                    pair = np.concatenate([rows[orbit, s], rows[partner, s]])
+                    c = phase / np.sqrt(2 * L)
+                    columns[2 * k].append((pair, np.concatenate([c, c])))
+                    columns[2 * k + 1].append((pair, np.concatenate([c, -c])))
     bases = []
     for cols in filter(None, columns):
         cols.sort(key=lambda col: col[0][0] >= n_meta)  # stable
@@ -360,17 +407,18 @@ def rotation_blocks(H: EffectiveHamiltonian, excited_only: bool = False):
 def eigenmodes(H: EffectiveHamiltonian) -> ModeSpectrum:
     """Complex eigendecomposition of the excited-sector generator.
 
-    With a rotation symmetry each irrep block Q_k^H M Q_k is diagonalized
-    on its own and right_vectors collects the Q_k V_k; otherwise the whole
-    excited block is.
+    With a rotation symmetry each irrep block Q^H M Q of rotation_blocks
+    (split by inversion too, when the array has it) is diagonalized on its
+    own and right_vectors collects the Q V; otherwise the whole excited
+    block is.
     """
     blocks = rotation_blocks(H, excited_only=True)
     M = H.excited_block
     lams, vecs = [], []
     for Q in (blocks or (None,)):
         try:
-            lam, V = scipy.linalg.eig(M if Q is None else Q.conj().T @ M @ Q)
-        except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare
+            lam, V = np.linalg.eig(M if Q is None else Q.conj().T @ M @ Q)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
             raise NumericError(f"eigendecomposition failed: {exc}") from exc
         lams.append(lam)
         vecs.append(V if Q is None else Q @ V)

@@ -275,9 +275,10 @@ def test_cli_simulate_outputs(tmp_path):
     assert summary["config_digest"] == cfg.digest()
     assert summary["n_atoms"] == 2
     assert summary["propagator"] == "eigen"
-    # two atoms on the z axis, driven on nu = +1: the irrep block holds
-    # both a_l and both beta_l^{+1}
-    assert summary["eigen_blocks"] == [[4]]
+    # two atoms on the z axis, driven on nu = +1: the rotation irrep holds
+    # both a_l and both beta_l^{+1}; inversion swaps the atoms and splits
+    # it into an even and an odd block of two
+    assert summary["eigen_blocks"] == [[2, 2]]
     assert 0.0 < summary["n_infinity"] <= 1.0001
 
 
@@ -329,7 +330,7 @@ def test_cli_angular_and_range_check(tmp_path, capsys):
     assert (out / "angular_map.csv").is_file()
     summary = json.loads((out / "summary.json").read_text())
     assert summary["u"] == 1.0
-    assert summary["eigen_blocks"] == [[4]]
+    assert summary["eigen_blocks"] == [[2, 2]]
     assert summary["integrated_flux"] > 0.0
 
     assert main(["angular", "--config", path, "--out", str(out),

@@ -471,9 +471,11 @@ def test_trajectory_csv(tmp_path):
 
 
 def test_eigen_blocks_follow_the_initial_state(monkeypatch):
-    # a z-directed timed state is a rotation eigenvector: one block; an
-    # x-directed one splits over several irreps.  The ODE integrates the
-    # same blocks, stacked, and stores their coordinates
+    # a z-directed timed state is a rotation eigenvector: one C4 irrep (20
+    # of 72), whose even and odd halves under inversion it both touches.
+    # An x-directed one touches every C4 irrep, but only one parity half
+    # of each (cos kx is even, sin kx odd).  The ODE integrates the touched
+    # rotation blocks, unsplit, and stores their coordinates
     arr = build_lattice(3, 3, 2, 0.4)
     H = assemble(arr, LaserDrive(2.0, 1.0,
                                  envelope=PulseEnvelope.square(1.0, 1.0, 0.5)))
@@ -481,21 +483,18 @@ def test_eigen_blocks_follow_the_initial_state(monkeypatch):
     z_state = timed_dicke_state(arr, [0.0, 0.0, K0])
     x_state = timed_dicke_state(arr, [K0, 0.0, 0.0])
     z = propagate_eigen(H, z_state, t)
-    assert len(z.eigen_blocks) == 2
-    assert all(len(dims) == 1 for dims in z.eigen_blocks)
+    assert z.eigen_blocks == [[10, 10], [10, 10]]
     x = propagate_eigen(H, x_state, t)
-    for dims in x.eigen_blocks:
-        assert len(dims) > 1 and sum(dims) <= H.dim
+    assert x.eigen_blocks == [[9, 10, 8, 9], [9, 10, 8, 9]]
     _, sizes = _count_solver_calls(monkeypatch)
-    for eig, psi0 in ((z, z_state), (x, x_state)):
+    for eig, psi0, ode_dim in ((z, z_state, 20), (x, x_state, H.dim)):
         sizes.clear()
         ode = propagate_ode(H, psi0, 2.0, times=t)
         assert ode.eigen_blocks is None
-        # one solver pass across the jump, on the touched blocks
-        assert sizes == [sum(eig.eigen_blocks[0])]
+        # one solver pass across the jump, on the touched rotation blocks
+        assert sizes == [ode_dim]
         assert ode.states.shape == (H.dim, len(t))
         assert np.max(np.abs(ode.states - eig.states)) < 1e-6
-    assert z.eigen_blocks[0][0] < H.dim
 
 
 def test_eigen_condition_is_the_2norm_condition_of_V():

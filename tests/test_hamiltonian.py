@@ -255,12 +255,30 @@ def test_condition_estimate_is_cond_of_right_vectors():
 
 def test_rotation_blocks_find_the_lattice_symmetry():
     drive = LaserDrive(1.0, 0.0)
-    # the central column of 3x3x8 holds 8 fixed points: the block of the
-    # driven sublevel's irrep is 80 of 288, not a quarter
-    blocks = rotation_blocks(assemble(build_lattice(3, 3, 8, 0.6), drive))
-    assert [Q.shape[1] for Q in blocks] == [72, 80, 64, 72]
-    # nx != ny: only the half turn, two irreps
-    assert len(rotation_blocks(assemble(build_lattice(2, 3, 2, 0.6),
-                                        drive))) == 2
+    # the central column of 3x3x8 holds 8 fixed points: the C4 block of the
+    # driven sublevel's irrep is 80 of 288, not a quarter.  Inversion pairs
+    # every orbit with another (no atom lies in z = 0), so each irrep splits
+    # into an even and an odd half
+    H = assemble(build_lattice(3, 3, 8, 0.6), drive)
+    blocks = rotation_blocks(H)
+    assert [Q.shape[1] for Q in blocks] == [36, 36, 40, 40, 32, 32, 36, 36]
+    c4 = rotation_blocks(H, inversion=False)
+    assert [Q.shape[1] for Q in c4] == [72, 80, 64, 72]
+    # 6x6x6: 864 = 8 x 108, and the excited 648 = 8 x 81
+    H = assemble(build_lattice(6, 6, 6, 0.6), drive)
+    assert [Q.shape[1] for Q in rotation_blocks(H)] == [108] * 8
+    assert ([Q.shape[1] for Q in rotation_blocks(H, excited_only=True)]
+            == [81] * 8)
+    # nx != ny: only the half turn, with inversion four irreps
+    H = assemble(build_lattice(2, 3, 2, 0.6), drive)
+    assert len(rotation_blocks(H)) == 4
+    assert len(rotation_blocks(H, inversion=False)) == 2
+    # moved along z the lattice keeps its C4 but loses inversion: the
+    # rotation-only blocks, unchanged
+    lifted = assemble(AtomArray(build_lattice(3, 3, 8, 0.6).positions
+                                + [0, 0, 0.1]), drive)
+    for Q, Q4 in zip(rotation_blocks(lifted, inversion=True), c4,
+                     strict=True):
+        assert (Q != Q4).nnz == 0
     shifted = AtomArray(build_lattice(2, 2, 2, 0.6).positions + [0.1, 0, 0])
     assert rotation_blocks(assemble(shifted, drive)) is None

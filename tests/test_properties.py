@@ -107,6 +107,16 @@ def _rotation_operator(H, order):
     return U
 
 
+def _inversion_permutation(H):
+    """Full-space index map of the inversion r -> -r: a_l and each
+    beta_l^nu move to the atom at -r_l, with no phase (P e_i = e_p[i])."""
+    pos = H.array.positions
+    inv = np.array([np.flatnonzero((pos == -r).all(axis=1))[0] for r in pos])
+    n, m = H.n_atoms, H.n_sublevels
+    return np.concatenate([inv, n + (m * inv[:, None]
+                                     + np.arange(m)).ravel()])
+
+
 _SUBSETS = [(-1,), (0,), (1,), (-1, 0), (-1, 1), (0, 1), (-1, 0, 1)]
 
 
@@ -116,35 +126,100 @@ _SUBSETS = [(-1,), (0,), (1,), (-1, 0), (-1, 1), (0, 1), (-1, 0, 1)]
 def test_rotation_blocks_are_orthonormal_and_commute(nx, ny, nz, d, subs,
                                                       data):
     # square lattices (odd nx has a fixed-point column) get C4, the others
-    # C2; the bases are jointly orthonormal and span the whole space
+    # C2, and every centred lattice has the inversion.  With it (C4h, C2h)
+    # and without it (the ODE's blocks) the bases are jointly orthonormal
+    # and span the whole space
     nu0 = data.draw(st.sampled_from(subs))
     H = assemble(build_lattice(nx, ny, nz, d),
                  LaserDrive(1.3, 0.7, target_sublevel=nu0),
                  include_sublevels=subs)
-    blocks = [Qk.toarray() for Qk in rotation_blocks(H)]
     order = 4 if nx == ny else 2
-    Q = np.hstack(blocks)
-    assert Q.shape == (H.dim, H.dim)
-    assert np.max(np.abs(Q.conj().T @ Q - np.eye(H.dim))) <= 1e-14
-    # each basis spans one eigenspace of U, a distinct order-th root of 1
     U = _rotation_operator(H, order)
-    phases = [(Qk.conj().T @ U @ Qk)[0, 0] for Qk in blocks]
-    for phase, Qk in zip(phases, blocks):
-        assert np.max(np.abs(U @ Qk - phase * Qk)) <= 1e-14
-    assert np.allclose(np.power(phases, order), 1.0, rtol=0, atol=1e-14)
-    assert np.min(np.abs(np.subtract.outer(phases, phases))
-                  + np.eye(len(phases))) > 0.5
-    # EffectiveHamiltonian.block keeps each Q_k^H G Q_k as its constant
-    # excited part and the drive pairing
-    gen_blocks = [H.block(Qk) for Qk in rotation_blocks(H)]
+    P = np.eye(H.dim)[:, _inversion_permutation(H)]
+    for inversion in (True, False):
+        bases = rotation_blocks(H, inversion=inversion)
+        blocks = [Qk.toarray() for Qk in bases]
+        Q = np.hstack(blocks)
+        assert Q.shape == (H.dim, H.dim)
+        assert np.max(np.abs(Q.conj().T @ Q - np.eye(H.dim))) <= 1e-14
+        # each basis spans one eigenspace of U, an order-th root of 1, and
+        # with inversion one of P too, a parity sign; the (phase, sign)
+        # pairs are distinct
+        labels = []
+        for Qk in blocks:
+            phase = (Qk.conj().T @ U @ Qk)[0, 0]
+            assert np.max(np.abs(U @ Qk - phase * Qk)) <= 1e-14
+            assert abs(phase ** order - 1.0) <= 1e-14
+            sign = 1.0
+            if inversion:
+                sign = (Qk.conj().T @ P @ Qk)[0, 0]
+                assert abs(abs(sign) - 1.0) <= 1e-14
+                assert abs(sign.imag) <= 1e-14
+                assert np.max(np.abs(P @ Qk - sign * Qk)) <= 1e-14
+            labels.append(phase + 4.0 * sign.real)
+        assert np.min(np.abs(np.subtract.outer(labels, labels))
+                      + np.eye(len(labels))) > 0.5
+        # EffectiveHamiltonian.block keeps each Q_k^H G Q_k as its constant
+        # excited part and the drive pairing
+        gen_blocks = [H.block(Qk) for Qk in bases]
+        for f in (0.0, 0.5, 1.0):
+            G = H.generator_at(f)
+            assert np.linalg.norm(U @ G - G @ U) <= 1e-13 * np.linalg.norm(G)
+            for Qk, blk in zip(blocks, gen_blocks):
+                assert (np.max(np.abs(blk.matrix(f) - Qk.conj().T @ G @ Qk))
+                        <= 1e-14 * np.linalg.norm(G))
+        excited = rotation_blocks(H, excited_only=True, inversion=inversion)
+        assert sum(Qk.shape[1] for Qk in excited) == H.excited_block.shape[0]
+
+
+@settings(max_examples=30, deadline=None, phases=NO_SHRINK)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3),
+       st.floats(0.3, 0.8), st.sampled_from(SUBLEVELS),
+       st.sampled_from(("z", "x")), st.booleans())
+def test_inversion_blocks_match_the_whole_space(nx, ny, nz, d, nu0,
+                                                direction, square):
+    # the generator of a centred lattice commutes exactly with the atom
+    # permutation r -> -r; the spectral path's blocks (split by inversion
+    # too, orthonormal by the test above) give the whole-space spectrum and
+    # propagation
+    arr = build_lattice(nx, ny, nz, d)
+    env = (PulseEnvelope.square(0.6, 1.0, 0.3) if square
+           else PulseEnvelope.constant())
+    drive = LaserDrive(2.0, 3.0, envelope=env, target_sublevel=nu0)
+    H = assemble(arr, drive)
+    p = _inversion_permutation(H)
     for f in (0.0, 0.5, 1.0):
         G = H.generator_at(f)
-        assert np.linalg.norm(U @ G - G @ U) <= 1e-13 * np.linalg.norm(G)
-        for Qk, blk in zip(blocks, gen_blocks):
-            assert (np.max(np.abs(blk.matrix(f) - Qk.conj().T @ G @ Qk))
-                    <= 1e-14 * np.linalg.norm(G))
-    excited = rotation_blocks(H, excited_only=True)
-    assert sum(Qk.shape[1] for Qk in excited) == H.excited_block.shape[0]
+        assert np.array_equal(G[np.ix_(p, p)], G)
+    # the same lattice moved off the z axis has neither symmetry: the
+    # whole generator, one block
+    moved = assemble(AtomArray(arr.positions + np.array([0.37, 0.0, 0.0])),
+                     drive)
+    assert rotation_blocks(moved) is None
+    lam_b, lam_f = eigenmodes(H).eigenvalues, np.linalg.eigvals(
+        moved.excited_block)
+    assert _same_multiset(lam_b, lam_f, 1e-10 * np.max(np.abs(lam_f)))
+    k_gf = [0.0, 0.0, K0] if direction == "z" else [K0, 0.0, 0.0]
+    psi0 = timed_dicke_state(arr, k_gf)
+    t = np.linspace(0.0, 1.5, 16)
+    block, full = (propagate_eigen(ham, psi0, t) for ham in (H, moved))
+    assert all(dims == [H.dim] for dims in full.eigen_blocks)
+    assert np.max(np.abs(block.states - full.states)) <= 1e-10
+
+
+def test_ode_keeps_the_rotation_blocks():
+    # the README lattice, z-directed: the spectral path diagonalizes the
+    # even and odd halves of the driven C4 irrep, the ODE integrates the
+    # whole irrep as one block
+    arr = build_lattice(3, 3, 8, 0.6)
+    H = assemble(arr, LaserDrive(2.0, 10.0))
+    psi0 = timed_dicke_state(arr, [0.0, 0.0, K0])
+    t = np.linspace(0.0, 2.0, 11)
+    eig = propagate_eigen(H, psi0, t)
+    ode = propagate_ode(H, psi0, 2.0, tol=1e-10, atol=1e-13, times=t)
+    assert eig.eigen_blocks == [[40, 40]]
+    assert [blk.dim for blk in ode.blocks] == [80]
+    assert np.max(np.abs(ode.states - eig.states)) <= 1e-9
 
 
 @st.composite
@@ -236,15 +311,25 @@ def test_block_observables_match_the_lifted_states(nx, ny, nz, d, direction,
     n, t = arr.n_atoms, np.linspace(0.0, 1.5, 16)
     ops = [_kernels.model_matrix(Q, H.columns)
            for Q in _kernels.flux_blocks(arr.positions)]
-    # the flux operators are block diagonal in the rotation irreps
+    # F+ + F- commutes with the rotation and the inversion: it is block
+    # diagonal over every irrep.  F+ - F- commutes with the rotation but is
+    # odd under inversion: it couples each irrep only to its parity
+    # partner, the other one of the same rotation phase
     bases = rotation_blocks(H, excited_only=True)
-    for Qk, Ql in itertools.permutations(bases, 2):
-        for F in ops:
-            assert np.max(np.abs(Qk.conj().T @ F @ Ql)) <= 1e-14
-    for traj in (propagate_eigen(H, psi0, t),
-                 propagate_ode(H, psi0, 1.5, times=t)):
-        if direction == "z" or len(bases) == 1:
-            assert len(traj.blocks) == 1
+    U = _rotation_operator(H, 4 if nx == ny else 2)[n:, n:]
+    phases = [(Qk.conj().T @ U @ Qk)[0, 0] for Qk in bases]
+    total, diff = ops[0] + ops[1], ops[0] - ops[1]
+    for (Qk, pk), (Ql, pl) in itertools.product(zip(bases, phases), repeat=2):
+        if Qk is not Ql:
+            assert np.max(np.abs(Qk.conj().T @ total @ Ql)) <= 1e-14
+        if Qk is Ql or abs(pk - pl) > 0.5:
+            assert np.max(np.abs(Qk.conj().T @ diff @ Ql)) <= 1e-14
+    # a z-directed state lies in one rotation irrep: the spectral path
+    # touches its two parity halves at most, the ODE the whole irrep
+    for traj, n_blocks in ((propagate_eigen(H, psi0, t), 2),
+                           (propagate_ode(H, psi0, 1.5, times=t), 1)):
+        if direction == "z":
+            assert len(traj.blocks) <= n_blocks
         psi = traj.states
         beta = psi[n:]
         wave = waveform(traj, allow_truncation=True)
