@@ -11,18 +11,20 @@ Two routes, cross-validated against each other:
   Otherwise the whole generator is diagonalized.  Requires a
   well-conditioned eigenbasis; collective modes are not orthogonal, so the
   condition number is checked.
-* adaptive ODE: embedded explicit Runge-Kutta (DOP853) for arbitrary
-  envelopes, in one solver pass; jumps and kinks are both stops, on which
-  steps end exactly; a step from a jump starts on its right limit.  It
-  integrates the touched blocks of the rotation alone (C4, not split by
-  inversion: two half-size products per step cost more than one), or the
-  whole space without a symmetry.  The right-hand side is linear,
-  y' = G(f(t)) y: one product with each block's constant excited part
-  plus O(orbits) drive work.  The
-  DOP853 step is written for it: the stage envelope values come from the
-  linear piece of f that holds on the step, so a step ending on a jump
-  reads the left limit there.  Off-grid states are integrated from the
-  stored sample before them, at the run's tolerances.
+* ODE: truncated-Taylor steps for arbitrary piecewise-linear envelopes,
+  in one solver pass (_taylor.PiecewiseTaylor, imported with scipy's
+  solve_ivp on the first ODE run only).  The right-hand side is linear,
+  y' = G(f(t)) y, and on each linear piece of f the Taylor terms of the
+  solution follow a two-term recursion: one product with the blocks at
+  the piece's start plus O(orbits) drive work per term.  Steps end on the
+  envelope's jumps and kinks, so each uses one linear piece of f; the
+  term count and any split of a long piece come from a norm bound of the
+  generator and the tolerances, and the step's Taylor sum is also its
+  dense output.  It integrates the touched blocks of the rotation alone
+  (C4, not split by inversion: two half-size products per term cost more
+  than one), or the whole space without a symmetry.  Off-grid states
+  are integrated from the stored sample before them, at the run's
+  tolerances.
 
 Both routes take their blocks from EffectiveHamiltonian.block: a constant
 excited part, projected once, and the drive pairing, scaled by f(t).  A
@@ -36,11 +38,7 @@ projects the flux operators onto all of a trajectory's blocks at once.
 
 from __future__ import annotations
 
-import bisect
-import math
-
 import numpy as np
-from scipy.integrate import DOP853, solve_ivp
 
 from .core import AmplitudeState
 from .envelope import write_columns
@@ -50,6 +48,13 @@ from .hamiltonian import EffectiveHamiltonian, rotation_blocks
 __all__ = ["Trajectory", "piecewise_grid", "propagate_eigen", "propagate_ode"]
 
 EIGEN_COND_LIMIT = 1e8
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported on the first call: only the ODE
+    path loads scipy."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+    return scipy_solve_ivp(*args, **kwargs)
 
 
 def piecewise_grid(t_end: float, bands) -> np.ndarray:
@@ -78,11 +83,14 @@ class Trajectory:
     before the first of them, in the same blocks, at the run's own
     tolerances tols = (rtol, atol).  eigen_blocks lists, per spectral
     segment, the dimensions of the blocks diagonalized (None for ODE
-    trajectories).
+    trajectories).  ode_passes and ode_products count the ODE work run for
+    the trajectory so far, its propagate_ode pass and any off-grid pass of
+    coords_at: solver passes, and products with the stacked blocks (zero
+    for spectral trajectories).
     """
 
     def __init__(self, H, times, coords, kind, blocks=None, segments=None,
-                 eigen_blocks=None, tols=None):
+                 eigen_blocks=None, tols=None, ode_products=0):
         self.H = H
         self.times = np.asarray(times, dtype=float)
         self.blocks = (H.block(),) if blocks is None else tuple(blocks)
@@ -93,6 +101,8 @@ class Trajectory:
         if segments is not None:
             self._segment_ends = np.array([seg[1] for seg in segments]) + 1e-12
         self._tols = tols
+        self.ode_passes = int(kind == "ode")
+        self.ode_products = ode_products
         self._spans = _spans(self.blocks)
         if coords.shape[0] != self._spans[-1].stop:
             raise InvalidArgumentError(
@@ -145,7 +155,8 @@ class Trajectory:
             k = np.minimum(np.searchsorted(self._segment_ends, u, side="left"),
                            len(self._segments) - 1)
             out = np.empty((self.coords.shape[0], len(u)), dtype=complex)
-            for i in np.unique(k):
+            # (np.unique would import numpy.ma on its first call)
+            for i in sorted(set(k.tolist())):
                 t0, _, modes = self._segments[i]
                 out[:, k == i] = _modal_coords(modes, u[k == i] - t0)
             return out
@@ -157,10 +168,12 @@ class Trajectory:
         if np.any(off):
             grid = np.unique(u[off])
             first = int(np.min(k[off]))
-            _, y = _integrate(self.H, self.blocks, self.coords[:, first].copy(),
-                              self.times[first], grid[-1], *self._tols,
-                              times=grid)
-            out[:, off] = y[:, np.searchsorted(grid, u[off])]
+            sol = _integrate(self.H, self.blocks, self.coords[:, first].copy(),
+                             self.times[first], grid[-1], *self._tols,
+                             times=grid)
+            self.ode_passes += 1
+            self.ode_products += sol.nfev
+            out[:, off] = sol.y[:, np.searchsorted(grid, u[off])]
         return out
 
     def state_at(self, u: float) -> np.ndarray:
@@ -210,7 +223,7 @@ def _column_sectors(H: EffectiveHamiltonian, blk) -> np.ndarray:
     if blk.basis is None:
         rows = np.arange(blk.dim)
     else:
-        rows = blk.basis.indices[blk.basis.indptr[:-1]]
+        rows = blk.basis.first_rows
     n = H.n_atoms
     return np.where(rows < n, 0, 1 + (rows - n) % H.n_sublevels)
 
@@ -309,158 +322,31 @@ def _touched_blocks(H: EffectiveHamiltonian, psi: np.ndarray,
     if bases is None:
         return [H.block()]
     tol = psi.size * np.finfo(float).eps * np.linalg.norm(psi)
-    touched = [Q for Q in bases if np.linalg.norm(Q.conj().T @ psi) > tol]
+    touched = [Q for Q in bases if np.linalg.norm(Q.project(psi)) > tol]
     return [H.block(Q) for Q in touched or bases]
-
-
-# scipy's RungeKutta step-size controller, which _DOP853Stops keeps exactly
-_SAFETY = 0.9
-_MIN_FACTOR = 0.2
-_MAX_FACTOR = 10
-
-
-class _DOP853Stops(DOP853):
-    """DOP853 for the linear right-hand side y' = G(f(t)) y, with steps
-    that end exactly on the envelope's kinks and jumps.
-
-    A step across a kink or a jump of the envelope carries a low-order
-    local error that the embedded error estimate misses, so no step
-    crosses one; the solver goes on with its step size.  At a kink the
-    right-hand side is continuous and the next step starts on the last
-    derivative.  At a jump it is not: the step that starts there computes
-    its first stage K[0] from the right limit of f (one more evaluation),
-    while f keeps the left-limit derivative at the end of the step before,
-    which DOP853's dense output on that step reads.
-
-    The step is scipy's DOP853 step with its controller, written for this
-    right-hand side and for forward time; solve_ivp drives it as any other
-    method, and it takes stock DOP853's steps up to rounding.
-    product(y, f, out) writes G(f) y into out.  f is linear on each step,
-    and the stage envelope values all come from the piece of f that holds
-    at the step's start (PulseEnvelope.piece): a step that ends on a jump
-    reads its left limit.
-    Each stage input is one product of a row of the precomputed complex
-    tableau [1 | h A] with the rows y, K[0], K[1], ...; each stage product
-    is written straight into K[s], and nfev counts the 12 evaluations of
-    every attempt.  K, y_old, h_previous and f are kept as scipy keeps
-    them for DOP853's dense output, which still evaluates fun.
-    """
-
-    def __init__(self, fun, t0, y0, t_bound, *, kinks, jumps, product,
-                 envelope, **options):
-        super().__init__(fun, t0, y0, t_bound, **options)
-        self._stops = sorted(kinks + jumps)
-        self._jumps = set(jumps)
-        self._product = product
-        self._envelope = envelope
-        # row 0 holds y, the rest are scipy's stages K_extended (K the first
-        # n_stages + 1 of them), so y + h sum_j a_j K[j] is one product
-        ns = self.n_stages
-        yK = np.empty((1 + len(self.K_extended), self.n), dtype=self.y.dtype)
-        self.K_extended = yK[1:]
-        self.K = self.K_extended[:ns + 1]
-        self._y_row = yK[0]
-        # row s - 1 of [1 | A] gives the input of stage s = 1 .. ns - 1, its
-        # last row [1 | B] gives y_new, the input of f_new; each attempt
-        # writes [1 | h A] into _tableau_h
-        self._tableau = np.zeros((ns, ns + 1), dtype=complex)
-        self._tableau[:, 0] = 1.0
-        self._tableau[:-1, 1:] = self.A[1:]
-        self._tableau[-1, 1:] = self.B
-        self._tableau_h = self._tableau.copy()
-        # (tableau row, rows it combines, stage it feeds), one per product
-        self._stages = [(self._tableau_h[s - 1, :s + 1], yK[:s + 1], self.K[s])
-                        for s in range(1, ns + 1)]
-        self._nodes = self.C[1:].tolist() + [1.0]
-        self._errors = np.array([self.E5, self.E3], dtype=complex)
-
-    def _step_impl(self):
-        t, y = self.t, self.y
-        k = bisect.bisect_right(self._stops, t)
-        t_bound = self._stops[k] if k < len(self._stops) else self.t_bound
-        min_step = 10 * (np.nextafter(t, np.inf) - t)
-        if self.h_abs > self.max_step:
-            h_abs = self.max_step
-        else:
-            h_abs = max(self.h_abs, min_step)
-
-        f_t, slope = self._envelope.piece(t)
-        product = self._product
-        self._y_row[:] = y
-        if t in self._jumps:
-            product(y, f_t, self.K[0])
-            self.nfev += 1
-        else:
-            self.K[0] = self.f
-        y_abs = np.abs(y)
-        step_rejected = False
-        while True:
-            if h_abs < min_step:
-                return False, self.TOO_SMALL_STEP
-            t_new = t + h_abs
-            if t_new > t_bound:
-                t_new = t_bound
-            h = t_new - t
-            h_abs = abs(h)
-
-            np.multiply(self._tableau[:, 1:], h, out=self._tableau_h[:, 1:])
-            for (row, rows, stage), c in zip(self._stages, self._nodes):
-                y_new = row @ rows  # the last stage's input is y_new
-                product(y_new, f_t + slope * (c * h), stage)
-            self.nfev += self.n_stages
-
-            scale = np.abs(y_new)
-            np.maximum(scale, y_abs, out=scale)
-            scale *= self.rtol
-            scale += self.atol
-            err5, err3 = self._errors @ self.K
-            err5 /= scale
-            err3 /= scale
-            err5_2 = np.vdot(err5, err5).real
-            err3_2 = np.vdot(err3, err3).real
-            if err5_2 == 0 and err3_2 == 0:
-                error_norm = 0.0
-            else:
-                error_norm = h_abs * err5_2 / math.sqrt(
-                    (err5_2 + 0.01 * err3_2) * self.n)
-
-            if error_norm < 1:
-                if error_norm == 0:
-                    factor = _MAX_FACTOR
-                else:
-                    factor = min(_MAX_FACTOR,
-                                 _SAFETY * error_norm ** self.error_exponent)
-                h_abs *= min(1, factor) if step_rejected else factor
-                break
-            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** self.error_exponent)
-            step_rejected = True
-
-        self.h_previous = h
-        self.y_old = y
-        self.t = t_new
-        self.y = y_new
-        self.h_abs = h_abs
-        self.f = self.K[-1].copy()
-        return True, None
 
 
 def propagate_ode(H: EffectiveHamiltonian, psi0: AmplitudeState,
                   t_end: float, tol: float = 1e-8, atol: float = 1e-12,
                   times=None) -> Trajectory:
-    """Adaptive DOP853 integration up to t_end under H.drive.envelope.
+    """Truncated-Taylor integration up to t_end under H.drive.envelope.
 
-    One solver pass whose steps end on the envelope's jumps
-    (PulseEnvelope.breakpoints) and kinks (PulseEnvelope.kinks), so
-    piecewise-linear and square envelopes keep full order; a step that
-    starts on a jump starts on its right limit (_DOP853Stops).  As in
-    propagate_eigen, only the symmetry blocks psi0 touches are integrated,
-    stacked in one vector, but those of the rotation alone, not split by
-    inversion; the right-hand side is linear, one product with
-    each block's constant excited part plus the drive pairing.  The
-    solver's stacked coordinates are stored as they are (Trajectory).
-    times selects the storage grid, passed to the solver as t_eval; ends
-    up to 1e-12 outside [t0, t_end] are taken as t0 and t_end (default:
-    the solver's accepted steps, whose spacing tracks the local dynamics).
+    One solver pass (_taylor.PiecewiseTaylor) whose steps end on the
+    envelope's jumps (PulseEnvelope.breakpoints) and kinks
+    (PulseEnvelope.kinks), so that f is linear on every step: a step that
+    ends on a jump uses the piece before it, the next step the piece
+    after it.  Each step sums the Taylor series of the solution to as
+    many terms as a norm bound of the generator needs for the tolerances:
+    the truncation errors of the pass add up to at most
+    tol * max ||psi|| + atol.  As in propagate_eigen, only the symmetry
+    blocks psi0 touches are integrated, stacked in one vector, but those
+    of the rotation alone, not split by inversion; each Taylor term is one
+    product with each block's constant excited part plus the drive
+    pairing.  The solver's stacked coordinates are stored as they are
+    (Trajectory), with its block products (ode_products).  times selects
+    the storage grid, passed to the solver as t_eval and read from each
+    step's Taylor sum; ends up to 1e-12 outside [t0, t_end] are taken as
+    t0 and t_end (default: the solver's steps).
     """
     if tol <= 0:
         raise InvalidArgumentError("tol must be positive")
@@ -477,39 +363,32 @@ def propagate_ode(H: EffectiveHamiltonian, psi0: AmplitudeState,
     psi = H.pack(psi0)
     blocks = _touched_blocks(H, psi)
     y0 = np.concatenate([blk.project(psi) for blk in blocks])
-    t, y = _integrate(H, blocks, y0, t0, t_end, tol, atol, times)
-    return Trajectory(H, t, y, kind="ode", blocks=blocks, tols=(tol, atol))
+    sol = _integrate(H, blocks, y0, t0, t_end, tol, atol, times)
+    return Trajectory(H, sol.t, sol.y, kind="ode", blocks=blocks,
+                      tols=(tol, atol), ode_products=sol.nfev)
 
 
 def _integrate(H: EffectiveHamiltonian, blocks, y0: np.ndarray, t0: float,
                t_end: float, tol: float, atol: float, times):
-    """One _DOP853Stops pass of the stacked coordinates y0 in blocks from
-    t0 to t_end, stored on times (t_eval); returns the solver's (t, y)."""
+    """One solver pass of the stacked coordinates y0 in blocks from t0 to
+    t_end, in truncated-Taylor steps (_taylor.PiecewiseTaylor), stored on
+    times (t_eval); returns the solver's result."""
+    from ._taylor import PiecewiseTaylor
+
     env = H.drive.envelope
     spans = _spans(blocks)
 
-    if len(blocks) == 1:
-        product = blocks[0].apply
-    else:
-        def product(y, f, out=None):
-            if out is None:
-                out = np.empty(y.shape, dtype=complex)
-            for blk, s in zip(blocks, spans):
-                blk.apply(y[s], f, out[s])
-            return out
-
     def rhs(t, y):
-        return product(y, env(t))
+        out = np.empty(y.shape, dtype=complex)
+        for blk, s in zip(blocks, spans):
+            blk.apply(y[s], env(t), out[s])
+        return out
 
-    jumps = env.breakpoints(t_end)
-    kinks = env.kinks(t_end)
-    # a jump at t0 is no stop: the solver's first derivative, rhs(t0, y0),
-    # already reads its right limit
-    sol = solve_ivp(rhs, (t0, t_end), y0, method=_DOP853Stops,
-                    kinks=kinks[kinks > t0].tolist(),
-                    jumps=jumps[jumps > t0].tolist(), product=product,
-                    envelope=env, rtol=tol, atol=atol, t_eval=times)
+    ends = np.union1d(env.breakpoints(t_end), env.kinks(t_end))
+    sol = solve_ivp(rhs, (t0, t_end), y0, method=PiecewiseTaylor,
+                    blocks=blocks, envelope=env, ends=ends[ends > t0].tolist(),
+                    rtol=tol, atol=atol, t_eval=times)
     if not sol.success:
         raise NumericError(f"integrator failed on [{t0:g}, {t_end:g}]: "
                            f"{sol.message}")
-    return sol.t, sol.y
+    return sol

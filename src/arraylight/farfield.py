@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from . import _kernels
 from .core import AtomArray
@@ -102,7 +103,7 @@ class AngularGrid:
             raise InvalidArgumentError("need at least 2 nodes per angle")
         self.n_theta = int(n_theta)
         self.n_phi = int(n_phi)
-        x, w = np.polynomial.legendre.leggauss(self.n_theta)
+        x, w = leggauss(self.n_theta)
         theta_1d = np.arccos(x[::-1])           # ascending theta
         w_1d = w[::-1]
         phi_1d = 2.0 * np.pi * np.arange(self.n_phi) / self.n_phi
@@ -234,9 +235,9 @@ def _excited_operator(H, blocks, M: np.ndarray) -> np.ndarray:
     itself for the whole generator)."""
     if blocks[0].basis is None:
         return M
-    Qs = [blk.basis[H.n_atoms:, blk.n_meta:] for blk in blocks]
-    QM = np.vstack([Q.conj().T @ M for Q in Qs])
-    return np.hstack([QM @ Q for Q in Qs])
+    Qs = [blk.basis.excited(H.n_atoms) for blk in blocks]
+    QM = np.vstack([Q.project(M) for Q in Qs])
+    return np.hstack([Q.project(QM.conj().T).conj().T for Q in Qs])
 
 
 def waveform(traj: Trajectory, u_grid=None,

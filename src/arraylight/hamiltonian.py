@@ -27,11 +27,15 @@ that moves each atom's amplitudes to the atom at -r, with no phase on the
 sublevels: the Green's tensor is even in the separation.  P commutes with
 U, and rotation_blocks builds the orthonormal bases of their joint
 eigenspaces, the irreps (k, +-) of C4h (C2h), or of U's alone without the
-inversion; the generator is block diagonal in them.  Each block is again a
-constant excited part plus the drive, which pairs each orbit of the a_l
-with the same orbit of the beta_l^nu0 (EffectiveHamiltonian.block).  The
-spectral path (eigenmodes, dynamics.propagate_eigen) uses the blocks split
-by inversion, the ODE those of U alone.
+inversion; the generator is block diagonal in them.  Each basis column
+is one orbit (or an orbit and its inversion image) in one sector, and the
+columns of a basis have disjoint supports, so a basis is stored as index
+arrays (OrbitBasis) and its products are gathers, scatters and sums over
+orbits.  Each block is again a constant excited part plus the drive,
+which pairs each orbit of the a_l with the same orbit of the beta_l^nu0
+(EffectiveHamiltonian.block).  The spectral path (eigenmodes,
+dynamics.propagate_eigen) uses the blocks split by inversion, the ODE
+those of U alone.
 """
 
 from __future__ import annotations
@@ -40,15 +44,14 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse
 
 from . import _kernels
 from .core import AmplitudeState, AtomArray, LaserDrive, SUBLEVELS
 from .envelope import write_columns
 from .errors import InvalidArgumentError, NumericError
 
-__all__ = ["EffectiveHamiltonian", "ModeSpectrum", "assemble", "eigenmodes",
-           "rotation_blocks"]
+__all__ = ["EffectiveHamiltonian", "ModeSpectrum", "OrbitBasis", "assemble",
+           "eigenmodes", "rotation_blocks"]
 
 
 @dataclass(frozen=True)
@@ -92,6 +95,17 @@ class EffectiveHamiltonian:
         """Columns of the model's sublevels in an (N, 3) beta array."""
         return _sublevel_columns(self.sublevels)
 
+    @cached_property
+    def _symmetry_bases(self) -> dict:
+        """rotation_blocks' bases of the full generator, built once per
+        value of its inversion flag."""
+        return {}
+
+    @cached_property
+    def _basis_blocks(self) -> dict:
+        """block(Q) by basis (an OrbitBasis hashes by identity)."""
+        return {}
+
     def generator_at(self, f_value: float) -> np.ndarray:
         """Dense generator for one envelope value."""
         return self.block().matrix(f_value)
@@ -105,24 +119,30 @@ class EffectiveHamiltonian:
         the generator's own layout.  The drive couples each metastable
         column (an orbit of a_l) only to the nu0 column of the same orbit
         and irrep, with the same -(i/2) Omega_L f(t) as on every atom.
+        The block of each basis is built once: the spectral path and
+        eigenmodes share it.
         """
         n = self.n_atoms
         coupling = -0.5j * self.drive.omega_L0
         if basis is None:
             return GeneratorBlock(None, n, self.excited_block,
                                   self._driven if coupling else None, coupling)
-        Q_meta = basis[:n]  # csc: the metastable columns have entries here
-        n_meta = int(np.count_nonzero(np.diff(Q_meta.indptr)))
-        Q_exc = basis[n:, n_meta:]
-        excited = Q_exc.conj().T @ self.excited_block @ Q_exc
+        if basis in self._basis_blocks:
+            return self._basis_blocks[basis]
+        n_meta = basis.n_meta(n)
+        excited = basis.excited(n).sandwich(self.excited_block)
         driven = None
         if coupling:
-            # one entry per metastable column, at its nu0 partner
-            pairs = (Q_meta.conj().T
-                     @ basis[np.arange(self.dim)[self._driven]]).tocoo()
-            driven = pairs.col[np.argsort(pairs.row)]
-        return GeneratorBlock(basis, n_meta, np.ascontiguousarray(excited),
-                              driven, coupling)
+            # the nu0 column of a metastable column's orbit starts on the
+            # nu0 row of the orbit's first atom
+            first = basis.first_rows
+            column = np.full(self.dim, -1)
+            column[first] = np.arange(len(first))
+            driven = column[n + self.n_sublevels * first[:n_meta]
+                            + self.sublevels.index(self.drive.target_sublevel)]
+        block = GeneratorBlock(basis, n_meta, excited, driven, coupling)
+        self._basis_blocks[basis] = block
+        return block
 
     @cached_property
     def _driven(self) -> slice:
@@ -157,8 +177,8 @@ class GeneratorBlock:
     The block's first n_meta amplitudes are metastable, the rest excited.
     excited is the constant excited part; the drive couples metastable
     amplitude i and block amplitude driven[i] with coupling * f(t), both
-    ways.  basis is the block's (dim, b) isometry Q, or None for the whole
-    generator.
+    ways.  basis is the block's (dim, b) isometry Q (an OrbitBasis), or
+    None for the whole generator.
     """
 
     basis: object
@@ -204,14 +224,107 @@ class GeneratorBlock:
 
     def project(self, psi: np.ndarray) -> np.ndarray:
         """Full-space state(s) -> block coordinates Q^H psi."""
-        return psi if self.basis is None else self.basis.conj().T @ psi
+        return psi if self.basis is None else self.basis.project(psi)
 
     def lift(self, y: np.ndarray, rows=None) -> np.ndarray:
         """Block coordinates -> full space, Q y; only the full-space rows
         listed in rows when given."""
         if self.basis is None:
             return y if rows is None else y[rows]
-        return (self.basis if rows is None else self.basis[rows]) @ y
+        return self.basis.lift(y, rows)
+
+
+class OrbitBasis:
+    """A (n_rows, b) isometry Q whose columns have disjoint supports, kept
+    as index arrays (a basis of rotation_blocks).
+
+    Column j has the coefficients coefficients[indptr[j]:indptr[j + 1]]
+    in the rows rows[indptr[j]:indptr[j + 1]], as in a CSC matrix; no row
+    appears in two columns.  So Q y scatters, and Q^H X sums gathered rows
+    of X: with the columns padded to one length (zero coefficients), one
+    gathered row per column and padded position at a time, which keeps a
+    matrix X's row gathers small.
+    """
+
+    def __init__(self, rows, coefficients, indptr, n_rows: int):
+        self.rows = np.asarray(rows)
+        self.coefficients = np.asarray(coefficients, dtype=complex)
+        self.indptr = np.asarray(indptr)
+        self.n_rows = int(n_rows)
+
+    @property
+    def shape(self) -> tuple:
+        return self.n_rows, len(self.indptr) - 1
+
+    @property
+    def first_rows(self) -> np.ndarray:
+        """The first row of each column (its orbit's first atom, in the
+        column's sector)."""
+        return self.rows[self.indptr[:-1]]
+
+    @cached_property
+    def _column_of_entry(self) -> np.ndarray:
+        return np.repeat(np.arange(self.shape[1]), np.diff(self.indptr))
+
+    @cached_property
+    def _entry_of_row(self) -> np.ndarray:
+        entry = np.full(self.n_rows, -1)
+        entry[self.rows] = np.arange(len(self.rows))
+        return entry
+
+    @cached_property
+    def _padded(self):
+        """(rows, conjugated coefficients), each (length, b): position p
+        of every column, padded with row 0 and coefficient 0."""
+        length = np.diff(self.indptr)
+        position = np.arange(len(self.rows)) - np.repeat(self.indptr[:-1],
+                                                         length)
+        rows = np.zeros((length.max(initial=0), len(length)), dtype=int)
+        conj = np.zeros(rows.shape, dtype=complex)
+        rows[position, self._column_of_entry] = self.rows
+        conj[position, self._column_of_entry] = self.coefficients.conj()
+        return rows, conj
+
+    def project(self, X: np.ndarray) -> np.ndarray:
+        """Q^H X for a vector or a (n_rows, K) stack."""
+        rows, conj = self._padded
+        shape = (-1,) + (1,) * (X.ndim - 1)
+        out = np.zeros((rows.shape[1],) + X.shape[1:], dtype=complex)
+        for r, c in zip(rows, conj):
+            out += c.reshape(shape) * X[r]
+        return out
+
+    def lift(self, y: np.ndarray, rows=None) -> np.ndarray:
+        """Q y for a vector or a (b, K) stack; only the listed rows of it
+        when rows is given."""
+        if rows is None:
+            out = np.zeros((self.n_rows,) + y.shape[1:], dtype=complex)
+            at, entry = self.rows, slice(None)
+        else:
+            entry = self._entry_of_row[rows]
+            out = np.zeros((len(entry),) + y.shape[1:], dtype=complex)
+            at = np.flatnonzero(entry >= 0)
+            entry = entry[at]
+        c = self.coefficients[entry].reshape((-1,) + (1,) * (y.ndim - 1))
+        out[at] = c * y[self._column_of_entry[entry]]
+        return out
+
+    def sandwich(self, M: np.ndarray) -> np.ndarray:
+        """Q^H M Q for a dense M."""
+        return np.ascontiguousarray(
+            self.project(self.project(M).conj().T).conj().T)
+
+    def n_meta(self, n: int) -> int:
+        """Columns in the first n rows (the a_l), which come first."""
+        return int(np.count_nonzero(self.first_rows < n))
+
+    def excited(self, n: int) -> "OrbitBasis":
+        """The basis of rows n onward, without the columns in the first n
+        rows: the excited columns, each moved up by n rows."""
+        lo = self.n_meta(n)
+        start = self.indptr[lo]
+        return OrbitBasis(self.rows[start:] - n, self.coefficients[start:],
+                          self.indptr[lo:] - start, self.n_rows - n)
 
 
 @dataclass(frozen=True)
@@ -328,9 +441,10 @@ def rotation_blocks(H: EffectiveHamiltonian, excited_only: bool = False,
     C2) and, when every -r_l is exactly an atom's position, the inversion
     r -> -r (C4h, C2h); None when the array has no rotation symmetry.
 
-    Returns one sparse (dim, b) isometry Q per nonempty irrep (k, p), in
-    the order (0, +), (0, -), (1, +), ...: U Q = w^k Q and P Q = p Q.
-    The b sum to dim, and the generator splits into the blocks Q^H G Q.
+    Returns one OrbitBasis, a (dim, b) isometry Q stored as orbit index
+    arrays, per nonempty irrep (k, p), in the order (0, +), (0, -),
+    (1, +), ...: U Q = w^k Q and P Q = p Q.  The b sum to dim, and the
+    generator splits into the blocks Q^H G Q.
     Each rotation orbit l -> perm[l] -> ... of length L and each sector
     (a, then the sublevels nu) give the columns
     c = sum_j w^{(nu - k) j} e_{perm^j l} / sqrt(L), one for each k with
@@ -342,12 +456,28 @@ def rotation_blocks(H: EffectiveHamiltonian, excited_only: bool = False,
     +-c, so c is already a parity eigenvector; an atom at the origin enters
     only the even irreps.  Otherwise the pair gives (c +- c')/sqrt(2).  The
     metastable (a) columns of each Q come first, in orbit order, then the
-    excited ones, so Q^H G Q has the generator's own layout.  excited_only
-    builds the bases of the excited block instead of the full generator;
-    inversion=False keeps the rotation irreps k alone, unsplit (what the
-    ODE integrates: its per-step products cost less on fewer, larger
-    blocks).
+    excited ones, so Q^H G Q has the generator's own layout.
+    The bases are built once per Hamiltonian and inversion flag.
+    excited_only gives the bases of the excited block instead of the full
+    generator: the lower rows of the full ones without their metastable
+    columns.  inversion=False keeps the rotation irreps k alone, unsplit
+    (what the ODE integrates: its per-term products cost less on fewer,
+    larger blocks).
     """
+    cache = H._symmetry_bases
+    if inversion not in cache:
+        cache[inversion] = _orbit_bases(H, inversion)
+    bases = cache[inversion]
+    if bases is None or not excited_only:
+        return bases
+    excited = (Q.excited(H.n_atoms) for Q in bases)
+    return tuple(Q for Q in excited if Q.shape[1])
+
+
+def _orbit_bases(H: EffectiveHamiltonian, inversion: bool,
+                 excited_only: bool = False):
+    """rotation_blocks' bases, built from the atom permutations; those of
+    the excited block alone with excited_only."""
     pos = H.array.positions
     for order in (4, 2):
         perm = _rotation_permutation(pos, order)
@@ -396,11 +526,14 @@ def rotation_blocks(H: EffectiveHamiltonian, excited_only: bool = False,
     bases = []
     for cols in filter(None, columns):
         cols.sort(key=lambda col: col[0][0] >= n_meta)  # stable
-        col_rows, col_values = zip(*cols)
-        index = (np.concatenate(col_rows),
-                 np.repeat(np.arange(len(cols)), [len(r) for r in col_rows]))
-        bases.append(scipy.sparse.csc_array(
-            (np.concatenate(col_values), index), shape=(rows.size, len(cols))))
+        # each column's rows ascending (canonical CSC order), which fixes
+        # the order of every sum over a column's entries
+        order = [np.argsort(r) for r, _ in cols]
+        col_rows = [r[o] for (r, _), o in zip(cols, order)]
+        col_values = [v[o] for (_, v), o in zip(cols, order)]
+        indptr = np.concatenate([[0], np.cumsum([len(r) for r in col_rows])])
+        bases.append(OrbitBasis(np.concatenate(col_rows),
+                                np.concatenate(col_values), indptr, rows.size))
     return tuple(bases)
 
 
@@ -408,19 +541,23 @@ def eigenmodes(H: EffectiveHamiltonian) -> ModeSpectrum:
     """Complex eigendecomposition of the excited-sector generator.
 
     With a rotation symmetry each irrep block Q^H M Q of rotation_blocks
-    (split by inversion too, when the array has it) is diagonalized on its
-    own and right_vectors collects the Q V; otherwise the whole excited
-    block is.
+    (split by inversion too, when the array has it; Q the excited-only
+    basis) is diagonalized on its own and right_vectors collects the Q V;
+    otherwise the whole excited block is.  Q^H M Q is the excited part of
+    the generator block H.block on the full basis, which propagate_eigen
+    shares.
     """
-    blocks = rotation_blocks(H, excited_only=True)
-    M = H.excited_block
+    n = H.n_atoms
     lams, vecs = [], []
-    for Q in (blocks or (None,)):
+    for Q in (rotation_blocks(H) or (None,)):
+        if Q is not None and Q.n_meta(n) == Q.shape[1]:
+            continue  # metastable columns only
         try:
-            lam, V = np.linalg.eig(M if Q is None else Q.conj().T @ M @ Q)
+            lam, V = np.linalg.eig(H.excited_block if Q is None
+                                   else H.block(Q).excited)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
             raise NumericError(f"eigendecomposition failed: {exc}") from exc
         lams.append(lam)
-        vecs.append(V if Q is None else Q @ V)
+        vecs.append(V if Q is None else Q.excited(n).lift(V))
     return ModeSpectrum(eigenvalues=np.concatenate(lams),
                         right_vectors=np.hstack(vecs))

@@ -30,9 +30,6 @@ from dataclasses import dataclass, field
 import warnings
 
 import numpy as np
-import scipy.linalg
-from scipy.integrate import cumulative_trapezoid, solve_ivp
-from scipy.interpolate import CubicHermiteSpline
 
 from . import farfield
 from .core import SUBLEVELS, AmplitudeState, AtomArray, LaserDrive
@@ -136,8 +133,9 @@ def adiabatic_simulate(model: AdiabaticModel, a0, t_end: float,
     """Integrate the reduced model up to t_end.
 
     Constant envelope (the default) uses the exact spectral solution;
-    a genuine time-dependent envelope is integrated with DOP853 (this is
-    the independent cross-check for the reparametrization identity).
+    a genuine time-dependent envelope is integrated with scipy's DOP853,
+    imported for it alone (this is the independent cross-check for the
+    reparametrization identity).
     Either way model.matrix is eigendecomposed once, for the reference's
     exact evaluation.  Returns the solution with a, emitted photon number
     n(t) = 1 - |a|^2, and the emission flux -d|a|^2/dt.
@@ -148,13 +146,15 @@ def adiabatic_simulate(model: AdiabaticModel, a0, t_end: float,
     times = piecewise_grid(float(t_end), _TAU_BANDS) if t_grid is None \
         else np.asarray(t_grid, dtype=float)
     M = model.matrix
-    lam, V = scipy.linalg.eig(M)
+    lam, V = np.linalg.eig(M)
     c0 = np.linalg.solve(V, a0)
     if envelope is None or envelope.is_constant():
         f2 = 1.0 if envelope is None \
             else float(envelope(envelope.t_start)) ** 2
         A = V @ (np.exp(np.outer(lam * f2, times - times[0])) * c0[:, None])
     else:
+        from scipy.integrate import solve_ivp
+
         def rhs(t, y):
             return float(envelope(t)) ** 2 * (M @ y)
         sol = solve_ivp(rhs, (times[0], times[-1]), a0, method="DOP853",
@@ -231,6 +231,34 @@ class TargetWaveform:
         return cls(data[:, 0], data[:, 1], photon_fraction)
 
 
+def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Trapezoid integral of y over x from x[0] to each x, starting at 0
+    (the arithmetic of scipy's cumulative_trapezoid)."""
+    return np.concatenate([[0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1])
+                                            / 2.0)])
+
+
+def _hermite_derivative(x: np.ndarray, y: np.ndarray, dydx: np.ndarray,
+                        at: np.ndarray) -> np.ndarray:
+    """Derivative at the points at of the cubic Hermite interpolant
+    through (x, y) with slopes dydx; outside [x[0], x[-1]] the end cubics
+    continue.
+
+    On [x_k, x_k+1] with h = x_k+1 - x_k and secant slope m, the cubic is
+    y_k + d_k s + c1 s^2 + c0 s^3, s = t - x_k, with c0 = g / h,
+    c1 = (m - d_k) / h - g and g = (d_k + d_k+1 - 2 m) / h, so its
+    derivative is d_k + 2 c1 s + 3 c0 s^2 (the coefficients and their
+    order are those of scipy's CubicHermiteSpline).
+    """
+    h = np.diff(x)
+    slope = np.diff(y) / h
+    g = (dydx[:-1] + dydx[1:] - 2 * slope) / h
+    c0, c1 = g / h, (slope - dydx[:-1]) / h - g
+    k = np.clip(np.searchsorted(x, at, side="right") - 1, 0, len(h) - 1)
+    s = at - x[k]
+    return dydx[k] + 2 * c1[k] * s + 3 * c0[k] * (s * s)
+
+
 def design_envelope(reference: AdiabaticReference,
                     target: TargetWaveform) -> PulseEnvelope:
     """Envelope f(t) whose reparametrized emission matches the target.
@@ -243,20 +271,20 @@ def design_envelope(reference: AdiabaticReference,
     # invert the cumulative count with the same trapezoid rule used for the
     # target below, and pin the inverse slope to the exact 1/flux; then a
     # target equal to the free-running waveform maps back to f = 1 exactly
-    n0 = cumulative_trapezoid(reference.flux, reference.times, initial=0.0)
+    n0 = _cumulative_trapezoid(reference.flux, reference.times)
     if np.any(np.diff(n0) <= 0) or np.any(reference.flux <= 0):
         raise NumericError("reference cumulative n0 is not strictly "
                            "increasing; refine or shorten the tau grid")
-    inv = CubicHermiteSpline(n0, reference.times, 1.0 / reference.flux)
 
     u = target.u_grid
     total = np.trapezoid(target.intensity, u)
     if total <= 0:
         raise InvalidArgumentError("target shape integrates to zero")
     I = target.intensity * (target.photon_fraction * n0[-1] / total)
-    n_tgt = cumulative_trapezoid(I, u, initial=0.0)
+    n_tgt = _cumulative_trapezoid(I, u)
     # chain rule: dtau/du = (dtau/dn)(n_tgt(u)) * I(u), all analytic
-    f2 = inv.derivative()(n_tgt) * I
+    f2 = _hermite_derivative(n0, reference.times, 1.0 / reference.flux,
+                             n_tgt) * I
     if np.any(f2 < -1e-12):
         raise NumericError("negative dtau/dt beyond roundoff in the designer")
     f2 = np.clip(f2, 0.0, None)

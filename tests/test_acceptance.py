@@ -281,7 +281,7 @@ def test_propagator_cross_validation():
         rep_err = max(rep_err, float(np.max(np.abs(
             direct - reparametrize(ref, env, t_q)))))
     ok = solver_err <= 1e-6 and rep_err <= 1e-6
-    return ok, (f"eigen vs DOP853 state err {solver_err:.2e} <= 1e-6, "
+    return ok, (f"eigen vs ODE state err {solver_err:.2e} <= 1e-6, "
                 f"reparametrization identity err {rep_err:.2e} <= 1e-6 "
                 f"over 5 random envelopes")
 

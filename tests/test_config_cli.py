@@ -2,11 +2,14 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import yaml
 
+import arraylight
 from arraylight import __version__
 from arraylight.cli import main
 from arraylight.config import RunConfig
@@ -389,3 +392,43 @@ def test_cli_tol_override_applies(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["propagator"] == "ode"
     assert summary["eigen_blocks"] is None
+
+
+def _scipy_modules_after(command, path, out):
+    """Exit code and scipy modules of a fresh interpreter that runs one
+    command."""
+    src = os.path.dirname(os.path.dirname(arraylight.__file__))
+    code = ("import json, sys\n"
+            "from arraylight.cli import main\n"
+            f"code = main([{command!r}, '--config', {path!r}, "
+            f"'--out', {out!r}])\n"
+            "print(json.dumps([code, sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy')]))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=300,
+                         check=True)
+    return json.loads(run.stdout.splitlines()[-1])
+
+
+def test_simulate_imports_no_scipy_and_shape_no_interpolate(tmp_path):
+    # the spectral path runs on numpy alone; shape loads scipy.integrate
+    # for the ODE's solve_ivp, on its first call, and nothing for the
+    # designer
+    path = _write_yaml(tmp_path / "run.yaml", _fast_run_cfg())
+    code, modules = _scipy_modules_after("simulate", path,
+                                         str(tmp_path / "sim"))
+    assert (code, modules) == (0, [])
+    raw = _fast_run_cfg()
+    raw["lattice"] = {"nx": 2, "ny": 2, "nz": 2, "d": 0.6}
+    raw["drive"] = {"omega_L0": 42.0, "delta": 120.0}
+    raw["shaping"] = {"fraction": 0.05, "tau_end": 2000.0,
+                      "target": {"kind": "gaussian", "center": 10.0,
+                                 "width": 4.0, "t_end": 20.0, "dt": 0.1}}
+    path = _write_yaml(tmp_path / "shape.yaml", raw)
+    code, modules = _scipy_modules_after("shape", path,
+                                         str(tmp_path / "shape"))
+    assert code == 0
+    assert "scipy.integrate" in modules
+    assert "scipy.interpolate" not in modules

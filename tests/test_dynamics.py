@@ -168,9 +168,9 @@ def test_ode_is_one_pass_across_jumps(monkeypatch):
 
 
 def test_ode_matches_eigen_across_an_off_grid_jump():
-    # the last step before a jump ends on it and reads the left limit
-    # there, the first step after it starts on the right limit; the error
-    # estimate holds both to the tolerance
+    # the jump is a piece end: the last step before it ends there on the
+    # piece before it, the first step after it starts on the piece after
+    # it, and the term counts hold both to the tolerance
     arr = build_lattice(2, 2, 2, 0.35)
     t_w = 2.37
     H = assemble(arr, LaserDrive(6.0, 1.0, envelope=PulseEnvelope.square(t_w)))
@@ -232,10 +232,9 @@ def test_ode_waveform_on_an_off_grid_grid_matches_eigen(monkeypatch):
 
 
 def test_ode_step_from_a_jump_refreshes_its_first_stage(monkeypatch):
-    # the step that starts on the jump computes its first stage from the
-    # right limit: one pass costs about what two runs split at the jump
-    # cost (915 RHS calls against 590 + 326); a step that started from the
-    # left-limit derivative instead took 1346
+    # the jump is a piece end and the step that starts on it uses the
+    # piece after it: one pass costs about what two runs split at the jump
+    # cost (84 block products against 58 + 24)
     t_w, t_end = 2.37, 4.9
     H, psi0 = _square_pulse_case(PulseEnvelope.square(t_w))
     sols = _record_solutions(monkeypatch)
@@ -281,9 +280,8 @@ def _record_solutions(monkeypatch):
 
 def test_ode_reads_the_left_limit_at_a_stretch_ending_jump(monkeypatch):
     # the square pulse's jump at t_w ends the run: the step that ends on it
-    # takes its stage envelope values from the piece before it, so the run
-    # is the constant-drive one, with the same steps (a right-limit read
-    # took 686 RHS calls against 242)
+    # uses the piece before it, so the run is the constant-drive one, with
+    # the same steps and products
     arr = build_lattice(2, 2, 2, 0.35)
     psi0 = timed_dicke_state(arr, np.array([0.0, 0.0, K0]))
     sols = _record_solutions(monkeypatch)
@@ -298,43 +296,54 @@ def test_ode_reads_the_left_limit_at_a_stretch_ending_jump(monkeypatch):
 
 
 @pytest.mark.parametrize("direction", [[0.0, 0.0, K0], [K0, 0.0, 0.0]])
-def test_ode_step_matches_stock_dop853(monkeypatch, direction):
-    # the step is scipy's DOP853 step written for the linear right-hand
-    # side: on a ramp whose one kink (t = 10) lies past t_end, stock DOP853
-    # on the same block products takes the same steps.  The z-directed
-    # state touches one symmetry block, the x-directed one several
-    env = PulseEnvelope.from_samples([0.0, 10.0], [0.2, 1.0])
+def test_ode_matches_stock_dop853_across_kinks_and_jumps(direction):
+    # stock DOP853 at rtol 1e-12, restarted on every piece end, against the
+    # Taylor steps at the default tolerances, on the same blocks: within
+    # the 3e-8 state error of the DOP853 step at rtol 1e-8.  The
+    # z-directed state touches one symmetry block, the x-directed one
+    # several
+    env = PulseEnvelope([0.0, 0.7, 1.5, 2.2, 3.1], [0.7, 1.5, 2.2, 3.1, np.inf],
+                        [0.0, 0.9, 1.0, 0.6, 0.3], [0.9, 0.4, 0.2, 0.6, 0.3])
+    assert env.kinks(6.0).tolist() == [0.7]
+    assert env.breakpoints(6.0).tolist() == [1.5, 2.2, 3.1]
     arr = build_lattice(2, 2, 2, 0.35)
     H = assemble(arr, LaserDrive(6.0, 1.0, envelope=env))
     psi0 = timed_dicke_state(arr, np.array(direction))
-    psi = H.pack(psi0)
-    blocks = dynamics._touched_blocks(H, psi)
-    assert (len(blocks) == 1) == (direction[2] != 0.0)
-    ends = np.cumsum([blk.dim for blk in blocks])
-    spans = [slice(end - blk.dim, end) for blk, end in zip(blocks, ends)]
+    t = np.linspace(0.0, 6.0, 61)
+    traj = propagate_ode(H, psi0, t_end=6.0, times=t)
+    assert (len(traj.blocks) == 1) == (direction[2] != 0.0)
+    spans = dynamics._spans(traj.blocks)
 
-    def rhs(t, y):
-        return np.concatenate([blk.apply(y[s], env(t))
-                               for blk, s in zip(blocks, spans)])
+    def rhs(u, y):
+        return np.concatenate([blk.apply(y[s], env(u))
+                               for blk, s in zip(traj.blocks, spans)])
 
-    def lift(y):
-        return sum(blk.lift(y[s]) for blk, s in zip(blocks, spans))
+    ref = np.empty_like(traj.coords)
+    y = traj.coords[:, 0]
+    knots = [0.0, 0.7, 1.5, 2.2, 3.1, 6.0]
+    for lo, hi in zip(knots[:-1], knots[1:]):
+        on = (t >= lo) & (t <= hi)
+        grid = np.union1d(t[on], [hi])
+        sol = solve_ivp(rhs, (lo, hi), y, method="DOP853", rtol=1e-12,
+                        atol=1e-14, t_eval=grid)
+        ref[:, on] = sol.y[:, np.searchsorted(grid, t[on])]
+        y = sol.y[:, -1]
+    assert np.max(np.abs(traj.coords - ref)) <= 3e-8
 
-    y0 = np.concatenate([blk.project(psi) for blk in blocks])
+
+def test_ode_work_is_recorded_on_the_trajectory(monkeypatch):
+    # propagate_ode and each off-grid pass of coords_at add their solver
+    # pass and block products; a spectral trajectory has none
+    H, psi0 = _square_pulse_case(PulseEnvelope.square(2.37))
     sols = _record_solutions(monkeypatch)
-    t_end = 6.0
-    for times in (None, np.linspace(0.0, t_end, 61)):
-        traj = propagate_ode(H, psi0, t_end=t_end, times=times)
-        ref = solve_ivp(rhs, (0.0, t_end), y0, method="DOP853", rtol=1e-8,
-                        atol=1e-12, t_eval=times)
-        assert sols[-1].nfev == ref.nfev
-        if times is None:
-            # the solver's accepted steps.  Their times agree to about 1e-6
-            # only: the error estimate of components near zero is mostly
-            # rounding, which the different summation order moves
-            assert len(traj.times) == len(ref.t)
-        else:
-            assert np.max(np.abs(traj.states - lift(ref.y))) < 1e-12
+    traj = propagate_ode(H, psi0, t_end=4.9, times=np.linspace(0.0, 4.9, 50))
+    assert (traj.ode_passes, traj.ode_products) == (1, sols[0].nfev)
+    traj.coords_at([0.05, 3.33])
+    traj.state_at(1.0)  # stored: no pass
+    assert traj.ode_passes == len(sols) == 2
+    assert traj.ode_products == sum(sol.nfev for sol in sols)
+    eig = propagate_eigen(H, psi0, np.linspace(0.0, 4.9, 50))
+    assert (eig.ode_passes, eig.ode_products) == (0, 0)
 
 
 def test_ode_tolerance_tightening_converges():

@@ -138,7 +138,7 @@ def test_rotation_blocks_are_orthonormal_and_commute(nx, ny, nz, d, subs,
     P = np.eye(H.dim)[:, _inversion_permutation(H)]
     for inversion in (True, False):
         bases = rotation_blocks(H, inversion=inversion)
-        blocks = [Qk.toarray() for Qk in bases]
+        blocks = [Qk.lift(np.eye(Qk.shape[1])) for Qk in bases]
         Q = np.hstack(blocks)
         assert Q.shape == (H.dim, H.dim)
         assert np.max(np.abs(Q.conj().T @ Q - np.eye(H.dim))) <= 1e-14
@@ -315,7 +315,8 @@ def test_block_observables_match_the_lifted_states(nx, ny, nz, d, direction,
     # diagonal over every irrep.  F+ - F- commutes with the rotation but is
     # odd under inversion: it couples each irrep only to its parity
     # partner, the other one of the same rotation phase
-    bases = rotation_blocks(H, excited_only=True)
+    bases = [Qk.lift(np.eye(Qk.shape[1]))
+             for Qk in rotation_blocks(H, excited_only=True)]
     U = _rotation_operator(H, 4 if nx == ny else 2)[n:, n:]
     phases = [(Qk.conj().T @ U @ Qk)[0, 0] for Qk in bases]
     total, diff = ops[0] + ops[1], ops[0] - ops[1]

@@ -226,3 +226,29 @@ def test_target_csv_roundtrip(tmp_path):
     assert np.allclose(target.u_grid, u)
     assert np.allclose(target.intensity, intensity)
     assert target.photon_fraction == 0.5
+
+
+def test_numpy_designer_pieces_match_scipy():
+    # the closed-form derivative of the cubic Hermite inverse and the
+    # cumulative trapezoid rule against scipy's CubicHermiteSpline and
+    # cumulative_trapezoid, on the shaping reference's own (n0, t, 1/flux)
+    # and on random data, inside the knots, on them and past both ends
+    from scipy.integrate import cumulative_trapezoid
+    from scipy.interpolate import CubicHermiteSpline
+
+    from arraylight.shaping import _cumulative_trapezoid, _hermite_derivative
+
+    model = _model()
+    ref = adiabatic_simulate(model, _td(model), 2000.0)
+    rng = np.random.default_rng(5)
+    x = np.cumsum(rng.uniform(0.01, 1.0, 40))
+    cases = [(ref.flux, ref.times),
+             (rng.uniform(0.1, 2.0, 40), x)]
+    for flux, t in cases:
+        n0 = cumulative_trapezoid(flux, t, initial=0.0)
+        got = _cumulative_trapezoid(flux, t)
+        assert np.max(np.abs(got - n0)) <= 1e-14 * n0[-1]
+        at = np.concatenate([n0, rng.uniform(n0[0] - 0.1, n0[-1] + 0.1, 500)])
+        want = CubicHermiteSpline(n0, t, 1.0 / flux).derivative()(at)
+        got = _hermite_derivative(n0, t, 1.0 / flux, at)
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14
