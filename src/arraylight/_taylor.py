@@ -1,7 +1,8 @@
 """Truncated-Taylor steps for the shaped-envelope ODE y' = G(f(t)) y.
 
-Imported by dynamics on the first ODE run only, since it loads
-scipy.integrate for the OdeSolver interface that solve_ivp drives.
+taylor_pass integrates the stacked coordinates of a set of generator
+blocks in one plain loop of steps; dynamics binds it as solve_ivp, with
+solve_ivp's argument layout.
 
 On each linear piece of the envelope, f(t_k + x) = f_k + s x, the
 generator is G = A0 + s x P, with A0 = G(f_k) and P = G(1) - G(0) the
@@ -13,10 +14,10 @@ the two-term recursion
 
 and y(t_k + theta h) = exp(mu theta h) sum_m theta^m z_m for theta in
 [0, 1]: each term costs one product with the stacked blocks plus an
-O(orbits) drive gather, and the same sum is the dense output.  Steps end
-on the envelope's piece ends (its jumps and kinks), so a step never
-crosses a change of f or of its slope: a step that ends on a jump uses
-the piece before it, the step after it the piece after it.
+O(orbits) drive gather, and the same sum gives the stored samples inside
+the step.  Steps end on the envelope's piece ends (its jumps and kinks),
+so a step never crosses a change of f or of its slope: a step that ends
+on a jump uses the piece before it, the step after it the piece after it.
 
 With a = h ||A0 - mu|| and b = h^2 |s| ||P|| (2-norms), the norms of the
 terms are bounded by e_m ||y||, the Taylor coefficients of
@@ -41,13 +42,25 @@ from __future__ import annotations
 
 import bisect
 import math
+from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import DenseOutput, OdeSolver
-
-from .dynamics import _spans
 
 _MAX_TERMS = 30
+
+
+class TaylorPass(NamedTuple):
+    """A pass's storage times t, coordinates y (one column per time) and
+    block products nfev."""
+    t: np.ndarray
+    y: np.ndarray
+    nfev: int
+
+
+def _spans(blocks) -> list:
+    """Each block's rows in the stacked coordinates, in turn."""
+    ends = np.cumsum([blk.dim for blk in blocks])
+    return [slice(end - blk.dim, end) for blk, end in zip(blocks, ends)]
 
 
 def _term_count(a: float, b: float, tol: float) -> int:
@@ -61,124 +74,104 @@ def _term_count(a: float, b: float, tol: float) -> int:
     return m
 
 
-class PiecewiseTaylor(OdeSolver):
-    """Truncated-Taylor steps for y' = G(f(t)) y, f piecewise linear.
+def taylor_pass(blocks, t_span, y0, *, envelope, rtol, atol, t_eval=None):
+    """Truncated-Taylor steps for y' = G(f(t)) y over t_span = (t0, t_end),
+    f = envelope piecewise linear, from the stacked coordinates y0 of the
+    GeneratorBlocks blocks.
 
-    blocks are the GeneratorBlocks whose coordinates y stacks; envelope is
-    the drive's PulseEnvelope, and ends the times in (t0, t_bound) where
-    its value or slope changes.  Every step ends on the next of them (or
-    on t_bound), or on an equal share of the way there (module docstring).
-    rtol and atol bound the truncation error of the pass,
-    rtol max ||y|| + atol, each step taking its share h / (t_bound - t0).
-    Each step forms h (G(f_k) - mu) of every block once; nfev counts the
-    products with the stacked blocks; fun is never called.
+    Every step ends on the next time in (t0, t_end] where f's value or
+    slope changes, or on t_end, or on an equal share of the way there
+    (module docstring).  rtol and atol bound the truncation error of the
+    pass, rtol max ||y|| + atol, each step taking its share
+    h / (t_end - t0); atol must be finite and >= 0.  Each step forms
+    h (G(f_k) - mu) of every block once.  Stores the states at t_eval, a
+    sorted grid in [t0, t_end] read from the Taylor sum of the step that
+    contains each time, or by default at t0 and every step end.
     """
+    t0, t_end = map(float, t_span)
+    ends = np.union1d(envelope.breakpoints(t_end), envelope.kinks(t_end))
+    ends = ends[ends > t0].tolist() + [t_end]
+    spans = _spans(blocks)
+    n = spans[-1].stop
+    diagonal = np.concatenate(
+        [np.zeros(blk.n_meta) for blk in blocks]
+        + [np.diag(blk.excited) for blk in blocks])
+    mu = complex(diagonal.real.min() + diagonal.real.max(),
+                 diagonal.imag.min() + diagonal.imag.max()) / 2
+    # ||G(f) - mu||_2 for 0 <= f <= 1 is convex in f, so below the line
+    # through its values at f = 0 and 1 (up to rounding)
+    norm0, norm1 = (
+        max(np.linalg.norm(blk.matrix(f) - mu * np.eye(blk.dim), 2)
+            for blk in blocks) for f in (0.0, 1.0))
+    coupling = blocks[0].coupling
+    # P y = coupling * pairs * y[partner]: each metastable amplitude and
+    # its driven partner swap
+    partner = np.arange(n)
+    pairs = np.zeros(n)
+    for blk, s in zip(blocks, spans):
+        if blk.coupling:
+            meta = s.start + np.arange(blk.n_meta)
+            driven = s.start + np.arange(blk.dim)[blk.driven]
+            partner[meta], partner[driven] = driven, meta
+            pairs[meta] = pairs[driven] = 1.0
+    # the x = h ||G|| at which x^(M+1)/(M+1)!, the first term M terms
+    # leave out of a constant generator's series, reaches rtol / 3
+    theta = (math.factorial(_MAX_TERMS + 1) * rtol / 3.0) ** (
+        1.0 / (_MAX_TERMS + 1))
 
-    def __init__(self, fun, t0, y0, t_bound, *, blocks, envelope, ends,
-                 rtol, atol, vectorized=False):
-        super().__init__(fun, t0, y0, t_bound, vectorized,
-                         support_complex=True)
-        self.rtol, self.atol = rtol, atol
-        self._envelope = envelope
-        self._ends = sorted(ends) + [t_bound]
-        self._length = t_bound - t0
-        self._blocks = blocks
-        self._spans = _spans(blocks)
-        diagonal = np.concatenate(
-            [np.zeros(blk.n_meta) for blk in blocks]
-            + [np.diag(blk.excited) for blk in blocks])
-        self._mu = complex(diagonal.real.min() + diagonal.real.max(),
-                           diagonal.imag.min() + diagonal.imag.max()) / 2
-        self._norms = [max(np.linalg.norm(blk.matrix(f) - self._mu
-                                          * np.eye(blk.dim), 2)
-                           for blk in blocks) for f in (0.0, 1.0)]
-        self._coupling = blocks[0].coupling
-        # P y = coupling * pairs * y[partner]: each metastable amplitude
-        # and its driven partner swap
-        self._partner = np.arange(self.n)
-        self._pairs = np.zeros(self.n)
-        for blk, s in zip(blocks, self._spans):
-            if blk.coupling:
-                meta = s.start + np.arange(blk.n_meta)
-                driven = s.start + np.arange(blk.dim)[blk.driven]
-                self._partner[meta], self._partner[driven] = driven, meta
-                self._pairs[meta] = self._pairs[driven] = 1.0
-        # the x = h ||G|| at which x^(M+1)/(M+1)!, the first term M terms
-        # leave out of a constant generator's series, reaches rtol / 3
-        self._theta = (math.factorial(_MAX_TERMS + 1) * rtol / 3.0) ** (
-            1.0 / (_MAX_TERMS + 1))
-        self._step_matrices = (None, None, None)
-        self._terms = None
-        self._h = None
-
-    def _norm(self, f):
-        """A bound on ||G(f) - mu||_2 for 0 <= f <= 1 (up to rounding): the
-        norm is convex in f, so below the line through f = 0 and 1."""
-        norm0, norm1 = self._norms
-        return norm0 + f * (norm1 - norm0)
-
-    def _matrices(self, f, h):
-        """h (G(f) - mu) of each block, kept while f and h repeat."""
-        if self._step_matrices[:2] != (f, h):
-            mats = []
-            for blk in self._blocks:
-                A = blk.matrix(f)
-                A.flat[::len(A) + 1] -= self._mu
-                A *= h
-                mats.append(A)
-            self._step_matrices = (f, h, mats)
-        return self._step_matrices[2]
-
-    def _step_impl(self):
-        t, y = self.t, self.y
-        end = self._ends[bisect.bisect_right(self._ends, t)]
-        f, slope = self._envelope.piece(t)
+    ts, ys = ([t0], [y0]) if t_eval is None else ([], [])
+    stored = 0  # t_eval[:stored] are stored
+    nfev = 0
+    # h (G(f) - mu) of each block, kept while f and h repeat
+    fh, mats = None, None
+    t, y = t0, y0
+    while t < t_end:
+        end = ends[bisect.bisect_right(ends, t)]
+        f, slope = envelope.piece(t)
         span = end - t
         n_steps = max(1, math.ceil(
-            self._norm(max(f, f + slope * span)) * span / self._theta))
+            (norm0 + max(f, f + slope * span) * (norm1 - norm0)) * span
+            / theta))
         h = span / n_steps
         t_new = end if n_steps == 1 else t + h
-        tol = (self.rtol + self.atol / max(np.linalg.norm(y),
-                                           np.finfo(float).tiny)
-               ) * h / self._length
-        m = _term_count(h * self._norm(f),
-                        h * h * abs(slope * self._coupling), tol)
+        tol = (rtol + atol / max(np.linalg.norm(y), np.finfo(float).tiny)
+               ) * h / (t_end - t0)
+        m = _term_count(h * (norm0 + f * (norm1 - norm0)),
+                        h * h * abs(slope * coupling), tol)
 
-        mats = self._matrices(f, h)
-        pairs = (h * h * slope * self._coupling) * self._pairs
-        Z = np.empty((m + 1, self.n), dtype=complex)
+        if fh != (f, h):
+            fh, mats = (f, h), []
+            for blk in blocks:
+                A = blk.matrix(f)
+                A.flat[::len(A) + 1] -= mu
+                A *= h
+                mats.append(A)
+        drive = (h * h * slope * coupling) * pairs
+        Z = np.empty((m + 1, n), dtype=complex)
         Z[0] = y
         for j in range(m):
             out = Z[j + 1]
-            for A, s in zip(mats, self._spans):
+            for A, s in zip(mats, spans):
                 np.matmul(A, Z[j, s], out=out[s])
             if j and slope:
-                out += pairs * Z[j - 1, self._partner]
+                out += drive * Z[j - 1, partner]
             out *= 1.0 / (j + 1)
-        self.nfev += m
+        nfev += m
+        y = np.exp(mu * h) * Z.sum(axis=0)
 
-        self._terms, self._h = Z, h
-        self.t = t_new
-        self.y = np.exp(self._mu * h) * Z.sum(axis=0)
-        return True, None
-
-    def _dense_output_impl(self):
-        return _TaylorDense(self.t_old, self.t, self._h, self._terms,
-                            self._mu)
-
-
-class _TaylorDense(DenseOutput):
-    """exp(mu (t - t_old)) sum_m theta^m z_m, theta = (t - t_old)/h: the
-    step's own Taylor sum at a point inside it."""
-
-    def __init__(self, t_old, t, h, terms, mu):
-        super().__init__(t_old, t)
-        self.h = h
-        self.terms = terms
-        self.mu = mu
-
-    def _call_impl(self, t):
-        x = np.atleast_1d(t) - self.t_old
-        powers = (x / self.h) ** np.arange(len(self.terms))[:, None]
-        y = (self.terms.T @ powers) * np.exp(self.mu * x)
-        return y[:, 0] if np.ndim(t) == 0 else y
+        if t_eval is None:
+            ts.append(t_new)
+            ys.append(y)
+        else:
+            # the times in (t, t_new], and t0 on the first step
+            upto = np.searchsorted(t_eval, t_new, side="right")
+            if upto > stored:
+                x = t_eval[stored:upto] - t
+                powers = (x / h) ** np.arange(m + 1)[:, None]
+                ts.append(t_eval[stored:upto])
+                ys.append((Z.T @ powers) * np.exp(mu * x))
+                stored = upto
+        t = t_new
+    if t_eval is None:
+        return TaylorPass(np.array(ts), np.vstack(ys).T, nfev)
+    return TaylorPass(np.hstack(ts), np.hstack(ys), nfev)

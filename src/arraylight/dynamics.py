@@ -12,19 +12,20 @@ Two routes, cross-validated against each other:
   well-conditioned eigenbasis; collective modes are not orthogonal, so the
   condition number is checked.
 * ODE: truncated-Taylor steps for arbitrary piecewise-linear envelopes,
-  in one solver pass (_taylor.PiecewiseTaylor, imported with scipy's
-  solve_ivp on the first ODE run only).  The right-hand side is linear,
+  in one plain loop of steps (_taylor.taylor_pass, on numpy alone; bound
+  here as solve_ivp, the one name every ODE pass calls, with solve_ivp's
+  argument layout).  The right-hand side is linear,
   y' = G(f(t)) y, and on each linear piece of f the Taylor terms of the
   solution follow a two-term recursion: one product with the blocks at
   the piece's start plus O(orbits) drive work per term.  Steps end on the
   envelope's jumps and kinks, so each uses one linear piece of f; the
   term count and any split of a long piece come from a norm bound of the
-  generator and the tolerances, and the step's Taylor sum is also its
-  dense output.  It integrates the touched blocks of the rotation alone
-  (C4, not split by inversion: two half-size products per term cost more
-  than one), or the whole space without a symmetry.  Off-grid states
-  are integrated from the stored sample before them, at the run's
-  tolerances.
+  generator and the tolerances, and the step's Taylor sum also gives the
+  stored samples inside it.  It integrates the touched blocks of the
+  rotation alone (C4, not split by inversion: two half-size products per
+  term cost more than one), or the whole space without a symmetry.
+  Off-grid states are integrated from the stored sample before them, at
+  the run's tolerances.
 
 Both routes take their blocks from EffectiveHamiltonian.block: a constant
 excited part, projected once, and the drive pairing, scaled by f(t).  A
@@ -40,21 +41,16 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._taylor import _spans
+from ._taylor import taylor_pass as solve_ivp
 from .core import AmplitudeState
 from .envelope import write_columns
-from .errors import EigenConditionError, InvalidArgumentError, NumericError
+from .errors import EigenConditionError, InvalidArgumentError
 from .hamiltonian import EffectiveHamiltonian, rotation_blocks
 
 __all__ = ["Trajectory", "piecewise_grid", "propagate_eigen", "propagate_ode"]
 
 EIGEN_COND_LIMIT = 1e8
-
-
-def solve_ivp(*args, **kwargs):
-    """scipy.integrate.solve_ivp, imported on the first call: only the ODE
-    path loads scipy."""
-    from scipy.integrate import solve_ivp as scipy_solve_ivp
-    return scipy_solve_ivp(*args, **kwargs)
 
 
 def piecewise_grid(t_end: float, bands) -> np.ndarray:
@@ -85,7 +81,7 @@ class Trajectory:
     segment, the dimensions of the blocks diagonalized (None for ODE
     trajectories).  ode_passes and ode_products count the ODE work run for
     the trajectory so far, its propagate_ode pass and any off-grid pass of
-    coords_at: solver passes, and products with the stacked blocks (zero
+    coords_at: Taylor passes, and products with the stacked blocks (zero
     for spectral trajectories).
     """
 
@@ -168,9 +164,11 @@ class Trajectory:
         if np.any(off):
             grid = np.unique(u[off])
             first = int(np.min(k[off]))
-            sol = _integrate(self.H, self.blocks, self.coords[:, first].copy(),
-                             self.times[first], grid[-1], *self._tols,
-                             times=grid)
+            tol, atol = self._tols
+            sol = solve_ivp(self.blocks, (self.times[first], grid[-1]),
+                            self.coords[:, first].copy(),
+                            envelope=self.H.drive.envelope, rtol=tol,
+                            atol=atol, t_eval=grid)
             self.ode_passes += 1
             self.ode_products += sol.nfev
             out[:, off] = sol.y[:, np.searchsorted(grid, u[off])]
@@ -208,12 +206,6 @@ class Trajectory:
             cols += [f"re_a_{j}", f"im_a_{j}"]
             data += [a_j.real, a_j.imag]
         write_columns(path, cols, data, header_lines)
-
-
-def _spans(blocks) -> list:
-    """Each block's rows in the stacked coordinates, in turn."""
-    ends = np.cumsum([blk.dim for blk in blocks])
-    return [slice(end - blk.dim, end) for blk, end in zip(blocks, ends)]
 
 
 def _column_sectors(H: EffectiveHamiltonian, blk) -> np.ndarray:
@@ -331,64 +323,51 @@ def propagate_ode(H: EffectiveHamiltonian, psi0: AmplitudeState,
                   times=None) -> Trajectory:
     """Truncated-Taylor integration up to t_end under H.drive.envelope.
 
-    One solver pass (_taylor.PiecewiseTaylor) whose steps end on the
-    envelope's jumps (PulseEnvelope.breakpoints) and kinks
+    One pass of steps (_taylor.taylor_pass, called as solve_ivp) that end
+    on the envelope's jumps (PulseEnvelope.breakpoints) and kinks
     (PulseEnvelope.kinks), so that f is linear on every step: a step that
     ends on a jump uses the piece before it, the next step the piece
     after it.  Each step sums the Taylor series of the solution to as
     many terms as a norm bound of the generator needs for the tolerances:
     the truncation errors of the pass add up to at most
-    tol * max ||psi|| + atol.  As in propagate_eigen, only the symmetry
-    blocks psi0 touches are integrated, stacked in one vector, but those
-    of the rotation alone, not split by inversion; each Taylor term is one
-    product with each block's constant excited part plus the drive
-    pairing.  The solver's stacked coordinates are stored as they are
-    (Trajectory), with its block products (ode_products).  times selects
-    the storage grid, passed to the solver as t_eval and read from each
-    step's Taylor sum; ends up to 1e-12 outside [t0, t_end] are taken as
-    t0 and t_end (default: the solver's steps).
+    tol * max ||psi|| + atol, with tol finite and > 0 and atol finite and
+    >= 0.  As in propagate_eigen, only the symmetry blocks psi0 touches
+    are integrated, stacked in one vector, but those of the rotation
+    alone, not split by inversion; each Taylor term is one product with
+    each block's constant excited part plus the drive pairing.  The
+    stacked coordinates are stored as they are (Trajectory), with the
+    pass's block products (ode_products).  times selects the storage grid,
+    a nonempty, strictly increasing 1-D grid read from the Taylor sum of
+    the step around each time; ends up to 1e-12 outside [t0, t_end] are
+    taken as t0 and t_end (default: t0 and every step end).
     """
-    if tol <= 0:
-        raise InvalidArgumentError("tol must be positive")
+    if not 0 < tol < np.inf:
+        raise InvalidArgumentError("tol must be finite and positive")
+    if not 0 <= atol < np.inf:
+        raise InvalidArgumentError("atol must be finite and >= 0")
     t0 = psi0.t
-    if t_end <= t0:
-        raise InvalidArgumentError("t_end must exceed the initial time")
+    if not t0 < t_end < np.inf:
+        raise InvalidArgumentError(
+            "t_end must be finite and exceed the initial time")
 
     if times is not None:
         times = np.asarray(times, dtype=float)
-        if times[0] < t0 - 1e-12 or times[-1] > t_end + 1e-12:
+        if times.ndim != 1 or len(times) == 0:
+            raise InvalidArgumentError("need a nonempty 1-D storage grid")
+        if not (times[0] >= t0 - 1e-12 and times[-1] <= t_end + 1e-12):
             raise InvalidArgumentError("storage grid outside [t0, t_end]")
         times = np.clip(times, t0, t_end)
+        if not np.all(np.diff(times) > 0):
+            raise InvalidArgumentError(
+                "storage grid must be strictly increasing")
 
     psi = H.pack(psi0)
+    if not np.all(np.isfinite(psi)):
+        raise InvalidArgumentError("initial state must be finite")
     blocks = _touched_blocks(H, psi)
     y0 = np.concatenate([blk.project(psi) for blk in blocks])
-    sol = _integrate(H, blocks, y0, t0, t_end, tol, atol, times)
+    sol = solve_ivp(blocks, (t0, t_end), y0, envelope=H.drive.envelope,
+                    rtol=tol, atol=atol, t_eval=times)
     return Trajectory(H, sol.t, sol.y, kind="ode", blocks=blocks,
                       tols=(tol, atol), ode_products=sol.nfev)
 
-
-def _integrate(H: EffectiveHamiltonian, blocks, y0: np.ndarray, t0: float,
-               t_end: float, tol: float, atol: float, times):
-    """One solver pass of the stacked coordinates y0 in blocks from t0 to
-    t_end, in truncated-Taylor steps (_taylor.PiecewiseTaylor), stored on
-    times (t_eval); returns the solver's result."""
-    from ._taylor import PiecewiseTaylor
-
-    env = H.drive.envelope
-    spans = _spans(blocks)
-
-    def rhs(t, y):
-        out = np.empty(y.shape, dtype=complex)
-        for blk, s in zip(blocks, spans):
-            blk.apply(y[s], env(t), out[s])
-        return out
-
-    ends = np.union1d(env.breakpoints(t_end), env.kinks(t_end))
-    sol = solve_ivp(rhs, (t0, t_end), y0, method=PiecewiseTaylor,
-                    blocks=blocks, envelope=env, ends=ends[ends > t0].tolist(),
-                    rtol=tol, atol=atol, t_eval=times)
-    if not sol.success:
-        raise NumericError(f"integrator failed on [{t0:g}, {t_end:g}]: "
-                           f"{sol.message}")
-    return sol

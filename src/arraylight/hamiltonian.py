@@ -191,17 +191,15 @@ class GeneratorBlock:
     def dim(self) -> int:
         return self.n_meta + self.excited.shape[0]
 
-    def apply(self, y: np.ndarray, f_value, out=None) -> np.ndarray:
-        """matrix(f_value) @ y without forming the matrix, written into
-        out when given (it must not overlap y).
+    def apply(self, y: np.ndarray, f_value) -> np.ndarray:
+        """matrix(f_value) @ y without forming the matrix.
 
         Costs one product with the excited part plus O(N) drive work.  y
         may also be a (dim, K) stack of states with f_value a length-K
         ndarray, one envelope value per column.
         """
         n = self.n_meta
-        if out is None:
-            out = np.empty(y.shape, dtype=complex)
+        out = np.empty(y.shape, dtype=complex)
         np.matmul(self.excited, y[n:], out=out[n:])
         if self.coupling:
             c = self.coupling * f_value

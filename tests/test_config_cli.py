@@ -412,10 +412,9 @@ def _scipy_modules_after(command, path, out):
     return json.loads(run.stdout.splitlines()[-1])
 
 
-def test_simulate_imports_no_scipy_and_shape_no_interpolate(tmp_path):
-    # the spectral path runs on numpy alone; shape loads scipy.integrate
-    # for the ODE's solve_ivp, on its first call, and nothing for the
-    # designer
+def test_simulate_and_shape_import_no_scipy(tmp_path):
+    # the spectral path, the Taylor ODE pass and the designer run on numpy
+    # alone
     path = _write_yaml(tmp_path / "run.yaml", _fast_run_cfg())
     code, modules = _scipy_modules_after("simulate", path,
                                          str(tmp_path / "sim"))
@@ -429,6 +428,4 @@ def test_simulate_imports_no_scipy_and_shape_no_interpolate(tmp_path):
     path = _write_yaml(tmp_path / "shape.yaml", raw)
     code, modules = _scipy_modules_after("shape", path,
                                          str(tmp_path / "shape"))
-    assert code == 0
-    assert "scipy.integrate" in modules
-    assert "scipy.interpolate" not in modules
+    assert (code, modules) == (0, [])

@@ -111,8 +111,8 @@ def test_eigen_vs_ode_square_pulse():
 
 
 def _count_solver_calls(monkeypatch):
-    """Records each solve_ivp call's t_span in calls and its y0 size in
-    sizes."""
+    """Records the t_span of each Taylor pass (dynamics.solve_ivp) in calls
+    and the size of its y0 in sizes."""
     calls, sizes = [], []
 
     def counting(*args, **kwargs):
@@ -231,10 +231,11 @@ def test_ode_waveform_on_an_off_grid_grid_matches_eigen(monkeypatch):
     assert len(calls) == 3
 
 
-def test_ode_step_from_a_jump_refreshes_its_first_stage(monkeypatch):
-    # the jump is a piece end and the step that starts on it uses the
-    # piece after it: one pass costs about what two runs split at the jump
-    # cost (84 block products against 58 + 24)
+def test_ode_pass_across_a_jump_costs_about_the_split_runs(monkeypatch):
+    # the jump is a piece end: the steps of the one pass stop on it, and
+    # the step that starts on it uses the piece after it, so the pass
+    # costs about what two runs split at the jump cost (84 block products
+    # against 58 + 24)
     t_w, t_end = 2.37, 4.9
     H, psi0 = _square_pulse_case(PulseEnvelope.square(t_w))
     sols = _record_solutions(monkeypatch)
@@ -266,7 +267,8 @@ def test_ode_storage_grid_ends_within_slack(end):
 
 
 def _record_solutions(monkeypatch):
-    """Records the result of each solve_ivp call in the returned list."""
+    """Records the result of each Taylor pass (dynamics.solve_ivp) in the
+    returned list."""
     sols = []
 
     def recording(*args, **kwargs):
@@ -344,6 +346,42 @@ def test_ode_work_is_recorded_on_the_trajectory(monkeypatch):
     assert traj.ode_products == sum(sol.nfev for sol in sols)
     eig = propagate_eigen(H, psi0, np.linspace(0.0, 4.9, 50))
     assert (eig.ode_passes, eig.ode_products) == (0, 0)
+
+
+@pytest.mark.parametrize("times", [[], [0.0, 2.0, 1.0], [0.0, 1.0, 1.0, 2.0],
+                                   [[0.0, 1.0], [1.5, 2.0]], [0.0, np.nan]])
+def test_ode_rejects_bad_storage_grids(times):
+    # empty, unsorted, duplicated, 2-D or NaN grids fail before integrating
+    H, psi0 = _square_pulse_case(PulseEnvelope.square(0.75))
+    with pytest.raises(InvalidArgumentError):
+        propagate_ode(H, psi0, t_end=2.0, times=times)
+
+
+@pytest.mark.parametrize("tols", [(0.0, 1e-12), (-1e-8, 1e-12),
+                                  (np.nan, 1e-12), (np.inf, 1e-12),
+                                  (1e-8, -1.0), (1e-8, np.nan),
+                                  (1e-8, np.inf)])
+def test_ode_rejects_bad_tolerances(tols):
+    # atol = -1 used to hang: no term count meets a negative tolerance
+    tol, atol = tols
+    H, psi0 = _square_pulse_case(PulseEnvelope.square(0.75))
+    with pytest.raises(InvalidArgumentError):
+        propagate_ode(H, psi0, t_end=2.0, tol=tol, atol=atol)
+
+
+@pytest.mark.parametrize("t_end", [0.0, np.nan, np.inf])
+def test_ode_rejects_a_bad_t_end(t_end):
+    H, psi0 = _square_pulse_case(PulseEnvelope.square(0.75))
+    with pytest.raises(InvalidArgumentError):
+        propagate_ode(H, psi0, t_end=t_end)
+
+
+def test_ode_rejects_a_nonfinite_initial_state():
+    H, psi0 = _square_pulse_case(PulseEnvelope.square(0.75))
+    a = psi0.a.copy()
+    a[1] = np.nan
+    with pytest.raises(InvalidArgumentError):
+        propagate_ode(H, AmplitudeState(a, psi0.beta), t_end=2.0)
 
 
 def test_ode_tolerance_tightening_converges():
