@@ -13,11 +13,16 @@ the two-term recursion
     z_0 = y,   (m + 1) z_{m+1} = h (A0 - mu) z_m + h^2 s P z_{m-1},
 
 and y(t_k + theta h) = exp(mu theta h) sum_m theta^m z_m for theta in
-[0, 1]: each term costs one product with the stacked blocks plus an
-O(orbits) drive gather, and the same sum gives the stored samples inside
-the step.  Steps end on the envelope's piece ends (its jumps and kinks),
-so a step never crosses a change of f or of its slope: a step that ends
-on a jump uses the piece before it, the step after it the piece after it.
+[0, 1], a sum that also gives the stored samples inside the step.  Each
+term is one product per block: a block keeps its terms in consecutive
+rows after a zero z_{-1}, so [z_{m-1}; z_m] is one contiguous vector,
+which the block's (d, 2d) step matrix [h s P | A0 - mu] maps to
+(m + 1) z_{m+1} / h.  The step matrix is built once per pass and a step
+rewrites only its drive pairing entries; a piece of slope 0 uses the
+right half alone.  Steps end on the envelope's piece ends (its jumps and
+kinks), so a step never crosses a change of f or of its slope: a step
+that ends on a jump uses the piece before it, the step after it the
+piece after it.
 
 With a = h ||A0 - mu|| and b = h^2 |s| ||P|| (2-norms), the norms of the
 terms are bounded by e_m ||y||, the Taylor coefficients of
@@ -74,6 +79,21 @@ def _term_count(a: float, b: float, tol: float) -> int:
     return m
 
 
+def _step_matrix(blk, mu: complex):
+    """A block's (d, 2d) step matrix [0 | G(0) - mu], the flat indices of
+    its drive pairing entries in its left and in its right half, and their
+    values in P = G(1) - G(0)."""
+    d = blk.dim
+    A = blk.matrix(0.0)
+    P = blk.matrix(1.0) - A
+    A.flat[::d + 1] -= mu
+    B = np.zeros((d, 2 * d), dtype=complex)
+    B[:, d:] = A
+    pairs = np.flatnonzero(P)
+    left = pairs + pairs // d * d  # row * d + col -> row * 2d + col
+    return B, left, left + d, P.flat[pairs]
+
+
 def taylor_pass(blocks, t_span, y0, *, envelope, rtol, atol, t_eval=None):
     """Truncated-Taylor steps for y' = G(f(t)) y over t_span = (t0, t_end),
     f = envelope piecewise linear, from the stacked coordinates y0 of the
@@ -83,16 +103,20 @@ def taylor_pass(blocks, t_span, y0, *, envelope, rtol, atol, t_eval=None):
     slope changes, or on t_end, or on an equal share of the way there
     (module docstring).  rtol and atol bound the truncation error of the
     pass, rtol max ||y|| + atol, each step taking its share
-    h / (t_end - t0); atol must be finite and >= 0.  Each step forms
-    h (G(f_k) - mu) of every block once.  Stores the states at t_eval, a
-    sorted grid in [t0, t_end] read from the Taylor sum of the step that
-    contains each time, or by default at t0 and every step end.
+    h / (t_end - t0); atol must be finite and >= 0.  Each block's step
+    matrix [h s P | G(f_k) - mu] is built once per pass, and each step
+    rewrites its drive pairing entries for its f_k and h s.  Stores the
+    states at t_eval, a sorted grid in [t0, t_end] read from the Taylor
+    sum of the step that contains each time, or by default at t0 and
+    every step end.
     """
     t0, t_end = map(float, t_span)
-    ends = np.union1d(envelope.breakpoints(t_end), envelope.kinks(t_end))
-    ends = ends[ends > t0].tolist() + [t_end]
+    # sorted, without repeats (np.union1d would import numpy.ma on its
+    # first call)
+    ends = sorted({*envelope.breakpoints(t_end).tolist(),
+                   *envelope.kinks(t_end).tolist()})
+    ends = [end for end in ends if end > t0] + [t_end]
     spans = _spans(blocks)
-    n = spans[-1].stop
     diagonal = np.concatenate(
         [np.zeros(blk.n_meta) for blk in blocks]
         + [np.diag(blk.excited) for blk in blocks])
@@ -104,16 +128,7 @@ def taylor_pass(blocks, t_span, y0, *, envelope, rtol, atol, t_eval=None):
         max(np.linalg.norm(blk.matrix(f) - mu * np.eye(blk.dim), 2)
             for blk in blocks) for f in (0.0, 1.0))
     coupling = blocks[0].coupling
-    # P y = coupling * pairs * y[partner]: each metastable amplitude and
-    # its driven partner swap
-    partner = np.arange(n)
-    pairs = np.zeros(n)
-    for blk, s in zip(blocks, spans):
-        if blk.coupling:
-            meta = s.start + np.arange(blk.n_meta)
-            driven = s.start + np.arange(blk.dim)[blk.driven]
-            partner[meta], partner[driven] = driven, meta
-            pairs[meta] = pairs[driven] = 1.0
+    mats = [_step_matrix(blk, mu) for blk in blocks]
     # the x = h ||G|| at which x^(M+1)/(M+1)!, the first term M terms
     # leave out of a constant generator's series, reaches rtol / 3
     theta = (math.factorial(_MAX_TERMS + 1) * rtol / 3.0) ** (
@@ -122,8 +137,6 @@ def taylor_pass(blocks, t_span, y0, *, envelope, rtol, atol, t_eval=None):
     ts, ys = ([t0], [y0]) if t_eval is None else ([], [])
     stored = 0  # t_eval[:stored] are stored
     nfev = 0
-    # h (G(f) - mu) of each block, kept while f and h repeat
-    fh, mats = None, None
     t, y = t0, y0
     while t < t_end:
         end = ends[bisect.bisect_right(ends, t)]
@@ -139,25 +152,28 @@ def taylor_pass(blocks, t_span, y0, *, envelope, rtol, atol, t_eval=None):
         m = _term_count(h * (norm0 + f * (norm1 - norm0)),
                         h * h * abs(slope * coupling), tol)
 
-        if fh != (f, h):
-            fh, mats = (f, h), []
-            for blk in blocks:
-                A = blk.matrix(f)
-                A.flat[::len(A) + 1] -= mu
-                A *= h
-                mats.append(A)
-        drive = (h * h * slope * coupling) * pairs
-        Z = np.empty((m + 1, n), dtype=complex)
-        Z[0] = y
-        for j in range(m):
-            out = Z[j + 1]
-            for A, s in zip(mats, spans):
-                np.matmul(A, Z[j, s], out=out[s])
-            if j and slope:
-                out += drive * Z[j - 1, partner]
-            out *= 1.0 / (j + 1)
+        # per block, the rows z_{-1} = 0, z_0, ..., z_m: [z_{j-1}; z_j] is
+        # the contiguous flat[j d:(j + 2) d]
+        terms = []
+        for (B, left, right, pairing), s in zip(mats, spans):
+            d = s.stop - s.start
+            B.flat[right] = f * pairing
+            if slope:
+                B.flat[left] = (h * slope) * pairing
+                A, lo = B, 0
+            else:
+                A, lo = B[:, d:], d
+            Z = np.empty((m + 2, d), dtype=complex)
+            Z[0] = 0.0
+            Z[1] = y[s]
+            flat = Z.reshape(-1)
+            for j in range(m):
+                out = Z[j + 2]
+                np.matmul(A, flat[j * d + lo:(j + 2) * d], out=out)
+                out *= h / (j + 1)
+            terms.append(Z[1:])
         nfev += m
-        y = np.exp(mu * h) * Z.sum(axis=0)
+        y = np.exp(mu * h) * np.concatenate([Z.sum(axis=0) for Z in terms])
 
         if t_eval is None:
             ts.append(t_new)
@@ -169,7 +185,8 @@ def taylor_pass(blocks, t_span, y0, *, envelope, rtol, atol, t_eval=None):
                 x = t_eval[stored:upto] - t
                 powers = (x / h) ** np.arange(m + 1)[:, None]
                 ts.append(t_eval[stored:upto])
-                ys.append((Z.T @ powers) * np.exp(mu * x))
+                ys.append(np.concatenate([Z.T @ powers for Z in terms])
+                          * np.exp(mu * x))
                 stored = upto
         t = t_new
     if t_eval is None:

@@ -16,8 +16,9 @@ Two routes, cross-validated against each other:
   here as solve_ivp, the one name every ODE pass calls, with solve_ivp's
   argument layout).  The right-hand side is linear,
   y' = G(f(t)) y, and on each linear piece of f the Taylor terms of the
-  solution follow a two-term recursion: one product with the blocks at
-  the piece's start plus O(orbits) drive work per term.  Steps end on the
+  solution follow a two-term recursion: one product per term and block,
+  of the block's generator at the piece's start and its drive pairing
+  with the last two terms, stored next to each other.  Steps end on the
   envelope's jumps and kinks, so each uses one linear piece of f; the
   term count and any split of a long piece come from a norm bound of the
   generator and the tolerances, and the step's Taylor sum also gives the
@@ -162,7 +163,9 @@ class Trajectory:
         out = self.coords[:, k]
         off = u != self.times[k]
         if np.any(off):
-            grid = np.unique(u[off])
+            # sorted, without repeats (np.unique would import numpy.ma
+            # on its first call)
+            grid = np.array(sorted(set(u[off].tolist())))
             first = int(np.min(k[off]))
             tol, atol = self._tols
             sol = solve_ivp(self.blocks, (self.times[first], grid[-1]),
@@ -333,8 +336,8 @@ def propagate_ode(H: EffectiveHamiltonian, psi0: AmplitudeState,
     tol * max ||psi|| + atol, with tol finite and > 0 and atol finite and
     >= 0.  As in propagate_eigen, only the symmetry blocks psi0 touches
     are integrated, stacked in one vector, but those of the rotation
-    alone, not split by inversion; each Taylor term is one product with
-    each block's constant excited part plus the drive pairing.  The
+    alone, not split by inversion; each Taylor term is one product per
+    block, of [h s P | G(f) - mu] with the last two terms (_taylor).  The
     stacked coordinates are stored as they are (Trajectory), with the
     pass's block products (ode_products).  times selects the storage grid,
     a nonempty, strictly increasing 1-D grid read from the Taylor sum of

@@ -394,16 +394,17 @@ def test_cli_tol_override_applies(tmp_path):
     assert summary["eigen_blocks"] is None
 
 
-def _scipy_modules_after(command, path, out):
-    """Exit code and scipy modules of a fresh interpreter that runs one
-    command."""
+def _unwanted_modules_after(command, path, out):
+    """Exit code, and the scipy and numpy.ma modules, of a fresh
+    interpreter that runs one command."""
     src = os.path.dirname(os.path.dirname(arraylight.__file__))
     code = ("import json, sys\n"
             "from arraylight.cli import main\n"
             f"code = main([{command!r}, '--config', {path!r}, "
             f"'--out', {out!r}])\n"
             "print(json.dumps([code, sorted(m for m in sys.modules "
-            "if m.split('.')[0] == 'scipy')]))")
+            "if m.split('.')[0] == 'scipy' "
+            "or m.split('.')[:2] == ['numpy', 'ma'])]))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")]))
     run = subprocess.run([sys.executable, "-c", code], env=env,
@@ -412,12 +413,13 @@ def _scipy_modules_after(command, path, out):
     return json.loads(run.stdout.splitlines()[-1])
 
 
-def test_simulate_and_shape_import_no_scipy(tmp_path):
+def test_simulate_and_shape_import_no_scipy_or_numpy_ma(tmp_path):
     # the spectral path, the Taylor ODE pass and the designer run on numpy
-    # alone
+    # alone, and none of them loads numpy.ma (np.unique and np.union1d
+    # import it on their first call)
     path = _write_yaml(tmp_path / "run.yaml", _fast_run_cfg())
-    code, modules = _scipy_modules_after("simulate", path,
-                                         str(tmp_path / "sim"))
+    code, modules = _unwanted_modules_after("simulate", path,
+                                            str(tmp_path / "sim"))
     assert (code, modules) == (0, [])
     raw = _fast_run_cfg()
     raw["lattice"] = {"nx": 2, "ny": 2, "nz": 2, "d": 0.6}
@@ -426,6 +428,6 @@ def test_simulate_and_shape_import_no_scipy(tmp_path):
                       "target": {"kind": "gaussian", "center": 10.0,
                                  "width": 4.0, "t_end": 20.0, "dt": 0.1}}
     path = _write_yaml(tmp_path / "shape.yaml", raw)
-    code, modules = _scipy_modules_after("shape", path,
-                                         str(tmp_path / "shape"))
+    code, modules = _unwanted_modules_after("shape", path,
+                                            str(tmp_path / "shape"))
     assert (code, modules) == (0, [])

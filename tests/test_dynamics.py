@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid, solve_ivp
 
-from arraylight import dynamics
+from arraylight import _taylor, dynamics
 from arraylight.core import (AmplitudeState, AtomArray, LaserDrive,
                              build_lattice, single_f_excitation,
                              timed_dicke_state)
@@ -228,7 +228,11 @@ def test_ode_waveform_on_an_off_grid_grid_matches_eigen(monkeypatch):
     coords = tr_o.coords_at(u)
     assert np.array_equal(tr_o.coords_at(u[order]), coords[:, order])
     assert np.array_equal(tr_o.coords_at(t[[7, 3]]), tr_o.coords[:, [7, 3]])
-    assert len(calls) == 3
+    # a repeated time is one grid time
+    again = tr_o.coords_at(u[[5, 2, 5]])
+    assert np.array_equal(again[:, 0], again[:, 2])
+    assert np.max(np.abs(again - coords[:, [5, 2, 5]])) <= 1e-12
+    assert len(calls) == 4
 
 
 def test_ode_pass_across_a_jump_costs_about_the_split_runs(monkeypatch):
@@ -297,17 +301,24 @@ def test_ode_reads_the_left_limit_at_a_stretch_ending_jump(monkeypatch):
     assert np.max(np.abs(runs[0].states - runs[1].states)) <= 1e-15
 
 
-@pytest.mark.parametrize("direction", [[0.0, 0.0, K0], [K0, 0.0, 0.0]])
-def test_ode_matches_stock_dop853_across_kinks_and_jumps(direction):
-    # stock DOP853 at rtol 1e-12, restarted on every piece end, against the
-    # Taylor steps at the default tolerances, on the same blocks: within
-    # the 3e-8 state error of the DOP853 step at rtol 1e-8.  The
-    # z-directed state touches one symmetry block, the x-directed one
-    # several
+def _kinked_envelope():
+    """A kink at 0.7, jumps at 1.5, 2.2 and 3.1, slope 0 from 2.2 on."""
     env = PulseEnvelope([0.0, 0.7, 1.5, 2.2, 3.1], [0.7, 1.5, 2.2, 3.1, np.inf],
                         [0.0, 0.9, 1.0, 0.6, 0.3], [0.9, 0.4, 0.2, 0.6, 0.3])
     assert env.kinks(6.0).tolist() == [0.7]
     assert env.breakpoints(6.0).tolist() == [1.5, 2.2, 3.1]
+    return env
+
+
+@pytest.mark.parametrize("direction", [[0.0, 0.0, K0], [K0, 0.0, 0.0]])
+def test_ode_matches_stock_dop853_across_kinks_and_jumps(direction):
+    # stock DOP853 at rtol 1e-12, restarted on every piece end, against the
+    # Taylor steps at the default tolerances, on the same blocks.  The pass
+    # bounds its summed truncation error by tol max ||psi|| + atol, about
+    # 1e-8 here; the 3e-8 bound leaves room for the reference's own error
+    # and rounding.  The z-directed state touches one symmetry block, the
+    # x-directed one several
+    env = _kinked_envelope()
     arr = build_lattice(2, 2, 2, 0.35)
     H = assemble(arr, LaserDrive(6.0, 1.0, envelope=env))
     psi0 = timed_dicke_state(arr, np.array(direction))
@@ -331,6 +342,72 @@ def test_ode_matches_stock_dop853_across_kinks_and_jumps(direction):
         ref[:, on] = sol.y[:, np.searchsorted(grid, t[on])]
         y = sol.y[:, -1]
     assert np.max(np.abs(traj.coords - ref)) <= 3e-8
+
+
+def _taylor_reference(blocks, env, times, y0, counts):
+    """The two-term Taylor recursion of _taylor, term by term on
+    GeneratorBlock.apply, over the steps between consecutive times with
+    counts[k] terms on step k: f and its slope s from env.piece at the
+    step's start, mu the centre of the range of the generator's diagonal,
+
+        (m + 1) z_{m+1} = h (G(f) - mu) z_m + h^2 s P z_{m-1},
+
+    P z = G(1) z - G(0) z, and the step's end exp(mu h) sum_m z_m.
+    Returns the states at times, one column each, and the terms summed."""
+    spans = dynamics._spans(blocks)
+
+    def G(y, f):
+        return np.concatenate([blk.apply(y[s], f)
+                               for blk, s in zip(blocks, spans)])
+
+    diagonal = np.concatenate([np.zeros(blk.n_meta) for blk in blocks]
+                              + [np.diag(blk.excited) for blk in blocks])
+    mu = complex(diagonal.real.min() + diagonal.real.max(),
+                 diagonal.imag.min() + diagonal.imag.max()) / 2
+    ys, products = [y0], 0
+    for t, t_new, m in zip(times[:-1], times[1:], counts):
+        f, slope = env.piece(t)
+        h = t_new - t
+        z_before, z = np.zeros_like(y0), ys[-1]
+        total = z.copy()
+        for j in range(m):
+            z_before, z = z, (h * (G(z, f) - mu * z) + h * h * slope
+                              * (G(z_before, 1.0) - G(z_before, 0.0))
+                              ) / (j + 1)
+            total += z
+        products += m
+        ys.append(np.exp(mu * h) * total)
+    return np.array(ys).T, products
+
+
+@pytest.mark.parametrize("direction", [[0.0, 0.0, K0], [K0, 0.0, 0.0]])
+def test_ode_pass_matches_the_term_by_term_recursion(direction, monkeypatch):
+    # the pass's one product per term and block with [h s P | G(f) - mu]
+    # against the recursion it sums, on the same step ends and term counts:
+    # the states agree to a relative 1e-12 (the terms grow to about
+    # exp(h ||G||), and the two sum their products in different orders)
+    # and the products are equal.  The z-directed state touches one
+    # symmetry block, the x-directed one several.  At delta = 40 the norm
+    # bound splits the five pieces into more steps
+    env = _kinked_envelope()
+    arr = build_lattice(2, 2, 2, 0.35)
+    H = assemble(arr, LaserDrive(6.0, 40.0, envelope=env))
+    psi0 = timed_dicke_state(arr, np.array(direction))
+    counts = []
+
+    def counting(*args):
+        counts.append(term_count(*args))
+        return counts[-1]
+
+    term_count = _taylor._term_count
+    monkeypatch.setattr(_taylor, "_term_count", counting)
+    traj = propagate_ode(H, psi0, t_end=6.0)
+    assert (len(traj.blocks) == 1) == (direction[2] != 0.0)
+    assert len(counts) == len(traj.times) - 1 > 5
+    ref, products = _taylor_reference(traj.blocks, env, traj.times,
+                                      traj.coords[:, 0], counts)
+    assert np.max(np.abs(traj.coords - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert traj.ode_products == products
 
 
 def test_ode_work_is_recorded_on_the_trajectory(monkeypatch):
