@@ -1,19 +1,33 @@
-"""All-pairs kernels of the dipole-dipole Green's tensor, in plain numpy.
+"""The dipole-dipole Green's tensor on an array's distinct displacements,
+in plain numpy.
 
-pair_blocks gives the coupling blocks of the generator, flux_blocks the
-exact full-sphere flux operators of the far field.  Both take their radial
-coefficients from greens.fg_scalar_coefficients through one pair-geometry
-step.  direction_sums gives the plane-wave sums behind angular maps.
-Blocks are in the spherical basis, indices ordered nu = -1, 0, +1.
+The coupling blocks of the generator and the exact full-sphere flux
+operators of the far field depend on a pair of atoms only through its
+displacement D = r_l - r_j.  pair_tables evaluates the coupling and the
+two per-helicity flux tensors once per distinct displacement, from one
+call of greens.fg_scalar_coefficients.  On a lattice the displacements are
+the integer offsets times the spacing, (2 n_x - 1)(2 n_y - 1)(2 n_z - 1)
+of them against N^2 pairs, so both matrices are block Toeplitz, as in
+discrete-dipole codes (Goodman, Draine & Flatau, Opt. Lett. 16, 1198
+(1991)); a free-form array has one displacement per ordered pair.  The
+zero displacement holds the self terms.  Consumers gather the rows they
+need straight into the atom-major amplitude layout (PairTables.model_rows);
+pair_blocks and flux_blocks gather whole (N, N, 3, 3) arrays, the
+references of the tests.  direction_sums gives the plane-wave sums behind
+angular maps.  Blocks are in the spherical basis, indices ordered
+nu = -1, 0, +1.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from .greens import fg_scalar_coefficients, spherical_basis
 
-__all__ = ["pair_blocks", "flux_blocks", "model_matrix", "direction_sums"]
+__all__ = ["PairTables", "pair_tables", "pair_blocks", "flux_blocks",
+           "model_matrix", "direction_sums"]
 
 K0 = 2.0 * np.pi
 _CHUNK_ENTRIES = 1 << 18  # phase factors per direction_sums chunk (4 MB)
@@ -24,16 +38,70 @@ _CROSS = np.einsum("ap,bca,cq->bpq", _EMATRIX.conj(),
                    np.cross(np.eye(3)[:, None], np.eye(3)[None, :]), _EMATRIX)
 
 
-def _pair_geometry(pos: np.ndarray):
-    """x = k0 |r_l - r_j|, r_hat of r_l - r_j and u = r_hat . e_mu, indexed
-    [l, j].  The diagonal is a dummy (x = k0, r_hat = 0) that callers
-    overwrite."""
-    pos = np.asarray(pos, dtype=float)
-    R = pos[:, None, :] - pos[None, :, :]
-    dist = np.linalg.norm(R, axis=-1)
-    np.fill_diagonal(dist, 1.0)
-    rhat = R / dist[..., None]
-    return K0 * dist, rhat, rhat @ _EMATRIX
+@dataclass(frozen=True)
+class PairTables:
+    """Spherical blocks of the pair tensors on an array's distinct
+    displacements (pair_tables).
+
+    coupling, flux_plus and flux_minus are (K, 3, 3); the pair (l, j)
+    reads row left[l] + right[j] of each.
+    """
+
+    coupling: np.ndarray
+    flux_plus: np.ndarray
+    flux_minus: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+
+    def blocks(self, table: np.ndarray) -> np.ndarray:
+        """(N, N, 3, 3) blocks of one of the tables, for every pair."""
+        return table[self.left[:, None] + self.right]
+
+    def model_rows(self, table: np.ndarray, rows, cols) -> np.ndarray:
+        """The rows `rows` of the (N m, N m) matrix of one table's blocks,
+        restricted to the sublevel columns cols, in the atom-major amplitude
+        layout (row l m + a is sublevel cols[a] of atom l)."""
+        sel = np.asarray(cols)
+        atom, level = np.divmod(np.asarray(rows), len(sel))
+        sub = table[:, sel[:, None], sel]
+        return sub[self.left[atom][:, None] + self.right,
+                   level[:, None]].reshape(len(atom), -1)
+
+
+def _grid_index(pos: np.ndarray, dims, spacing: float):
+    """(N, 3) integer lattice indices of the positions, x first; None
+    unless dims and spacing describe a lattice (as build_lattice makes it,
+    centred at the origin) and every position is exactly on it."""
+    dims = np.asarray(dims)
+    if spacing <= 0 or np.any(dims < 1):
+        return None
+    centre = (dims - 1) / 2.0
+    index = np.rint(pos / spacing + centre)
+    if (np.any(index < 0) or np.any(index >= dims)
+            or not np.array_equal(spacing * (index - centre), pos)):
+        return None
+    return index.astype(int)
+
+
+def _displacements(pos: np.ndarray, dims, spacing: float):
+    """(D, left, right): the distinct displacements D (K, 3) and the pair
+    map, r_l - r_j = D[left[l] + right[j]].
+
+    On a lattice, D holds every integer offset in the box
+    |o_i| < n_i times the spacing, x fastest, so the offsets o and -o sit
+    in the rows k and K - 1 - k; otherwise D holds r_l - r_j in row
+    N l + j."""
+    index = _grid_index(pos, dims, spacing)
+    if index is None:
+        n = len(pos)
+        return ((pos[:, None, :] - pos[None, :, :]).reshape(-1, 3),
+                n * np.arange(n), np.arange(n))
+    span = 2 * np.asarray(dims) - 1
+    stride = np.array([1, span[0], span[0] * span[1]])
+    k = np.arange(np.prod(span))
+    offsets = (k[:, None] // stride) % span - (span // 2)
+    flat = index @ stride
+    return spacing * offsets, flat + (span // 2) @ stride, -flat
 
 
 def _dyad_blocks(a, b, u):
@@ -42,46 +110,73 @@ def _dyad_blocks(a, b, u):
         - b[..., None, None] * (np.conj(u)[..., :, None] * u[..., None, :])
 
 
-def pair_blocks(pos: np.ndarray) -> np.ndarray:
-    """Coupling blocks e_eta^dag F(k0 R) e_nu for all atom pairs.
-
-    Returns (N, N, 3, 3) complex with zero diagonal blocks; F is even in
-    the separation, so the result is symmetric under swapping atoms.
-    """
-    x, _, u = _pair_geometry(pos)
-    f1, f2, g1, g2 = fg_scalar_coefficients(x)
-    blocks = _dyad_blocks((f1 + f2) - 1j * (g1 + g2),
-                          (f1 + 3.0 * f2) - 1j * (g1 + 3.0 * g2), u)
-    idx = np.arange(len(x))
-    blocks[idx, idx] = 0.0
-    return blocks
+def _spherical(v: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """sum_c v[:, c] basis[c] as three elementwise products and two sums,
+    so that -v gives exactly the negated result."""
+    shape = (-1,) + (1,) * (basis.ndim - 1)
+    return (v[:, 0].reshape(shape) * basis[0] + v[:, 1].reshape(shape)
+            * basis[1] + v[:, 2].reshape(shape) * basis[2])
 
 
-def flux_blocks(pos: np.ndarray):
-    """Exact per-helicity flux operators (Q_plus, Q_minus), each (N, N, 3, 3).
+def pair_tables(pos: np.ndarray, dims=(0, 0, 0),
+                spacing: float = 0.0) -> PairTables:
+    """The coupling and flux tensors of an array on its distinct
+    displacements D = r_l - r_j (one row per distinct D, see _displacements).
 
-    Integrating the far-field intensity of a source beta over the sphere
-    gives flux_sigma = sum_{l,j} beta_l^dag Q_sigma[l, j] beta_j.  With
-    R = r_j - r_l, summing the helicities gives the dissipative tensor
-    (Lehmberg, Phys. Rev. A 2, 883 (1970)),
+    coupling[D] = E^dag F(k0 D) E, zero at D = 0, with F = f - i g the
+    coupling tensor: F is even in D, so the table is symmetric under
+    swapping atoms.  Integrating the far-field intensity of a source beta
+    over the sphere gives flux_sigma = sum_{l,j} beta_l^dag Q_sigma[D] beta_j
+    with Q_sigma = flux_plus, flux_minus.  Summing the helicities gives the
+    dissipative tensor (Lehmberg, Phys. Rev. A 2, 883 (1970)),
 
-        Q_plus + Q_minus = delta_lj I + f(k0 R),
+        Q_plus + Q_minus = delta_lj I + f(k0 D),
 
     and the helicity difference eps_+ eps_+^dag - eps_- eps_-^dag =
     i [r_hat]_x integrates to
 
-        Q_plus - Q_minus = -(3/2) j1(k0 R) [R_hat]_x,   zero for l = j,
+        Q_plus - Q_minus = (3/2) j1(k0 |D|) [D_hat]_x,   zero at D = 0,
 
-    where (3/2) j1(x) = -x f2(x).
+    where (3/2) j1(x) = -x f2(x): odd in D.  Every row of -D is exactly
+    that of D, with the helicity difference negated (Q_plus and Q_minus
+    swapped): the unit vector enters only through elementwise products.
     """
-    x, rhat, u = _pair_geometry(pos)
-    f1, f2, _, _ = fg_scalar_coefficients(x)
-    total = _dyad_blocks(f1 + f2, f1 + 3.0 * f2, u)
-    idx = np.arange(len(x))
-    total[idx, idx] = np.eye(3)
-    # R_hat = -rhat[l, j]; the zero diagonal of rhat zeroes diagonal blocks
-    diff = np.einsum("ljb,bpq->ljpq", (-x * f2)[..., None] * rhat, _CROSS)
-    return 0.5 * (total + diff), 0.5 * (total - diff)
+    pos = np.asarray(pos, dtype=float)
+    D, left, right = _displacements(pos, dims, spacing)
+    dist = np.linalg.norm(D, axis=1)
+    far = dist > 0
+    x = K0 * dist[far]
+    rhat = D[far] / dist[far, None]
+    u = _spherical(rhat, _EMATRIX)  # u = r_hat . e_mu
+    f1, f2, g1, g2 = fg_scalar_coefficients(x)
+    coupling = np.zeros((len(D), 3, 3), dtype=complex)
+    coupling[far] = _dyad_blocks((f1 + f2) - 1j * (g1 + g2),
+                                 (f1 + 3.0 * f2) - 1j * (g1 + 3.0 * g2), u)
+    total = np.zeros_like(coupling)
+    total[far] = _dyad_blocks(f1 + f2, f1 + 3.0 * f2, u)
+    total[~far] = np.eye(3)
+    diff = np.zeros_like(coupling)
+    diff[far] = _spherical((-x * f2)[:, None] * rhat, _CROSS)
+    return PairTables(coupling, 0.5 * (total + diff), 0.5 * (total - diff),
+                      left, right)
+
+
+def pair_blocks(pos: np.ndarray) -> np.ndarray:
+    """Coupling blocks e_eta^dag F(k0 R) e_nu for all atom pairs.
+
+    Returns (N, N, 3, 3) complex with zero diagonal blocks, gathered from
+    pair_tables; F is even in the separation, so the result is symmetric
+    under swapping atoms.
+    """
+    tables = pair_tables(pos)
+    return tables.blocks(tables.coupling)
+
+
+def flux_blocks(pos: np.ndarray):
+    """Exact per-helicity flux operators (Q_plus, Q_minus), each
+    (N, N, 3, 3), gathered from pair_tables."""
+    tables = pair_tables(pos)
+    return tables.blocks(tables.flux_plus), tables.blocks(tables.flux_minus)
 
 
 def model_matrix(blocks: np.ndarray, cols) -> np.ndarray:

@@ -47,7 +47,13 @@ def _require(d: dict, key: str, path: str):
 def _number(value, path: str, lo=None, hi=None) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(f"'{path}' must be a number")
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:  # an integer beyond the float range
+        v = math.inf
+    # NaN passes every bound check (nan < lo is False), inf the lower one
+    if not math.isfinite(v):
+        raise ConfigError(f"'{path}' must be a finite number")
     if lo is not None and v < lo:
         raise ConfigError(f"'{path}' must be >= {lo}")
     if hi is not None and v > hi:

@@ -13,9 +13,11 @@ one chosen sublevel; emission happens on e -> g.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
+from . import _kernels
 from .envelope import PulseEnvelope
 from .errors import InvalidArgumentError
 
@@ -63,6 +65,14 @@ class AtomArray:
 
     def __len__(self) -> int:
         return self.n_atoms
+
+    @cached_property
+    def pair_tables(self) -> "_kernels.PairTables":
+        """The coupling and flux tensors on the array's distinct
+        displacements (_kernels.pair_tables), built once: on the lattice's
+        integer offsets when dims/spacing describe one and every position
+        is on it, else one row per ordered pair."""
+        return _kernels.pair_tables(self.positions, self.dims, self.spacing)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,9 @@ Angular maps use a Gauss-Legendre grid in cos(theta) crossed with a
 uniform phi grid.  Waveforms need no grid: the full-sphere flux per
 helicity is a quadratic form of the excited amplitudes whose operators
 have a closed form in the dissipative part f of the coupling tensor and
-the spherical Bessel function j1 (_kernels.flux_blocks).
+the spherical Bessel function j1.  Like the coupling, they depend on a
+pair of atoms only through its displacement, and are gathered from the
+array's table of them (AtomArray.pair_tables, _kernels.pair_tables).
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ __all__ = [
 NORMALIZATION = 3.0 / (8.0 * np.pi)
 
 _EMATRIX = spherical_basis().matrix  # columns e_{-1}, e_0, e_{+1}
+_SAMPLE_CHUNK = 512  # samples per chunk of waveform's quadratic forms
 
 
 @dataclass(frozen=True)
@@ -229,15 +232,30 @@ def _quadratic_forms(Q: np.ndarray, B: np.ndarray) -> np.ndarray:
         + np.einsum("ik,ik->k", B.imag, QB.imag)
 
 
-def _excited_operator(H, blocks, M: np.ndarray) -> np.ndarray:
-    """Q_e^H M Q_e: an operator on the excited amplitudes in the stacked
-    excited columns Q_e = [Q_e,1 Q_e,2 ...] of the generator blocks (M
-    itself for the whole generator)."""
+def _flux_operators(H, blocks) -> list:
+    """[F_plus, F_minus] on the stacked excited columns Q_e = [Q_e,1 Q_e,2
+    ...] of the generator blocks, Q_e^H F_sigma Q_e, or on the whole
+    excited space for the whole generator.
+
+    Each is gathered from the array's flux table: per basis, the rows of
+    F_sigma at each padded orbit position, weighted and summed into
+    Q_e,k^H F_sigma (b_k, N m), then projected once more onto every basis,
+    one block row at a time.  With a symmetry, neither F_sigma at
+    (N m, N m) nor any per-pair array is formed."""
+    tables = H.array.pair_tables
+    cols, nm = H.columns, H.excited_block.shape[0]
     if blocks[0].basis is None:
-        return M
+        return [tables.model_rows(F, np.arange(nm), cols)
+                for F in (tables.flux_plus, tables.flux_minus)]
     Qs = [blk.basis.excited(H.n_atoms) for blk in blocks]
-    QM = np.vstack([Q.project(M) for Q in Qs])
-    return np.hstack([Q.project(QM.conj().T).conj().T for Q in Qs])
+
+    def block_row(Q, F):
+        FQ = Q.project_rows(lambda r: tables.model_rows(F, r, cols),
+                            (nm,)).conj().T  # F^H Q_e,k
+        return np.hstack([P.project(FQ).conj().T for P in Qs])
+
+    return [np.vstack([block_row(Q, F) for Q in Qs])
+            for F in (tables.flux_plus, tables.flux_minus)]
 
 
 def waveform(traj: Trajectory, u_grid=None,
@@ -245,34 +263,38 @@ def waveform(traj: Trajectory, u_grid=None,
     """Angular-integrated flux and cumulative photon number versus u.
 
     The flux of each helicity is the quadratic form of the excited
-    amplitudes with its exact flux operator.  The operators are projected
-    once onto the stacked excited columns of all the trajectory's blocks
-    and applied to the stacked excited coordinates in one product, so the
-    state is never lifted.  The flux operators commute with the rotation
-    about z, and their sum with inversion, but the helicity difference is
-    odd under inversion: it couples each block split by inversion to its
-    parity partner, so the per-helicity forms are not block diagonal.
-    The state side is 1 - |coordinates|^2, the bases being orthonormal.
-    With decay on, the total flux equals -d|psi|^2/dt exactly.  u_grid
-    defaults to the trajectory's own sample times (Trajectory.coords_at
-    otherwise).
+    amplitudes with its exact flux operator, built once on the stacked
+    excited columns of all the trajectory's blocks (_flux_operators)
+    and applied to the stored coordinates, so the state is never lifted.
+    The forms are summed over chunks of samples on slices of the
+    coordinates, so no stacked copy of them is made.  The flux operators
+    commute with the rotation about z, and their sum with inversion, but
+    the helicity difference is odd under inversion: it couples each block
+    split by inversion to its parity partner, so the per-helicity forms
+    are not block diagonal.  The state side is 1 - |coordinates|^2, the
+    bases being orthonormal.  With decay on, the total flux equals
+    -d|psi|^2/dt exactly.  u_grid defaults to the trajectory's own sample
+    times (Trajectory.coords_at otherwise).
     The trajectory should be long enough that the residual excitation is
     below 1e-3; pass allow_truncation=True to accept a truncated waveform.
     """
     u = np.asarray(traj.times if u_grid is None else u_grid, dtype=float)
     y = traj.coords if u_grid is None else traj.coords_at(u)
-    norm2 = np.sum(np.abs(y) ** 2, axis=0)
+    chunks = [slice(lo, lo + _SAMPLE_CHUNK)
+              for lo in range(0, y.shape[1], _SAMPLE_CHUNK)]
+    norm2 = np.concatenate([np.sum(np.abs(y[:, s]) ** 2, axis=0)
+                            for s in chunks])
     residual = float(norm2[-1])
     if residual > 1e-3 and not allow_truncation:
         raise InvalidArgumentError(
             f"residual norm {residual:.3e} > 1e-3 at u = {u[-1]:g}; "
             f"extend t_end or pass allow_truncation=True")
-    H = traj.H
-    beta = np.vstack([y_k[blk.n_meta:]
-                      for blk, y_k in zip(traj.blocks, traj.split(y))])
-    fp, fm = (_quadratic_forms(_excited_operator(
-                  H, traj.blocks, _kernels.model_matrix(F, H.columns)), beta)
-              for F in _kernels.flux_blocks(H.array.positions))
+    ops = _flux_operators(traj.H, traj.blocks)
+    fp, fm = np.empty(len(u)), np.empty(len(u))
+    for s in chunks:
+        beta = np.vstack([y_k[blk.n_meta:] for blk, y_k
+                          in zip(traj.blocks, traj.split(y[:, s]))])
+        fp[s], fm[s] = (_quadratic_forms(F, beta) for F in ops)
     ns = 1.0 - norm2
     total = fp + fm
     cum = np.concatenate(

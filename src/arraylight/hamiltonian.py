@@ -45,7 +45,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import _kernels
 from .core import AmplitudeState, AtomArray, LaserDrive, SUBLEVELS
 from .envelope import write_columns
 from .errors import InvalidArgumentError, NumericError
@@ -285,11 +284,17 @@ class OrbitBasis:
 
     def project(self, X: np.ndarray) -> np.ndarray:
         """Q^H X for a vector or a (n_rows, K) stack."""
+        return self.project_rows(X.__getitem__, X.shape[1:])
+
+    def project_rows(self, rows_of, shape=()) -> np.ndarray:
+        """Q^H X for X of shape (n_rows,) + shape given only as
+        rows_of(r), which returns the rows r of X: X itself need not
+        exist, only one batch of its rows per padded position."""
         rows, conj = self._padded
-        shape = (-1,) + (1,) * (X.ndim - 1)
-        out = np.zeros((rows.shape[1],) + X.shape[1:], dtype=complex)
+        c_shape = (-1,) + (1,) * len(shape)
+        out = np.zeros((rows.shape[1],) + tuple(shape), dtype=complex)
         for r, c in zip(rows, conj):
-            out += c.reshape(shape) * X[r]
+            out += c.reshape(c_shape) * rows_of(r)
         return out
 
     def lift(self, y: np.ndarray, rows=None) -> np.ndarray:
@@ -382,6 +387,10 @@ def assemble(array: AtomArray, drive: LaserDrive,
              include_sublevels=SUBLEVELS, decay: bool = True) -> EffectiveHamiltonian:
     """Build the rotating-frame generator.
 
+    The excited block, the one matrix stored, is gathered straight into
+    its (N m, N m) layout from the array's coupling table
+    (AtomArray.pair_tables, one block per distinct displacement), with no
+    per-pair (N, N, 3, 3) array.
     include_sublevels restricts the excited manifold (two-level physics
     uses just the driven sublevel).  decay=False drops every Gamma term
     (self-decay and pair couplings), leaving the bare Rabi problem; it
@@ -394,12 +403,15 @@ def assemble(array: AtomArray, drive: LaserDrive,
     if drive.omega_L0 > 0 and drive.target_sublevel not in subs:
         raise InvalidArgumentError("driven sublevel is excluded from the model")
     nm = array.n_atoms * len(subs)
-    # subtract from zeros: -0.5 * M alone leaves -0.0 entries, which shift
-    # the rounding of LAPACK's eig
-    block = np.zeros((nm, nm), dtype=complex)
-    if decay and array.n_atoms > 1:
-        blocks = _kernels.pair_blocks(array.positions)
-        block -= 0.5 * _kernels.model_matrix(blocks, _sublevel_columns(subs))
+    if decay:
+        # gathered from the coupling table scaled as 0.0 - 0.5 G: -0.5 G
+        # alone leaves -0.0 entries, which shift the rounding of LAPACK's
+        # eig
+        tables = array.pair_tables
+        block = tables.model_rows(0.0 - 0.5 * tables.coupling,
+                                  np.arange(nm), _sublevel_columns(subs))
+    else:
+        block = np.zeros((nm, nm), dtype=complex)
     block.flat[::nm + 1] += 1j * drive.delta - (0.5 if decay else 0.0)
     return EffectiveHamiltonian(array=array, drive=drive, sublevels=subs,
                                 excited_block=block, decay=decay)

@@ -258,6 +258,30 @@ def test_cli_validate_rejects_what_runs_reject(tmp_path, capsys, command,
     assert needle in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("lattice", "d", float("nan")),
+    ("drive", "omega_L0", float("nan")),
+    ("drive", "delta", float("inf")),
+    ("drive", "delta", -float("inf")),
+    ("time", "t_end", float("inf")),
+    ("k_gf", "magnitude", float("nan")),
+])
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+def test_cli_rejects_non_finite_numbers(tmp_path, capsys, command, section,
+                                        key, value):
+    # nan < lo is False, so NaN would pass every bound; inf every upper one
+    raw = _fast_run_cfg()
+    raw.setdefault(section, {})[key] = value
+    path = _write_yaml(tmp_path / "run.yaml", raw)
+    args = [command, "--config", path]
+    if command == "simulate":
+        args += ["--out", str(tmp_path / "out")]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert f"'{section}.{key}' must be a finite number" in err
+
+
 def test_cli_simulate_outputs(tmp_path):
     path = _write_yaml(tmp_path / "run.yaml", _fast_run_cfg())
     out = tmp_path / "out"

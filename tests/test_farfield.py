@@ -1,12 +1,14 @@
 """Helicity frames, angular quadrature, intensity maps and waveforms."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from arraylight.core import (AmplitudeState, AtomArray, LaserDrive,
-                             build_lattice)
+                             build_lattice, timed_dicke_state)
 from arraylight.dynamics import Trajectory, propagate_eigen
 from arraylight.errors import InvalidArgumentError
 from arraylight.farfield import (AngularGrid, angular_map, helicity_frame,
@@ -174,6 +176,28 @@ def test_waveform_custom_u_grid():
     u = np.linspace(0.0, 20.0, 41)
     wave = waveform(traj, u_grid=u)
     assert np.allclose(wave.flux_total, np.exp(-u), atol=1e-9)
+
+
+def test_waveform_memory_on_a_6x6x6_lattice():
+    # the flux operators are summed from the displacement table straight
+    # onto the trajectory's excited columns, and the quadratic forms run
+    # over chunks of samples: no (N, N, 3, 3) array and no (N m, N m)
+    # operator (10.4 MB at N = 216).  Building them densely took the
+    # allocation peak to 33 MB above the live memory; 3.5 MB now
+    arr = build_lattice(6, 6, 6, 0.6)
+    H = assemble(arr, LaserDrive(2.0, 10.0))
+    traj = propagate_eigen(H, timed_dicke_state(arr, [0.0, 0.0, K0]),
+                           np.linspace(0.0, 30.0, 601))
+    assert traj.blocks[0].basis is not None
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        wave = waveform(traj, allow_truncation=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(wave.flux_total))
+    assert peak - live < 12e6, peak - live
 
 
 def test_angular_map_csv(tmp_path):

@@ -18,7 +18,7 @@ from arraylight.core import (SUBLEVELS, AmplitudeState, AtomArray,
                              timed_dicke_state)
 from arraylight.dynamics import propagate_eigen, propagate_ode
 from arraylight.envelope import PulseEnvelope
-from arraylight.farfield import waveform
+from arraylight.farfield import _flux_operators, waveform
 from arraylight.greens import coupling_block
 from arraylight.hamiltonian import assemble, eigenmodes, rotation_blocks
 from arraylight.shaping import (AdiabaticModel, adiabatic_simulate,
@@ -220,6 +220,36 @@ def test_ode_keeps_the_rotation_blocks():
     assert eig.eigen_blocks == [[40, 40]]
     assert [blk.dim for blk in ode.blocks] == [80]
     assert np.max(np.abs(ode.states - eig.states)) <= 1e-9
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 3),
+       st.floats(0.2, 0.9), st.sampled_from(_SUBSETS), st.booleans(),
+       st.data())
+def test_projected_flux_operators_match_the_dense_ones(nx, ny, nz, d, subs,
+                                                       inversion, data):
+    # waveform's operators, summed from the flux table's rows at each
+    # padded orbit position, against Q_e^H F Q_e of the dense (N m, N m)
+    # operators, on the stacked excited columns of every block and of a
+    # random subset of them
+    nu0 = data.draw(st.sampled_from(subs))
+    H = assemble(build_lattice(nx, ny, nz, d),
+                 LaserDrive(1.3, 0.7, target_sublevel=nu0),
+                 include_sublevels=subs)
+    bases = [Qk for Qk in rotation_blocks(H, inversion=inversion)
+             if Qk.n_meta(H.n_atoms) < Qk.shape[1]]
+    picked = data.draw(st.lists(st.sampled_from(range(len(bases))),
+                                min_size=1, unique=True))
+    blocks = [H.block(bases[i]) for i in sorted(picked)]
+    Qe = np.hstack([blk.basis.excited(H.n_atoms).lift(
+        np.eye(blk.dim - blk.n_meta)) for blk in blocks])
+    dense = [_kernels.model_matrix(F, H.columns)
+             for F in _kernels.flux_blocks(H.array.positions)]
+    for got, F in zip(_flux_operators(H, blocks), dense):
+        assert np.max(np.abs(got - Qe.conj().T @ F @ Qe)) <= 1e-14
+    # without a symmetry: the dense operators themselves
+    for got, F in zip(_flux_operators(H, [H.block()]), dense):
+        assert np.max(np.abs(got - F)) <= 1e-14
 
 
 @st.composite
