@@ -30,7 +30,9 @@ __all__ = ["PairTables", "pair_tables", "pair_blocks", "flux_blocks",
            "model_matrix", "direction_sums"]
 
 K0 = 2.0 * np.pi
-_CHUNK_ENTRIES = 1 << 18  # phase factors per direction_sums chunk (4 MB)
+# phase factors per direction_sums chunk (at least one direction): a
+# 512 kB complex buffer and 256 kB real phase arrays
+_CHUNK_ENTRIES = 1 << 15
 
 _EMATRIX = spherical_basis().matrix  # columns e_{-1}, e_0, e_{+1}
 # _CROSS[b] = E^dag [e_b]_x E, where [n]_x v = n x v
@@ -192,8 +194,10 @@ def direction_sums(dirs: np.ndarray, pos: np.ndarray,
                    s: np.ndarray) -> np.ndarray:
     """V[m, c] = sum_j exp(+i k0 dirs[m].pos[j]) s[j, c], chunked gemm.
 
-    The phase factors of a chunk of directions (about 2^18 of them in all)
-    are written as cos and sin straight into one complex buffer."""
+    The phase factors of a chunk of directions (about _CHUNK_ENTRIES = 2^15
+    of them in all, at least one direction) are written as cos and sin
+    straight into one complex buffer, and one gemm maps the chunk: the
+    chunk size sets only how many directions share a gemm."""
     dirs = np.asarray(dirs, dtype=float)
     m, n = len(dirs), len(pos)
     out = np.empty((m, s.shape[1]), dtype=complex)

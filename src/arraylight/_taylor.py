@@ -134,6 +134,7 @@ def taylor_pass(blocks, t_span, y0, *, envelope, rtol, atol, t_eval=None):
     theta = (math.factorial(_MAX_TERMS + 1) * rtol / 3.0) ** (
         1.0 / (_MAX_TERMS + 1))
 
+    tiny = np.finfo(float).tiny
     ts, ys = ([t0], [y0]) if t_eval is None else ([], [])
     stored = 0  # t_eval[:stored] are stored
     nfev = 0
@@ -147,7 +148,7 @@ def taylor_pass(blocks, t_span, y0, *, envelope, rtol, atol, t_eval=None):
             / theta))
         h = span / n_steps
         t_new = end if n_steps == 1 else t + h
-        tol = (rtol + atol / max(np.linalg.norm(y), np.finfo(float).tiny)
+        tol = (rtol + atol / max(np.linalg.norm(y), tiny)
                ) * h / (t_end - t0)
         m = _term_count(h * (norm0 + f * (norm1 - norm0)),
                         h * h * abs(slope * coupling), tol)

@@ -47,7 +47,8 @@ from ._taylor import taylor_pass as solve_ivp
 from .core import AmplitudeState
 from .envelope import write_columns
 from .errors import EigenConditionError, InvalidArgumentError
-from .hamiltonian import EffectiveHamiltonian, rotation_blocks
+from .hamiltonian import (EffectiveHamiltonian, eigenbasis_condition,
+                          rotation_blocks)
 
 __all__ = ["Trajectory", "piecewise_grid", "propagate_eigen", "propagate_ode"]
 
@@ -257,10 +258,9 @@ def propagate_eigen(H: EffectiveHamiltonian, psi0: AmplitudeState,
     Each segment's block is the block's constant excited part plus the
     drive pairing at that f; the dense generator is never formed.  Without
     a symmetry the whole generator is diagonalized.  The condition number
-    is that of V = [Q_k W_k ...], in the 2-norm: max sigma_max / min
-    sigma_min over the W_k, since the Q_k are orthonormal and mutually
-    orthogonal.  Raises EigenConditionError when it exceeds cond_limit, in
-    which case propagate_ode is the fallback.
+    is that of V = [Q_k W_k ...] in the 2-norm, from the W_k alone
+    (hamiltonian.eigenbasis_condition).  Raises EigenConditionError when
+    it exceeds cond_limit, in which case propagate_ode is the fallback.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
@@ -284,8 +284,7 @@ def propagate_eigen(H: EffectiveHamiltonian, psi0: AmplitudeState,
         if hi <= t0:
             continue
         eigs = [np.linalg.eig(blk.matrix(f)) for blk in blocks]
-        sv = [np.linalg.svd(W, compute_uv=False) for _, W in eigs]
-        cond = max(s[0] for s in sv) / min(s[-1] for s in sv)
+        cond = eigenbasis_condition(W for _, W in eigs)
         if cond > cond_limit:
             raise EigenConditionError(cond, cond_limit)
         modes = [(W, lam, np.linalg.solve(W, y[s]))

@@ -50,7 +50,7 @@ from .envelope import write_columns
 from .errors import InvalidArgumentError, NumericError
 
 __all__ = ["EffectiveHamiltonian", "ModeSpectrum", "OrbitBasis", "assemble",
-           "eigenmodes", "rotation_blocks"]
+           "eigenbasis_condition", "eigenmodes", "rotation_blocks"]
 
 
 @dataclass(frozen=True)
@@ -330,24 +330,48 @@ class OrbitBasis:
                           self.indptr[lo:] - start, self.n_rows - n)
 
 
+def eigenbasis_condition(vectors) -> float:
+    """2-norm condition number of V = [Q_1 W_1, Q_2 W_2, ...] from the
+    eigenvector blocks W_k alone: max sigma_max / min sigma_min over the
+    W_k.  The Q_k are orthonormal and mutually orthogonal, so V's singular
+    values are those of the W_k together."""
+    sv = [np.linalg.svd(W, compute_uv=False) for W in vectors]
+    return float(max(s[0] for s in sv) / min(s[-1] for s in sv))
+
+
 @dataclass(frozen=True)
 class ModeSpectrum:
-    """Eigenmodes of the excited-sector generator.
+    """Eigenmodes of the excited-sector generator, kept per symmetry block.
 
     Amplitude convention: eigenvalue lambda_m = -i*Delta_m - Gamma_m/2,
     so Gamma_m = -2 Re(lambda_m) is the collective decay rate and
     Delta_m = -Im(lambda_m) the collective shift.  Modes with
     Gamma_m < Gamma are subradiant.
+
+    blocks holds one (Q_k, W_k) per diagonalized block, in the order of
+    eigenvalues: Q_k the block's excited-only OrbitBasis (None for the
+    whole excited block) and W_k its eigenvectors, Q_k^H M Q_k W_k =
+    W_k diag(lambda_k).  right_vectors lifts them into the dense
+    V = [Q_1 W_1, Q_2 W_2, ...] on each access; the rates and the
+    condition number never need it.
     """
 
     eigenvalues: np.ndarray
-    right_vectors: np.ndarray
+    blocks: tuple
+
+    @property
+    def right_vectors(self) -> np.ndarray:
+        """The eigenvectors in the excited amplitude layout, one column
+        per eigenvalue."""
+        return np.hstack([W if Q is None else Q.lift(W)
+                          for Q, W in self.blocks])
 
     @cached_property
     def condition_estimate(self) -> float:
-        """2-norm condition number of the eigenvector matrix."""
+        """2-norm condition number of right_vectors, from the blocks
+        (eigenbasis_condition)."""
         try:
-            return float(np.linalg.cond(self.right_vectors))
+            return eigenbasis_condition(W for _, W in self.blocks)
         except np.linalg.LinAlgError:  # pragma: no cover - rare
             return np.inf
 
@@ -552,22 +576,22 @@ def eigenmodes(H: EffectiveHamiltonian) -> ModeSpectrum:
 
     With a rotation symmetry each irrep block Q^H M Q of rotation_blocks
     (split by inversion too, when the array has it; Q the excited-only
-    basis) is diagonalized on its own and right_vectors collects the Q V;
-    otherwise the whole excited block is.  Q^H M Q is the excited part of
-    the generator block H.block on the full basis, which propagate_eigen
-    shares.
+    basis) is diagonalized on its own, and the spectrum keeps each
+    block's (Q, W) without lifting them (ModeSpectrum); otherwise the
+    whole excited block is.  Q^H M Q is the excited part of the generator
+    block H.block on the full basis, which propagate_eigen shares.
     """
     n = H.n_atoms
-    lams, vecs = [], []
+    lams, blocks = [], []
     for Q in (rotation_blocks(H) or (None,)):
         if Q is not None and Q.n_meta(n) == Q.shape[1]:
             continue  # metastable columns only
         try:
-            lam, V = np.linalg.eig(H.excited_block if Q is None
+            lam, W = np.linalg.eig(H.excited_block if Q is None
                                    else H.block(Q).excited)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
             raise NumericError(f"eigendecomposition failed: {exc}") from exc
         lams.append(lam)
-        vecs.append(V if Q is None else Q.excited(n).lift(V))
+        blocks.append((None if Q is None else Q.excited(n), W))
     return ModeSpectrum(eigenvalues=np.concatenate(lams),
-                        right_vectors=np.hstack(vecs))
+                        blocks=tuple(blocks))

@@ -16,6 +16,7 @@ from arraylight.config import RunConfig
 from arraylight.core import build_lattice
 from arraylight.dynamics import Trajectory
 from arraylight.errors import ConfigError
+from arraylight.hamiltonian import assemble, eigenmodes
 from arraylight.oracles import two_atom_rates
 from arraylight.shaping import AdiabaticModel, adiabatic_simulate
 
@@ -375,6 +376,28 @@ def test_cli_modes(tmp_path):
     assert len(lines) == 3 + 6  # 2 atoms x 3 sublevels
     summary = json.loads((out / "summary.json").read_text())
     assert summary["n_modes"] == 6
+
+
+def test_cli_modes_on_a_4x4x4_lattice(tmp_path):
+    # the rates come from the eight C4h blocks, the condition number from
+    # their eigenvectors alone: both checked against the whole excited block
+    raw = _fast_run_cfg()
+    raw["lattice"] = {"nx": 4, "ny": 4, "nz": 4, "d": 0.6}
+    path = _write_yaml(tmp_path / "run.yaml", raw)
+    out = tmp_path / "out"
+    assert main(["modes", "--config", path, "--out", str(out)]) == 0
+    cfg = RunConfig.from_yaml(path)
+    H = assemble(cfg.build_array(), cfg.build_drive(),
+                 include_sublevels=cfg.sublevels)
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["n_modes"] == H.excited_block.shape[0] == 192
+    body = np.loadtxt(out / "modes.csv", delimiter=",", comments="#",
+                      skiprows=3)
+    assert body.shape == (192, 4)
+    want = np.sort(-2.0 * np.linalg.eigvals(H.excited_block).real)
+    assert np.max(np.abs(np.sort(body[:, 2]) - want)) < 1e-10
+    cond = np.linalg.cond(eigenmodes(H).right_vectors)
+    assert abs(summary["condition_estimate"] - cond) <= 1e-12 * cond
 
 
 def test_cli_shape_infeasible_exit_code(tmp_path, capsys):

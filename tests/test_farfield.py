@@ -200,6 +200,25 @@ def test_waveform_memory_on_a_6x6x6_lattice():
     assert peak - live < 12e6, peak - live
 
 
+def test_intensity_map_memory_on_a_6x6x6_lattice():
+    # direction_sums writes the phase factors of 2^15 entries at a time
+    # (151 directions at N = 216); chunks of 2^18 took the allocation peak
+    # to 8.8 MB above the live memory on the 64 x 128 grid, 1.7 MB now
+    arr = build_lattice(6, 6, 6, 0.6)
+    grid = AngularGrid(64, 128)
+    rng = np.random.default_rng(3)
+    beta = rng.normal(size=(216, 3)) + 1j * rng.normal(size=(216, 3))
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        amap = intensity_map(beta, arr, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(amap.total > 0.0)
+    assert peak - live < 4e6, peak - live
+
+
 def test_angular_map_csv(tmp_path):
     arr, psi0 = _single_excited()
     H = assemble(arr, LaserDrive(0.0, 0.0))

@@ -1,5 +1,7 @@
 """Generator assembly, structure and eigenmode analysis."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -243,14 +245,53 @@ def test_spectrum_csv(tmp_path):
     assert set(body[:, 3]) <= {0.0, 1.0}
 
 
+def _chiral_c4_array():
+    # two orbits of the quarter turn about z and no mirror plane or
+    # inversion: four C4 blocks, none split
+    pos = []
+    for x, y, z in ((-0.422, 0.384, 0.22), (0.345, -0.37, 0.363)):
+        for _ in range(4):
+            pos.append((x, y, z))
+            x, y = -y, x
+    return AtomArray(np.array(pos))
+
+
 def test_condition_estimate_is_cond_of_right_vectors():
-    arr = build_lattice(3, 3, 2, 0.45)
-    H = assemble(arr, LaserDrive(0.0, 2.0))
-    spec = eigenmodes(H)
-    assert spec.condition_estimate == np.linalg.cond(spec.right_vectors)
-    # the assembled symmetry-block vectors diagonalize the excited block
-    V, lam = spec.right_vectors, spec.eigenvalues
-    assert np.max(np.abs(H.excited_block @ V - V * lam)) < 1e-13
+    # the estimate comes from the blocks' W_k (max sigma_max / min
+    # sigma_min), the reference from the lifted V = [Q_k W_k ...]: the
+    # same singular values, through a different SVD, so equal to rounding;
+    # with one block (no symmetry) the SVD is the same and so is the number
+    rng = np.random.default_rng(17)
+    free = AtomArray(rng.uniform(-0.6, 0.6, size=(5, 3)))
+    cases = ((build_lattice(3, 3, 2, 0.45), 8, 1e-12),
+             (_chiral_c4_array(), 4, 1e-12), (free, 1, 0.0))
+    for arr, n_blocks, rel in cases:
+        H = assemble(arr, LaserDrive(0.0, 2.0))
+        spec = eigenmodes(H)
+        assert len(spec.blocks) == n_blocks
+        V, lam = spec.right_vectors, spec.eigenvalues
+        want = np.linalg.cond(V)
+        assert abs(spec.condition_estimate - want) <= rel * want
+        # the lifted symmetry-block vectors diagonalize the excited block
+        assert np.max(np.abs(H.excited_block @ V - V * lam)) < 1e-13
+
+
+def test_eigenmodes_memory_on_a_6x6x6_lattice():
+    # the spectrum keeps each block's 81 x 81 eigenvectors and lifts them
+    # only when right_vectors is read: lifting them into one 648 x 648 V
+    # (6.7 MB, and the lifted blocks before the stack) took the allocation
+    # peak to 14.7 MB above the live memory; 4.4 MB now, mostly the block
+    # sandwiches
+    H = assemble(build_lattice(6, 6, 6, 0.6), LaserDrive(2.0, 10.0))
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        spec = eigenmodes(H)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - live < 8e6, peak - live
+    assert spec.eigenvalues.size == 648
 
 
 def test_rotation_blocks_find_the_lattice_symmetry():
