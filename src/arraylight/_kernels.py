@@ -24,12 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .greens import fg_scalar_coefficients, spherical_basis
+from .greens import K0, fg_scalar_coefficients, spherical_basis
 
 __all__ = ["PairTables", "pair_tables", "pair_blocks", "flux_blocks",
            "model_matrix", "direction_sums"]
 
-K0 = 2.0 * np.pi
 # phase factors per direction_sums chunk (at least one direction): a
 # 512 kB complex buffer and 256 kB real phase arrays
 _CHUNK_ENTRIES = 1 << 15

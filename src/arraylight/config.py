@@ -22,11 +22,10 @@ from .dynamics import piecewise_grid
 from .envelope import PulseEnvelope
 from .errors import ConfigError
 from .farfield import AngularGrid
+from .greens import K0
 from .shaping import TargetWaveform
 
 __all__ = ["RunConfig"]
-
-K0 = 2.0 * np.pi
 
 
 def _check_keys(d: dict, allowed: set, path: str) -> None:

@@ -148,9 +148,6 @@ class PulseEnvelope:
                          & (self._slope[:-1] != self._slope[1:])]
         return b[b < t_end]
 
-    def is_constant(self) -> bool:
-        return bool(np.all(self._f0 == self._f0[0]) and np.all(self._f1 == self._f0[0]))
-
     def constant_segments(self, t_end: float):
         """Split [t_start, t_end] into constant-f pieces, or None.
 

@@ -35,7 +35,6 @@ from .core import AtomArray
 from .dynamics import Trajectory
 from .envelope import write_columns
 from .errors import InvalidArgumentError
-from .greens import spherical_basis
 
 __all__ = [
     "NORMALIZATION",
@@ -53,7 +52,6 @@ __all__ = [
 
 NORMALIZATION = 3.0 / (8.0 * np.pi)
 
-_EMATRIX = spherical_basis().matrix  # columns e_{-1}, e_0, e_{+1}
 _SAMPLE_CHUNK = 512  # samples per chunk of waveform's quadratic forms
 
 
@@ -172,10 +170,17 @@ class Waveform:
                       header_lines)
 
 
+def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Trapezoid integral of y over x from x[0] to each x, starting at 0
+    (the arithmetic of scipy's cumulative_trapezoid)."""
+    return np.concatenate([[0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1])
+                                            / 2.0)])
+
+
 def _cartesian_source(beta: np.ndarray) -> np.ndarray:
     """Contract sublevel amplitudes with the spherical basis: (N, 3)
     Cartesian source vectors s_j = sum_nu beta_j^nu e_nu."""
-    return beta @ _EMATRIX.T
+    return beta @ _kernels._EMATRIX.T
 
 
 def intensity(beta_at_u, array: AtomArray, frame: HelicityFrame):
@@ -297,7 +302,5 @@ def waveform(traj: Trajectory, u_grid=None,
         fp[s], fm[s] = (_quadratic_forms(F, beta) for F in ops)
     ns = 1.0 - norm2
     total = fp + fm
-    cum = np.concatenate(
-        [[0.0], np.cumsum(0.5 * (total[1:] + total[:-1]) * np.diff(u))])
     return Waveform(u_grid=u, flux_plus=fp, flux_minus=fm,
-                    cumulative=cum, state_side=ns)
+                    cumulative=_cumulative_trapezoid(total, u), state_side=ns)

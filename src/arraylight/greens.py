@@ -33,6 +33,8 @@ __all__ = [
     "fg_scalar_coefficients",
 ]
 
+K0 = 2.0 * np.pi  # resonant wavenumber 2 pi / lambda0, lengths in lambda0
+
 
 @dataclass(frozen=True)
 class CouplingTensor:
@@ -100,7 +102,7 @@ def eval_f_g(kR: float, r_hat) -> CouplingTensor:
 
 
 def coupling_block(r_l, r_j, basis: PolarizationBasis | None = None,
-                   k0: float = 2.0 * np.pi) -> np.ndarray:
+                   k0: float = K0) -> np.ndarray:
     """Pair coupling in the spherical basis, G_{eta,nu} = e_eta^dag F e_nu.
 
     Rows/columns ordered (-1, 0, +1).  F depends only on the separation

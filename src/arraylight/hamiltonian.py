@@ -469,8 +469,7 @@ def _orbit(perm, start: int) -> list:
     return orbit
 
 
-def rotation_blocks(H: EffectiveHamiltonian, excited_only: bool = False,
-                    inversion: bool = True):
+def rotation_blocks(H: EffectiveHamiltonian, inversion: bool = True):
     """Orbit bases of the array's symmetry about z: the rotation (C4, else
     C2) and, when every -r_l is exactly an atom's position, the inversion
     r -> -r (C4h, C2h); None when the array has no rotation symmetry.
@@ -491,27 +490,22 @@ def rotation_blocks(H: EffectiveHamiltonian, excited_only: bool = False,
     only the even irreps.  Otherwise the pair gives (c +- c')/sqrt(2).  The
     metastable (a) columns of each Q come first, in orbit order, then the
     excited ones, so Q^H G Q has the generator's own layout.
-    The bases are built once per Hamiltonian and inversion flag.
-    excited_only gives the bases of the excited block instead of the full
-    generator: the lower rows of the full ones without their metastable
-    columns.  inversion=False keeps the rotation irreps k alone, unsplit
-    (what the ODE integrates: its per-term products cost less on fewer,
-    larger blocks).
+    The bases are built once per Hamiltonian and inversion flag; those of
+    the excited block alone are their Q.excited(n_atoms).  inversion=False
+    keeps the rotation irreps k alone, unsplit (what the ODE integrates:
+    its per-term products cost less on fewer, larger blocks).
     """
     cache = H._symmetry_bases
     if inversion not in cache:
         cache[inversion] = _orbit_bases(H, inversion)
-    bases = cache[inversion]
-    if bases is None or not excited_only:
-        return bases
-    excited = (Q.excited(H.n_atoms) for Q in bases)
-    return tuple(Q for Q in excited if Q.shape[1])
+    return cache[inversion]
 
 
 def _orbit_bases(H: EffectiveHamiltonian, inversion: bool,
                  excited_only: bool = False):
     """rotation_blocks' bases, built from the atom permutations; those of
-    the excited block alone with excited_only."""
+    the excited block alone with excited_only (the tests' reference for
+    Q.excited)."""
     pos = H.array.positions
     for order in (4, 2):
         perm = _rotation_permutation(pos, order)

@@ -13,15 +13,13 @@ import numpy as np
 from .core import AtomArray
 from .errors import InvalidArgumentError
 from .farfield import NORMALIZATION, helicity_frame
-from .greens import eval_f_g, spherical_basis
+from .greens import K0, eval_f_g, spherical_basis
 
 __all__ = [
     "noninteracting_amplitudes",
     "noninteracting_intensity",
     "two_atom_rates",
 ]
-
-_K0 = 2.0 * np.pi
 
 
 def noninteracting_amplitudes(array: AtomArray, k_em, t: float) -> np.ndarray:
@@ -56,7 +54,7 @@ def noninteracting_intensity(array: AtomArray, k_em, r_hat, u: float,
     eps = frame.eps_plus if helicity == +1 else frame.eps_minus
     e_plus = spherical_basis().e_plus
     pol = np.vdot(eps, e_plus)
-    phases = np.exp(1j * (array.positions @ (_K0 * r - k)))
+    phases = np.exp(1j * (array.positions @ (K0 * r - k)))
     structure = abs(np.sum(phases)) ** 2
     return float(NORMALIZATION * np.exp(-u) * abs(pol) ** 2
                  * structure / array.n_atoms)
@@ -76,7 +74,7 @@ def two_atom_rates(separation: float, orientation=(0.0, 0.0, 1.0),
         raise InvalidArgumentError("sublevel must be one of -1, 0, +1")
     rhat = np.asarray(orientation, dtype=float)
     rhat = rhat / np.linalg.norm(rhat)
-    f = eval_f_g(_K0 * separation, rhat).f_part
+    f = eval_f_g(K0 * separation, rhat).f_part
     basis = spherical_basis()
     e_nu = (basis.e_minus, basis.e_zero, basis.e_plus)[sublevel + 1]
     fc = float(np.real(np.vdot(e_nu, f @ e_nu)))

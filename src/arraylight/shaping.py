@@ -9,15 +9,17 @@ reparametrization of the constant-drive reference:
 
     a(t) = a0(tau(t)),   tau(t) = integral_0^t f(t')^2 dt'.
 
-Inverting the reference cumulative photon curve n0 therefore converts any
-reachable target emission waveform into an envelope: match cumulative
-counts n_target(t) = n0(tau(t)), read off tau(t), and take
-f = sqrt(dtau/dt).  The inversion is a cubic Hermite spline through
-(n0, t) with the exact slope dt/dn = 1/flux, so the derivative is
-analytic (finite differences on a nearly flat n0 produce spikes) and a
-target equal to the free-running waveform recovers f = 1 identically.
-Feasibility requires f <= 1; the first violating time is reported
-otherwise.
+The reduced model is therefore solved once, in closed form under the
+unit envelope (adiabatic_simulate), and any envelope's solution is read
+off that reference (reparametrize).  Inverting the reference cumulative
+photon curve n0 converts any reachable target emission waveform into an
+envelope: match cumulative counts n_target(t) = n0(tau(t)), read off
+tau(t), and take f = sqrt(dtau/dt).  The inversion is a cubic Hermite
+spline through (n0, t) with the exact slope dt/dn = 1/flux, so the
+derivative is analytic (finite differences on a nearly flat n0 produce
+spikes) and a target equal to the free-running waveform recovers f = 1
+identically.  Feasibility requires f <= 1; the first violating time is
+reported otherwise.
 
 The reduced matrix is the driven-sublevel excited block of assemble(),
 rescaled.  One AdiabaticReference carries a shaping run: the designer
@@ -33,7 +35,7 @@ import numpy as np
 
 from . import farfield
 from .core import SUBLEVELS, AmplitudeState, AtomArray, LaserDrive
-from .dynamics import piecewise_grid, propagate_ode
+from .dynamics import _modal_coords, piecewise_grid, propagate_ode
 from .envelope import PulseEnvelope, read_two_columns
 from .errors import (InfeasibleTargetError, InvalidArgumentError,
                      NumericError)
@@ -103,9 +105,10 @@ class AdiabaticModel:
 class AdiabaticReference:
     """One adiabatic run, the source of a shaping run's drive and state.
 
-    a is (N, K) on the tau grid times, n = 1 - |a|^2 the emitted photon
-    number and flux = -d|a|^2/dt.  model.matrix = V diag(lam) V^-1 is
-    eigendecomposed once; c0 is the initial state in that basis.
+    a is (N, K) on the tau grid times, from tau = 0, n = 1 - |a|^2 the
+    emitted photon number and flux = -d|a|^2/dt.  model.matrix =
+    V diag(lam) V^-1 is eigendecomposed once; c0 is the initial state in
+    that basis, and a0(tau) = V exp(lam tau) c0.
     """
 
     model: AdiabaticModel
@@ -120,50 +123,35 @@ class AdiabaticReference:
     def a_at(self, tau):
         """Exact unit-envelope a0(tau) for scalar or vector tau."""
         tau = np.atleast_1d(np.asarray(tau, dtype=float))
-        return self.V @ (np.exp(np.outer(self.lam, tau - self.times[0]))
-                         * self.c0[:, None])
+        return _modal_coords(((self.V, self.lam, self.c0),), tau)
 
 
 _TAU_BANDS = ((0.0, 0.02), (30.0, 0.1), (200.0, 0.5))
 
 
-def adiabatic_simulate(model: AdiabaticModel, a0, t_end: float,
-                       t_grid=None, envelope: PulseEnvelope | None = None,
-                       tol: float = 1e-10) -> AdiabaticReference:
-    """Integrate the reduced model up to t_end.
+def adiabatic_simulate(model: AdiabaticModel, a0,
+                       t_end: float) -> AdiabaticReference:
+    """Exact unit-envelope solution of the reduced model on a tau grid
+    from 0 to t_end, 0 < t_end < inf.
 
-    Constant envelope (the default) uses the exact spectral solution;
-    a genuine time-dependent envelope is integrated with scipy's DOP853,
-    imported for it alone (this is the independent cross-check for the
-    reparametrization identity).
-    Either way model.matrix is eigendecomposed once, for the reference's
-    exact evaluation.  Returns the solution with a, emitted photon number
-    n(t) = 1 - |a|^2, and the emission flux -d|a|^2/dt.
+    model.matrix is eigendecomposed once, and a0(tau) = V exp(lam tau) c0
+    is evaluated in closed form on the grid (and off it by a_at); under an
+    envelope f the solution is a0(tau(t)), tau = integral f^2
+    (reparametrize).  Returns the solution with a, emitted photon number
+    n(tau) = 1 - |a|^2, and the emission flux -d|a|^2/dtau.
     """
     a0 = np.asarray(a0, dtype=complex)
     if a0.shape != (model.array.n_atoms,):
         raise InvalidArgumentError("a0 must have one amplitude per atom")
-    times = piecewise_grid(float(t_end), _TAU_BANDS) if t_grid is None \
-        else np.asarray(t_grid, dtype=float)
+    t_end = float(t_end)
+    if not 0.0 < t_end < np.inf:
+        raise InvalidArgumentError("t_end must be finite and positive")
+    times = piecewise_grid(t_end, _TAU_BANDS)
     M = model.matrix
     lam, V = np.linalg.eig(M)
     c0 = np.linalg.solve(V, a0)
-    if envelope is None or envelope.is_constant():
-        f2 = 1.0 if envelope is None \
-            else float(envelope(envelope.t_start)) ** 2
-        A = V @ (np.exp(np.outer(lam * f2, times - times[0])) * c0[:, None])
-    else:
-        from scipy.integrate import solve_ivp
-
-        def rhs(t, y):
-            return float(envelope(t)) ** 2 * (M @ y)
-        sol = solve_ivp(rhs, (times[0], times[-1]), a0, method="DOP853",
-                        rtol=tol, atol=1e-13, t_eval=times)
-        if not sol.success:
-            raise NumericError(f"adiabatic integration failed: {sol.message}")
-        A = sol.y
-        f2 = np.asarray(envelope(times), dtype=float) ** 2
-    flux = -2.0 * np.real(np.einsum("ik,ik->k", A.conj(), (M @ A) * f2))
+    A = _modal_coords(((V, lam, c0),), times)
+    flux = -2.0 * np.real(np.einsum("ik,ik->k", A.conj(), M @ A))
     return AdiabaticReference(model, times, A,
                               n=1.0 - np.sum(np.abs(A) ** 2, axis=0),
                               flux=flux, lam=lam, V=V, c0=c0)
@@ -231,13 +219,6 @@ class TargetWaveform:
         return cls(data[:, 0], data[:, 1], photon_fraction)
 
 
-def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Trapezoid integral of y over x from x[0] to each x, starting at 0
-    (the arithmetic of scipy's cumulative_trapezoid)."""
-    return np.concatenate([[0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1])
-                                            / 2.0)])
-
-
 def _hermite_derivative(x: np.ndarray, y: np.ndarray, dydx: np.ndarray,
                         at: np.ndarray) -> np.ndarray:
     """Derivative at the points at of the cubic Hermite interpolant
@@ -271,7 +252,7 @@ def design_envelope(reference: AdiabaticReference,
     # invert the cumulative count with the same trapezoid rule used for the
     # target below, and pin the inverse slope to the exact 1/flux; then a
     # target equal to the free-running waveform maps back to f = 1 exactly
-    n0 = _cumulative_trapezoid(reference.flux, reference.times)
+    n0 = farfield._cumulative_trapezoid(reference.flux, reference.times)
     if np.any(np.diff(n0) <= 0) or np.any(reference.flux <= 0):
         raise NumericError("reference cumulative n0 is not strictly "
                            "increasing; refine or shorten the tau grid")
@@ -281,7 +262,7 @@ def design_envelope(reference: AdiabaticReference,
     if total <= 0:
         raise InvalidArgumentError("target shape integrates to zero")
     I = target.intensity * (target.photon_fraction * n0[-1] / total)
-    n_tgt = _cumulative_trapezoid(I, u)
+    n_tgt = farfield._cumulative_trapezoid(I, u)
     # chain rule: dtau/du = (dtau/dn)(n_tgt(u)) * I(u), all analytic
     f2 = _hermite_derivative(n0, reference.times, 1.0 / reference.flux,
                              n_tgt) * I

@@ -10,6 +10,7 @@ import functools
 import sys
 
 import numpy as np
+from _adiabatic_ode import adiabatic_ode
 from scipy.signal import argrelmax, argrelmin
 
 from arraylight import (
@@ -276,8 +277,7 @@ def test_propagator_cross_validation():
     for _ in range(5):
         env = PulseEnvelope.from_samples(np.linspace(0.0, 120.0, 41),
                                          rng.uniform(0.1, 1.0, 41))
-        direct = adiabatic_simulate(model, a0, 120.0, t_grid=t_q,
-                                    envelope=env).a
+        direct = adiabatic_ode(model, a0, env, t_q)
         rep_err = max(rep_err, float(np.max(np.abs(
             direct - reparametrize(ref, env, t_q)))))
     ok = solver_err <= 1e-6 and rep_err <= 1e-6

@@ -1,5 +1,6 @@
 """Configuration parsing, digests, and the command line front end."""
 
+import ast
 import json
 import os
 import subprocess
@@ -441,15 +442,17 @@ def test_cli_tol_override_applies(tmp_path):
     assert summary["eigen_blocks"] is None
 
 
-def _unwanted_modules_after(command, path, out):
+def _unwanted_modules_after(argv):
     """Exit code, and the scipy and numpy.ma modules, of a fresh
-    interpreter that runs one command."""
+    interpreter that imports arraylight and then runs the command line
+    on argv; the code is None when argv is None (the import alone)."""
     src = os.path.dirname(os.path.dirname(arraylight.__file__))
     code = ("import json, sys\n"
-            "from arraylight.cli import main\n"
-            f"code = main([{command!r}, '--config', {path!r}, "
-            f"'--out', {out!r}])\n"
-            "print(json.dumps([code, sorted(m for m in sys.modules "
+            "import arraylight\n"
+            "code = None\n"
+            + ("" if argv is None else "from arraylight.cli import main\n"
+               f"code = main({argv!r})\n")
+            + "print(json.dumps([code, sorted(m for m in sys.modules "
             "if m.split('.')[0] == 'scipy' "
             "or m.split('.')[:2] == ['numpy', 'ma'])]))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -465,8 +468,8 @@ def test_simulate_and_shape_import_no_scipy_or_numpy_ma(tmp_path):
     # alone, and none of them loads numpy.ma (np.unique and np.union1d
     # import it on their first call)
     path = _write_yaml(tmp_path / "run.yaml", _fast_run_cfg())
-    code, modules = _unwanted_modules_after("simulate", path,
-                                            str(tmp_path / "sim"))
+    code, modules = _unwanted_modules_after(
+        ["simulate", "--config", path, "--out", str(tmp_path / "sim")])
     assert (code, modules) == (0, [])
     raw = _fast_run_cfg()
     raw["lattice"] = {"nx": 2, "ny": 2, "nz": 2, "d": 0.6}
@@ -475,6 +478,45 @@ def test_simulate_and_shape_import_no_scipy_or_numpy_ma(tmp_path):
                       "target": {"kind": "gaussian", "center": 10.0,
                                  "width": 4.0, "t_end": 20.0, "dt": 0.1}}
     path = _write_yaml(tmp_path / "shape.yaml", raw)
-    code, modules = _unwanted_modules_after("shape", path,
-                                            str(tmp_path / "shape"))
+    code, modules = _unwanted_modules_after(
+        ["shape", "--config", path, "--out", str(tmp_path / "shape")])
     assert (code, modules) == (0, [])
+
+
+@pytest.mark.parametrize("command", [None, "modes", "angular", "validate"])
+def test_import_and_other_commands_load_no_scipy_or_numpy_ma(tmp_path,
+                                                             command):
+    # the package import alone (command None), and each remaining command
+    path = _write_yaml(tmp_path / "run.yaml", _fast_run_cfg())
+    out = str(tmp_path / "out")
+    argv = {None: None,
+            "modes": ["modes", "--config", path, "--out", out],
+            "angular": ["angular", "--config", path, "--out", out,
+                        "--u", "1.0"],
+            "validate": ["validate", "--config", path]}[command]
+    assert _unwanted_modules_after(argv) == [
+        None if command is None else 0, []]
+
+
+def test_package_imports_only_numpy_yaml_and_the_standard_library():
+    # every import statement of every module, those inside functions too:
+    # numpy and PyYAML are the only run-time dependencies
+    allowed = set(sys.stdlib_module_names) | {"numpy", "yaml"}
+    pkg = os.path.dirname(arraylight.__file__)
+    foreign = []
+    for root, _, files in os.walk(pkg):
+        for name in sorted(f for f in files if f.endswith(".py")):
+            path = os.path.join(root, name)
+            with open(path) as fh:
+                tree = ast.parse(fh.read(), filename=path)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    modules = [node.module]
+                else:
+                    continue
+                foreign += [f"{os.path.relpath(path, pkg)}:{node.lineno} "
+                            f"{module}" for module in modules
+                            if module.split(".")[0] not in allowed]
+    assert foreign == []

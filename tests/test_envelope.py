@@ -18,7 +18,7 @@ def test_constant_envelope():
     t = np.array([0.0, 1.0, 100.0])
     assert np.allclose(env(t), 0.7)
     assert np.allclose(env.tau(t), 0.49 * t)
-    assert env.is_constant()
+    assert env.constant_segments(50.0) == [(0.0, 50.0, 0.7)]
     assert env.breakpoints(50.0).size == 0
 
 
@@ -166,7 +166,6 @@ def test_csv_header_lines(tmp_path):
 def test_ramping_envelope_has_no_constant_segments():
     env = PulseEnvelope.from_samples([0.0, 1.0], [0.0, 1.0])
     assert env.constant_segments(2.0) is None
-    assert not env.is_constant()
 
 
 def test_start_before_zero_rejected():
