@@ -19,10 +19,16 @@ rows after a zero z_{-1}, so [z_{m-1}; z_m] is one contiguous vector,
 which the block's (d, 2d) step matrix [h s P | A0 - mu] maps to
 (m + 1) z_{m+1} / h.  The step matrix is built once per pass and a step
 rewrites only its drive pairing entries; a piece of slope 0 uses the
-right half alone.  Steps end on the envelope's piece ends (its jumps and
-kinks), so a step never crosses a change of f or of its slope: a step
-that ends on a jump uses the piece before it, the step after it the
-piece after it.
+right half alone.  Everything that does not depend on the state is done
+before the first step: the schedule of steps (their ends, pieces and
+norm bounds), each block's term rows, allocated once per pass with the
+views the products read and write (they grow when a step needs more
+terms), and, for each stored sample, its step, theta and
+exp(mu theta h).  A step computes ||y||, its term count, the pairing
+entries, the term products and their sum.  Steps end on the envelope's
+piece ends (its jumps and kinks), so a step never crosses a change of f
+or of its slope: a step that ends on a jump uses the piece before it,
+the step after it the piece after it.
 
 With a = h ||A0 - mu|| and b = h^2 |s| ||P|| (2-norms), the norms of the
 terms are bounded by e_m ||y||, the Taylor coefficients of
@@ -80,9 +86,10 @@ def _term_count(a: float, b: float, tol: float) -> int:
 
 
 def _step_matrix(blk, mu: complex):
-    """A block's (d, 2d) step matrix [0 | G(0) - mu], the flat indices of
-    its drive pairing entries in its left and in its right half, and their
-    values in P = G(1) - G(0)."""
+    """A block's (d, 2d) step matrix B = [0 | G(0) - mu], its flat view,
+    its right half (the step matrix of a slope-0 piece), the flat indices
+    of its drive pairing entries in its left and in its right half, and
+    their values in P = G(1) - G(0)."""
     d = blk.dim
     A = blk.matrix(0.0)
     P = blk.matrix(1.0) - A
@@ -91,7 +98,40 @@ def _step_matrix(blk, mu: complex):
     B[:, d:] = A
     pairs = np.flatnonzero(P)
     left = pairs + pairs // d * d  # row * d + col -> row * 2d + col
-    return B, left, left + d, P.flat[pairs]
+    return B, B.reshape(-1), B[:, d:], left, left + d, P.flat[pairs]
+
+
+def _term_rows(d: int, n: int):
+    """A block's term rows z_{-1} = 0, z_0, ..., z_n, as a (n + 2, d)
+    array Z, with, for j < n, the product inputs [z_{j-1}; z_j] (flat,
+    contiguous) and z_j, and the output rows z_{j+1}."""
+    Z = np.zeros((n + 2, d), dtype=complex)
+    flat = Z.reshape(-1)
+    return (Z, [flat[j * d:(j + 2) * d] for j in range(n)], list(Z[1:-1]),
+            list(Z[2:]))
+
+
+def _schedule(envelope, t0, t_end, ends, norm0, norm1, coupling, theta):
+    """The pass's steps, one row (t, t_new, f, slope, h, a, b) each: the
+    step from t to t_new = t + h on the linear piece f(t + x) = f + slope x,
+    with a = h ||G(f) - mu|| and b = h^2 |slope| ||P|| from the norm bounds
+    (module docstring)."""
+    steps = []
+    t = t0
+    while t < t_end:
+        end = ends[bisect.bisect_right(ends, t)]
+        f, slope = envelope.piece(t)
+        span = end - t
+        n_steps = max(1, math.ceil(
+            (norm0 + max(f, f + slope * span) * (norm1 - norm0)) * span
+            / theta))
+        h = span / n_steps
+        t_new = end if n_steps == 1 else t + h
+        steps.extend((t, t_new, f, slope, h,
+                      h * (norm0 + f * (norm1 - norm0)),
+                      h * h * abs(slope * coupling)))
+        t = t_new
+    return np.array(steps).reshape(-1, 7)
 
 
 def taylor_pass(blocks, t_span, y0, *, envelope, rtol, atol, t_eval=None):
@@ -101,11 +141,13 @@ def taylor_pass(blocks, t_span, y0, *, envelope, rtol, atol, t_eval=None):
 
     Every step ends on the next time in (t0, t_end] where f's value or
     slope changes, or on t_end, or on an equal share of the way there
-    (module docstring).  rtol and atol bound the truncation error of the
-    pass, rtol max ||y|| + atol, each step taking its share
-    h / (t_end - t0); atol must be finite and >= 0.  Each block's step
-    matrix [h s P | G(f_k) - mu] is built once per pass, and each step
-    rewrites its drive pairing entries for its f_k and h s.  Stores the
+    (module docstring); the steps are scheduled before the first one
+    runs.  rtol and atol bound the truncation error of the pass,
+    rtol max ||y|| + atol, each step taking its share h / (t_end - t0);
+    atol must be finite and >= 0.  Each block's step matrix
+    [h s P | G(f_k) - mu] and term rows are allocated once per pass (the
+    rows grow when a step needs more terms), and each step rewrites the
+    matrix's drive pairing entries for its f_k and h s.  Stores the
     states at t_eval, a sorted grid in [t0, t_end] read from the Taylor
     sum of the step that contains each time, or by default at t0 and
     every step end.
@@ -127,69 +169,72 @@ def taylor_pass(blocks, t_span, y0, *, envelope, rtol, atol, t_eval=None):
     norm0, norm1 = (
         max(np.linalg.norm(blk.matrix(f) - mu * np.eye(blk.dim), 2)
             for blk in blocks) for f in (0.0, 1.0))
-    coupling = blocks[0].coupling
-    mats = [_step_matrix(blk, mu) for blk in blocks]
     # the x = h ||G|| at which x^(M+1)/(M+1)!, the first term M terms
     # leave out of a constant generator's series, reaches rtol / 3
     theta = (math.factorial(_MAX_TERMS + 1) * rtol / 3.0) ** (
         1.0 / (_MAX_TERMS + 1))
+    steps = _schedule(envelope, t0, t_end, ends, norm0, norm1,
+                      blocks[0].coupling, theta)
+
+    mats = [_step_matrix(blk, mu) for blk in blocks]
+    n_rows = _MAX_TERMS
+    rows = [_term_rows(blk.dim, n_rows) for blk in blocks]
+
+    if t_eval is None:
+        times = np.concatenate([[t0], steps[:, 1]])
+        # row k + 1 is the state at the end of step k; out.T is stored
+        out = np.empty((len(steps) + 1, len(y0)), dtype=complex)
+        out[0] = y0
+        y = out[0]
+    else:
+        # step k stores the samples times[upto[k]:upto[k + 1]], the times
+        # in (t, t_new], and t0 on the first step, at x = time - t
+        times = np.asarray(t_eval, dtype=float)
+        upto = [0] + np.searchsorted(times, steps[:, 1],
+                                     side="right").tolist()
+        owner = np.repeat(np.arange(len(steps)), np.diff(upto))
+        x = times[:upto[-1]] - steps[owner, 0]
+        x_h = x / steps[owner, 4]
+        phase = np.exp(mu * x)
+        out = np.empty((len(y0), len(times)), dtype=complex)
+        y = np.array(y0, dtype=complex)
 
     tiny = np.finfo(float).tiny
-    ts, ys = ([t0], [y0]) if t_eval is None else ([], [])
-    stored = 0  # t_eval[:stored] are stored
+    length = t_end - t0
     nfev = 0
-    t, y = t0, y0
-    while t < t_end:
-        end = ends[bisect.bisect_right(ends, t)]
-        f, slope = envelope.piece(t)
-        span = end - t
-        n_steps = max(1, math.ceil(
-            (norm0 + max(f, f + slope * span) * (norm1 - norm0)) * span
-            / theta))
-        h = span / n_steps
-        t_new = end if n_steps == 1 else t + h
-        tol = (rtol + atol / max(np.linalg.norm(y), tiny)
-               ) * h / (t_end - t0)
-        m = _term_count(h * (norm0 + f * (norm1 - norm0)),
-                        h * h * abs(slope * coupling), tol)
-
-        # per block, the rows z_{-1} = 0, z_0, ..., z_m: [z_{j-1}; z_j] is
-        # the contiguous flat[j d:(j + 2) d]
-        terms = []
-        for (B, left, right, pairing), s in zip(mats, spans):
-            d = s.stop - s.start
-            B.flat[right] = f * pairing
-            if slope:
-                B.flat[left] = (h * slope) * pairing
-                A, lo = B, 0
-            else:
-                A, lo = B[:, d:], d
-            Z = np.empty((m + 2, d), dtype=complex)
-            Z[0] = 0.0
-            Z[1] = y[s]
-            flat = Z.reshape(-1)
-            for j in range(m):
-                out = Z[j + 2]
-                np.matmul(A, flat[j * d + lo:(j + 2) * d], out=out)
-                out *= h / (j + 1)
-            terms.append(Z[1:])
-        nfev += m
-        y = np.exp(mu * h) * np.concatenate([Z.sum(axis=0) for Z in terms])
-
+    for k, step in enumerate(steps):
+        _, _, f, slope, h, a, b = step.tolist()
+        tol = (rtol + atol / max(np.linalg.norm(y), tiny)) * h / length
+        m = _term_count(a, b, tol)
+        if m > n_rows:
+            n_rows = m
+            rows = [_term_rows(blk.dim, n_rows) for blk in blocks]
+        scales = [h / (j + 1) for j in range(m)]
         if t_eval is None:
-            ts.append(t_new)
-            ys.append(y)
+            y_new, lo, hi = out[k + 1], 0, 0
         else:
-            # the times in (t, t_new], and t0 on the first step
-            upto = np.searchsorted(t_eval, t_new, side="right")
-            if upto > stored:
-                x = t_eval[stored:upto] - t
-                powers = (x / h) ** np.arange(m + 1)[:, None]
-                ts.append(t_eval[stored:upto])
-                ys.append(np.concatenate([Z.T @ powers for Z in terms])
-                          * np.exp(mu * x))
-                stored = upto
-        t = t_new
-    if t_eval is None:
-        return TaylorPass(np.array(ts), np.vstack(ys).T, nfev)
-    return TaylorPass(np.hstack(ts), np.hstack(ys), nfev)
+            # in place: each block's z_0 is copied before its sum lands
+            y_new, lo, hi = y, upto[k], upto[k + 1]
+
+        for (B, flat, right_half, left, right, pairing), \
+                (Z, pairs, last, outs), s in zip(mats, rows, spans):
+            flat[right] = f * pairing
+            if slope:
+                flat[left] = (h * slope) * pairing
+                A, inputs = B, pairs
+            else:
+                A, inputs = right_half, last
+            Z[1] = y[s]
+            for v, row, c in zip(inputs, outs, scales):
+                np.dot(A, v, out=row)
+                row *= c
+            terms = Z[1:m + 2]
+            if hi > lo:
+                sample = terms.T @ x_h[lo:hi] ** np.arange(m + 1)[:, None]
+                np.multiply(sample, phase[lo:hi], out=sample)
+                out[s, lo:hi] = sample
+            np.sum(terms, axis=0, out=y_new[s])
+        nfev += m
+        np.multiply(np.exp(mu * h), y_new, out=y_new)
+        y = y_new
+    return TaylorPass(times, out.T if t_eval is None else out, nfev)

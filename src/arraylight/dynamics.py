@@ -22,9 +22,14 @@ Two routes, cross-validated against each other:
   envelope's jumps and kinks, so each uses one linear piece of f; the
   term count and any split of a long piece come from a norm bound of the
   generator and the tolerances, and the step's Taylor sum also gives the
-  stored samples inside it.  It integrates the touched blocks of the
-  rotation alone (C4, not split by inversion: two half-size products per
-  term cost more than one), or the whole space without a symmetry.
+  stored samples inside it.  The steps are scheduled, each block's term
+  rows allocated and each stored sample assigned to its step before the
+  first step runs, and the samples are written into one preallocated
+  array, so a step does only the work that depends on the state: its
+  norm, term count, products and sum.  It integrates the touched blocks
+  of the rotation alone (C4, not split by inversion: two half-size
+  products per term cost more than one), or the whole space without a
+  symmetry.
   Off-grid states are integrated from the stored sample before them, at
   the run's tolerances.
 

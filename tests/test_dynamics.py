@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid, solve_ivp
 
-from arraylight import _taylor, dynamics
+from arraylight import dynamics
 from arraylight.core import (AmplitudeState, AtomArray, LaserDrive,
                              build_lattice, single_f_excitation,
                              timed_dicke_state)
@@ -344,16 +344,16 @@ def test_ode_matches_stock_dop853_across_kinks_and_jumps(direction):
     assert np.max(np.abs(traj.coords - ref)) <= 3e-8
 
 
-def _taylor_reference(blocks, env, times, y0, counts):
-    """The two-term Taylor recursion of _taylor, term by term on
-    GeneratorBlock.apply, over the steps between consecutive times with
-    counts[k] terms on step k: f and its slope s from env.piece at the
-    step's start, mu the centre of the range of the generator's diagonal,
+def _taylor_terms(blocks, env, t, h, y, m):
+    """The terms z_0, ..., z_m of the two-term Taylor recursion of _taylor
+    over the step of length h from t, term by term on
+    GeneratorBlock.apply: f and its slope s from env.piece(t), mu the
+    centre of the range of the generator's diagonal,
 
         (m + 1) z_{m+1} = h (G(f) - mu) z_m + h^2 s P z_{m-1},
 
-    P z = G(1) z - G(0) z, and the step's end exp(mu h) sum_m z_m.
-    Returns the states at times, one column each, and the terms summed."""
+    P z = G(1) z - G(0) z.  Returns mu and the terms; the state at
+    t + theta h is exp(mu theta h) sum_m theta^m z_m."""
     spans = dynamics._spans(blocks)
 
     def G(y, f):
@@ -364,24 +364,30 @@ def _taylor_reference(blocks, env, times, y0, counts):
                               + [np.diag(blk.excited) for blk in blocks])
     mu = complex(diagonal.real.min() + diagonal.real.max(),
                  diagonal.imag.min() + diagonal.imag.max()) / 2
+    f, slope = env.piece(t)
+    z_before, z = np.zeros_like(y), y
+    terms = [z]
+    for j in range(m):
+        z_before, z = z, (h * (G(z, f) - mu * z) + h * h * slope
+                          * (G(z_before, 1.0) - G(z_before, 0.0))) / (j + 1)
+        terms.append(z)
+    return mu, terms
+
+
+def _taylor_reference(blocks, env, times, y0, counts):
+    """_taylor_terms over the steps between consecutive times, with
+    counts[k] terms on step k, each step ending on exp(mu h) sum_m z_m.
+    Returns the states at times, one column each, and the terms summed."""
     ys, products = [y0], 0
     for t, t_new, m in zip(times[:-1], times[1:], counts):
-        f, slope = env.piece(t)
-        h = t_new - t
-        z_before, z = np.zeros_like(y0), ys[-1]
-        total = z.copy()
-        for j in range(m):
-            z_before, z = z, (h * (G(z, f) - mu * z) + h * h * slope
-                              * (G(z_before, 1.0) - G(z_before, 0.0))
-                              ) / (j + 1)
-            total += z
+        mu, terms = _taylor_terms(blocks, env, t, t_new - t, ys[-1], m)
         products += m
-        ys.append(np.exp(mu * h) * total)
+        ys.append(np.exp(mu * (t_new - t)) * np.sum(terms, axis=0))
     return np.array(ys).T, products
 
 
 @pytest.mark.parametrize("direction", [[0.0, 0.0, K0], [K0, 0.0, 0.0]])
-def test_ode_pass_matches_the_term_by_term_recursion(direction, monkeypatch):
+def test_ode_pass_matches_the_term_by_term_recursion(direction, term_counts):
     # the pass's one product per term and block with [h s P | G(f) - mu]
     # against the recursion it sums, on the same step ends and term counts:
     # the states agree to a relative 1e-12 (the terms grow to about
@@ -393,21 +399,84 @@ def test_ode_pass_matches_the_term_by_term_recursion(direction, monkeypatch):
     arr = build_lattice(2, 2, 2, 0.35)
     H = assemble(arr, LaserDrive(6.0, 40.0, envelope=env))
     psi0 = timed_dicke_state(arr, np.array(direction))
-    counts = []
-
-    def counting(*args):
-        counts.append(term_count(*args))
-        return counts[-1]
-
-    term_count = _taylor._term_count
-    monkeypatch.setattr(_taylor, "_term_count", counting)
     traj = propagate_ode(H, psi0, t_end=6.0)
     assert (len(traj.blocks) == 1) == (direction[2] != 0.0)
-    assert len(counts) == len(traj.times) - 1 > 5
+    assert len(term_counts) == len(traj.times) - 1 > 5
     ref, products = _taylor_reference(traj.blocks, env, traj.times,
-                                      traj.coords[:, 0], counts)
+                                      traj.coords[:, 0], term_counts)
     assert np.max(np.abs(traj.coords - ref)) <= 1e-12 * np.max(np.abs(ref))
     assert traj.ode_products == products
+
+
+@pytest.mark.parametrize("direction", [[0.0, 0.0, K0], [K0, 0.0, 0.0]])
+def test_ode_storage_on_the_step_ends_is_the_default_run(direction,
+                                                         term_counts):
+    # the pass's work does not depend on where it stores: on the default
+    # run's step ends it takes the same steps and products, and its
+    # samples, the step's Taylor sum at theta = x / h (about 1), are the
+    # default run's states, the plain sum, to a relative 1e-14
+    env = _kinked_envelope()
+    arr = build_lattice(2, 2, 2, 0.35)
+    H = assemble(arr, LaserDrive(6.0, 1.0, envelope=env))
+    psi0 = timed_dicke_state(arr, np.array(direction))
+    default = propagate_ode(H, psi0, t_end=6.0)
+    steps = term_counts.copy()
+    term_counts.clear()
+    on_ends = propagate_ode(H, psi0, t_end=6.0, times=default.times)
+    assert term_counts == steps
+    assert on_ends.ode_products == default.ode_products
+    assert np.array_equal(on_ends.times, default.times)
+    assert np.max(np.abs(on_ends.coords - default.coords)) \
+        <= 1e-14 * np.max(np.abs(default.coords))
+
+
+def test_ode_stores_each_sample_from_the_step_around_it(term_counts):
+    # the samples are assigned to their steps before the pass runs: t0,
+    # four samples inside one step, steps that hold no sample, and samples
+    # exactly on step ends.  The pass takes the default run's steps and
+    # products; t0 stores the initial state as it is; inside a step a
+    # sample is the term-by-term recursion's sum at theta to a relative
+    # 1e-12 (as in test_ode_pass_matches_the_term_by_term_recursion).  At
+    # delta = 40 the terms grow to about exp(h ||G||) ~ 100, so on a step
+    # end the sum at theta = x / h agrees with the default run's plain sum
+    # to a relative 1e-13 (1.6e-14 measured)
+    env = _kinked_envelope()
+    arr = build_lattice(2, 2, 2, 0.35)
+    H = assemble(arr, LaserDrive(6.0, 40.0, envelope=env))
+    psi0 = timed_dicke_state(arr, np.array([K0, 0.0, 0.0]))
+    default = propagate_ode(H, psi0, t_end=6.0)
+    ends, states = default.times, default.coords
+    steps = term_counts.copy()
+    assert len(steps) == len(ends) - 1 > 12
+    scale = np.max(np.abs(states))
+
+    # t0; four samples inside step 2; the end of step 4; none on steps 5
+    # to 9; one inside step 10 and its end; t_end.  (step k runs from
+    # ends[k] to ends[k + 1])
+    inside = {2: [0.1, 0.35, 0.6, 0.9], 10: [0.5]}
+    grid = np.array(sorted(
+        [ends[0], ends[5], ends[11], ends[-1]]
+        + [ends[k] + th * (ends[k + 1] - ends[k])
+           for k, ths in inside.items() for th in ths]))
+    term_counts.clear()
+    traj = propagate_ode(H, psi0, t_end=6.0, times=grid)
+    assert term_counts == steps
+    assert traj.ode_products == default.ode_products
+    assert np.array_equal(traj.times, grid)
+    assert np.array_equal(traj.coords[:, 0], states[:, 0])
+    for i, u in enumerate(grid[1:], 1):
+        k = int(np.searchsorted(ends, u, side="left"))
+        if ends[k] == u:
+            assert np.max(np.abs(traj.coords[:, i] - states[:, k])) \
+                <= 1e-13 * scale
+            continue
+        h = ends[k] - ends[k - 1]
+        mu, terms = _taylor_terms(traj.blocks, env, ends[k - 1], h,
+                                  states[:, k - 1], steps[k - 1])
+        x = u - ends[k - 1]
+        ref = np.exp(mu * x) * sum((x / h) ** j * z
+                                   for j, z in enumerate(terms))
+        assert np.max(np.abs(traj.coords[:, i] - ref)) <= 1e-12 * scale
 
 
 def test_ode_work_is_recorded_on_the_trajectory(monkeypatch):

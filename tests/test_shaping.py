@@ -1,10 +1,14 @@
 """Adiabatic model, reparametrization and inverse envelope design."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from _adiabatic_ode import adiabatic_ode
 
-from arraylight.core import LaserDrive, build_lattice, timed_dicke_state
+from arraylight import shaping
+from arraylight.core import (AmplitudeState, LaserDrive, build_lattice,
+                             timed_dicke_state)
 from arraylight.dynamics import piecewise_grid, propagate_ode
 from arraylight.envelope import PulseEnvelope
 from arraylight.errors import InfeasibleTargetError, InvalidArgumentError
@@ -185,6 +189,62 @@ def test_validate_runs_from_the_reference():
     assert np.linalg.norm(report.flux_sim - flux) \
         <= 1e-12 * np.linalg.norm(flux)
     assert abs(report.l2_mismatch - l2) <= 1e-12 * l2
+
+
+@pytest.fixture(scope="module")
+def target_a():
+    """Target A of acceptance criterion 10, the seed-0 configuration of
+    the shape-gaussian benchmark: its reference, target and designed
+    envelope."""
+    model = _model()
+    ref = adiabatic_simulate(model, _td(model), 2000.0)
+    target = TargetWaveform.gaussian(center=45.0, width=15.0, t_end=100.0,
+                                     dt=0.05, photon_fraction=0.75)
+    return ref, target, design_envelope(ref, target)
+
+
+def test_validate_pass_of_target_a_keeps_its_steps_and_products(
+        target_a, term_counts, monkeypatch):
+    # pinned: validating target A is one Taylor pass of 2000 steps, one
+    # per piece of the designed envelope, and 46,654 block products, the
+    # bulk of the shape command's time.  The step ends come from the
+    # envelope and the term counts from the norm bound and the
+    # tolerances; a change to either count changes that cost and must be
+    # explained with the change that makes it
+    ref, target, env = target_a
+    trajs = []
+
+    def recording(*args, **kwargs):
+        trajs.append(propagate_ode(*args, **kwargs))
+        return trajs[-1]
+
+    monkeypatch.setattr(shaping, "propagate_ode", recording)
+    validate(env, target, ref)
+    (traj,) = trajs
+    assert len(term_counts) == 2000
+    assert traj.ode_products == sum(term_counts) == 46654
+
+
+def test_validate_pass_memory_on_target_a(target_a):
+    # the pass writes its 2001 samples (80 x 2001 coordinates, 2.6 MB)
+    # straight into one preallocated array.  Keeping a list of columns and
+    # stacking them took the allocation peak to 2.4 times the coordinates
+    # above the live memory; 1.3 times now, the rest mostly the step
+    # matrix and the step schedule
+    ref, target, env = target_a
+    model, u = ref.model, target.u_grid
+    H = assemble(model.array, LaserDrive(model.omega_L0, model.delta, env,
+                                         model.target_sublevel))
+    psi0 = AmplitudeState(ref.a[:, 0])
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        traj = propagate_ode(H, psi0, t_end=float(u[-1]), times=u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.coords.shape == (80, 2001)
+    assert peak - live < 1.5 * traj.coords.nbytes, peak - live
 
 
 def _beta_slaving_deviation(delta, omega=2.0):
