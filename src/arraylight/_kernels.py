@@ -10,9 +10,10 @@ the integer offsets times the spacing, (2 n_x - 1)(2 n_y - 1)(2 n_z - 1)
 of them against N^2 pairs, so both matrices are block Toeplitz, as in
 discrete-dipole codes (Goodman, Draine & Flatau, Opt. Lett. 16, 1198
 (1991)); a free-form array has one displacement per ordered pair.  The
-zero displacement holds the self terms.  Consumers gather the rows they
-need straight into the atom-major amplitude layout (PairTables.model_rows);
-pair_blocks and flux_blocks gather whole (N, N, 3, 3) arrays, the
+zero displacement holds the self terms.  hamiltonian.project_table, the
+one consumer, gathers the rows it needs straight into the atom-major
+amplitude layout (PairTables.model_rows) and sums them onto the symmetry
+blocks; pair_blocks and flux_blocks gather whole (N, N, 3, 3) arrays, the
 references of the tests.  direction_sums gives the plane-wave sums behind
 angular maps.  Blocks are in the spherical basis, indices ordered
 nu = -1, 0, +1.
@@ -61,12 +62,14 @@ class PairTables:
     def model_rows(self, table: np.ndarray, rows, cols) -> np.ndarray:
         """The rows `rows` of the (N m, N m) matrix of one table's blocks,
         restricted to the sublevel columns cols, in the atom-major amplitude
-        layout (row l m + a is sublevel cols[a] of atom l)."""
+        layout (row l m + a is sublevel cols[a] of atom l).  One take of
+        whole sublevel rows, row k m + a of the restricted table."""
         sel = np.asarray(cols)
-        atom, level = np.divmod(np.asarray(rows), len(sel))
-        sub = table[:, sel[:, None], sel]
-        return sub[self.left[atom][:, None] + self.right,
-                   level[:, None]].reshape(len(atom), -1)
+        m = len(sel)
+        atom, level = np.divmod(np.asarray(rows), m)
+        sub = table[:, sel[:, None], sel].reshape(-1, m)
+        index = (self.left[atom][:, None] + self.right) * m + level[:, None]
+        return np.take(sub, index, axis=0).reshape(len(atom), -1)
 
 
 def _grid_index(pos: np.ndarray, dims, spacing: float):

@@ -180,24 +180,17 @@ def taylor_pass(blocks, t_span, y0, *, envelope, rtol, atol, t_eval=None):
     n_rows = _MAX_TERMS
     rows = [_term_rows(blk.dim, n_rows) for blk in blocks]
 
-    if t_eval is None:
-        times = np.concatenate([[t0], steps[:, 1]])
-        # row k + 1 is the state at the end of step k; out.T is stored
-        out = np.empty((len(steps) + 1, len(y0)), dtype=complex)
-        out[0] = y0
-        y = out[0]
-    else:
-        # step k stores the samples times[upto[k]:upto[k + 1]], the times
-        # in (t, t_new], and t0 on the first step, at x = time - t
-        times = np.asarray(t_eval, dtype=float)
-        upto = [0] + np.searchsorted(times, steps[:, 1],
-                                     side="right").tolist()
-        owner = np.repeat(np.arange(len(steps)), np.diff(upto))
-        x = times[:upto[-1]] - steps[owner, 0]
-        x_h = x / steps[owner, 4]
-        phase = np.exp(mu * x)
-        out = np.empty((len(y0), len(times)), dtype=complex)
-        y = np.array(y0, dtype=complex)
+    # step k stores the samples times[upto[k]:upto[k + 1]], the times in
+    # (t, t_new], and t0 on the first step, at x = time - t
+    times = np.asarray(np.concatenate([[t0], steps[:, 1]])
+                       if t_eval is None else t_eval, dtype=float)
+    upto = [0] + np.searchsorted(times, steps[:, 1], side="right").tolist()
+    owner = np.repeat(np.arange(len(steps)), np.diff(upto))
+    x = times[:upto[-1]] - steps[owner, 0]
+    x_h = x / steps[owner, 4]
+    phase = np.exp(mu * x)
+    out = np.empty((len(y0), len(times)), dtype=complex)
+    y = np.array(y0, dtype=complex)
 
     tiny = np.finfo(float).tiny
     length = t_end - t0
@@ -210,11 +203,7 @@ def taylor_pass(blocks, t_span, y0, *, envelope, rtol, atol, t_eval=None):
             n_rows = m
             rows = [_term_rows(blk.dim, n_rows) for blk in blocks]
         scales = [h / (j + 1) for j in range(m)]
-        if t_eval is None:
-            y_new, lo, hi = out[k + 1], 0, 0
-        else:
-            # in place: each block's z_0 is copied before its sum lands
-            y_new, lo, hi = y, upto[k], upto[k + 1]
+        lo, hi = upto[k], upto[k + 1]
 
         for (B, flat, right_half, left, right, pairing), \
                 (Z, pairs, last, outs), s in zip(mats, rows, spans):
@@ -233,8 +222,8 @@ def taylor_pass(blocks, t_span, y0, *, envelope, rtol, atol, t_eval=None):
                 sample = terms.T @ x_h[lo:hi] ** np.arange(m + 1)[:, None]
                 np.multiply(sample, phase[lo:hi], out=sample)
                 out[s, lo:hi] = sample
-            np.sum(terms, axis=0, out=y_new[s])
+            # in place: the block's z_0 was copied before
+            np.sum(terms, axis=0, out=y[s])
         nfev += m
-        np.multiply(np.exp(mu * h), y_new, out=y_new)
-        y = y_new
-    return TaylorPass(times, out.T if t_eval is None else out, nfev)
+        np.multiply(np.exp(mu * h), y, out=y)
+    return TaylorPass(times, out, nfev)

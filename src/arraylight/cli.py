@@ -26,7 +26,7 @@ import time as _time
 import numpy as np
 
 from . import __version__
-from .config import RunConfig
+from .config import RunConfig, _number
 from .core import timed_dicke_state
 from .dynamics import propagate_eigen, propagate_ode
 from .errors import ArrayLightError, EigenConditionError, InvalidArgumentError
@@ -289,7 +289,7 @@ def main(argv=None) -> int:
     try:
         cfg = RunConfig.from_yaml(args.config)
         if args.tol is not None:
-            cfg.ode_rtol = args.tol
+            cfg.ode_rtol = _number(args.tol, "--tol", 0.0)
         out_dir = args.out if args.out is not None else cfg.out_dir
         if args.command == "simulate":
             return cmd_simulate(cfg, out_dir)

@@ -227,6 +227,8 @@ class RunConfig:
                                       "gaussian, two_gaussians or file")
             if "tau_end" in sh:
                 _number(sh["tau_end"], "shaping.tau_end", 1e-12)
+            if "fraction" in sh:
+                _number(sh["fraction"], "shaping.fraction", 0.0, 1.0)
             kw["shaping"] = dict(sh)
 
         return cls(**kw)

@@ -221,10 +221,7 @@ def _column_sectors(H: EffectiveHamiltonian, blk) -> np.ndarray:
     """Sector of each column of a block: 0 for the a_l, 1 + s for the
     model's sublevel s.  Every orbit column lies in one sector, so one of
     its entries tells which."""
-    if blk.basis is None:
-        rows = np.arange(blk.dim)
-    else:
-        rows = blk.basis.first_rows
+    rows = blk.basis.first_rows
     n = H.n_atoms
     return np.where(rows < n, 0, 1 + (rows - n) % H.n_sublevels)
 
@@ -308,8 +305,8 @@ def propagate_eigen(H: EffectiveHamiltonian, psi0: AmplitudeState,
 def _touched_blocks(H: EffectiveHamiltonian, psi: np.ndarray,
                     inversion: bool = False) -> list:
     """The generator's blocks (EffectiveHamiltonian.block) on the symmetry
-    bases with a component of psi above rounding (dim * eps relative), or
-    the whole generator as one block when there is no symmetry.
+    bases with a component of psi above rounding (dim * eps relative); the
+    whole generator, on the identity basis, when there is no symmetry.
 
     The bases are those of the rotation alone, or split by inversion too
     (rotation_blocks(H, inversion=True), the spectral path's).  The drive
@@ -318,8 +315,6 @@ def _touched_blocks(H: EffectiveHamiltonian, psi: np.ndarray,
     store their coordinates in them.
     """
     bases = rotation_blocks(H, inversion=inversion)
-    if bases is None:
-        return [H.block()]
     tol = psi.size * np.finfo(float).eps * np.linalg.norm(psi)
     touched = [Q for Q in bases if np.linalg.norm(Q.project(psi)) > tol]
     return [H.block(Q) for Q in touched or bases]

@@ -19,8 +19,10 @@ uniform phi grid.  Waveforms need no grid: the full-sphere flux per
 helicity is a quadratic form of the excited amplitudes whose operators
 have a closed form in the dissipative part f of the coupling tensor and
 the spherical Bessel function j1.  Like the coupling, they depend on a
-pair of atoms only through its displacement, and are gathered from the
-array's table of them (AtomArray.pair_tables, _kernels.pair_tables).
+pair of atoms only through its displacement, and are projected onto the
+trajectory's symmetry blocks from the array's table of them
+(AtomArray.pair_tables) by the same function as the generator's blocks
+(hamiltonian.project_table).
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .core import AtomArray
 from .dynamics import Trajectory
 from .envelope import write_columns
 from .errors import InvalidArgumentError
+from .hamiltonian import project_table
 
 __all__ = [
     "NORMALIZATION",
@@ -239,27 +242,13 @@ def _quadratic_forms(Q: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 def _flux_operators(H, blocks) -> list:
     """[F_plus, F_minus] on the stacked excited columns Q_e = [Q_e,1 Q_e,2
-    ...] of the generator blocks, Q_e^H F_sigma Q_e, or on the whole
-    excited space for the whole generator.
-
-    Each is gathered from the array's flux table: per basis, the rows of
-    F_sigma at each padded orbit position, weighted and summed into
-    Q_e,k^H F_sigma (b_k, N m), then projected once more onto every basis,
-    one block row at a time.  With a symmetry, neither F_sigma at
+    ...] of the generator blocks, Q_e^H F_sigma Q_e, one block row
+    Q_e,k^H F_sigma Q_e at a time, projected from the array's flux tables
+    (hamiltonian.project_table).  With a symmetry, neither F_sigma at
     (N m, N m) nor any per-pair array is formed."""
     tables = H.array.pair_tables
-    cols, nm = H.columns, H.excited_block.shape[0]
-    if blocks[0].basis is None:
-        return [tables.model_rows(F, np.arange(nm), cols)
-                for F in (tables.flux_plus, tables.flux_minus)]
     Qs = [blk.basis.excited(H.n_atoms) for blk in blocks]
-
-    def block_row(Q, F):
-        FQ = Q.project_rows(lambda r: tables.model_rows(F, r, cols),
-                            (nm,)).conj().T  # F^H Q_e,k
-        return np.hstack([P.project(FQ).conj().T for P in Qs])
-
-    return [np.vstack([block_row(Q, F) for Q in Qs])
+    return [np.vstack([project_table(H, F, Q, Qs) for Q in Qs])
             for F in (tables.flux_plus, tables.flux_minus)]
 
 

@@ -13,8 +13,10 @@ ascending order, atom-major.  In the frame rotating at the drive frequency
 with G the spherical-basis pair coupling blocks.  For a constant envelope
 the generator is a single time-independent matrix; a time-dependent
 envelope scales only the 2N drive entries a_l <-> beta_l^{nu0}.  All
-collective physics lives in the excited block, which is the only matrix
-stored; the dense generator is built on demand.
+collective physics lives in the excited block, which is not stored: the
+excited part of each block below is projected straight from the array's
+coupling table (project_table), and the dense generator is built on
+demand.
 
 Symmetry: when a rotation about z by 2 pi/4 (else 2 pi/2) maps the atom
 positions onto themselves, the generator commutes with the unitary U that
@@ -31,7 +33,9 @@ inversion; the generator is block diagonal in them.  Each basis column
 is one orbit (or an orbit and its inversion image) in one sector, and the
 columns of a basis have disjoint supports, so a basis is stored as index
 arrays (OrbitBasis) and its products are gathers, scatters and sums over
-orbits.  Each block is again a constant excited part plus the drive,
+orbits.  An array without the rotation symmetry has one basis, the
+identity, one column per row, so every consumer works on the same kind of
+blocks.  Each block is again a constant excited part plus the drive,
 which pairs each orbit of the a_l with the same orbit of the beta_l^nu0
 (EffectiveHamiltonian.block).  The spectral path (eigenmodes,
 dynamics.propagate_eigen) uses the blocks split by inversion, the ODE
@@ -50,18 +54,18 @@ from .envelope import write_columns
 from .errors import InvalidArgumentError, NumericError
 
 __all__ = ["EffectiveHamiltonian", "ModeSpectrum", "OrbitBasis", "assemble",
-           "eigenbasis_condition", "eigenmodes", "rotation_blocks"]
+           "eigenbasis_condition", "eigenmodes", "project_table",
+           "rotation_blocks"]
 
 
 @dataclass(frozen=True)
 class EffectiveHamiltonian:
-    """Assembled generator, stored as its excited block and the drive.
+    """Assembled generator: the array, the drive and the model's sublevels.
 
-    excited_block: C-contiguous, read-only (N*m, N*m) matrix holding the
-    detuning, decay and all pair couplings of the excited amplitudes.  The
-    drive couples each a_l to beta_l^{nu0} with -(i/2) Omega_L f(t); these
-    2N entries are applied from drive, never stored.  block gives the
-    generator on one symmetry basis, or whole, in the same form; both
+    No matrix is stored.  block gives the generator on one symmetry basis,
+    or whole, as a constant excited part, projected from the array's
+    coupling table (project_table) when first asked for, and the drive,
+    which couples each a_l to beta_l^{nu0} with -(i/2) Omega_L f(t); both
     propagators work with it.  generator_at builds the dense (dim, dim)
     generator, against which the tests check the projected blocks.
     """
@@ -69,13 +73,7 @@ class EffectiveHamiltonian:
     array: AtomArray
     drive: LaserDrive
     sublevels: tuple
-    excited_block: np.ndarray
     decay: bool = True
-
-    def __post_init__(self):
-        block = np.ascontiguousarray(self.excited_block, dtype=complex)
-        block.setflags(write=False)
-        object.__setattr__(self, "excited_block", block)
 
     @property
     def n_atoms(self) -> int:
@@ -83,16 +81,28 @@ class EffectiveHamiltonian:
 
     @property
     def dim(self) -> int:
-        return self.n_atoms + self.excited_block.shape[0]
+        return self.n_atoms * (1 + self.n_sublevels)
 
     @property
     def n_sublevels(self) -> int:
         return len(self.sublevels)
 
+    @property
+    def excited_block(self) -> np.ndarray:
+        """The C-contiguous, read-only (N*m, N*m) excited part of the whole
+        generator, block().excited: the detuning, decay and all pair
+        couplings of the excited amplitudes."""
+        return self.block().excited
+
     @cached_property
     def columns(self) -> list:
         """Columns of the model's sublevels in an (N, 3) beta array."""
         return _sublevel_columns(self.sublevels)
+
+    @cached_property
+    def _whole(self) -> "OrbitBasis":
+        """The identity basis of the whole space."""
+        return OrbitBasis.identity(self.dim)
 
     @cached_property
     def _symmetry_bases(self) -> dict:
@@ -111,25 +121,33 @@ class EffectiveHamiltonian:
 
     def block(self, basis=None) -> "GeneratorBlock":
         """The generator in one basis of rotation_blocks, Q^H G(f) Q, kept
-        as a constant excited part and the drive pairing; the whole
-        generator when basis is None.
+        as a constant excited part and the drive pairing; by default on
+        the identity basis, the whole generator.
 
-        The columns of Q start with the metastable ones, so the block has
-        the generator's own layout.  The drive couples each metastable
-        column (an orbit of a_l) only to the nu0 column of the same orbit
-        and irrep, with the same -(i/2) Omega_L f(t) as on every atom.
-        The block of each basis is built once: the spectral path and
-        eigenmodes share it.
+        The excited part is -(1/2) Q_e^H G Q_e, projected from the coupling
+        table (project_table; Q_e the basis's excited columns), plus the
+        detuning and decay on its diagonal.  The columns of Q start with
+        the metastable ones, so the block has the generator's own layout.
+        The drive couples each metastable column (an orbit of a_l) only to
+        the nu0 column of the same orbit and irrep, with the same
+        -(i/2) Omega_L f(t) as on every atom.  The block of each basis is
+        built once: the spectral path and eigenmodes share it.
         """
-        n = self.n_atoms
-        coupling = -0.5j * self.drive.omega_L0
-        if basis is None:
-            return GeneratorBlock(None, n, self.excited_block,
-                                  self._driven if coupling else None, coupling)
+        basis = basis or self._whole
         if basis in self._basis_blocks:
             return self._basis_blocks[basis]
+        n = self.n_atoms
         n_meta = basis.n_meta(n)
-        excited = basis.excited(n).sandwich(self.excited_block)
+        Qe = basis.excited(n)
+        if self.decay:
+            excited = project_table(
+                self, -0.5 * self.array.pair_tables.coupling, Qe, (Qe,))
+        else:
+            excited = np.zeros((Qe.shape[1],) * 2, dtype=complex)
+        excited.flat[::Qe.shape[1] + 1] += (1j * self.drive.delta
+                                            - (0.5 if self.decay else 0.0))
+        excited.setflags(write=False)
+        coupling = -0.5j * self.drive.omega_L0
         driven = None
         if coupling:
             # the nu0 column of a metastable column's orbit starts on the
@@ -142,11 +160,6 @@ class EffectiveHamiltonian:
         block = GeneratorBlock(basis, n_meta, excited, driven, coupling)
         self._basis_blocks[basis] = block
         return block
-
-    @cached_property
-    def _driven(self) -> slice:
-        return _driven_amplitudes(self.n_atoms, self.n_sublevels,
-                                  self.sublevels.index(self.drive.target_sublevel))
 
     # ---- state packing -------------------------------------------------
 
@@ -176,14 +189,14 @@ class GeneratorBlock:
     The block's first n_meta amplitudes are metastable, the rest excited.
     excited is the constant excited part; the drive couples metastable
     amplitude i and block amplitude driven[i] with coupling * f(t), both
-    ways.  basis is the block's (dim, b) isometry Q (an OrbitBasis), or
-    None for the whole generator.
+    ways.  basis is the block's (dim, b) isometry Q (an OrbitBasis), the
+    identity for the whole generator.
     """
 
     basis: object
     n_meta: int
     excited: np.ndarray
-    driven: object  # slice or index array; None without a drive
+    driven: np.ndarray  # None without a drive
     coupling: complex  # -(i/2) Omega_L
 
     @property
@@ -221,13 +234,11 @@ class GeneratorBlock:
 
     def project(self, psi: np.ndarray) -> np.ndarray:
         """Full-space state(s) -> block coordinates Q^H psi."""
-        return psi if self.basis is None else self.basis.project(psi)
+        return self.basis.project(psi)
 
     def lift(self, y: np.ndarray, rows=None) -> np.ndarray:
         """Block coordinates -> full space, Q y; only the full-space rows
         listed in rows when given."""
-        if self.basis is None:
-            return y if rows is None else y[rows]
         return self.basis.lift(y, rows)
 
 
@@ -248,6 +259,13 @@ class OrbitBasis:
         self.coefficients = np.asarray(coefficients, dtype=complex)
         self.indptr = np.asarray(indptr)
         self.n_rows = int(n_rows)
+
+    @classmethod
+    def identity(cls, n_rows: int) -> "OrbitBasis":
+        """The (n_rows, n_rows) identity, one column per row: the one basis
+        of an array without a symmetry."""
+        index = np.arange(n_rows)
+        return cls(index, np.ones(n_rows), np.arange(n_rows + 1), n_rows)
 
     @property
     def shape(self) -> tuple:
@@ -312,11 +330,6 @@ class OrbitBasis:
         out[at] = c * y[self._column_of_entry[entry]]
         return out
 
-    def sandwich(self, M: np.ndarray) -> np.ndarray:
-        """Q^H M Q for a dense M."""
-        return np.ascontiguousarray(
-            self.project(self.project(M).conj().T).conj().T)
-
     def n_meta(self, n: int) -> int:
         """Columns in the first n rows (the a_l), which come first."""
         return int(np.count_nonzero(self.first_rows < n))
@@ -349,8 +362,8 @@ class ModeSpectrum:
     Gamma_m < Gamma are subradiant.
 
     blocks holds one (Q_k, W_k) per diagonalized block, in the order of
-    eigenvalues: Q_k the block's excited-only OrbitBasis (None for the
-    whole excited block) and W_k its eigenvectors, Q_k^H M Q_k W_k =
+    eigenvalues: Q_k the block's excited-only OrbitBasis (the identity
+    without a symmetry) and W_k its eigenvectors, Q_k^H M Q_k W_k =
     W_k diag(lambda_k).  right_vectors lifts them into the dense
     V = [Q_1 W_1, Q_2 W_2, ...] on each access; the rates and the
     condition number never need it.
@@ -363,8 +376,7 @@ class ModeSpectrum:
     def right_vectors(self) -> np.ndarray:
         """The eigenvectors in the excited amplitude layout, one column
         per eigenvalue."""
-        return np.hstack([W if Q is None else Q.lift(W)
-                          for Q, W in self.blocks])
+        return np.hstack([Q.lift(W) for Q, W in self.blocks])
 
     @cached_property
     def condition_estimate(self) -> float:
@@ -397,24 +409,17 @@ class ModeSpectrum:
                       header_lines)
 
 
-def _driven_amplitudes(n: int, m: int, si0: int) -> slice:
-    """Flat positions n + m*l + si0 of the beta_l^{nu0} the drive couples to
-    a_l (atom-major layout, m sublevels per atom)."""
-    return slice(n + si0, None, m)
-
-
 def _sublevel_columns(sublevels) -> list:
     return [SUBLEVELS.index(s) for s in sublevels]
 
 
 def assemble(array: AtomArray, drive: LaserDrive,
              include_sublevels=SUBLEVELS, decay: bool = True) -> EffectiveHamiltonian:
-    """Build the rotating-frame generator.
+    """Set up the rotating-frame generator.
 
-    The excited block, the one matrix stored, is gathered straight into
-    its (N m, N m) layout from the array's coupling table
-    (AtomArray.pair_tables, one block per distinct displacement), with no
-    per-pair (N, N, 3, 3) array.
+    Only the inputs are checked and kept: each block's excited part is
+    projected from the array's coupling table when it is first used
+    (EffectiveHamiltonian.block), so no (N m, N m) matrix is formed here.
     include_sublevels restricts the excited manifold (two-level physics
     uses just the driven sublevel).  decay=False drops every Gamma term
     (self-decay and pair couplings), leaving the bare Rabi problem; it
@@ -426,19 +431,24 @@ def assemble(array: AtomArray, drive: LaserDrive,
                                    "subset of {-1, 0, +1}")
     if drive.omega_L0 > 0 and drive.target_sublevel not in subs:
         raise InvalidArgumentError("driven sublevel is excluded from the model")
-    nm = array.n_atoms * len(subs)
-    if decay:
-        # gathered from the coupling table scaled as 0.0 - 0.5 G: -0.5 G
-        # alone leaves -0.0 entries, which shift the rounding of LAPACK's
-        # eig
-        tables = array.pair_tables
-        block = tables.model_rows(0.0 - 0.5 * tables.coupling,
-                                  np.arange(nm), _sublevel_columns(subs))
-    else:
-        block = np.zeros((nm, nm), dtype=complex)
-    block.flat[::nm + 1] += 1j * drive.delta - (0.5 if decay else 0.0)
     return EffectiveHamiltonian(array=array, drive=drive, sublevels=subs,
-                                excited_block=block, decay=decay)
+                                decay=decay)
+
+
+def project_table(H: EffectiveHamiltonian, table: np.ndarray, Q: OrbitBasis,
+                  bases) -> np.ndarray:
+    """Q^H T [P_1 P_2 ...] for the (N m, N m) matrix T of one pair table
+    of the array (AtomArray.pair_tables: the coupling or a flux table) on
+    the model's sublevels; Q and the P_k are excited-only bases.
+
+    Q^H T is summed from T's rows at each padded orbit position of Q
+    (OrbitBasis.project_rows, PairTables.model_rows) and projected onto
+    each P_k in turn, so T itself is formed only for the identity Q."""
+    tables = H.array.pair_tables
+    TQ = Q.project_rows(lambda r: tables.model_rows(table, r, H.columns),
+                        (H.n_atoms * H.n_sublevels,)).conj().T  # T^H Q
+    return np.ascontiguousarray(
+        np.hstack([P.project(TQ).conj().T for P in bases]))
 
 
 # w^q = _QUARTER_TURNS[q % 4] for w = exp(-2 pi i/4), exact in floating point
@@ -472,7 +482,8 @@ def _orbit(perm, start: int) -> list:
 def rotation_blocks(H: EffectiveHamiltonian, inversion: bool = True):
     """Orbit bases of the array's symmetry about z: the rotation (C4, else
     C2) and, when every -r_l is exactly an atom's position, the inversion
-    r -> -r (C4h, C2h); None when the array has no rotation symmetry.
+    r -> -r (C4h, C2h); without a rotation symmetry, the identity basis of
+    the whole space alone.
 
     Returns one OrbitBasis, a (dim, b) isometry Q stored as orbit index
     arrays, per nonempty irrep (k, p), in the order (0, +), (0, -),
@@ -497,15 +508,15 @@ def rotation_blocks(H: EffectiveHamiltonian, inversion: bool = True):
     """
     cache = H._symmetry_bases
     if inversion not in cache:
-        cache[inversion] = _orbit_bases(H, inversion)
+        cache[inversion] = _orbit_bases(H, inversion) or (H._whole,)
     return cache[inversion]
 
 
 def _orbit_bases(H: EffectiveHamiltonian, inversion: bool,
                  excited_only: bool = False):
-    """rotation_blocks' bases, built from the atom permutations; those of
-    the excited block alone with excited_only (the tests' reference for
-    Q.excited)."""
+    """rotation_blocks' bases, built from the atom permutations, or None
+    without a rotation symmetry; those of the excited block alone with
+    excited_only (the tests' reference for Q.excited)."""
     pos = H.array.positions
     for order in (4, 2):
         perm = _rotation_permutation(pos, order)
@@ -568,24 +579,23 @@ def _orbit_bases(H: EffectiveHamiltonian, inversion: bool,
 def eigenmodes(H: EffectiveHamiltonian) -> ModeSpectrum:
     """Complex eigendecomposition of the excited-sector generator.
 
-    With a rotation symmetry each irrep block Q^H M Q of rotation_blocks
-    (split by inversion too, when the array has it; Q the excited-only
-    basis) is diagonalized on its own, and the spectrum keeps each
-    block's (Q, W) without lifting them (ModeSpectrum); otherwise the
-    whole excited block is.  Q^H M Q is the excited part of the generator
-    block H.block on the full basis, which propagate_eigen shares.
+    Each block of rotation_blocks (split by inversion too, when the array
+    has it; the identity alone without a symmetry) is diagonalized on its
+    own: the excited part Q_e^H M Q_e of the generator block H.block,
+    which propagate_eigen shares, with Q_e its excited-only basis.  The
+    spectrum keeps each block's (Q_e, W) without lifting them
+    (ModeSpectrum).
     """
     n = H.n_atoms
     lams, blocks = [], []
-    for Q in (rotation_blocks(H) or (None,)):
-        if Q is not None and Q.n_meta(n) == Q.shape[1]:
+    for Q in rotation_blocks(H):
+        if Q.n_meta(n) == Q.shape[1]:
             continue  # metastable columns only
         try:
-            lam, W = np.linalg.eig(H.excited_block if Q is None
-                                   else H.block(Q).excited)
+            lam, W = np.linalg.eig(H.block(Q).excited)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
             raise NumericError(f"eigendecomposition failed: {exc}") from exc
         lams.append(lam)
-        blocks.append((None if Q is None else Q.excited(n), W))
+        blocks.append((Q.excited(n), W))
     return ModeSpectrum(eigenvalues=np.concatenate(lams),
                         blocks=tuple(blocks))

@@ -17,7 +17,8 @@ from arraylight.config import RunConfig
 from arraylight.core import build_lattice
 from arraylight.dynamics import Trajectory
 from arraylight.errors import ConfigError
-from arraylight.hamiltonian import assemble, eigenmodes
+from arraylight.hamiltonian import (EffectiveHamiltonian, OrbitBasis,
+                                    assemble, eigenmodes)
 from arraylight.oracles import two_atom_rates
 from arraylight.shaping import AdiabaticModel, adiabatic_simulate
 
@@ -247,6 +248,8 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
     ("simulate", "drive", {"envelope": {"kind": "file",
                                         "path": "missing.csv"}},
      "missing.csv"),
+    # without a target, the fraction is still checked on load
+    ("shape", "shaping", {"fraction": 5.0}, "'shaping.fraction'"),
 ])
 def test_cli_validate_rejects_what_runs_reject(tmp_path, capsys, command,
                                                section, edit, needle):
@@ -351,6 +354,29 @@ def test_cli_never_lifts_the_whole_trajectory(tmp_path, monkeypatch):
                      "--out", str(tmp_path / f"out{i}")]) == 0
 
 
+def test_cli_simulate_never_forms_the_whole_excited_block(tmp_path,
+                                                         monkeypatch):
+    # on a lattice, simulate (both propagators, the waveform and the mode
+    # rates) projects every operator onto the symmetry blocks from the
+    # pair tables: it neither reads EffectiveHamiltonian.excited_block nor
+    # builds the identity basis of the whole space
+    def whole(*args):
+        raise AssertionError("the whole excited block was formed")
+
+    monkeypatch.setattr(EffectiveHamiltonian, "excited_block",
+                        property(whole))
+    monkeypatch.setattr(OrbitBasis, "identity", classmethod(whole))
+    for i, (propagator, direction) in enumerate((("eigen", [0, 0, 1]),
+                                                 ("ode", [1, 0, 0]))):
+        raw = _fast_run_cfg()
+        raw["lattice"] = {"nx": 2, "ny": 2, "nz": 2, "d": 0.5}
+        raw["k_gf"] = {"direction": direction}
+        raw["propagator"] = propagator
+        path = _write_yaml(tmp_path / f"run{i}.yaml", raw)
+        assert main(["simulate", "--config", path,
+                     "--out", str(tmp_path / f"out{i}")]) == 0
+
+
 def test_cli_angular_and_range_check(tmp_path, capsys):
     path = _write_yaml(tmp_path / "run.yaml", _fast_run_cfg())
     out = tmp_path / "out"
@@ -440,6 +466,20 @@ def test_cli_tol_override_applies(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["propagator"] == "ode"
     assert summary["eigen_blocks"] is None
+
+
+@pytest.mark.parametrize("tol, needle", [("nan", "must be a finite number"),
+                                         ("-1", "must be >= 0.0")])
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+def test_cli_tol_override_is_checked(tmp_path, capsys, command, tol,
+                                     needle):
+    # --tol takes the check of tolerances.ode_rtol in a config
+    path = _write_yaml(tmp_path / "run.yaml", _fast_run_cfg())
+    assert main([command, "--config", path, "--out", str(tmp_path / "out"),
+                 "--tol", tol]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"'--tol' {needle}" in err
+    assert not (tmp_path / "out").exists()
 
 
 def _unwanted_modules_after(argv):

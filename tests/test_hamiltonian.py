@@ -5,11 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from arraylight import _kernels
 from arraylight.core import (AmplitudeState, AtomArray, LaserDrive,
                              build_lattice, single_f_excitation)
 from arraylight.errors import InvalidArgumentError
 from arraylight.greens import coupling_block, eval_f_g
-from arraylight.hamiltonian import assemble, eigenmodes, rotation_blocks
+from arraylight.hamiltonian import (assemble, eigenmodes, project_table,
+                                    rotation_blocks)
 
 K0 = 2.0 * np.pi
 
@@ -276,12 +278,29 @@ def test_condition_estimate_is_cond_of_right_vectors():
         assert np.max(np.abs(H.excited_block @ V - V * lam)) < 1e-13
 
 
+def test_assemble_keeps_no_matrix_on_a_6x6x6_lattice():
+    # assemble checks and keeps its inputs only: it used to gather the
+    # dense 648 x 648 excited block (6.7 MB live); the blocks are projected
+    # from the coupling table when first used
+    arr = build_lattice(6, 6, 6, 0.6)
+    drive = LaserDrive(2.0, 10.0)
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        H = assemble(arr, drive)
+        kept = tracemalloc.get_traced_memory()[0] - live
+    finally:
+        tracemalloc.stop()
+    assert kept < 1e5, kept
+    assert H.dim == 864
+
+
 def test_eigenmodes_memory_on_a_6x6x6_lattice():
     # the spectrum keeps each block's 81 x 81 eigenvectors and lifts them
     # only when right_vectors is read: lifting them into one 648 x 648 V
     # (6.7 MB, and the lifted blocks before the stack) took the allocation
-    # peak to 14.7 MB above the live memory; 4.4 MB now, mostly the block
-    # sandwiches
+    # peak to 14.7 MB above the live memory; 4.6 MB now, mostly the blocks
+    # projected from the coupling table
     H = assemble(build_lattice(6, 6, 6, 0.6), LaserDrive(2.0, 10.0))
     tracemalloc.start()
     try:
@@ -323,8 +342,14 @@ def test_rotation_blocks_find_the_lattice_symmetry():
         assert np.array_equal(Q.rows, Q4.rows)
         assert np.array_equal(Q.indptr, Q4.indptr)
         assert np.array_equal(Q.coefficients, Q4.coefficients)
+    # moved off the z axis it has no symmetry: the identity basis alone,
+    # whose block is the whole generator
     shifted = AtomArray(build_lattice(2, 2, 2, 0.6).positions + [0.1, 0, 0])
-    assert rotation_blocks(assemble(shifted, drive)) is None
+    H = assemble(shifted, drive)
+    for inversion in (True, False):
+        (Q,) = rotation_blocks(H, inversion=inversion)
+        assert np.array_equal(Q.lift(np.eye(H.dim)), np.eye(H.dim))
+        assert H.block(Q) is H.block()
 
 
 def _sparse(Q):
@@ -341,8 +366,9 @@ def _sparse(Q):
                                         ((3, 3, 3), (1,))])
 def test_orbit_bases_match_sparse_products(dims, subs):
     # the gathers, scatters and orbit sums of OrbitBasis against the same
-    # bases as scipy.sparse matrices: Q^H M Q, Q^H M Q' across blocks (as
-    # farfield forms it), Q^H psi, Q y and rows of Q y, and the generator
+    # bases as scipy.sparse matrices: Q^H T [Q Q'] of the pair tables
+    # across blocks (project_table, as the generator blocks and farfield
+    # form it), Q^H M Q', Q^H psi, Q y and rows of Q y, and the generator
     # blocks
     rng = np.random.default_rng(3)
     H = assemble(build_lattice(*dims, 0.45), LaserDrive(2.0, 1.5),
@@ -356,8 +382,7 @@ def test_orbit_bases_match_sparse_products(dims, subs):
             S, S2 = _sparse(Q), _sparse(Q2)
             y = rng.normal(size=(Q.shape[1], 3)) + 0j
             scale = np.max(np.abs(M))
-            assert np.max(np.abs(Q.sandwich(M) - S.conj().T @ M @ S)) \
-                <= 1e-14 * scale
+            _check_projected_tables(H, Q, Q2)
             MQ2 = Q2.project(M.conj().T).conj().T
             assert np.max(np.abs(Q.project(MQ2) - S.conj().T @ M @ S2)) \
                 <= 1e-14 * scale
@@ -371,6 +396,42 @@ def test_orbit_bases_match_sparse_products(dims, subs):
             assert np.max(np.abs(H.block(Q).matrix(0.7)
                                  - S.conj().T @ G @ S)) \
                 <= 1e-14 * np.max(np.abs(G))
+
+
+def _check_projected_tables(H, Q, Q2):
+    """project_table of each pair table onto the excited columns of Q and
+    [Q Q2] against S^H T [S S2] of the dense (N m, N m) table matrices, to
+    1e-14 of T's largest entry."""
+    n = H.n_atoms
+    Qe, Qe2 = Q.excited(n), Q2.excited(n)
+    S, S2 = _sparse(Qe), _sparse(Qe2)
+    tables = H.array.pair_tables
+    pos = H.array.positions
+    for table, blocks in ((tables.coupling, _kernels.pair_blocks(pos)),
+                          *zip((tables.flux_plus, tables.flux_minus),
+                               _kernels.flux_blocks(pos))):
+        T = _kernels.model_matrix(blocks, H.columns)
+        want = np.hstack([S.conj().T @ T @ S, S.conj().T @ T @ S2])
+        got = project_table(H, table, Qe, (Qe, Qe2))
+        assert got.flags.c_contiguous
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(T))
+
+
+def test_projected_tables_of_a_free_form_array():
+    # without a symmetry the one basis is the identity, and project_table
+    # gives the dense table matrices themselves, the excited block among
+    # them
+    rng = np.random.default_rng(29)
+    arr = AtomArray(rng.uniform(-0.7, 0.7, size=(7, 3)))
+    for subs in ((-1, 0, 1), (0,), (-1, 1)):
+        H = assemble(arr, LaserDrive(1.0, 2.5, target_sublevel=subs[-1]),
+                     include_sublevels=subs)
+        (Q,) = rotation_blocks(H)
+        _check_projected_tables(H, Q, Q)
+        T = _kernels.model_matrix(_kernels.pair_blocks(arr.positions),
+                                  H.columns)
+        want = -0.5 * T + (2.5j - 0.5) * np.eye(len(T))
+        assert np.max(np.abs(H.excited_block - want)) <= 1e-15
 
 
 def test_excited_bases_are_derived_from_the_full_ones():
