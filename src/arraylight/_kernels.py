@@ -11,9 +11,10 @@ of them against N^2 pairs, so both matrices are block Toeplitz, as in
 discrete-dipole codes (Goodman, Draine & Flatau, Opt. Lett. 16, 1198
 (1991)); a free-form array has one displacement per ordered pair.  The
 zero displacement holds the self terms.  hamiltonian.project_table, the
-one consumer, gathers the rows it needs straight into the atom-major
-amplitude layout (PairTables.model_rows) and sums them onto the symmetry
-blocks; pair_blocks and flux_blocks gather whole (N, N, 3, 3) arrays, the
+one consumer, restricts a table to the model's sublevels once per call,
+gathers the rows it needs from it straight into the atom-major amplitude
+layout (PairTables.model_rows) and sums them onto the symmetry blocks;
+pair_blocks and flux_blocks gather whole (N, N, 3, 3) arrays, the
 references of the tests.  direction_sums gives the plane-wave sums behind
 angular maps.  Blocks are in the spherical basis, indices ordered
 nu = -1, 0, +1.
@@ -59,17 +60,17 @@ class PairTables:
         """(N, N, 3, 3) blocks of one of the tables, for every pair."""
         return table[self.left[:, None] + self.right]
 
-    def model_rows(self, table: np.ndarray, rows, cols) -> np.ndarray:
-        """The rows `rows` of the (N m, N m) matrix of one table's blocks,
-        restricted to the sublevel columns cols, in the atom-major amplitude
-        layout (row l m + a is sublevel cols[a] of atom l).  One take of
-        whole sublevel rows, row k m + a of the restricted table."""
-        sel = np.asarray(cols)
-        m = len(sel)
+    def model_rows(self, sub: np.ndarray, rows) -> np.ndarray:
+        """The rows `rows` of the (N m, N m) matrix of one table's blocks
+        in the atom-major amplitude layout (row l m + a is sublevel a of
+        atom l), from sub, the (K, m, m) table restricted to the model's
+        m sublevels.  One take of whole sublevel rows, row k m + a of
+        sub."""
+        m = sub.shape[1]
         atom, level = np.divmod(np.asarray(rows), m)
-        sub = table[:, sel[:, None], sel].reshape(-1, m)
         index = (self.left[atom][:, None] + self.right) * m + level[:, None]
-        return np.take(sub, index, axis=0).reshape(len(atom), -1)
+        return np.take(sub.reshape(-1, m), index, axis=0).reshape(
+            len(atom), -1)
 
 
 def _grid_index(pos: np.ndarray, dims, spacing: float):

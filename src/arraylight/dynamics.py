@@ -135,7 +135,7 @@ class Trajectory:
         """Stacked block coordinates, (sum of the block dims,) or with K
         columns, -> full-space vectors sum_k Q_k y_k; only the full-space
         rows listed in rows when given."""
-        parts = [blk.lift(y_k, rows)
+        parts = [blk.basis.lift(y_k, rows)
                  for blk, y_k in zip(self.blocks, self.split(y))]
         return sum(parts[1:], parts[0])
 
@@ -277,7 +277,7 @@ def propagate_eigen(H: EffectiveHamiltonian, psi0: AmplitudeState,
 
     psi = H.pack(psi0)
     blocks = _touched_blocks(H, psi, inversion=True)
-    y = np.concatenate([blk.project(psi) for blk in blocks])
+    y = np.concatenate([blk.basis.project(psi) for blk in blocks])
     spans = _spans(blocks)
     coords = np.empty((len(y), len(times)), dtype=complex)
     segments, dims = [], []
@@ -367,7 +367,7 @@ def propagate_ode(H: EffectiveHamiltonian, psi0: AmplitudeState,
     if not np.all(np.isfinite(psi)):
         raise InvalidArgumentError("initial state must be finite")
     blocks = _touched_blocks(H, psi)
-    y0 = np.concatenate([blk.project(psi) for blk in blocks])
+    y0 = np.concatenate([blk.basis.project(psi) for blk in blocks])
     sol = solve_ivp(blocks, (t0, t_end), y0, envelope=H.drive.envelope,
                     rtol=tol, atol=atol, t_eval=times)
     return Trajectory(H, sol.t, sol.y, kind="ode", blocks=blocks,

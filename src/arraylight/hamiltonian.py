@@ -29,17 +29,20 @@ that moves each atom's amplitudes to the atom at -r, with no phase on the
 sublevels: the Green's tensor is even in the separation.  P commutes with
 U, and rotation_blocks builds the orthonormal bases of their joint
 eigenspaces, the irreps (k, +-) of C4h (C2h), or of U's alone without the
-inversion; the generator is block diagonal in them.  Each basis column
-is one orbit (or an orbit and its inversion image) in one sector, and the
-columns of a basis have disjoint supports, so a basis is stored as index
-arrays (OrbitBasis) and its products are gathers, scatters and sums over
-orbits.  An array without the rotation symmetry has one basis, the
-identity, one column per row, so every consumer works on the same kind of
-blocks.  Each block is again a constant excited part plus the drive,
-which pairs each orbit of the a_l with the same orbit of the beta_l^nu0
-(EffectiveHamiltonian.block).  The spectral path (eigenmodes,
-dynamics.propagate_eigen) uses the blocks split by inversion, the ODE
-those of U alone.
+inversion, as the images of the character-table projectors: the column of
+an orbit's first atom in a sector is sum_g chi(g)^* U(g) applied to it,
+normalized, and vanishes where two group elements that reach the same atom
+give it different phases.  The generator is block diagonal in them.
+Each basis column is one orbit (a rotation orbit, or one and its
+inversion image) in one sector, and the columns of a basis have disjoint
+supports, so a basis is stored as index arrays (OrbitBasis) and its
+products are gathers, scatters and sums over orbits.  An array without
+the rotation symmetry has one basis, the identity, one column per row, so
+every consumer works on the same kind of blocks.  Each block is again a
+constant excited part plus the drive, which pairs each orbit of the a_l
+with the same orbit of the beta_l^nu0 (EffectiveHamiltonian.block).  The
+spectral path (eigenmodes, dynamics.propagate_eigen) uses the blocks split
+by inversion, the ODE those of U alone.
 """
 
 from __future__ import annotations
@@ -203,24 +206,6 @@ class GeneratorBlock:
     def dim(self) -> int:
         return self.n_meta + self.excited.shape[0]
 
-    def apply(self, y: np.ndarray, f_value) -> np.ndarray:
-        """matrix(f_value) @ y without forming the matrix.
-
-        Costs one product with the excited part plus O(N) drive work.  y
-        may also be a (dim, K) stack of states with f_value a length-K
-        ndarray, one envelope value per column.
-        """
-        n = self.n_meta
-        out = np.empty(y.shape, dtype=complex)
-        np.matmul(self.excited, y[n:], out=out[n:])
-        if self.coupling:
-            c = self.coupling * f_value
-            np.multiply(y[self.driven], c, out=out[:n])
-            out[self.driven] += c * y[:n]
-        else:
-            out[:n] = 0.0
-        return out
-
     def matrix(self, f_value: float) -> np.ndarray:
         """Dense block for one envelope value."""
         n = self.n_meta
@@ -231,15 +216,6 @@ class GeneratorBlock:
             cols = np.arange(self.dim)[self.driven]
             G[rows, cols] = G[cols, rows] = self.coupling * f_value
         return G
-
-    def project(self, psi: np.ndarray) -> np.ndarray:
-        """Full-space state(s) -> block coordinates Q^H psi."""
-        return self.basis.project(psi)
-
-    def lift(self, y: np.ndarray, rows=None) -> np.ndarray:
-        """Block coordinates -> full space, Q y; only the full-space rows
-        listed in rows when given."""
-        return self.basis.lift(y, rows)
 
 
 class OrbitBasis:
@@ -442,10 +418,13 @@ def project_table(H: EffectiveHamiltonian, table: np.ndarray, Q: OrbitBasis,
     the model's sublevels; Q and the P_k are excited-only bases.
 
     Q^H T is summed from T's rows at each padded orbit position of Q
-    (OrbitBasis.project_rows, PairTables.model_rows) and projected onto
-    each P_k in turn, so T itself is formed only for the identity Q."""
+    (OrbitBasis.project_rows, PairTables.model_rows, from the table
+    restricted to the model's sublevels once) and projected onto each P_k
+    in turn, so T itself is formed only for the identity Q."""
     tables = H.array.pair_tables
-    TQ = Q.project_rows(lambda r: tables.model_rows(table, r, H.columns),
+    sel = np.asarray(H.columns)
+    sub = table[:, sel[:, None], sel]
+    TQ = Q.project_rows(lambda r: tables.model_rows(sub, r),
                         (H.n_atoms * H.n_sublevels,)).conj().T  # T^H Q
     return np.ascontiguousarray(
         np.hstack([P.project(TQ).conj().T for P in bases]))
@@ -460,23 +439,7 @@ def _position_permutation(positions: np.ndarray, images: np.ndarray):
     exactly an atom's position."""
     index = {tuple(p): l for l, p in enumerate(positions.tolist())}
     perm = [index.get(tuple(p)) for p in images.tolist()]
-    return None if None in perm else perm
-
-
-def _rotation_permutation(positions: np.ndarray, order: int):
-    """perm[l] = index of the atom at R r_l, R the rotation by 2 pi/order
-    about z; None unless every rotated position is exactly an atom's."""
-    x, y, z = positions.T
-    return _position_permutation(positions, np.column_stack(
-        [-y, x, z] if order == 4 else [-x, -y, z]))
-
-
-def _orbit(perm, start: int) -> list:
-    """start, perm[start], perm[perm[start]], ... up to the return."""
-    orbit = [start]
-    while perm[orbit[-1]] != start:
-        orbit.append(perm[orbit[-1]])
-    return orbit
+    return None if None in perm else np.array(perm)
 
 
 def rotation_blocks(H: EffectiveHamiltonian, inversion: bool = True):
@@ -489,18 +452,25 @@ def rotation_blocks(H: EffectiveHamiltonian, inversion: bool = True):
     arrays, per nonempty irrep (k, p), in the order (0, +), (0, -),
     (1, +), ...: U Q = w^k Q and P Q = p Q.  The b sum to dim, and the
     generator splits into the blocks Q^H G Q.
-    Each rotation orbit l -> perm[l] -> ... of length L and each sector
-    (a, then the sublevels nu) give the columns
-    c = sum_j w^{(nu - k) j} e_{perm^j l} / sqrt(L), one for each k with
-    L (nu - k) = 0 mod order; a fixed-point atom (L = 1) thus enters only
-    the irrep of its own phase.  P commutes with U, so the inversion image
-    of an orbit is again one, enumerated from inv[l], and maps c to the
-    partner column c' of the same k and sector.  An orbit that is its own
-    image (q steps along it from l to inv[l]) has c' = w^{-(nu - k) q} c =
-    +-c, so c is already a parity eigenvector; an atom at the origin enters
-    only the even irreps.  Otherwise the pair gives (c +- c')/sqrt(2).  The
-    metastable (a) columns of each Q come first, in orbit order, then the
-    excited ones, so Q^H G Q has the generator's own layout.
+    The columns are the images of the character-table projectors
+    (Dresselhaus, Dresselhaus & Jorio, Group Theory, Springer 2008).  The
+    group's elements g = R^j P^i (j < order; i = 0, and 1 too with the
+    inversion) act as U(g) e_{l,s} = w^{nu_s j} e_{g l,s}, with characters
+    chi(g) = w^{k j} p^i.  Each orbit, taken from its lowest atom l, each
+    sector s (a with nu0, then the sublevels nu) and each irrep (k, p) give
+
+        c = sum_g chi(g)^* U(g) e_{l,s} = sum_g p^i w^{(nu_s - k) j} e_{g l,s},
+
+    normalized.  Where two elements reach the same atom, c vanishes unless
+    they give it the same value; else c holds each atom of the orbit once,
+    with the value of the first element reaching it, over the square root
+    of the orbit's size.  That one rule covers an atom on the z axis (the
+    irrep k = nu mod order alone), an orbit that is its own inversion
+    image (one parity), two orbits swapped by P (both parities) and an
+    atom at the origin (the even irreps alone).  The metastable (a)
+    columns of each Q come first, in orbit order, then the excited ones,
+    orbit-major and sector-minor, so Q^H G Q has the generator's own
+    layout; the rows of each column ascend.
     The bases are built once per Hamiltonian and inversion flag; those of
     the excited block alone are their Q.excited(n_atoms).  inversion=False
     keeps the rotation irreps k alone, unsplit (what the ODE integrates:
@@ -508,71 +478,66 @@ def rotation_blocks(H: EffectiveHamiltonian, inversion: bool = True):
     """
     cache = H._symmetry_bases
     if inversion not in cache:
-        cache[inversion] = _orbit_bases(H, inversion) or (H._whole,)
+        cache[inversion] = _irrep_bases(H, inversion) or (H._whole,)
     return cache[inversion]
 
 
-def _orbit_bases(H: EffectiveHamiltonian, inversion: bool,
-                 excited_only: bool = False):
-    """rotation_blocks' bases, built from the atom permutations, or None
-    without a rotation symmetry; those of the excited block alone with
-    excited_only (the tests' reference for Q.excited)."""
+def _irrep_bases(H: EffectiveHamiltonian, inversion: bool):
+    """rotation_blocks' bases, or None without a rotation symmetry."""
     pos = H.array.positions
-    for order in (4, 2):
-        perm = _rotation_permutation(pos, order)
+    for order, image in ((4, pos[:, [1, 0, 2]] * [-1, 1, 1]),
+                         (2, pos * [-1, -1, 1])):
+        perm = _position_permutation(pos, image)
         if perm is not None:
             break
     else:
         return None
-    inv = _position_permutation(pos, -pos) if inversion else None
     n, m = H.n_atoms, H.n_sublevels
-    rows = np.arange(n * m).reshape(n, m)
-    nus = list(H.sublevels)
-    n_meta = 0 if excited_only else n  # rows of the a_l
-    if not excited_only:
-        rows = np.column_stack([np.arange(n), n + rows])
-        nus.insert(0, H.drive.target_sublevel)
-    step = 4 // order
-    # per irrep (k, p), p = 0 even, 1 odd: the columns as (rows, coefficients)
-    columns = [[] for _ in range(2 * order)]
-    seen = np.zeros(n, dtype=bool)
-    for start in range(n):
-        if seen[start]:
-            continue
-        orbit = _orbit(perm, start)
-        partner = [] if inv is None else _orbit(perm, inv[start])
-        seen[orbit + partner] = True
-        L = len(orbit)
-        for s, nu in enumerate(nus):
-            for k in range(order):
-                if (L * (nu - k)) % order:
-                    continue
-                phase = _QUARTER_TURNS[(step * (nu - k) * np.arange(L)) % 4]
-                if not partner:
-                    columns[2 * k].append((rows[orbit, s], phase / np.sqrt(L)))
-                elif partner[0] in orbit:
-                    # P c = w^{-(nu - k) q} c = +-c, q the steps along
-                    # the orbit from start to inv[start]
-                    q = orbit.index(partner[0])
-                    odd = (step * (nu - k) * q) % 4 == 2
-                    columns[2 * k + odd].append(
-                        (rows[orbit, s], phase / np.sqrt(L)))
-                else:
-                    pair = np.concatenate([rows[orbit, s], rows[partner, s]])
-                    c = phase / np.sqrt(2 * L)
-                    columns[2 * k].append((pair, np.concatenate([c, c])))
-                    columns[2 * k + 1].append((pair, np.concatenate([c, -c])))
+    # the group as atom maps, G[g, l] the atom at g r_l: g = R^j for
+    # j = 0, ..., order - 1, then their inversion images P R^j
+    inv = _position_permutation(pos, -pos) if inversion else None
+    G = [np.arange(n)]
+    for _ in range(order - 1):
+        G.append(perm[G[-1]])
+    G = np.array(G if inv is None else G + [inv[Rj] for Rj in G])
+    g = np.arange(len(G))[:, None, None, None]
+    parity = np.arange(len(G) // order)  # (0,) or (0, 1): even, odd
+    # p^i w^{(nu_s - k) j} of g = R^j P^i in quarter turns, (|G|, sector, k, p)
+    nus = np.array((H.drive.target_sublevel,) + H.sublevels)
+    quarter = ((4 // order) * (nus[:, None, None] - np.arange(order)[:, None])
+               * (g % order) + 2 * parity * (g >= order)) % 4
+    # each orbit from its lowest atom, its elements sorted stably by the atom
+    # they reach (new: the first to reach it); the column of (sector, k, p)
+    # vanishes unless the elements reaching each atom agree
+    starts = np.flatnonzero(G.min(axis=0) == np.arange(n))
+    at = np.argsort(G[:, starts], axis=0, kind="stable")  # (|G|, orbits)
+    atoms = np.take_along_axis(G[:, starts], at, axis=0)
+    new = (np.diff(atoms, axis=0, prepend=-1) != 0)[..., None, None, None]
+    q = quarter[at]  # (|G|, orbits, sector, k, p)
+    keep = new & np.all(new[1:] | (q[1:] == q[:-1]), axis=0)
+    # the phase divided by the norm first, then negated: the signs of the
+    # zero parts stay those of the quarter-turn table
+    c = _QUARTER_TURNS[q[..., 0]] / np.sqrt(new.sum(axis=0))[..., 0]
+    c = np.stack([c, np.where((at >= order)[..., None, None], -c, c)],
+                 axis=-1)[..., parity]
+    rows = np.concatenate([atoms[..., None],
+                           n + m * atoms[..., None] + np.arange(m)], axis=-1)
+
+    def columns(X):
+        """(irreps, columns, |G|): the a_l orbits first, then orbit-major,
+        sector-minor; in each column the rows ascending."""
+        X = np.broadcast_to(X, keep.shape).transpose(3, 4, 1, 2, 0)
+        X = X.reshape(-1, *X.shape[2:])  # (irreps, orbits, sector, |G|)
+        return np.concatenate([X[:, :, 0], X[:, :, 1:].reshape(
+            len(X), -1, len(G))], axis=1)
+
     bases = []
-    for cols in filter(None, columns):
-        cols.sort(key=lambda col: col[0][0] >= n_meta)  # stable
-        # each column's rows ascending (canonical CSC order), which fixes
-        # the order of every sum over a column's entries
-        order = [np.argsort(r) for r, _ in cols]
-        col_rows = [r[o] for (r, _), o in zip(cols, order)]
-        col_values = [v[o] for (_, v), o in zip(cols, order)]
-        indptr = np.concatenate([[0], np.cumsum([len(r) for r in col_rows])])
-        bases.append(OrbitBasis(np.concatenate(col_rows),
-                                np.concatenate(col_values), indptr, rows.size))
+    for mask, r, v in zip(columns(keep), columns(rows[..., None, None]),
+                          columns(c)):
+        length = mask.sum(axis=1)
+        if length.any():
+            indptr = np.concatenate([[0], np.cumsum(length[length > 0])])
+            bases.append(OrbitBasis(r[mask], v[mask], indptr, n * (1 + m)))
     return tuple(bases)
 
 

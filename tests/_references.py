@@ -1,0 +1,109 @@
+"""Test-only references of the package's symmetry bases and generator
+blocks: the orbit-by-orbit construction of the rotation_blocks bases, with
+the direct construction on the excited block alone (excited_only), and the
+term-by-term block product."""
+
+import numpy as np
+
+from arraylight.hamiltonian import (_QUARTER_TURNS, EffectiveHamiltonian,
+                                    OrbitBasis, _position_permutation)
+
+
+def apply(blk, y: np.ndarray, f_value) -> np.ndarray:
+    """blk.matrix(f_value) @ y without forming the matrix, for a
+    GeneratorBlock blk.
+
+    Costs one product with the excited part plus O(N) drive work.  y
+    may also be a (dim, K) stack of states with f_value a length-K
+    ndarray, one envelope value per column.
+    """
+    n = blk.n_meta
+    out = np.empty(y.shape, dtype=complex)
+    np.matmul(blk.excited, y[n:], out=out[n:])
+    if blk.coupling:
+        c = blk.coupling * f_value
+        np.multiply(y[blk.driven], c, out=out[:n])
+        out[blk.driven] += c * y[:n]
+    else:
+        out[:n] = 0.0
+    return out
+
+
+def _rotation_permutation(positions: np.ndarray, order: int):
+    """perm[l] = index of the atom at R r_l, R the rotation by 2 pi/order
+    about z; None unless every rotated position is exactly an atom's."""
+    x, y, z = positions.T
+    return _position_permutation(positions, np.column_stack(
+        [-y, x, z] if order == 4 else [-x, -y, z]))
+
+
+def _orbit(perm, start: int) -> list:
+    """start, perm[start], perm[perm[start]], ... up to the return."""
+    orbit = [start]
+    while perm[orbit[-1]] != start:
+        orbit.append(perm[orbit[-1]])
+    return orbit
+
+
+def _orbit_bases(H: EffectiveHamiltonian, inversion: bool,
+                 excited_only: bool = False):
+    """rotation_blocks' bases, built from the atom permutations, or None
+    without a rotation symmetry; those of the excited block alone with
+    excited_only (the tests' reference for Q.excited)."""
+    pos = H.array.positions
+    for order in (4, 2):
+        perm = _rotation_permutation(pos, order)
+        if perm is not None:
+            break
+    else:
+        return None
+    inv = _position_permutation(pos, -pos) if inversion else None
+    n, m = H.n_atoms, H.n_sublevels
+    rows = np.arange(n * m).reshape(n, m)
+    nus = list(H.sublevels)
+    n_meta = 0 if excited_only else n  # rows of the a_l
+    if not excited_only:
+        rows = np.column_stack([np.arange(n), n + rows])
+        nus.insert(0, H.drive.target_sublevel)
+    step = 4 // order
+    # per irrep (k, p), p = 0 even, 1 odd: the columns as (rows, coefficients)
+    columns = [[] for _ in range(2 * order)]
+    seen = np.zeros(n, dtype=bool)
+    for start in range(n):
+        if seen[start]:
+            continue
+        orbit = _orbit(perm, start)
+        partner = [] if inv is None else _orbit(perm, inv[start])
+        seen[orbit + partner] = True
+        L = len(orbit)
+        for s, nu in enumerate(nus):
+            for k in range(order):
+                if (L * (nu - k)) % order:
+                    continue
+                phase = _QUARTER_TURNS[(step * (nu - k) * np.arange(L)) % 4]
+                if not partner:
+                    columns[2 * k].append((rows[orbit, s], phase / np.sqrt(L)))
+                elif partner[0] in orbit:
+                    # P c = w^{-(nu - k) q} c = +-c, q the steps along
+                    # the orbit from start to inv[start]
+                    q = orbit.index(partner[0])
+                    odd = (step * (nu - k) * q) % 4 == 2
+                    columns[2 * k + odd].append(
+                        (rows[orbit, s], phase / np.sqrt(L)))
+                else:
+                    pair = np.concatenate([rows[orbit, s], rows[partner, s]])
+                    c = phase / np.sqrt(2 * L)
+                    columns[2 * k].append((pair, np.concatenate([c, c])))
+                    columns[2 * k + 1].append((pair, np.concatenate([c, -c])))
+    bases = []
+    for cols in filter(None, columns):
+        cols.sort(key=lambda col: col[0][0] >= n_meta)  # stable
+        # each column's rows ascending (canonical CSC order), which fixes
+        # the order of every sum over a column's entries
+        order = [np.argsort(r) for r, _ in cols]
+        col_rows = [r[o] for (r, _), o in zip(cols, order)]
+        col_values = [v[o] for (_, v), o in zip(cols, order)]
+        indptr = np.concatenate([[0], np.cumsum([len(r) for r in col_rows])])
+        bases.append(OrbitBasis(np.concatenate(col_rows),
+                                np.concatenate(col_values), indptr, rows.size))
+    return tuple(bases)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from _references import apply
 from scipy.integrate import cumulative_trapezoid, solve_ivp
 
 from arraylight import dynamics
@@ -328,7 +329,7 @@ def test_ode_matches_stock_dop853_across_kinks_and_jumps(direction):
     spans = dynamics._spans(traj.blocks)
 
     def rhs(u, y):
-        return np.concatenate([blk.apply(y[s], env(u))
+        return np.concatenate([apply(blk, y[s], env(u))
                                for blk, s in zip(traj.blocks, spans)])
 
     ref = np.empty_like(traj.coords)
@@ -347,7 +348,7 @@ def test_ode_matches_stock_dop853_across_kinks_and_jumps(direction):
 def _taylor_terms(blocks, env, t, h, y, m):
     """The terms z_0, ..., z_m of the two-term Taylor recursion of _taylor
     over the step of length h from t, term by term on
-    GeneratorBlock.apply: f and its slope s from env.piece(t), mu the
+    _references.apply: f and its slope s from env.piece(t), mu the
     centre of the range of the generator's diagonal,
 
         (m + 1) z_{m+1} = h (G(f) - mu) z_m + h^2 s P z_{m-1},
@@ -357,7 +358,7 @@ def _taylor_terms(blocks, env, t, h, y, m):
     spans = dynamics._spans(blocks)
 
     def G(y, f):
-        return np.concatenate([blk.apply(y[s], f)
+        return np.concatenate([apply(blk, y[s], f)
                                for blk, s in zip(blocks, spans)])
 
     diagonal = np.concatenate([np.zeros(blk.n_meta) for blk in blocks]
@@ -706,7 +707,8 @@ def test_eigen_condition_is_the_2norm_condition_of_V():
     traj = propagate_eigen(H, psi0, t)
     assert len(traj.eigen_blocks[0]) == 4
     _, _, modes = traj._segments[0]
-    V = np.hstack([blk.lift(W) for blk, (W, _, _) in zip(traj.blocks, modes)])
+    V = np.hstack([blk.basis.lift(W)
+                   for blk, (W, _, _) in zip(traj.blocks, modes)])
     cond = np.linalg.cond(V)
     propagate_eigen(H, psi0, t, cond_limit=cond * (1 + 1e-9))
     with pytest.raises(EigenConditionError):

@@ -48,7 +48,8 @@ def _dense_flux(H):
     """(F_plus, F_minus) at (N m, N m), gathered from the array's tables."""
     tables = H.array.pair_tables
     rows = np.arange(H.excited_block.shape[0])
-    return [tables.model_rows(F, rows, H.columns)
+    sel = np.asarray(H.columns)
+    return [tables.model_rows(F[:, sel[:, None], sel], rows)
             for F in (tables.flux_plus, tables.flux_minus)]
 
 

@@ -10,6 +10,7 @@ import tempfile
 import numpy as np
 from hypothesis import Phase, assume, given, settings
 from _adiabatic_ode import adiabatic_ode
+from _references import _orbit_bases
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
@@ -171,6 +172,33 @@ def test_rotation_blocks_are_orthonormal_and_commute(nx, ny, nz, d, subs,
         excited = [Q.excited(H.n_atoms)
                    for Q in rotation_blocks(H, inversion=inversion)]
         assert sum(Qk.shape[1] for Qk in excited) == H.excited_block.shape[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 4),
+       st.floats(0.2, 0.9), st.sampled_from(_SUBSETS),
+       st.sampled_from(SUBLEVELS), st.booleans(), st.booleans())
+def test_projector_bases_match_the_orbit_loop_bit_for_bit(nx, ny, nz, d, subs,
+                                                          nu0, inversion,
+                                                          lifted):
+    # the character-table projector images against the orbit-by-orbit
+    # construction: the same rows, column pointers and coefficient bits,
+    # the signs of zero parts included.  A lattice moved along z keeps C4
+    # and loses the inversion; an undriven sublevel outside the model
+    # leaves irreps with metastable columns only
+    pos = build_lattice(nx, ny, nz, d).positions + [0.0, 0.0, 0.1 * lifted]
+    omega = 2.0 if nu0 in subs else 0.0
+    H = assemble(AtomArray(pos), LaserDrive(omega, 1.0, target_sublevel=nu0),
+                 include_sublevels=subs)
+    got = rotation_blocks(H, inversion=inversion)
+    want = _orbit_bases(H, inversion)
+    assert len(got) == len(want)
+    for Q, P in zip(got, want):
+        assert Q.n_rows == P.n_rows
+        assert np.array_equal(Q.rows, P.rows)
+        assert np.array_equal(Q.indptr, P.indptr)
+        assert np.array_equal(Q.coefficients.view(np.int64),
+                              P.coefficients.view(np.int64))
 
 
 @settings(max_examples=30, deadline=None, phases=NO_SHRINK)
