@@ -16,8 +16,12 @@ gathers the rows it needs from it straight into the atom-major amplitude
 layout (PairTables.model_rows) and sums them onto the symmetry blocks;
 pair_blocks and flux_blocks gather whole (N, N, 3, 3) arrays, the
 references of the tests.  direction_sums gives the plane-wave sums behind
-angular maps.  Blocks are in the spherical basis, indices ordered
-nu = -1, 0, +1.
+angular maps, sum_j exp(i k0 n.r_j) s_j.  On a lattice that is the
+structure factor, a product of one phase per axis, so the sum is three 1-D
+contractions: z once per distinct n_z (one gemm), then y and x per group of
+directions sharing it; a free-form array takes the direct sum, one phase
+per direction and atom, as it takes one table row per pair.  Blocks are in
+the spherical basis, indices ordered nu = -1, 0, +1.
 """
 
 from __future__ import annotations
@@ -31,8 +35,8 @@ from .greens import K0, fg_scalar_coefficients, spherical_basis
 __all__ = ["PairTables", "pair_tables", "pair_blocks", "flux_blocks",
            "model_matrix", "direction_sums"]
 
-# phase factors per direction_sums chunk (at least one direction): a
-# 512 kB complex buffer and 256 kB real phase arrays
+# phase factors per chunk of the direct (free-form) direction_sums (at
+# least one direction): a 512 kB complex buffer and 256 kB real phase arrays
 _CHUNK_ENTRIES = 1 << 15
 
 _EMATRIX = spherical_basis().matrix  # columns e_{-1}, e_0, e_{+1}
@@ -193,15 +197,52 @@ def model_matrix(blocks: np.ndarray, cols) -> np.ndarray:
     return sub.transpose(0, 2, 1, 3).reshape(n * m, n * m)
 
 
-def direction_sums(dirs: np.ndarray, pos: np.ndarray,
-                   s: np.ndarray) -> np.ndarray:
-    """V[m, c] = sum_j exp(+i k0 dirs[m].pos[j]) s[j, c], chunked gemm.
+def direction_sums(dirs: np.ndarray, pos: np.ndarray, s: np.ndarray,
+                   dims=(0, 0, 0), spacing: float = 0.0) -> np.ndarray:
+    """V[m, c] = sum_j exp(+i k0 dirs[m].pos[j]) s[j, c].
+
+    On a lattice (dims and spacing describe one and every position is on
+    it, _grid_index) the sum is the lattice structure factor, which
+    factorizes along the axes: s is scattered onto the (n_z, n_y n_x c)
+    grid, z is contracted with one gemm per distinct n_z (a product grid's
+    directions share n_z = cos theta along each ring), then y and x for
+    each group of directions with the same n_z.  No (directions, N) phase
+    array is formed: n_z phases per distinct n_z and n_y + n_x per
+    direction are evaluated.  A free-form array takes the direct sum
+    (_direct_sums)."""
+    dirs = np.asarray(dirs, dtype=float)
+    index = _grid_index(pos, dims, spacing)
+    if index is None:
+        return _direct_sums(dirs, pos, s)
+    nx, ny, nz = dims
+    c = s.shape[1]
+    grid = np.zeros((nz * ny * nx, c), dtype=complex)
+    np.add.at(grid, (index[:, 2] * ny + index[:, 1]) * nx + index[:, 0], s)
+    axes = [spacing * (np.arange(n) - (n - 1) / 2.0) for n in dims]
+    n_z, group, count = np.unique(dirs[:, 2], return_inverse=True,
+                                  return_counts=True)
+    rings = np.exp(1j * K0 * np.multiply.outer(n_z, axes[2])) \
+        @ grid.reshape(nz, -1)  # (distinct n_z, n_y n_x c)
+    order = np.argsort(group, kind="stable")
+    out = np.empty((len(dirs), c), dtype=complex)
+    for ring, at in zip(rings, np.split(order, np.cumsum(count)[:-1])):
+        n = dirs[at]
+        row = np.exp(1j * K0 * np.multiply.outer(n[:, 1], axes[1])) \
+            @ ring.reshape(ny, nx * c)  # (directions, n_x c)
+        out[at] = np.einsum("mx,mxc->mc", np.exp(
+            1j * K0 * np.multiply.outer(n[:, 0], axes[0])),
+            row.reshape(len(at), nx, c))
+    return out
+
+
+def _direct_sums(dirs: np.ndarray, pos: np.ndarray,
+                 s: np.ndarray) -> np.ndarray:
+    """direction_sums of a free-form array, chunked gemm.
 
     The phase factors of a chunk of directions (about _CHUNK_ENTRIES = 2^15
     of them in all, at least one direction) are written as cos and sin
     straight into one complex buffer, and one gemm maps the chunk: the
     chunk size sets only how many directions share a gemm."""
-    dirs = np.asarray(dirs, dtype=float)
     m, n = len(dirs), len(pos)
     out = np.empty((m, s.shape[1]), dtype=complex)
     chunk = max(1, _CHUNK_ENTRIES // max(n, 1))

@@ -20,6 +20,8 @@ from .errors import InvalidArgumentError
 
 __all__ = ["PulseEnvelope"]
 
+_WRITE_ROWS = 1024  # CSV rows per formatting call of write_columns
+
 
 class PulseEnvelope:
     """Piecewise-linear envelope f(t) in [0, 1].
@@ -174,14 +176,18 @@ class PulseEnvelope:
 def write_columns(path, names, columns, header_lines=()) -> None:
     """Write equal-length columns as a CSV file: one '# ' line per header
     line, the column names, then one row per sample with every value as
-    %.17g, which round-trips a float64."""
+    %.17g, which round-trips a float64.  The rows are formatted
+    _WRITE_ROWS at a time, by one % of the row format repeated over the
+    chunk."""
     row = ",".join(["%.17g"] * len(names)) + "\n"
+    table = np.column_stack(columns)
     with open(path, "w") as fh:
         for line in header_lines:
             fh.write(f"# {line}\n")
         fh.write(",".join(names) + "\n")
-        for values in np.column_stack(columns):
-            fh.write(row % tuple(values.tolist()))
+        for lo in range(0, len(table), _WRITE_ROWS):
+            block = table[lo:lo + _WRITE_ROWS]
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def read_two_columns(path, what: str, columns: str) -> np.ndarray:

@@ -15,14 +15,18 @@ and the helicity-summed single-atom pattern is (1 + cos^2 theta)/2
 relative to 2/(8pi/3).
 
 Angular maps use a Gauss-Legendre grid in cos(theta) crossed with a
-uniform phi grid.  Waveforms need no grid: the full-sphere flux per
-helicity is a quadratic form of the excited amplitudes whose operators
-have a closed form in the dissipative part f of the coupling tensor and
-the spherical Bessel function j1.  Like the coupling, they depend on a
-pair of atoms only through its displacement, and are projected onto the
-trajectory's symmetry blocks from the array's table of them
-(AtomArray.pair_tables) by the same function as the generator's blocks
-(hamiltonian.project_table).
+uniform phi grid.  The plane-wave sums sum_j exp(i k0 r_hat . r_j) s_j
+behind them (_kernels.direction_sums) factorize along the axes on a
+lattice: with the array's dims and spacing they are contracted one axis at
+a time, z once per ring of the grid (one cos theta), then y and x per
+ring, and a free-form array takes the direct sum.  Waveforms need no grid:
+the full-sphere flux per helicity is a quadratic form of the excited
+amplitudes whose operators have a closed form in the dissipative part f
+of the coupling tensor and the spherical Bessel function j1.  Like the
+coupling, they depend on a pair of atoms only through its displacement,
+and are projected onto the trajectory's symmetry blocks from the array's
+table of them (AtomArray.pair_tables) by the same function as the
+generator's blocks (hamiltonian.project_table).
 """
 
 from __future__ import annotations
@@ -195,15 +199,17 @@ def intensity(beta_at_u, array: AtomArray, frame: HelicityFrame):
     if beta.shape != (array.n_atoms, 3):
         raise InvalidArgumentError("beta must have shape (N, 3)")
     s = _cartesian_source(beta)
-    V = _kernels.direction_sums(frame.r_hat[None, :], array.positions, s)[0]
+    V = _kernels.direction_sums(frame.r_hat[None, :], array.positions, s,
+                                array.dims, array.spacing)[0]
     Ap = np.vdot(frame.eps_plus, V)
     Am = np.vdot(frame.eps_minus, V)
     return NORMALIZATION * abs(Ap) ** 2, NORMALIZATION * abs(Am) ** 2
 
 
-def _map_values(beta, positions, grid: AngularGrid):
+def _map_values(beta, array: AtomArray, grid: AngularGrid):
     s = _cartesian_source(beta)
-    V = _kernels.direction_sums(grid.dirs, positions, s)
+    V = _kernels.direction_sums(grid.dirs, array.positions, s, array.dims,
+                                array.spacing)
     Ap = np.einsum("mc,mc->m", grid.eps_plus.conj(), V)
     Am = np.einsum("mc,mc->m", grid.eps_minus.conj(), V)
     return NORMALIZATION * np.abs(Ap) ** 2, NORMALIZATION * np.abs(Am) ** 2
@@ -216,7 +222,7 @@ def intensity_map(beta, array: AtomArray, grid: AngularGrid | None = None,
     beta = np.asarray(beta, dtype=complex)
     if beta.shape != (array.n_atoms, 3):
         raise InvalidArgumentError("beta must have shape (N, 3)")
-    Ip, Im = _map_values(beta, array.positions, grid)
+    Ip, Im = _map_values(beta, array, grid)
     return AngularMap(theta=grid.theta, phi=grid.phi, weights=grid.weights,
                       I_plus=Ip, I_minus=Im, retarded_time=float(retarded_time))
 

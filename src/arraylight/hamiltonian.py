@@ -337,29 +337,24 @@ class ModeSpectrum:
     Delta_m = -Im(lambda_m) the collective shift.  Modes with
     Gamma_m < Gamma are subradiant.
 
-    blocks holds one (Q_k, W_k) per diagonalized block, in the order of
+    blocks holds one (Q_k, A_k) per diagonalized block, in the order of
     eigenvalues: Q_k the block's excited-only OrbitBasis (the identity
-    without a symmetry) and W_k its eigenvectors, Q_k^H M Q_k W_k =
-    W_k diag(lambda_k).  right_vectors lifts them into the dense
-    V = [Q_1 W_1, Q_2 W_2, ...] on each access; the rates and the
-    condition number never need it.
+    without a symmetry) and A_k = Q_k^H M Q_k its excited part, whose
+    eigenvalues are lambda_k.  The eigenvectors are computed only when
+    condition_estimate is first read; the rates never need them.
     """
 
     eigenvalues: np.ndarray
     blocks: tuple
 
-    @property
-    def right_vectors(self) -> np.ndarray:
-        """The eigenvectors in the excited amplitude layout, one column
-        per eigenvalue."""
-        return np.hstack([Q.lift(W) for Q, W in self.blocks])
-
     @cached_property
     def condition_estimate(self) -> float:
-        """2-norm condition number of right_vectors, from the blocks
-        (eigenbasis_condition)."""
+        """2-norm condition number of the eigenvectors V = [Q_1 W_1,
+        Q_2 W_2, ...], A_k W_k = W_k diag(lambda_k), from the W_k of one
+        eig per block (eigenbasis_condition)."""
         try:
-            return eigenbasis_condition(W for _, W in self.blocks)
+            return eigenbasis_condition(np.linalg.eig(A)[1]
+                                        for _, A in self.blocks)
         except np.linalg.LinAlgError:  # pragma: no cover - rare
             return np.inf
 
@@ -542,25 +537,26 @@ def _irrep_bases(H: EffectiveHamiltonian, inversion: bool):
 
 
 def eigenmodes(H: EffectiveHamiltonian) -> ModeSpectrum:
-    """Complex eigendecomposition of the excited-sector generator.
+    """Complex eigenvalues of the excited-sector generator.
 
     Each block of rotation_blocks (split by inversion too, when the array
-    has it; the identity alone without a symmetry) is diagonalized on its
-    own: the excited part Q_e^H M Q_e of the generator block H.block,
-    which propagate_eigen shares, with Q_e its excited-only basis.  The
-    spectrum keeps each block's (Q_e, W) without lifting them
-    (ModeSpectrum).
+    has it; the identity alone without a symmetry) is solved on its own:
+    the excited part A = Q_e^H M Q_e of the generator block H.block, which
+    propagate_eigen shares, with Q_e its excited-only basis.  Only the
+    eigenvalues are computed (eigvals); the spectrum keeps each block's
+    (Q_e, A) (ModeSpectrum), and its eigenvectors are computed on the
+    first read of condition_estimate.
     """
     n = H.n_atoms
     lams, blocks = [], []
     for Q in rotation_blocks(H):
         if Q.n_meta(n) == Q.shape[1]:
             continue  # metastable columns only
+        A = H.block(Q).excited
         try:
-            lam, W = np.linalg.eig(H.block(Q).excited)
+            lams.append(np.linalg.eigvals(A))
         except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
             raise NumericError(f"eigendecomposition failed: {exc}") from exc
-        lams.append(lam)
-        blocks.append((Q.excited(n), W))
+        blocks.append((Q.excited(n), A))
     return ModeSpectrum(eigenvalues=np.concatenate(lams),
                         blocks=tuple(blocks))

@@ -1,7 +1,8 @@
-"""Test-only references of the package's symmetry bases and generator
-blocks: the orbit-by-orbit construction of the rotation_blocks bases, with
-the direct construction on the excited block alone (excited_only), and the
-term-by-term block product."""
+"""Test-only references of the package's symmetry bases, generator blocks,
+spectra and CSV writer: the orbit-by-orbit construction of the
+rotation_blocks bases, with the direct construction on the excited block
+alone (excited_only), the term-by-term block product, the lifted
+eigenvectors of a ModeSpectrum and the row-by-row CSV writer."""
 
 import numpy as np
 
@@ -27,6 +28,27 @@ def apply(blk, y: np.ndarray, f_value) -> np.ndarray:
     else:
         out[:n] = 0.0
     return out
+
+
+def right_vectors(spec):
+    """(lam, V): the eigenvalues and eigenvectors of a ModeSpectrum from
+    one eig per stored block A_k, the vectors lifted into the excited
+    amplitude layout, V = [Q_1 W_1, Q_2 W_2, ...], column m of V with
+    lam[m]."""
+    pairs = [(Q, np.linalg.eig(A)) for Q, A in spec.blocks]
+    return (np.concatenate([lam for _, (lam, _) in pairs]),
+            np.hstack([Q.lift(W) for Q, (_, W) in pairs]))
+
+
+def write_columns_by_row(path, names, columns, header_lines=()) -> None:
+    """envelope.write_columns one row at a time: each value as %.17g."""
+    row = ",".join(["%.17g"] * len(names)) + "\n"
+    with open(path, "w") as fh:
+        for line in header_lines:
+            fh.write(f"# {line}\n")
+        fh.write(",".join(names) + "\n")
+        for values in np.column_stack(columns):
+            fh.write(row % tuple(values.tolist()))
 
 
 def _rotation_permutation(positions: np.ndarray, order: int):

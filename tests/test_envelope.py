@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from _references import write_columns_by_row
 
-from arraylight.envelope import PulseEnvelope
+from arraylight.envelope import _WRITE_ROWS, PulseEnvelope, write_columns
 from arraylight.errors import InvalidArgumentError
 from arraylight.shaping import TargetWaveform
 
@@ -161,6 +162,26 @@ def test_csv_header_lines(tmp_path):
     text = path.read_text().splitlines()
     assert text[0] == "# tag 123"
     assert text[1] == "t,f"
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, _WRITE_ROWS, 2 * _WRITE_ROWS + 5])
+def test_chunked_csv_writer_matches_the_row_writer(tmp_path, n_rows):
+    # one % per chunk of rows writes the bytes of one % per row: signed
+    # zeros, infinities, nan, a subnormal and integer columns included
+    rng = np.random.default_rng(7)
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-310,
+               1e300, 0.1, 1.0 / 3.0]
+    floats = rng.normal(size=n_rows) * 10.0 ** rng.integers(-20, 20, n_rows)
+    floats[:len(special)] = special[:n_rows]
+    columns = [np.arange(n_rows), floats, np.cos(np.arange(n_rows)),
+               (floats > 0).astype(int)]
+    names = ["i", "x", "c", "flag"]
+    header = ["tag 1", "u 0.5"]
+    for keep in (slice(None), slice(None, None, 3)):  # all, integers only
+        want, got = tmp_path / "want.csv", tmp_path / "got.csv"
+        write_columns_by_row(want, names[keep], columns[keep], header)
+        write_columns(got, names[keep], columns[keep], header)
+        assert got.read_bytes() == want.read_bytes()
 
 
 def test_ramping_envelope_has_no_constant_segments():

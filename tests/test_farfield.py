@@ -200,14 +200,13 @@ def test_waveform_memory_on_a_6x6x6_lattice():
     assert peak - live < 12e6, peak - live
 
 
-def test_intensity_map_memory_on_a_6x6x6_lattice():
-    # direction_sums writes the phase factors of 2^15 entries at a time
-    # (151 directions at N = 216); chunks of 2^18 took the allocation peak
-    # to 8.8 MB above the live memory on the 64 x 128 grid, 1.7 MB now
-    arr = build_lattice(6, 6, 6, 0.6)
+def _intensity_map_peak(n):
+    """Allocation peak of intensity_map above the live memory on an
+    n x n x n lattice and the 64 x 128 grid."""
+    arr = build_lattice(n, n, n, 0.6)
     grid = AngularGrid(64, 128)
     rng = np.random.default_rng(3)
-    beta = rng.normal(size=(216, 3)) + 1j * rng.normal(size=(216, 3))
+    beta = rng.normal(size=(n**3, 3)) + 1j * rng.normal(size=(n**3, 3))
     tracemalloc.start()
     try:
         live = tracemalloc.get_traced_memory()[0]
@@ -216,7 +215,25 @@ def test_intensity_map_memory_on_a_6x6x6_lattice():
     finally:
         tracemalloc.stop()
     assert np.all(amap.total > 0.0)
-    assert peak - live < 4e6, peak - live
+    return peak - live
+
+
+def test_intensity_map_memory_on_a_6x6x6_lattice():
+    # on a lattice direction_sums contracts one axis at a time, per group
+    # of directions sharing n_z: no (directions, N) phase array and no
+    # (directions, n_x, n_y, c) temporary.  The direct sum of a free-form
+    # array writes the phase factors of 2^15 entries at a time; chunks of
+    # 2^18 took the allocation peak to 8.8 MB above the live memory here,
+    # the 2^15 chunks 1.7 MB, the lattice path 1.1 MB
+    peak = _intensity_map_peak(6)
+    assert peak < 4e6, peak
+
+
+def test_intensity_map_memory_on_an_8x8x8_lattice():
+    # the per-axis contractions' temporaries grow with n_x n_y c per ring
+    # of directions, not with the directions times N: 1.1 MB, as at 6x6x6
+    peak = _intensity_map_peak(8)
+    assert peak < 4e6, peak
 
 
 def test_angular_map_csv(tmp_path):

@@ -4,7 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from _references import _orbit_bases, apply
+from _references import _orbit_bases, apply, right_vectors
+from scipy.optimize import linear_sum_assignment
 
 from arraylight import _kernels
 from arraylight.core import (AmplitudeState, AtomArray, LaserDrive,
@@ -262,9 +263,10 @@ def _chiral_c4_array():
 
 def test_condition_estimate_is_cond_of_right_vectors():
     # the estimate comes from the blocks' W_k (max sigma_max / min
-    # sigma_min), the reference from the lifted V = [Q_k W_k ...]: the
-    # same singular values, through a different SVD, so equal to rounding;
-    # with one block (no symmetry) the SVD is the same and so is the number
+    # sigma_min), the reference from the lifted V = [Q_k W_k ...]
+    # (_references.right_vectors): the same singular values, through a
+    # different SVD, so equal to rounding; with one block (no symmetry)
+    # the SVD is the same and so is the number
     rng = np.random.default_rng(17)
     free = AtomArray(rng.uniform(-0.6, 0.6, size=(5, 3)))
     cases = ((build_lattice(3, 3, 2, 0.45), 8, 1e-12),
@@ -273,11 +275,49 @@ def test_condition_estimate_is_cond_of_right_vectors():
         H = assemble(arr, LaserDrive(0.0, 2.0))
         spec = eigenmodes(H)
         assert len(spec.blocks) == n_blocks
-        V, lam = spec.right_vectors, spec.eigenvalues
+        lam, V = right_vectors(spec)
         want = np.linalg.cond(V)
         assert abs(spec.condition_estimate - want) <= rel * want
         # the lifted symmetry-block vectors diagonalize the excited block
         assert np.max(np.abs(H.excited_block @ V - V * lam)) < 1e-13
+
+
+def test_block_eigenvalues_match_eig():
+    # eigenmodes computes eigenvalues alone (eigvals), which are not bitwise
+    # those of eig: on lattices with 8 blocks (C4h), 4 (C2h) and 1 (shifted
+    # off the centre, no symmetry), each block's values match eig's, paired
+    # by least distance, within 1e-12 relative
+    shifted = build_lattice(2, 2, 3, 0.55)
+    cases = ((build_lattice(3, 3, 2, 0.45), 8),
+             (build_lattice(2, 3, 2, 0.5), 4),
+             (AtomArray(shifted.positions + [0.1, 0.0, 0.0]), 1))
+    for arr, n_blocks in cases:
+        spec = eigenmodes(assemble(arr, LaserDrive(0.0, 2.0)))
+        assert len(spec.blocks) == n_blocks
+        lo = 0
+        for _, A in spec.blocks:
+            got = spec.eigenvalues[lo:lo + len(A)]
+            want = np.linalg.eig(A)[0]
+            i, j = linear_sum_assignment(np.abs(got[:, None] - want))
+            assert np.all(np.abs(got[i] - want[j]) <= 1e-12 * np.abs(want[j]))
+            lo += len(A)
+        assert lo == spec.eigenvalues.size
+
+
+def test_eigenmodes_leave_the_eigenvectors_to_the_condition_number(
+        monkeypatch):
+    # simulate reads the rates alone: eigenmodes calls no eig, and the
+    # first read of condition_estimate one per block, the second none
+    calls = []
+    eig = np.linalg.eig
+    monkeypatch.setattr("arraylight.hamiltonian.np.linalg.eig",
+                        lambda A: calls.append(A.shape) or eig(A))
+    H = assemble(build_lattice(3, 3, 2, 0.45), LaserDrive(2.0, 10.0))
+    spec = eigenmodes(H)
+    assert calls == []
+    cond = spec.condition_estimate
+    assert calls == [A.shape for _, A in spec.blocks] and len(calls) == 8
+    assert spec.condition_estimate == cond and len(calls) == 8
 
 
 def test_assemble_keeps_no_matrix_on_a_6x6x6_lattice():
@@ -298,11 +338,11 @@ def test_assemble_keeps_no_matrix_on_a_6x6x6_lattice():
 
 
 def test_eigenmodes_memory_on_a_6x6x6_lattice():
-    # the spectrum keeps each block's 81 x 81 eigenvectors and lifts them
-    # only when right_vectors is read: lifting them into one 648 x 648 V
-    # (6.7 MB, and the lifted blocks before the stack) took the allocation
-    # peak to 14.7 MB above the live memory; 4.6 MB now, mostly the blocks
-    # projected from the coupling table
+    # the spectrum keeps each block's 81 x 81 excited part, the one the
+    # Hamiltonian caches, and no eigenvectors: lifting them into one
+    # 648 x 648 V (6.7 MB, and the lifted blocks before the stack) took the
+    # allocation peak to 14.7 MB above the live memory; 4.6 MB now, mostly
+    # the blocks projected from the coupling table
     H = assemble(build_lattice(6, 6, 6, 0.6), LaserDrive(2.0, 10.0))
     tracemalloc.start()
     try:

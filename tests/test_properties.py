@@ -20,7 +20,7 @@ from arraylight.core import (SUBLEVELS, AmplitudeState, AtomArray,
                              timed_dicke_state)
 from arraylight.dynamics import propagate_eigen, propagate_ode
 from arraylight.envelope import PulseEnvelope
-from arraylight.farfield import _flux_operators, waveform
+from arraylight.farfield import AngularGrid, _flux_operators, waveform
 from arraylight.greens import coupling_block
 from arraylight.hamiltonian import assemble, eigenmodes, rotation_blocks
 from arraylight.shaping import (AdiabaticModel, adiabatic_simulate,
@@ -279,6 +279,38 @@ def test_projected_flux_operators_match_the_dense_ones(nx, ny, nz, d, subs,
     # without a symmetry: the dense operators themselves
     for got, F in zip(_flux_operators(H, [H.block()]), dense):
         assert np.max(np.abs(got - F)) <= 1e-14
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5),
+       st.floats(0.05, 2.0), st.integers(0, 2**32 - 1))
+def test_lattice_direction_sums_match_the_direct_sum(nx, ny, nz, d, seed):
+    # the per-axis contractions of a lattice against the direct sum of the
+    # free-form path and against exp(i k0 dirs.pos) s, within 1e-13 of
+    # max |V|, on random unit directions, a product grid and one
+    # direction; lifted off the lattice, the same dims and spacing take
+    # the direct path itself, bit for bit
+    arr = build_lattice(nx, ny, nz, d)
+    rng = np.random.default_rng(seed)
+    s = rng.normal(size=(arr.n_atoms, 3)) \
+        + 1j * rng.normal(size=(arr.n_atoms, 3))
+    dirs = rng.normal(size=(17, 3))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    grid = AngularGrid(*rng.integers(2, 9, size=2))
+    for D in (dirs, grid.dirs, dirs[:1]):
+        got = _kernels.direction_sums(D, arr.positions, s, arr.dims,
+                                      arr.spacing)
+        ref = np.exp(1j * K0 * D @ arr.positions.T) @ s
+        scale = np.max(np.abs(ref))
+        assert np.max(np.abs(got - _kernels.direction_sums(
+            D, arr.positions, s))) <= 1e-13 * scale
+        assert np.max(np.abs(got - ref)) <= 1e-13 * scale
+    lifted = arr.positions + [0.0, 0.0, 0.25 * d]
+    assert _kernels._grid_index(lifted, arr.dims, arr.spacing) is None
+    got = _kernels.direction_sums(dirs, lifted, s, arr.dims, arr.spacing)
+    assert np.array_equal(got, _kernels.direction_sums(dirs, lifted, s))
+    ref = np.exp(1j * K0 * dirs @ lifted.T) @ s
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 @st.composite
