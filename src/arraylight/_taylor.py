@@ -25,10 +25,10 @@ norm bounds), each block's term rows, allocated once per pass with the
 views the products read and write (they grow when a step needs more
 terms), and, for each stored sample, its step, theta and
 exp(mu theta h).  A step computes ||y||, its term count, the pairing
-entries, the term products and their sum.  Steps end on the envelope's
-piece ends (its jumps and kinks), so a step never crosses a change of f
-or of its slope: a step that ends on a jump uses the piece before it,
-the step after it the piece after it.
+entries, the term products and their sum.  Steps end on the ends of the
+envelope's linear pieces (PulseEnvelope.pieces: its jumps and kinks), so
+a step never crosses a change of f or of its slope: a step that ends on
+a jump uses the piece before it, the step after it the piece after it.
 
 With a = h ||A0 - mu|| and b = h^2 |s| ||P|| (2-norms), the norms of the
 terms are bounded by e_m ||y||, the Taylor coefficients of
@@ -51,7 +51,6 @@ i delta on the excited ones), which shrinks the norm.
 
 from __future__ import annotations
 
-import bisect
 import math
 from typing import NamedTuple
 
@@ -111,26 +110,27 @@ def _term_rows(d: int, n: int):
             list(Z[2:]))
 
 
-def _schedule(envelope, t0, t_end, ends, norm0, norm1, coupling, theta):
+def _schedule(pieces, norm0, norm1, coupling, theta):
     """The pass's steps, one row (t, t_new, f, slope, h, a, b) each: the
     step from t to t_new = t + h on the linear piece f(t + x) = f + slope x,
     with a = h ||G(f) - mu|| and b = h^2 |slope| ||P|| from the norm bounds
-    (module docstring)."""
+    (module docstring), on the rows (start, end, f(start), slope) of
+    PulseEnvelope.pieces; the step count is that of the rest of the piece."""
     steps = []
-    t = t0
-    while t < t_end:
-        end = ends[bisect.bisect_right(ends, t)]
-        f, slope = envelope.piece(t)
-        span = end - t
-        n_steps = max(1, math.ceil(
-            (norm0 + max(f, f + slope * span) * (norm1 - norm0)) * span
-            / theta))
-        h = span / n_steps
-        t_new = end if n_steps == 1 else t + h
-        steps.extend((t, t_new, f, slope, h,
-                      h * (norm0 + f * (norm1 - norm0)),
-                      h * h * abs(slope * coupling)))
-        t = t_new
+    for start, end, f_start, slope in pieces.tolist():
+        t = start
+        while t < end:
+            f = f_start + slope * (t - start)
+            span = end - t
+            n_steps = max(1, math.ceil(
+                (norm0 + max(f, f + slope * span) * (norm1 - norm0)) * span
+                / theta))
+            h = span / n_steps
+            t_new = end if n_steps == 1 else t + h
+            steps.extend((t, t_new, f, slope, h,
+                          h * (norm0 + f * (norm1 - norm0)),
+                          h * h * abs(slope * coupling)))
+            t = t_new
     return np.array(steps).reshape(-1, 7)
 
 
@@ -139,10 +139,10 @@ def taylor_pass(blocks, t_span, y0, *, envelope, rtol, atol, t_eval=None):
     f = envelope piecewise linear, from the stacked coordinates y0 of the
     GeneratorBlocks blocks.
 
-    Every step ends on the next time in (t0, t_end] where f's value or
-    slope changes, or on t_end, or on an equal share of the way there
-    (module docstring); the steps are scheduled before the first one
-    runs.  rtol and atol bound the truncation error of the pass,
+    Every step ends on the end of its linear piece of f (PulseEnvelope.
+    pieces: the next jump or kink, or t_end), or on an equal share of the
+    way there (module docstring); the steps are scheduled before the first
+    one runs.  rtol and atol bound the truncation error of the pass,
     rtol max ||y|| + atol, each step taking its share h / (t_end - t0);
     atol must be finite and >= 0.  Each block's step matrix
     [h s P | G(f_k) - mu] and term rows are allocated once per pass (the
@@ -153,11 +153,6 @@ def taylor_pass(blocks, t_span, y0, *, envelope, rtol, atol, t_eval=None):
     every step end.
     """
     t0, t_end = map(float, t_span)
-    # sorted, without repeats (np.union1d would import numpy.ma on its
-    # first call)
-    ends = sorted({*envelope.breakpoints(t_end).tolist(),
-                   *envelope.kinks(t_end).tolist()})
-    ends = [end for end in ends if end > t0] + [t_end]
     spans = _spans(blocks)
     diagonal = np.concatenate(
         [np.zeros(blk.n_meta) for blk in blocks]
@@ -173,7 +168,7 @@ def taylor_pass(blocks, t_span, y0, *, envelope, rtol, atol, t_eval=None):
     # leave out of a constant generator's series, reaches rtol / 3
     theta = (math.factorial(_MAX_TERMS + 1) * rtol / 3.0) ** (
         1.0 / (_MAX_TERMS + 1))
-    steps = _schedule(envelope, t0, t_end, ends, norm0, norm1,
+    steps = _schedule(envelope.pieces(t0, t_end), norm0, norm1,
                       blocks[0].coupling, theta)
 
     mats = [_step_matrix(blk, mu) for blk in blocks]

@@ -26,7 +26,7 @@ import time as _time
 import numpy as np
 
 from . import __version__
-from .config import RunConfig, _number
+from .config import RunConfig, _rtol
 from .core import timed_dicke_state
 from .dynamics import propagate_eigen, propagate_ode
 from .errors import ArrayLightError, EigenConditionError, InvalidArgumentError
@@ -71,13 +71,10 @@ def _peak(amap) -> int:
 
 
 def _propagate(cfg: RunConfig, ham, psi0, times):
-    """Pick the propagator: diagonalization when the envelope allows it;
-    auto falls back to the ODE on an ill-conditioned eigenbasis."""
-    choice = cfg.propagator
-    if choice == "auto":
-        segments = ham.drive.envelope.constant_segments(times[-1])
-        choice = "ode" if segments is None else "eigen"
-    if choice == "eigen":
+    """Pick the propagator: diagonalization when the envelope is flat on the
+    run; auto falls back to the ODE on an ill-conditioned eigenbasis."""
+    if cfg.propagator == "eigen" or (cfg.propagator == "auto" and not np.any(
+            ham.drive.envelope.pieces(psi0.t, times[-1])[:, 3])):
         try:
             return propagate_eigen(ham, psi0, times,
                                    cond_limit=cfg.eigen_cond_max), "eigen"
@@ -289,7 +286,7 @@ def main(argv=None) -> int:
     try:
         cfg = RunConfig.from_yaml(args.config)
         if args.tol is not None:
-            cfg.ode_rtol = _number(args.tol, "--tol", 0.0)
+            cfg.ode_rtol = _rtol(args.tol, "--tol")
         out_dir = args.out if args.out is not None else cfg.out_dir
         if args.command == "simulate":
             return cmd_simulate(cfg, out_dir)

@@ -60,6 +60,14 @@ def _number(value, path: str, lo=None, hi=None) -> float:
     return v
 
 
+def _rtol(value, path: str) -> float:
+    """A relative tolerance: a finite number > 0."""
+    v = _number(value, path, 0.0)
+    if v == 0.0:
+        raise ConfigError(f"'{path}' must be > 0")
+    return v
+
+
 def _integer(value, path: str, lo=None) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise ConfigError(f"'{path}' must be an integer")
@@ -197,7 +205,9 @@ class RunConfig:
             tl = raw["tolerances"]
             _check_keys(tl, {"ode_rtol", "ode_atol", "eigen_cond_max"},
                         "tolerances")
-            for key in ("ode_rtol", "ode_atol", "eigen_cond_max"):
+            if "ode_rtol" in tl:
+                kw["ode_rtol"] = _rtol(tl["ode_rtol"], "tolerances.ode_rtol")
+            for key in ("ode_atol", "eigen_cond_max"):
                 if key in tl:
                     kw[key] = _number(tl[key], f"tolerances.{key}", 0.0)
 

@@ -248,8 +248,8 @@ def propagate_eigen(H: EffectiveHamiltonian, psi0: AmplitudeState,
                     times, cond_limit: float = EIGEN_COND_LIMIT) -> Trajectory:
     """Spectral propagation on a time grid.
 
-    The drive envelope must be piecewise constant (constant or square);
-    each constant segment gets one eigendecomposition.  With a rotation
+    Every piece of the envelope from psi0.t to the last time
+    (PulseEnvelope.pieces) must be flat; each gets one eig.  With a rotation
     symmetry about z, the generator is block diagonal in the bases Q_k of
     rotation_blocks (split by inversion too, when the array has it), and
     the drive is the same on every atom, so the blocks psi0 touches stay
@@ -270,10 +270,10 @@ def propagate_eigen(H: EffectiveHamiltonian, psi0: AmplitudeState,
     t0 = psi0.t
     if times[0] < t0 - 1e-12:
         raise InvalidArgumentError("time grid starts before the initial state")
-    segs_f = H.drive.envelope.constant_segments(float(times[-1]))
-    if segs_f is None:
+    pieces = H.drive.envelope.pieces(t0, float(times[-1]))
+    if np.any(pieces[:, 3]):
         raise InvalidArgumentError(
-            "envelope is not piecewise constant; use propagate_ode")
+            "envelope ramps on the run; use propagate_ode")
 
     psi = H.pack(psi0)
     blocks = _touched_blocks(H, psi, inversion=True)
@@ -281,10 +281,7 @@ def propagate_eigen(H: EffectiveHamiltonian, psi0: AmplitudeState,
     spans = _spans(blocks)
     coords = np.empty((len(y), len(times)), dtype=complex)
     segments, dims = [], []
-    for s0, s1, f in segs_f:
-        lo, hi = max(s0, t0), s1
-        if hi <= t0:
-            continue
+    for lo, hi, f, _ in pieces.tolist():
         eigs = [np.linalg.eig(blk.matrix(f)) for blk in blocks]
         cond = eigenbasis_condition(W for _, W in eigs)
         if cond > cond_limit:
@@ -325,11 +322,11 @@ def propagate_ode(H: EffectiveHamiltonian, psi0: AmplitudeState,
                   times=None) -> Trajectory:
     """Truncated-Taylor integration up to t_end under H.drive.envelope.
 
-    One pass of steps (_taylor.taylor_pass, called as solve_ivp) that end
-    on the envelope's jumps (PulseEnvelope.breakpoints) and kinks
-    (PulseEnvelope.kinks), so that f is linear on every step: a step that
-    ends on a jump uses the piece before it, the next step the piece
-    after it.  Each step sums the Taylor series of the solution to as
+    One pass of steps (_taylor.taylor_pass, called as solve_ivp) on the
+    envelope's linear pieces (PulseEnvelope.pieces), which end on its
+    jumps and kinks, so that f is linear on every step: a step that ends
+    on a jump uses the piece before it, the next step the piece after
+    it.  Each step sums the Taylor series of the solution to as
     many terms as a norm bound of the generator needs for the tolerances:
     the truncation errors of the pass add up to at most
     tol * max ||psi|| + atol, with tol finite and > 0 and atol finite and

@@ -2,16 +2,16 @@
 
 An envelope is a piecewise-linear function of time with values in [0, 1].
 Discontinuities (square pulses) are represented as zero-length jumps between
-segments; the integrator ends a step on each jump and on each kink, where f
-is continuous but its slope changes, and starts the step after a jump on its
-right limit.  The cumulative integral of f^2, used by the pulse-shaping
-reparametrization, is evaluated in closed form per segment so it carries no
-quadrature error.
+segments.  PulseEnvelope.pieces splits a run into the maximal pieces on
+which f is linear, cut at each jump and at each kink, where f is continuous
+but its slope changes: both propagators read f from them, the spectral one
+when every piece is flat, the Taylor steps otherwise.  The cumulative
+integral of f^2, used by the pulse-shaping reparametrization, is evaluated
+in closed form per segment so it carries no quadrature error.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 
 import numpy as np
@@ -53,9 +53,7 @@ class PulseEnvelope:
         if math.isinf(t1s[-1]) and f0s[-1] != f1s[-1]:
             raise InvalidArgumentError("infinite final segment must be constant")
         self._t0 = t0s
-        self._t1 = t1s
         self._f0 = f0s
-        self._f1 = f1s
         with np.errstate(invalid="ignore"):
             self._slope = np.where(
                 np.isfinite(t1s), (f1s - f0s) / (t1s - t0s), 0.0
@@ -65,10 +63,9 @@ class PulseEnvelope:
         s = self._slope
         seg = f0s**2 * L + f0s * s * L**2 + s**2 * L**3 / 3.0
         self._tau0 = np.concatenate([[0.0], np.cumsum(seg)[:-1]])
-        # Python lists for the scalar queries of the ODE step (piece, __call__)
-        self._t0_list = t0s.tolist()
-        self._f0_list = f0s.tolist()
-        self._slope_list = self._slope.tolist()
+        # segment starts where f jumps or kinks: the line changes there
+        self._cuts = t0s[1:][(f1s[:-1] != f0s[1:])
+                             | (self._slope[:-1] != self._slope[1:])]
 
     # ---- constructors -------------------------------------------------
 
@@ -106,67 +103,36 @@ class PulseEnvelope:
 
     # ---- queries ------------------------------------------------------
 
-    @property
-    def t_start(self) -> float:
-        return float(self._t0[0])
+    def _segment(self, t):
+        """Index of the segment whose line gives f at t (the first one
+        before the envelope's start)."""
+        return np.clip(np.searchsorted(self._t0, t, side="right") - 1, 0,
+                       len(self._t0) - 1)
 
     def __call__(self, t):
-        if isinstance(t, (float, int)):
-            return self.piece(t)[0]
         t = np.asarray(t, dtype=float)
-        k = np.clip(np.searchsorted(self._t0, t, side="right") - 1, 0, len(self._t0) - 1)
+        k = self._segment(t)
         out = self._f0[k] + self._slope[k] * (t - self._t0[k])
         return out if out.ndim else float(out)
 
-    def piece(self, t: float):
-        """(f(t), slope) of the linear piece that starts at or before the
-        scalar t: f(t + x) = f(t) + slope * x up to the next segment
-        boundary, whose left limit this gives at x = that boundary - t."""
-        # same arithmetic as the array path, so the values are identical
-        k = min(max(bisect.bisect_right(self._t0_list, t) - 1, 0),
-                len(self._t0_list) - 1)
-        slope = self._slope_list[k]
-        return self._f0_list[k] + slope * (t - self._t0_list[k]), slope
-
     def tau(self, t):
-        """Cumulative integral of f^2 from t_start to t, exact."""
+        """Cumulative integral of f^2 from the envelope's start to t, exact."""
         t = np.asarray(t, dtype=float)
-        k = np.clip(np.searchsorted(self._t0, t, side="right") - 1, 0, len(self._t0) - 1)
+        k = self._segment(t)
         x = t - self._t0[k]
         f0, s = self._f0[k], self._slope[k]
         out = self._tau0[k] + f0 * f0 * x + f0 * s * x * x + s * s * x**3 / 3.0
         return out if out.ndim else float(out)
 
-    def breakpoints(self, t_end: float) -> np.ndarray:
-        """Jumps of f in (t_start, t_end): segment boundaries where the value
-        changes.  Kinks, where only the slope changes, are not included."""
-        b = self._t0[1:][self._f1[:-1] != self._f0[1:]]
-        return b[b < t_end]
-
-    def kinks(self, t_end: float) -> np.ndarray:
-        """Kinks of f in (t_start, t_end): segment boundaries where f is
-        continuous but its slope changes."""
-        b = self._t0[1:][(self._f1[:-1] == self._f0[1:])
-                         & (self._slope[:-1] != self._slope[1:])]
-        return b[b < t_end]
-
-    def constant_segments(self, t_end: float):
-        """Split [t_start, t_end] into constant-f pieces, or None.
-
-        Returns a list of (t0, t1, f) when every segment is flat (constant
-        and square envelopes); None when the envelope genuinely ramps, in
-        which case the spectral propagator does not apply.
-        """
-        if np.any(self._f0 != self._f1):
-            return None
-        out = []
-        for t0, t1, f in zip(self._t0, self._t1, self._f0):
-            lo, hi = max(t0, self._t0[0]), min(t1, t_end)
-            if hi > lo:
-                out.append((float(lo), float(hi), float(f)))
-        if out and out[-1][1] < t_end:
-            out[-1] = (out[-1][0], t_end, out[-1][2])
-        return out
+    def pieces(self, t0: float, t_end: float) -> np.ndarray:
+        """The maximal linear pieces of f on [t0, t_end], one row (start,
+        end, f(start), slope) each: a piece starts at t0 and at each jump or
+        kink in (t0, t_end), so segments that continue one line are one.
+        f(start) is f's right limit; the line gives the left limit at end."""
+        cuts = self._cuts[(self._cuts > t0) & (self._cuts < t_end)]
+        starts = np.concatenate([[t0], cuts])
+        return np.column_stack([starts, np.append(cuts, t_end), self(starts),
+                                self._slope[self._segment(starts)]])
 
     def to_csv(self, path, t_grid, header_lines=()) -> None:
         t = np.asarray(t_grid, dtype=float)

@@ -15,13 +15,15 @@ import arraylight
 from arraylight import __version__
 from arraylight.cli import main
 from arraylight.config import RunConfig
-from arraylight.core import build_lattice
-from arraylight.dynamics import Trajectory
+from arraylight.core import build_lattice, timed_dicke_state
+from arraylight.dynamics import Trajectory, propagate_eigen, propagate_ode
+from arraylight.envelope import write_columns
 from arraylight.errors import ConfigError
 from arraylight.hamiltonian import (EffectiveHamiltonian, OrbitBasis,
                                     assemble, eigenmodes)
 from arraylight.oracles import two_atom_rates
-from arraylight.shaping import AdiabaticModel, adiabatic_simulate
+from arraylight.shaping import (AdiabaticModel, TargetWaveform,
+                                adiabatic_simulate)
 
 
 def _minimal():
@@ -146,6 +148,46 @@ def test_digest_ignores_config_dir():
     assert cfg_a.digest() == cfg_b.digest()
 
 
+def test_tolerances_and_output_sections(tmp_path):
+    # each value lands in its field and changes the digest; output.directory
+    # is where a run without --out writes
+    raw = _fast_run_cfg()
+    base = RunConfig.from_dict(raw).digest()
+    edits = {"tolerances": {"ode_rtol": 1e-6, "ode_atol": 1e-10,
+                            "eigen_cond_max": 1e6},
+             "output": {"directory": str(tmp_path / "res")}}
+    for section, values in edits.items():
+        for key, value in values.items():
+            one = {**_fast_run_cfg(), section: {key: value}}
+            assert RunConfig.from_dict(one).digest() != base
+    cfg = RunConfig.from_dict({**raw, **edits})
+    assert (cfg.ode_rtol, cfg.ode_atol, cfg.eigen_cond_max) == (1e-6, 1e-10,
+                                                                1e6)
+    assert cfg.out_dir == str(tmp_path / "res")
+    path = _write_yaml(tmp_path / "run.yaml", {**raw, **edits})
+    assert main(["modes", "--config", path]) == 0
+    assert (tmp_path / "res" / "modes.csv").is_file()
+
+
+@pytest.mark.parametrize("section, edit, needle", [
+    ("tolerances", {"ode_atol": -1.0}, "'tolerances.ode_atol' must be >= 0.0"),
+    ("tolerances", {"eigen_cond_max": "x"},
+     "'tolerances.eigen_cond_max' must be a number"),
+    ("tolerances", {"ode_rtol": 0.0}, "'tolerances.ode_rtol' must be > 0"),
+    ("tolerances", {"rtol": 1e-6}, "unknown config key 'tolerances.rtol'"),
+    ("output", {"directory": 3}, "'output.directory' must be a string"),
+    ("output", {"dir": "x"}, "unknown config key 'output.dir'"),
+])
+def test_cli_rejects_bad_tolerances_and_output(tmp_path, capsys, section,
+                                               edit, needle):
+    raw = _fast_run_cfg()
+    raw[section] = edit
+    path = _write_yaml(tmp_path / "run.yaml", raw)
+    assert main(["validate", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and needle in err
+
+
 # ---- derived builders ----------------------------------------------------
 
 def test_time_grid_structure():
@@ -251,6 +293,8 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
      "missing.csv"),
     # without a target, the fraction is still checked on load
     ("shape", "shaping", {"fraction": 5.0}, "'shaping.fraction'"),
+    # the Taylor pass needs tol > 0
+    ("simulate", "tolerances", {"ode_rtol": 0}, "'tolerances.ode_rtol'"),
 ])
 def test_cli_validate_rejects_what_runs_reject(tmp_path, capsys, command,
                                                section, edit, needle):
@@ -441,6 +485,35 @@ def test_cli_shape_infeasible_exit_code(tmp_path, capsys):
     assert "target infeasible" in err
 
 
+def test_cli_shape_two_gaussians_and_a_target_file(tmp_path):
+    # the config's two_gaussians target, and a --target CSV file in its
+    # place (one gaussian at 45), with the config's photon fraction
+    raw = _fast_run_cfg()
+    raw["drive"] = {"omega_L0": 42.0, "delta": 120.0}
+    raw["shaping"] = {"fraction": 0.5, "tau_end": 200.0,
+                      "target": {"kind": "two_gaussians",
+                                 "centers": [30.0, 60.0], "width": 10.0,
+                                 "t_end": 100.0, "dt": 0.1}}
+    path = _write_yaml(tmp_path / "shape.yaml", raw)
+    cfg = RunConfig.from_yaml(path)
+    single = TargetWaveform.gaussian(45.0, 15.0, 100.0, 0.1)
+    csv = tmp_path / "target.csv"
+    write_columns(csv, ["t", "intensity"], [single.u_grid, single.intensity])
+    cases = (((), TargetWaveform.two_gaussians((30.0, 60.0), 10.0, 100.0,
+                                               0.1, 0.5), 30.0),
+             (("--target", str(csv)), single, 45.0))
+    for extra, want, peak in cases:
+        got = cfg.build_target(*extra[1:])
+        assert np.array_equal(got.u_grid, want.u_grid)
+        assert np.array_equal(got.intensity, want.intensity)
+        assert got.photon_fraction == 0.5
+        out = tmp_path / f"out{peak:g}"
+        assert main(["shape", "--config", path, "--out", str(out),
+                     *extra]) == 0
+        summary = json.loads((out / "summary.json").read_text())["shaping"]
+        assert summary["peak_time_target"] == peak
+
+
 def test_cli_oracle_two_atom_rates(capsys):
     assert main(["oracle", "two-atom-rates", "--separation", "0.3"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -470,7 +543,8 @@ def test_cli_tol_override_applies(tmp_path):
 
 
 @pytest.mark.parametrize("tol, needle", [("nan", "must be a finite number"),
-                                         ("-1", "must be >= 0.0")])
+                                         ("-1", "must be >= 0.0"),
+                                         ("0", "must be > 0")])
 @pytest.mark.parametrize("command", ["validate", "simulate"])
 def test_cli_tol_override_is_checked(tmp_path, capsys, command, tol,
                                      needle):
@@ -481,6 +555,49 @@ def test_cli_tol_override_is_checked(tmp_path, capsys, command, tol,
     err = capsys.readouterr().err
     assert err.startswith("error:") and f"'--tol' {needle}" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("propagator, code", [("auto", 0), ("eigen", 3)])
+def test_cli_falls_back_to_the_ode_on_an_ill_conditioned_eigenbasis(
+        tmp_path, capsys, propagator, code):
+    # the 1x1x2 lattice's eigenbasis condition is 1.011, above a limit of
+    # 1: auto runs the ODE instead, a requested eigen run fails
+    raw = _fast_run_cfg()
+    raw["tolerances"] = {"eigen_cond_max": 1.0}
+    raw["propagator"] = propagator
+    path = _write_yaml(tmp_path / "run.yaml", raw)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", path, "--out", str(out)]) == code
+    if code:
+        assert "eigenvector condition" in capsys.readouterr().err
+    else:
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["propagator"] == "ode"
+        assert summary["eigen_blocks"] is None
+
+
+def test_auto_runs_eigen_when_the_envelope_ramps_only_after_the_run(
+        tmp_path):
+    # flatness is judged on the run, [0, t_end = 8]: an envelope flat
+    # through t_end that ramps after it takes the spectral path, which
+    # agrees with the ODE to the eigen-vs-ODE cross-check's 1e-6
+    (tmp_path / "env.csv").write_text("t,f\n0.0,0.8\n8.0,0.8\n9.0,1.0\n")
+    raw = _fast_run_cfg()
+    raw["drive"]["envelope"] = {"kind": "file", "path": "env.csv"}
+    for t_end, method in ((8.0, "eigen"), (8.5, "ode")):
+        raw["time"]["t_end"] = t_end
+        path = _write_yaml(tmp_path / "run.yaml", raw)
+        out = tmp_path / f"out{t_end:g}"
+        assert main(["simulate", "--config", path, "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["propagator"] == method
+    cfg = RunConfig.from_yaml(path)
+    H = assemble(cfg.build_array(), cfg.build_drive())
+    psi0 = timed_dicke_state(cfg.build_array(), cfg.k_gf_vector())
+    t = np.linspace(0.0, 8.0, 81)
+    eig = propagate_eigen(H, psi0, t)
+    ode = propagate_ode(H, psi0, t_end=8.0, times=t)
+    assert np.max(np.abs(eig.states - ode.states)) < 1e-6
 
 
 def _unwanted_modules_after(argv):

@@ -306,8 +306,7 @@ def _kinked_envelope():
     """A kink at 0.7, jumps at 1.5, 2.2 and 3.1, slope 0 from 2.2 on."""
     env = PulseEnvelope([0.0, 0.7, 1.5, 2.2, 3.1], [0.7, 1.5, 2.2, 3.1, np.inf],
                         [0.0, 0.9, 1.0, 0.6, 0.3], [0.9, 0.4, 0.2, 0.6, 0.3])
-    assert env.kinks(6.0).tolist() == [0.7]
-    assert env.breakpoints(6.0).tolist() == [1.5, 2.2, 3.1]
+    assert env.pieces(0.0, 6.0)[:, 0].tolist() == [0.0, 0.7, 1.5, 2.2, 3.1]
     return env
 
 
@@ -348,8 +347,9 @@ def test_ode_matches_stock_dop853_across_kinks_and_jumps(direction):
 def _taylor_terms(blocks, env, t, h, y, m):
     """The terms z_0, ..., z_m of the two-term Taylor recursion of _taylor
     over the step of length h from t, term by term on
-    _references.apply: f and its slope s from env.piece(t), mu the
-    centre of the range of the generator's diagonal,
+    _references.apply: f and its slope s from the piece of env that starts
+    at t (PulseEnvelope.pieces), mu the centre of the range of the
+    generator's diagonal,
 
         (m + 1) z_{m+1} = h (G(f) - mu) z_m + h^2 s P z_{m-1},
 
@@ -365,7 +365,7 @@ def _taylor_terms(blocks, env, t, h, y, m):
                               + [np.diag(blk.excited) for blk in blocks])
     mu = complex(diagonal.real.min() + diagonal.real.max(),
                  diagonal.imag.min() + diagonal.imag.max()) / 2
-    f, slope = env.piece(t)
+    _, _, f, slope = env.pieces(t, t + h)[0]
     z_before, z = np.zeros_like(y), y
     terms = [z]
     for j in range(m):
@@ -615,6 +615,39 @@ def test_eigen_rejects_ramping_envelope():
     psi0 = timed_dicke_state(arr, np.array([0.0, 0.0, K0]))
     with pytest.raises(InvalidArgumentError):
         propagate_eigen(H, psi0, np.linspace(0.0, 2.0, 5))
+
+
+def test_eigen_takes_equal_flat_segments_as_one():
+    # segments that continue one flat line are one spectral segment, one
+    # eig, with the arithmetic of the constant envelope's run
+    arr = build_lattice(1, 1, 2, 0.4)
+    psi0 = timed_dicke_state(arr, np.array([0.0, 0.0, K0]))
+    t = np.linspace(0.0, 5.0, 51)
+    runs = []
+    for env in (PulseEnvelope([0.0, 2.0], [2.0, np.inf], [0.6, 0.6],
+                              [0.6, 0.6]),
+                PulseEnvelope.constant(0.6)):
+        runs.append(propagate_eigen(
+            assemble(arr, LaserDrive(2.0, 3.0, envelope=env)), psi0, t))
+    assert len(runs[0]._segments) == len(runs[1]._segments) == 1
+    assert np.array_equal(runs[0].coords, runs[1].coords)
+
+
+def test_eigen_covers_the_run_from_the_initial_state():
+    # the pieces start at psi0.t: a grid of psi0.t alone is psi0, and an
+    # envelope whose first sample comes later is its first line before it
+    # (PulseEnvelope.__call__), which the ODE integrates as well
+    arr = build_lattice(1, 1, 2, 0.4)
+    psi0 = timed_dicke_state(arr, np.array([0.0, 0.0, K0]))
+    H = assemble(arr, LaserDrive(2.0, 3.0))
+    start = propagate_eigen(H, psi0, [0.0]).states[:, 0]
+    assert np.max(np.abs(start - H.pack(psi0))) < 1e-12
+    env = PulseEnvelope.from_samples([2.0, 4.0], [0.6, 0.6])
+    H = assemble(arr, LaserDrive(2.0, 3.0, envelope=env))
+    t = np.linspace(0.0, 5.0, 11)
+    tr_e = propagate_eigen(H, psi0, t)
+    tr_o = propagate_ode(H, psi0, t_end=5.0, times=t)
+    assert np.max(np.abs(tr_e.states - tr_o.states)) < 1e-6
 
 
 def test_populations_shapes():

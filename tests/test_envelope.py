@@ -19,8 +19,7 @@ def test_constant_envelope():
     t = np.array([0.0, 1.0, 100.0])
     assert np.allclose(env(t), 0.7)
     assert np.allclose(env.tau(t), 0.49 * t)
-    assert env.constant_segments(50.0) == [(0.0, 50.0, 0.7)]
-    assert env.breakpoints(50.0).size == 0
+    assert env.pieces(0.0, 50.0).tolist() == [[0.0, 50.0, 0.7, 0.0]]
 
 
 def test_square_envelope():
@@ -30,41 +29,54 @@ def test_square_envelope():
     assert env(3.0) == 0.0  # right continuous at the step
     assert env(10.0) == 0.0
     assert np.allclose(env.tau(np.array([1.0, 3.0, 9.0])), [1.0, 3.0, 3.0])
-    assert np.allclose(env.breakpoints(10.0), [3.0])
-    assert env.kinks(10.0).size == 0
-    segs = env.constant_segments(10.0)
-    assert segs == [(0.0, 3.0, 1.0), (3.0, 10.0, 0.0)]
+    assert env.pieces(0.0, 10.0).tolist() == [[0.0, 3.0, 1.0, 0.0],
+                                              [3.0, 10.0, 0.0, 0.0]]
+
+
+def _jumps(rows):
+    """Piece starts where f's value changes: the left limit that the
+    line of the piece before gives differs from the right limit."""
+    left = rows[:-1, 2] + rows[:-1, 3] * (rows[:-1, 1] - rows[:-1, 0])
+    return rows[1:, 0][~np.isclose(left, rows[1:, 2], rtol=0, atol=1e-12)]
 
 
 def test_breakpoints_are_jumps_and_kinks_are_slope_changes():
     knots = [0.0, 1.0, 2.5, 4.0]
     env = PulseEnvelope.from_samples(knots, [0.2, 0.9, 0.4, 0.7])
-    assert env.breakpoints(10.0).size == 0
-    assert env.kinks(10.0).tolist() == [1.0, 2.5, 4.0]  # 4.0: flat tail
-    assert env.kinks(3.0).tolist() == [1.0, 2.5]
+    rows = env.pieces(0.0, 10.0)
+    assert rows[:, 0].tolist() == knots  # kinks only; 4.0: flat tail
+    assert _jumps(rows).size == 0 and rows[-1, 1:].tolist() == [10, 0.7, 0]
+    assert env.pieces(0.0, 3.0)[:, 0].tolist() == [0.0, 1.0, 2.5]
     # one jump at t = 2 among linear segments; 1, 3 and 5 are kinks, and
-    # the boundary at 4 joins two segments of equal slope
+    # the boundary at 4 joins two segments of equal slope into one piece
     env = PulseEnvelope([0.0, 1.0, 2.0, 3.0, 4.0, 5.0],
                         [1.0, 2.0, 3.0, 4.0, 5.0, math.inf],
                         [0.0, 0.5, 0.8, 0.75, 0.5, 0.25],
                         [0.5, 0.6, 0.75, 0.5, 0.25, 0.25])
-    assert env.breakpoints(10.0).tolist() == [2.0]
-    assert env.breakpoints(2.0).size == 0
-    assert env.kinks(10.0).tolist() == [1.0, 3.0, 5.0]
+    rows = env.pieces(0.0, 10.0)
+    assert rows[:, 0].tolist() == [0.0, 1.0, 2.0, 3.0, 5.0]
+    assert _jumps(rows).tolist() == [2.0]
+    assert rows[3].tolist() == [3.0, 5.0, 0.75, -0.25]
+    # a cut at either end of the run starts no piece
+    assert env.pieces(0.0, 2.0)[:, 0].tolist() == [0.0, 1.0]
+    assert env.pieces(2.0, 10.0)[:, 0].tolist() == [2.0, 3.0, 5.0]
 
 
 def test_piece_is_the_segment_line_up_to_its_end():
     env = PulseEnvelope.from_samples([0.0, 1.0, 2.5], [0.2, 0.9, 0.4])
-    value, slope = env.piece(0.5)
+    start, end, value, slope = env.pieces(0.5, 2.0)[0]
+    assert (start, end) == (0.5, 1.0)
     assert value == env(0.5) and slope == pytest.approx(0.7)
     # at a knot the piece is the segment that starts there
-    value, slope = env.piece(1.0)
+    start, end, value, slope = env.pieces(1.0, 2.0)[0]
+    assert (start, end) == (1.0, 2.0)
     assert value == env(1.0) and slope == pytest.approx(-1.0 / 3.0)
     # before a jump the piece runs on to the left limit; at it, the next
     sq = PulseEnvelope.square(2.0, high=0.8, low=0.1)
-    value, slope = sq.piece(1.5)
-    assert value + slope * 0.5 == 0.8 and sq(2.0) == 0.1
-    assert sq.piece(2.0) == (0.1, 0.0)
+    (start, end, value, slope), after = sq.pieces(1.5, 3.0)
+    assert value + slope * (end - start) == 0.8 and sq(2.0) == 0.1
+    assert after.tolist() == [2.0, 3.0, 0.1, 0.0]
+    assert sq.pieces(2.0, 3.0).tolist() == [[2.0, 3.0, 0.1, 0.0]]
 
 
 @st.composite
@@ -95,6 +107,25 @@ def _envelopes(draw):
 def test_scalar_evaluation_matches_array_path(case):
     env, t = case
     assert env(t) == env(np.array([t]))[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_envelopes(), st.floats(0.0, 10.0))
+def test_pieces_follow_the_envelope(case, length):
+    # the pieces tile [t0, t_end]; each starts on f's right limit, bit for
+    # bit, and its line is f up to the left limit at its end
+    env, t0 = case
+    t_end = t0 + length
+    rows = env.pieces(t0, t_end)
+    start, end, value, slope = rows.T
+    assert start[0] == t0 and end[-1] == t_end
+    assert np.array_equal(start[1:], end[:-1]) and np.all(end[1:] > start[1:])
+    assert np.array_equal(value, env(start))
+    scale = 1.0 + np.abs(slope) * (end - start)
+    for t in (start + 0.5 * (end - start), np.nextafter(end, -math.inf)):
+        inside = (t >= start) & (t < end)  # a midpoint may round to end
+        line = value + slope * (t - start)
+        assert np.all(np.abs(env(t) - line)[inside] <= 1e-9 * scale[inside])
 
 
 def test_square_high_low():
@@ -186,7 +217,11 @@ def test_chunked_csv_writer_matches_the_row_writer(tmp_path, n_rows):
 
 def test_ramping_envelope_has_no_constant_segments():
     env = PulseEnvelope.from_samples([0.0, 1.0], [0.0, 1.0])
-    assert env.constant_segments(2.0) is None
+    assert np.any(env.pieces(0.0, 2.0)[:, 3])
+    # flatness is that of the run: flat through t = 2, a ramp after it
+    env = PulseEnvelope.from_samples([0.0, 2.0, 3.0], [0.5, 0.5, 1.0])
+    assert env.pieces(0.0, 2.0).tolist() == [[0.0, 2.0, 0.5, 0.0]]
+    assert env.pieces(1.0, 2.5)[:, 3].tolist() == [0.0, 0.5]
 
 
 def test_start_before_zero_rejected():

@@ -304,6 +304,25 @@ def test_block_eigenvalues_match_eig():
         assert lo == spec.eigenvalues.size
 
 
+def test_eigenmodes_skip_the_metastable_only_blocks():
+    # with the sublevel 0 alone and an undriven nu0 = +1, two of the 1x1x2
+    # lattice's four bases hold one a_l column and nothing excited: the
+    # spectrum is the whole excited block's, from the other two
+    H = assemble(build_lattice(1, 1, 2, 0.4),
+                 LaserDrive(0.0, 0.0, target_sublevel=1),
+                 include_sublevels=(0,))
+    bases = rotation_blocks(H)
+    assert sorted((Q.n_meta(2), Q.shape[1]) for Q in bases) == [
+        (0, 1), (0, 1), (1, 1), (1, 1)]
+    spec = eigenmodes(H)
+    assert len(spec.blocks) == 2
+    want = np.linalg.eigvals(H.excited_block)
+    got = spec.eigenvalues
+    assert got.size == want.size == 2
+    i, j = linear_sum_assignment(np.abs(got[:, None] - want))
+    assert np.all(np.abs(got[i] - want[j]) <= 1e-12 * np.abs(want[j]))
+
+
 def test_eigenmodes_leave_the_eigenvectors_to_the_condition_number(
         monkeypatch):
     # simulate reads the rates alone: eigenmodes calls no eig, and the
