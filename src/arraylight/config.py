@@ -303,18 +303,20 @@ class RunConfig:
         return PulseEnvelope.from_csv(self._config_path(spec, where))
 
     def build_target(self, path=None) -> TargetWaveform:
-        """Shaping target from 'shaping.target', or from the CSV at path."""
+        """Shaping target from 'shaping.target', or from the CSV at path,
+        taken as given (a relative path is read from the working
+        directory); only 'shaping.target.path' is resolved against the
+        config's directory."""
         spec, where = self.shaping.get("target"), "shaping.target"
-        if path is not None:
-            spec = {"kind": "file", "path": path}
-        if not spec:
+        if path is None and not spec:
             raise ConfigError("shape command needs 'shaping.target' in the "
                               "config or a --target file")
         fraction = _number(self.shaping.get("fraction", 0.99),
                            "shaping.fraction", 0.0, 1.0)
-        if spec["kind"] == "file":
-            return TargetWaveform.from_csv(self._config_path(spec, where),
-                                           photon_fraction=fraction)
+        if path is None and spec["kind"] == "file":
+            path = self._config_path(spec, where)
+        if path is not None:
+            return TargetWaveform.from_csv(path, photon_fraction=fraction)
         width = _number(_require(spec, "width", where), f"{where}.width",
                         1e-12)
         t_end = _number(_require(spec, "t_end", where), f"{where}.t_end",

@@ -50,7 +50,7 @@ import numpy as np
 from ._taylor import _spans
 from ._taylor import taylor_pass as solve_ivp
 from .core import AmplitudeState
-from .envelope import write_columns
+from .envelope import _CHUNK, write_columns
 from .errors import EigenConditionError, InvalidArgumentError
 from .hamiltonian import (EffectiveHamiltonian, eigenbasis_condition,
                           rotation_blocks)
@@ -192,24 +192,34 @@ class Trajectory:
         """(N, 3) excited amplitudes at time u."""
         return self.H.beta_matrix(self.state_at(u))
 
-    def norm_squared(self) -> np.ndarray:
-        return np.sum(np.abs(self.coords) ** 2, axis=0)
-
-    def populations(self):
-        """(metastable, excited-per-sublevel) population time series."""
+    def _squares(self):
+        """(metastable population, (K, 3) excited population per sublevel
+        m = -1, 0, +1, norm squared), each sample's sums of |c|^2 over the
+        coordinates of each sector (_column_sectors) and over all of them;
+        |c|^2 is formed once per chunk of _CHUNK samples."""
         sectors = np.concatenate([_column_sectors(self.H, blk)
                                   for blk in self.blocks])
         onehot = sectors == np.arange(1 + self.H.n_sublevels)[:, None]
-        pops = onehot @ np.abs(self.coords) ** 2
+        sums = np.empty((len(onehot) + 1, len(self.times)))
+        for lo in range(0, len(self.times), _CHUNK):
+            c2 = np.abs(self.coords[:, lo:lo + _CHUNK]) ** 2
+            np.matmul(onehot, c2, out=sums[:-1, lo:lo + _CHUNK])
+            np.sum(c2, axis=0, out=sums[-1, lo:lo + _CHUNK])
         full = np.zeros((len(self.times), 3))
-        full[:, self.H.columns] = pops[1:].T
-        return pops[0], full
+        full[:, self.H.columns] = sums[1:-1].T
+        return sums[0], full, sums[-1]
+
+    def norm_squared(self) -> np.ndarray:
+        return self._squares()[2]
+
+    def populations(self):
+        """(metastable, excited-per-sublevel) population time series."""
+        return self._squares()[:2]
 
     def to_csv(self, path, atoms=(0,), header_lines=()) -> None:
-        meta, exc = self.populations()
+        meta, exc, norm2 = self._squares()
         cols = ["t", "pop_f", "pop_e_m1", "pop_e_0", "pop_e_p1", "norm2"]
-        data = [self.times, meta, exc[:, 0], exc[:, 1], exc[:, 2],
-                self.norm_squared()]
+        data = [self.times, meta, exc[:, 0], exc[:, 1], exc[:, 2], norm2]
         a = self.lift(self.coords, rows=list(atoms))
         for j, a_j in zip(atoms, a):
             cols += [f"re_a_{j}", f"im_a_{j}"]
@@ -229,17 +239,22 @@ def _column_sectors(H: EffectiveHamiltonian, blk) -> np.ndarray:
 def _modal_coords(modes, dt, out=None) -> np.ndarray:
     """Stacked block coordinates W_k exp(lam_k dt) c0_k at the offsets dt
     from a spectral segment's start, one column each; modes holds
-    (W_k, lam_k, c0_k) per block."""
+    (W_k, lam_k, c0_k) per block.  The columns are computed _CHUNK samples
+    at a time, each chunk written straight into out (a new array when not
+    given; any view, column slices included), so the temporaries hold one
+    chunk of one block."""
     dt = np.asarray(dt, dtype=float)
     if out is None:
         out = np.empty((sum(len(lam) for _, lam, _ in modes), len(dt)),
                        dtype=complex)
     lo = 0
     for W, lam, c0 in modes:
-        E = np.outer(lam, dt)
-        np.exp(E, out=E)
-        E *= c0[:, None]
-        np.matmul(W, E, out=out[lo:lo + len(lam)])
+        rows = out[lo:lo + len(lam)]
+        for s in range(0, len(dt), _CHUNK):
+            E = np.outer(lam, dt[s:s + _CHUNK])
+            np.exp(E, out=E)
+            E *= c0[:, None]
+            np.matmul(W, E, out=rows[:, s:s + _CHUNK])
         lo += len(lam)
     return out
 

@@ -20,7 +20,11 @@ from .errors import InvalidArgumentError
 
 __all__ = ["PulseEnvelope"]
 
-_WRITE_ROWS = 1024  # CSV rows per formatting call of write_columns
+# samples per chunk of every chunked loop over a time grid: the CSV rows of
+# one formatting call of write_columns, and the samples of one pass of the
+# closed-form solutions and |c|^2 sums in dynamics and shaping, so that
+# their temporaries scale with one chunk and not with the grid
+_CHUNK = 1024
 
 
 class PulseEnvelope:
@@ -143,7 +147,7 @@ def write_columns(path, names, columns, header_lines=()) -> None:
     """Write equal-length columns as a CSV file: one '# ' line per header
     line, the column names, then one row per sample with every value as
     %.17g, which round-trips a float64.  The rows are formatted
-    _WRITE_ROWS at a time, by one % of the row format repeated over the
+    _CHUNK at a time, by one % of the row format repeated over the
     chunk."""
     row = ",".join(["%.17g"] * len(names)) + "\n"
     table = np.column_stack(columns)
@@ -151,8 +155,8 @@ def write_columns(path, names, columns, header_lines=()) -> None:
         for line in header_lines:
             fh.write(f"# {line}\n")
         fh.write(",".join(names) + "\n")
-        for lo in range(0, len(table), _WRITE_ROWS):
-            block = table[lo:lo + _WRITE_ROWS]
+        for lo in range(0, len(table), _CHUNK):
+            block = table[lo:lo + _CHUNK]
             fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 

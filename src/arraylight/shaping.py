@@ -36,7 +36,7 @@ import numpy as np
 from . import farfield
 from .core import SUBLEVELS, AmplitudeState, AtomArray, LaserDrive
 from .dynamics import _modal_coords, piecewise_grid, propagate_ode
-from .envelope import PulseEnvelope, read_two_columns
+from .envelope import _CHUNK, PulseEnvelope, read_two_columns
 from .errors import (InfeasibleTargetError, InvalidArgumentError,
                      NumericError)
 from .hamiltonian import assemble
@@ -105,15 +105,17 @@ class AdiabaticModel:
 class AdiabaticReference:
     """One adiabatic run, the source of a shaping run's drive and state.
 
-    a is (N, K) on the tau grid times, from tau = 0, n = 1 - |a|^2 the
-    emitted photon number and flux = -d|a|^2/dt.  model.matrix =
-    V diag(lam) V^-1 is eigendecomposed once; c0 is the initial state in
-    that basis, and a0(tau) = V exp(lam tau) c0.
+    On the tau grid times, from tau = 0: n = 1 - |a|^2 the emitted photon
+    number and flux = -d|a|^2/dt.  The amplitudes on the grid are not
+    kept: initial holds the (N,) amplitudes at tau = 0, and a_at gives
+    them at any tau.  model.matrix = V diag(lam) V^-1 is eigendecomposed
+    once; c0 is the initial state in that basis, and
+    a0(tau) = V exp(lam tau) c0.
     """
 
     model: AdiabaticModel
     times: np.ndarray
-    a: np.ndarray
+    initial: np.ndarray
     n: np.ndarray
     flux: np.ndarray
     lam: np.ndarray
@@ -121,7 +123,7 @@ class AdiabaticReference:
     c0: np.ndarray
 
     def a_at(self, tau):
-        """Exact unit-envelope a0(tau) for scalar or vector tau."""
+        """Exact unit-envelope a0(tau) for scalar or vector tau, (N, K)."""
         tau = np.atleast_1d(np.asarray(tau, dtype=float))
         return _modal_coords(((self.V, self.lam, self.c0),), tau)
 
@@ -137,8 +139,10 @@ def adiabatic_simulate(model: AdiabaticModel, a0,
     model.matrix is eigendecomposed once, and a0(tau) = V exp(lam tau) c0
     is evaluated in closed form on the grid (and off it by a_at); under an
     envelope f the solution is a0(tau(t)), tau = integral f^2
-    (reparametrize).  Returns the solution with a, emitted photon number
-    n(tau) = 1 - |a|^2, and the emission flux -d|a|^2/dtau.
+    (reparametrize).  The grid is walked _CHUNK samples at a time: each
+    chunk's amplitudes give its emitted photon number n(tau) = 1 - |a|^2
+    and emission flux -d|a|^2/dtau and are then dropped, so no (N, K)
+    table is formed.  Returns n, the flux and the amplitudes at tau = 0.
     """
     a0 = np.asarray(a0, dtype=complex)
     if a0.shape != (model.array.n_atoms,):
@@ -150,11 +154,16 @@ def adiabatic_simulate(model: AdiabaticModel, a0,
     M = model.matrix
     lam, V = np.linalg.eig(M)
     c0 = np.linalg.solve(V, a0)
-    A = _modal_coords(((V, lam, c0),), times)
-    flux = -2.0 * np.real(np.einsum("ik,ik->k", A.conj(), M @ A))
-    return AdiabaticReference(model, times, A,
-                              n=1.0 - np.sum(np.abs(A) ** 2, axis=0),
-                              flux=flux, lam=lam, V=V, c0=c0)
+    n, flux = np.empty(len(times)), np.empty(len(times))
+    for lo in range(0, len(times), _CHUNK):
+        s = slice(lo, lo + _CHUNK)
+        A = _modal_coords(((V, lam, c0),), times[s])
+        if lo == 0:
+            initial = A[:, 0].copy()
+        flux[s] = -2.0 * np.real(np.einsum("ik,ik->k", A.conj(), M @ A))
+        n[s] = 1.0 - np.sum(np.abs(A) ** 2, axis=0)
+    return AdiabaticReference(model, times, initial, n=n, flux=flux,
+                              lam=lam, V=V, c0=c0)
 
 
 def reparametrize(reference: AdiabaticReference, envelope: PulseEnvelope,
@@ -307,7 +316,7 @@ def validate(envelope: PulseEnvelope, target: TargetWaveform,
 
     The run is the reference's: the drive carries the array, omega_L0,
     delta and target sublevel of reference.model, and the state starts
-    from the reference's initial amplitudes reference.a[:, 0].  Propagates
+    from the reference's initial amplitudes reference.initial.  Propagates
     adaptively, computes the exact far-field flux on the target's time
     grid, and reports the relative L2 mismatch against the normalized
     target flux.
@@ -317,7 +326,7 @@ def validate(envelope: PulseEnvelope, target: TargetWaveform,
     drive = LaserDrive(model.omega_L0, model.delta, envelope,
                        model.target_sublevel)
     H = assemble(model.array, drive, include_sublevels)
-    psi0 = AmplitudeState(reference.a[:, 0])
+    psi0 = AmplitudeState(reference.initial)
     traj = propagate_ode(H, psi0, t_end=float(u[-1]), tol=tol, times=u)
     wf = farfield.waveform(traj, allow_truncation=True)
     # scale the target to photon_fraction * (1 - |a|^2) at the reference's

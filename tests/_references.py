@@ -1,8 +1,9 @@
 """Test-only references of the package's symmetry bases, generator blocks,
-spectra and CSV writer: the orbit-by-orbit construction of the
-rotation_blocks bases, with the direct construction on the excited block
-alone (excited_only), the term-by-term block product, the lifted
-eigenvectors of a ModeSpectrum and the row-by-row CSV writer."""
+spectra, closed-form solutions and CSV writer: the orbit-by-orbit
+construction of the rotation_blocks bases, with the direct construction on
+the excited block alone (excited_only), the term-by-term block product,
+the lifted eigenvectors of a ModeSpectrum, the spectral coordinates in one
+product per block and the row-by-row CSV writer."""
 
 import numpy as np
 
@@ -38,6 +39,14 @@ def right_vectors(spec):
     pairs = [(Q, np.linalg.eig(A)) for Q, A in spec.blocks]
     return (np.concatenate([lam for _, (lam, _) in pairs]),
             np.hstack([Q.lift(W) for Q, (_, W) in pairs]))
+
+
+def modal_coords_at_once(modes, dt) -> np.ndarray:
+    """dynamics._modal_coords in one product per block over all of dt:
+    the stacked W_k exp(lam_k dt) c0_k."""
+    dt = np.asarray(dt, dtype=float)
+    return np.vstack([W @ (np.exp(np.outer(lam, dt)) * c0[:, None])
+                      for W, lam, c0 in modes])
 
 
 def write_columns_by_row(path, names, columns, header_lines=()) -> None:

@@ -514,6 +514,28 @@ def test_cli_shape_two_gaussians_and_a_target_file(tmp_path):
         assert summary["peak_time_target"] == peak
 
 
+def test_cli_shape_resolves_target_paths(tmp_path, monkeypatch):
+    # shaping.target.path is read from the config's directory, a --target
+    # path from the working directory, as given
+    raw = _fast_run_cfg()
+    raw["drive"] = {"omega_L0": 42.0, "delta": 120.0}
+    raw["shaping"] = {"fraction": 0.5, "tau_end": 200.0,
+                      "target": {"kind": "file", "path": "tgt.csv"}}
+    (tmp_path / "sub").mkdir()
+    _write_yaml(tmp_path / "sub" / "s.yaml", raw)
+    for where, center in (("sub", 30.0), (".", 45.0)):
+        target = TargetWaveform.gaussian(center, 15.0, 100.0, 0.1)
+        write_columns(tmp_path / where / "tgt.csv", ["t", "intensity"],
+                      [target.u_grid, target.intensity])
+    monkeypatch.chdir(tmp_path)
+    for extra, peak in (((), 30.0), (("--target", "tgt.csv"), 45.0)):
+        out = f"out{peak:g}"
+        assert main(["shape", "--config", "sub/s.yaml", "--out", out,
+                     *extra]) == 0
+        summary = json.loads((tmp_path / out / "summary.json").read_text())
+        assert summary["shaping"]["peak_time_target"] == peak
+
+
 def test_cli_oracle_two_atom_rates(capsys):
     assert main(["oracle", "two-atom-rates", "--separation", "0.3"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -2,15 +2,16 @@
 
 import numpy as np
 import pytest
-from _references import apply
+from _references import apply, modal_coords_at_once
 from scipy.integrate import cumulative_trapezoid, solve_ivp
 
 from arraylight import dynamics
 from arraylight.core import (AmplitudeState, AtomArray, LaserDrive,
                              build_lattice, single_f_excitation,
                              timed_dicke_state)
-from arraylight.dynamics import propagate_eigen, propagate_ode
-from arraylight.envelope import PulseEnvelope
+from arraylight.dynamics import (piecewise_grid, propagate_eigen,
+                                 propagate_ode)
+from arraylight.envelope import _CHUNK, PulseEnvelope
 from arraylight.errors import EigenConditionError, InvalidArgumentError
 from arraylight.farfield import waveform
 from arraylight.hamiltonian import assemble
@@ -695,6 +696,61 @@ def test_trajectory_csv(tmp_path):
     data = np.array([row.split(",") for row in lines[2:]], dtype=float)
     assert data.shape[0] == 11
     assert np.allclose(data[:, 4], np.exp(-t), atol=1e-12)
+
+
+def _readme_run():
+    """The README run.yaml's Hamiltonian, initial state and 7701-sample
+    time grid."""
+    arr = build_lattice(3, 3, 8, 0.6)
+    times = piecewise_grid(200.0, ((0.0, 0.005), (30.0, 0.1), (200.0, 1.0)))
+    return (assemble(arr, LaserDrive(2.0, 10.0)),
+            timed_dicke_state(arr, np.array([0.0, 0.0, K0])), times)
+
+
+def test_propagate_eigen_memory_on_the_readme_run(above_live):
+    # the modal factors exp(lam t) c0 are formed one chunk of samples at a
+    # time: on the whole grid (80 x 7701, 9.9 MB) they took the allocation
+    # peak to 10.0 MB above the returned coordinates
+    H, psi0, times = _readme_run()
+    traj, peak, _ = above_live(propagate_eigen, H, psi0, times)
+    assert traj.coords.shape == (80, 7701)
+    assert peak - traj.coords.nbytes < 3e6, peak - traj.coords.nbytes
+
+
+def test_trajectory_csv_memory_on_the_readme_run(tmp_path, above_live):
+    # |c|^2 is formed once per chunk of samples for the population and
+    # norm columns: squaring the whole trajectory once for the populations
+    # and once for the norm took the peak to 5.4 MB above the live memory
+    H, psi0, times = _readme_run()
+    traj = propagate_eigen(H, psi0, times)
+    _, peak, _ = above_live(traj.to_csv, tmp_path / "trajectory.csv")
+    assert peak < 3e6, peak
+
+
+@pytest.mark.parametrize("k", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1,
+                               2 * _CHUNK + 3])
+def test_modal_coords_across_chunk_boundaries(k):
+    # two blocks, the first with an F-ordered W, written into a column
+    # slice of a larger array, against one product per block over the
+    # whole grid.  Not bit for bit: the rounding of the product may depend
+    # on its width, and the last chunk is narrower than the others
+    rng = np.random.default_rng(k)
+
+    def block(m):
+        W = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+        lam = -rng.uniform(0.0, 1.0, m) + 1j * rng.normal(size=m)
+        return W, lam, rng.normal(size=m) + 1j * rng.normal(size=m)
+
+    (W, lam, c0), second = block(5), block(3)
+    modes = [(np.asfortranarray(W), lam, c0), second]
+    dt = np.sort(rng.uniform(0.0, 5.0, k))
+    want = modal_coords_at_once(modes, dt)
+    bound = 1e-15 * np.max(np.abs(want))
+    big = np.zeros((8, k + 7), dtype=complex)
+    dynamics._modal_coords(modes, dt, out=big[:, 3:3 + k])
+    assert np.max(np.abs(big[:, 3:3 + k] - want)) <= bound
+    assert not np.any(big[:, :3]) and not np.any(big[:, 3 + k:])
+    assert np.max(np.abs(dynamics._modal_coords(modes, dt) - want)) <= bound
 
 
 def test_eigen_blocks_follow_the_initial_state(monkeypatch):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from _references import write_columns_by_row
 
-from arraylight.envelope import _WRITE_ROWS, PulseEnvelope, write_columns
+from arraylight.envelope import _CHUNK, PulseEnvelope, write_columns
 from arraylight.errors import InvalidArgumentError
 from arraylight.shaping import TargetWaveform
 
@@ -195,7 +195,7 @@ def test_csv_header_lines(tmp_path):
     assert text[1] == "t,f"
 
 
-@pytest.mark.parametrize("n_rows", [0, 1, _WRITE_ROWS, 2 * _WRITE_ROWS + 5])
+@pytest.mark.parametrize("n_rows", [0, 1, _CHUNK, 2 * _CHUNK + 5])
 def test_chunked_csv_writer_matches_the_row_writer(tmp_path, n_rows):
     # one % per chunk of rows writes the bytes of one % per row: signed
     # zeros, infinities, nan, a subnormal and integer columns included

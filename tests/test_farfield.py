@@ -1,7 +1,5 @@
 """Helicity frames, angular quadrature, intensity maps and waveforms."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -178,7 +176,7 @@ def test_waveform_custom_u_grid():
     assert np.allclose(wave.flux_total, np.exp(-u), atol=1e-9)
 
 
-def test_waveform_memory_on_a_6x6x6_lattice():
+def test_waveform_memory_on_a_6x6x6_lattice(above_live):
     # the flux operators are summed from the displacement table straight
     # onto the trajectory's excited columns, and the quadratic forms run
     # over chunks of samples: no (N, N, 3, 3) array and no (N m, N m)
@@ -189,50 +187,38 @@ def test_waveform_memory_on_a_6x6x6_lattice():
     traj = propagate_eigen(H, timed_dicke_state(arr, [0.0, 0.0, K0]),
                            np.linspace(0.0, 30.0, 601))
     assert traj.blocks[0].basis is not None
-    tracemalloc.start()
-    try:
-        live = tracemalloc.get_traced_memory()[0]
-        wave = waveform(traj, allow_truncation=True)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    wave, peak, _ = above_live(waveform, traj, allow_truncation=True)
     assert np.all(np.isfinite(wave.flux_total))
-    assert peak - live < 12e6, peak - live
+    assert peak < 12e6, peak
 
 
-def _intensity_map_peak(n):
+def _intensity_map_peak(above_live, n):
     """Allocation peak of intensity_map above the live memory on an
     n x n x n lattice and the 64 x 128 grid."""
     arr = build_lattice(n, n, n, 0.6)
     grid = AngularGrid(64, 128)
     rng = np.random.default_rng(3)
     beta = rng.normal(size=(n**3, 3)) + 1j * rng.normal(size=(n**3, 3))
-    tracemalloc.start()
-    try:
-        live = tracemalloc.get_traced_memory()[0]
-        amap = intensity_map(beta, arr, grid)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    amap, peak, _ = above_live(intensity_map, beta, arr, grid)
     assert np.all(amap.total > 0.0)
-    return peak - live
+    return peak
 
 
-def test_intensity_map_memory_on_a_6x6x6_lattice():
+def test_intensity_map_memory_on_a_6x6x6_lattice(above_live):
     # on a lattice direction_sums contracts one axis at a time, per group
     # of directions sharing n_z: no (directions, N) phase array and no
     # (directions, n_x, n_y, c) temporary.  The direct sum of a free-form
     # array writes the phase factors of 2^15 entries at a time; chunks of
     # 2^18 took the allocation peak to 8.8 MB above the live memory here,
     # the 2^15 chunks 1.7 MB, the lattice path 1.1 MB
-    peak = _intensity_map_peak(6)
+    peak = _intensity_map_peak(above_live, 6)
     assert peak < 4e6, peak
 
 
-def test_intensity_map_memory_on_an_8x8x8_lattice():
+def test_intensity_map_memory_on_an_8x8x8_lattice(above_live):
     # the per-axis contractions' temporaries grow with n_x n_y c per ring
     # of directions, not with the directions times N: 1.1 MB, as at 6x6x6
-    peak = _intensity_map_peak(8)
+    peak = _intensity_map_peak(above_live, 8)
     assert peak < 4e6, peak
 
 

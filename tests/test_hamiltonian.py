@@ -1,7 +1,5 @@
 """Generator assembly, structure and eigenmode analysis."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from _references import _orbit_bases, apply, right_vectors
@@ -339,38 +337,26 @@ def test_eigenmodes_leave_the_eigenvectors_to_the_condition_number(
     assert spec.condition_estimate == cond and len(calls) == 8
 
 
-def test_assemble_keeps_no_matrix_on_a_6x6x6_lattice():
+def test_assemble_keeps_no_matrix_on_a_6x6x6_lattice(above_live):
     # assemble checks and keeps its inputs only: it used to gather the
     # dense 648 x 648 excited block (6.7 MB live); the blocks are projected
     # from the coupling table when first used
     arr = build_lattice(6, 6, 6, 0.6)
     drive = LaserDrive(2.0, 10.0)
-    tracemalloc.start()
-    try:
-        live = tracemalloc.get_traced_memory()[0]
-        H = assemble(arr, drive)
-        kept = tracemalloc.get_traced_memory()[0] - live
-    finally:
-        tracemalloc.stop()
+    H, _, kept = above_live(assemble, arr, drive)
     assert kept < 1e5, kept
     assert H.dim == 864
 
 
-def test_eigenmodes_memory_on_a_6x6x6_lattice():
+def test_eigenmodes_memory_on_a_6x6x6_lattice(above_live):
     # the spectrum keeps each block's 81 x 81 excited part, the one the
     # Hamiltonian caches, and no eigenvectors: lifting them into one
     # 648 x 648 V (6.7 MB, and the lifted blocks before the stack) took the
     # allocation peak to 14.7 MB above the live memory; 4.6 MB now, mostly
     # the blocks projected from the coupling table
     H = assemble(build_lattice(6, 6, 6, 0.6), LaserDrive(2.0, 10.0))
-    tracemalloc.start()
-    try:
-        live = tracemalloc.get_traced_memory()[0]
-        spec = eigenmodes(H)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak - live < 8e6, peak - live
+    spec, peak, _ = above_live(eigenmodes, H)
+    assert peak < 8e6, peak
     assert spec.eigenvalues.size == 648
 
 

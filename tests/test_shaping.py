@@ -1,10 +1,9 @@
 """Adiabatic model, reparametrization and inverse envelope design."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from _adiabatic_ode import adiabatic_ode
+from _references import modal_coords_at_once
 
 from arraylight import shaping
 from arraylight.core import (AmplitudeState, LaserDrive, build_lattice,
@@ -225,7 +224,29 @@ def test_validate_pass_of_target_a_keeps_its_steps_and_products(
     assert traj.ode_products == sum(term_counts) == 46654
 
 
-def test_validate_pass_memory_on_target_a(target_a):
+def test_adiabatic_reference_keeps_no_amplitude_table(above_live):
+    # target A's 6801-sample tau grid is walked one chunk of samples at a
+    # time: forming the (72, 6801) amplitudes (7.8 MB) and three
+    # temporaries of their size took the allocation peak to 24.3 MB above
+    # the live memory.  n, the flux and the initial amplitudes are those
+    # of the whole table
+    model = _model()
+    ref, peak, _ = above_live(adiabatic_simulate, model, _td(model), 2000.0)
+    n, k = model.array.n_atoms, len(ref.times)
+    assert k == 6801
+    assert all(v.size < n * k for v in vars(ref).values()
+               if isinstance(v, np.ndarray))
+    assert peak < 6e6, peak
+    A = modal_coords_at_once(((ref.V, ref.lam, ref.c0),), ref.times)
+    flux = -2.0 * np.real(np.einsum("ik,ik->k", A.conj(), model.matrix @ A))
+    assert np.max(np.abs(ref.flux - flux)) <= 1e-15 * np.max(flux)
+    assert np.max(np.abs(ref.n - (1.0 - np.sum(np.abs(A) ** 2, axis=0)))) \
+        <= 1e-15
+    assert np.max(np.abs(ref.initial - A[:, 0])) <= 1e-15
+    assert np.max(np.abs(ref.initial - _td(model))) <= 1e-13
+
+
+def test_validate_pass_memory_on_target_a(target_a, above_live):
     # the pass writes its 2001 samples (80 x 2001 coordinates, 2.6 MB)
     # straight into one preallocated array.  Keeping a list of columns and
     # stacking them took the allocation peak to 2.4 times the coordinates
@@ -235,16 +256,11 @@ def test_validate_pass_memory_on_target_a(target_a):
     model, u = ref.model, target.u_grid
     H = assemble(model.array, LaserDrive(model.omega_L0, model.delta, env,
                                          model.target_sublevel))
-    psi0 = AmplitudeState(ref.a[:, 0])
-    tracemalloc.start()
-    try:
-        live = tracemalloc.get_traced_memory()[0]
-        traj = propagate_ode(H, psi0, t_end=float(u[-1]), times=u)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    psi0 = AmplitudeState(ref.initial)
+    traj, peak, _ = above_live(propagate_ode, H, psi0, t_end=float(u[-1]),
+                               times=u)
     assert traj.coords.shape == (80, 2001)
-    assert peak - live < 1.5 * traj.coords.nbytes, peak - live
+    assert peak < 1.5 * traj.coords.nbytes, peak
 
 
 def _beta_slaving_deviation(delta, omega=2.0):
