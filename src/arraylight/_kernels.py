@@ -12,16 +12,16 @@ discrete-dipole codes (Goodman, Draine & Flatau, Opt. Lett. 16, 1198
 (1991)); a free-form array has one displacement per ordered pair.  The
 zero displacement holds the self terms.  hamiltonian.project_table, the
 one consumer, restricts a table to the model's sublevels once per call,
-gathers the rows it needs from it straight into the atom-major amplitude
-layout (PairTables.model_rows) and sums them onto the symmetry blocks;
-pair_blocks and flux_blocks gather whole (N, N, 3, 3) arrays, the
-references of the tests.  direction_sums gives the plane-wave sums behind
-angular maps, sum_j exp(i k0 n.r_j) s_j.  On a lattice that is the
-structure factor, a product of one phase per axis, so the sum is three 1-D
-contractions: z once per distinct n_z (one gemm), then y and x per group of
-directions sharing it; a free-form array takes the direct sum, one phase
-per direction and atom, as it takes one table row per pair.  Blocks are in
-the spherical basis, indices ordered nu = -1, 0, +1.
+gathers the first row of each basis column from it straight into the
+atom-major amplitude layout (PairTables.model_rows) and projects them onto
+the symmetry blocks; pair_blocks and flux_blocks gather whole (N, N, 3, 3)
+arrays, the references of the tests.  direction_sums gives the plane-wave
+sums behind angular maps, sum_j exp(i k0 n.r_j) s_j.  On a lattice that is
+the structure factor, a product of one phase per axis, so the sum is three
+1-D contractions: z once per distinct n_z (one gemm), then y and x per
+group of directions sharing it; a free-form array takes the direct sum,
+one phase per direction and atom, as it takes one table row per pair.
+Blocks are in the spherical basis, indices ordered nu = -1, 0, +1.
 """
 
 from __future__ import annotations
@@ -50,13 +50,14 @@ class PairTables:
     """Spherical blocks of the pair tensors on an array's distinct
     displacements (pair_tables).
 
-    coupling, flux_plus and flux_minus are (K, 3, 3); the pair (l, j)
-    reads row left[l] + right[j] of each.
+    coupling, flux_total (the helicity sum, even under inversion) and
+    flux_diff (the helicity difference, odd) are (K, 3, 3); the pair
+    (l, j) reads row left[l] + right[j] of each.
     """
 
     coupling: np.ndarray
-    flux_plus: np.ndarray
-    flux_minus: np.ndarray
+    flux_total: np.ndarray
+    flux_diff: np.ndarray
     left: np.ndarray
     right: np.ndarray
 
@@ -135,20 +136,20 @@ def pair_tables(pos: np.ndarray, dims=(0, 0, 0),
     coupling[D] = E^dag F(k0 D) E, zero at D = 0, with F = f - i g the
     coupling tensor: F is even in D, so the table is symmetric under
     swapping atoms.  Integrating the far-field intensity of a source beta
-    over the sphere gives flux_sigma = sum_{l,j} beta_l^dag Q_sigma[D] beta_j
-    with Q_sigma = flux_plus, flux_minus.  Summing the helicities gives the
-    dissipative tensor (Lehmberg, Phys. Rev. A 2, 883 (1970)),
+    over the sphere gives flux_sigma = sum_{l,j} beta_l^dag Q_sigma[D] beta_j.
+    flux_total, the helicity sum, is the dissipative tensor (Lehmberg,
+    Phys. Rev. A 2, 883 (1970)),
 
         Q_plus + Q_minus = delta_lj I + f(k0 D),
 
-    and the helicity difference eps_+ eps_+^dag - eps_- eps_-^dag =
-    i [r_hat]_x integrates to
+    and flux_diff, the helicity difference eps_+ eps_+^dag - eps_- eps_-^dag
+    = i [r_hat]_x integrated,
 
         Q_plus - Q_minus = (3/2) j1(k0 |D|) [D_hat]_x,   zero at D = 0,
 
     where (3/2) j1(x) = -x f2(x): odd in D.  Every row of -D is exactly
-    that of D, with the helicity difference negated (Q_plus and Q_minus
-    swapped): the unit vector enters only through elementwise products.
+    that of D, with flux_diff negated: the unit vector enters only through
+    elementwise products.
     """
     pos = np.asarray(pos, dtype=float)
     D, left, right = _displacements(pos, dims, spacing)
@@ -166,8 +167,7 @@ def pair_tables(pos: np.ndarray, dims=(0, 0, 0),
     total[~far] = np.eye(3)
     diff = np.zeros_like(coupling)
     diff[far] = _spherical((-x * f2)[:, None] * rhat, _CROSS)
-    return PairTables(coupling, 0.5 * (total + diff), 0.5 * (total - diff),
-                      left, right)
+    return PairTables(coupling, total, diff, left, right)
 
 
 def pair_blocks(pos: np.ndarray) -> np.ndarray:
@@ -184,8 +184,9 @@ def pair_blocks(pos: np.ndarray) -> np.ndarray:
 def flux_blocks(pos: np.ndarray):
     """Exact per-helicity flux operators (Q_plus, Q_minus), each
     (N, N, 3, 3), gathered from pair_tables."""
-    tables = pair_tables(pos)
-    return tables.blocks(tables.flux_plus), tables.blocks(tables.flux_minus)
+    t = pair_tables(pos)
+    return tuple(t.blocks(0.5 * (t.flux_total + sign * t.flux_diff))
+                 for sign in (1, -1))
 
 
 def model_matrix(blocks: np.ndarray, cols) -> np.ndarray:

@@ -23,10 +23,12 @@ ring, and a free-form array takes the direct sum.  Waveforms need no grid:
 the full-sphere flux per helicity is a quadratic form of the excited
 amplitudes whose operators have a closed form in the dissipative part f
 of the coupling tensor and the spherical Bessel function j1.  Like the
-coupling, they depend on a pair of atoms only through its displacement,
-and are projected onto the trajectory's symmetry blocks from the array's
-table of them (AtomArray.pair_tables) by the same function as the
-generator's blocks (hamiltonian.project_table).
+coupling, they depend on a pair of atoms only through its displacement.
+Their helicity sum and difference, even and odd under inversion, are
+projected onto the trajectory's symmetry blocks from the array's tables
+(AtomArray.pair_tables) as the generator's blocks are
+(hamiltonian.project_table): the sum couples each block to itself, the
+difference to its parity partner, and every other block pair is zero.
 """
 
 from __future__ import annotations
@@ -248,14 +250,18 @@ def _quadratic_forms(Q: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 def _flux_operators(H, blocks) -> list:
     """[F_plus, F_minus] on the stacked excited columns Q_e = [Q_e,1 Q_e,2
-    ...] of the generator blocks, Q_e^H F_sigma Q_e, one block row
-    Q_e,k^H F_sigma Q_e at a time, projected from the array's flux tables
-    (hamiltonian.project_table).  With a symmetry, neither F_sigma at
-    (N m, N m) nor any per-pair array is formed."""
+    ...] of the generator blocks, Q_e^H F_sigma Q_e: half the sum and
+    difference of the helicity sum and difference, each projected from its
+    flux table one block row Q_e,k^H F Q_e at a time
+    (hamiltonian.project_table, with parity +1 and -1).  With a symmetry,
+    neither F_sigma at (N m, N m) nor any per-pair array is formed."""
     tables = H.array.pair_tables
     Qs = [blk.basis.excited(H.n_atoms) for blk in blocks]
-    return [np.vstack([project_table(H, F, Q, Qs) for Q in Qs])
-            for F in (tables.flux_plus, tables.flux_minus)]
+    total, diff = (0.5 * np.vstack([project_table(H, F, Q, Qs, parity)
+                                    for Q in Qs])
+                   for F, parity in ((tables.flux_total, 1),
+                                     (tables.flux_diff, -1)))
+    return [total + diff, np.subtract(total, diff, out=total)]
 
 
 def waveform(traj: Trajectory, u_grid=None,

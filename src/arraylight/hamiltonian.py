@@ -29,20 +29,21 @@ that moves each atom's amplitudes to the atom at -r, with no phase on the
 sublevels: the Green's tensor is even in the separation.  P commutes with
 U, and rotation_blocks builds the orthonormal bases of their joint
 eigenspaces, the irreps (k, +-) of C4h (C2h), or of U's alone without the
-inversion, as the images of the character-table projectors: the column of
-an orbit's first atom in a sector is sum_g chi(g)^* U(g) applied to it,
-normalized, and vanishes where two group elements that reach the same atom
-give it different phases.  The generator is block diagonal in them.
-Each basis column is one orbit (a rotation orbit, or one and its
-inversion image) in one sector, and the columns of a basis have disjoint
-supports, so a basis is stored as index arrays (OrbitBasis) and its
-products are gathers, scatters and sums over orbits.  An array without
+inversion, as the images of the character-table projectors; the generator
+is block diagonal in them.  Each basis column is one orbit (a rotation
+orbit, or one and its inversion image) in one sector, sqrt(L) times the
+projector image of its first row, L its length.  The columns of a basis
+have disjoint supports, so a basis is stored as index arrays with its
+irrep label (OrbitBasis) and its products are gathers, scatters and sums
+over orbits.  A pair table that commutes with U and has parity s under P
+projects from the first rows alone: its block between irreps (k, p) and
+(k, s p) is sqrt(L) times those rows of it, projected onto the second
+basis, and every other block is zero (project_table).  An array without
 the rotation symmetry has one basis, the identity, one column per row, so
 every consumer works on the same kind of blocks.  Each block is again a
 constant excited part plus the drive, which pairs each orbit of the a_l
 with the same orbit of the beta_l^nu0 (EffectiveHamiltonian.block).  The
-spectral path (eigenmodes, dynamics.propagate_eigen) uses the blocks split
-by inversion, the ODE those of U alone.
+spectral path uses the blocks split by inversion, the ODE those of U alone.
 """
 
 from __future__ import annotations
@@ -144,7 +145,7 @@ class EffectiveHamiltonian:
         Qe = basis.excited(n)
         if self.decay:
             excited = project_table(
-                self, -0.5 * self.array.pair_tables.coupling, Qe, (Qe,))
+                self, -0.5 * self.array.pair_tables.coupling, Qe, (Qe,), 1)
         else:
             excited = np.zeros((Qe.shape[1],) * 2, dtype=complex)
         excited.flat[::Qe.shape[1] + 1] += (1j * self.drive.delta
@@ -220,21 +221,23 @@ class GeneratorBlock:
 
 class OrbitBasis:
     """A (n_rows, b) isometry Q whose columns have disjoint supports, kept
-    as index arrays (a basis of rotation_blocks).
+    as index arrays (a basis of rotation_blocks), and the irrep (k, p) it
+    spans: U Q = w^k Q, and P Q = p Q under the inversion P, p = 0 where
+    the array lacks it.
 
     Column j has the coefficients coefficients[indptr[j]:indptr[j + 1]]
     in the rows rows[indptr[j]:indptr[j + 1]], as in a CSC matrix; no row
-    appears in two columns.  So Q y scatters, and Q^H X sums gathered rows
-    of X: with the columns padded to one length (zero coefficients), one
-    gathered row per column and padded position at a time, which keeps a
-    matrix X's row gathers small.
+    appears in two columns.  So Q y scatters, and Q^H X is one gather of
+    the rows of X, each times its conjugated coefficient, summed over each
+    column.
     """
 
-    def __init__(self, rows, coefficients, indptr, n_rows: int):
+    def __init__(self, rows, coefficients, indptr, n_rows: int, irrep=(0, 0)):
         self.rows = np.asarray(rows)
         self.coefficients = np.asarray(coefficients, dtype=complex)
         self.indptr = np.asarray(indptr)
         self.n_rows = int(n_rows)
+        self.irrep = tuple(irrep)
 
     @classmethod
     def identity(cls, n_rows: int) -> "OrbitBasis":
@@ -263,33 +266,11 @@ class OrbitBasis:
         entry[self.rows] = np.arange(len(self.rows))
         return entry
 
-    @cached_property
-    def _padded(self):
-        """(rows, conjugated coefficients), each (length, b): position p
-        of every column, padded with row 0 and coefficient 0."""
-        length = np.diff(self.indptr)
-        position = np.arange(len(self.rows)) - np.repeat(self.indptr[:-1],
-                                                         length)
-        rows = np.zeros((length.max(initial=0), len(length)), dtype=int)
-        conj = np.zeros(rows.shape, dtype=complex)
-        rows[position, self._column_of_entry] = self.rows
-        conj[position, self._column_of_entry] = self.coefficients.conj()
-        return rows, conj
-
     def project(self, X: np.ndarray) -> np.ndarray:
         """Q^H X for a vector or a (n_rows, K) stack."""
-        return self.project_rows(X.__getitem__, X.shape[1:])
-
-    def project_rows(self, rows_of, shape=()) -> np.ndarray:
-        """Q^H X for X of shape (n_rows,) + shape given only as
-        rows_of(r), which returns the rows r of X: X itself need not
-        exist, only one batch of its rows per padded position."""
-        rows, conj = self._padded
-        c_shape = (-1,) + (1,) * len(shape)
-        out = np.zeros((rows.shape[1],) + tuple(shape), dtype=complex)
-        for r, c in zip(rows, conj):
-            out += c.reshape(c_shape) * rows_of(r)
-        return out
+        terms = X[self.rows].astype(complex, copy=False)
+        terms *= self.coefficients.conj().reshape((-1,) + (1,) * (X.ndim - 1))
+        return np.add.reduceat(terms, self.indptr[:-1], axis=0)
 
     def lift(self, y: np.ndarray, rows=None) -> np.ndarray:
         """Q y for a vector or a (b, K) stack; only the listed rows of it
@@ -316,7 +297,8 @@ class OrbitBasis:
         lo = self.n_meta(n)
         start = self.indptr[lo]
         return OrbitBasis(self.rows[start:] - n, self.coefficients[start:],
-                          self.indptr[lo:] - start, self.n_rows - n)
+                          self.indptr[lo:] - start, self.n_rows - n,
+                          self.irrep)
 
 
 def eigenbasis_condition(vectors) -> float:
@@ -407,22 +389,29 @@ def assemble(array: AtomArray, drive: LaserDrive,
 
 
 def project_table(H: EffectiveHamiltonian, table: np.ndarray, Q: OrbitBasis,
-                  bases) -> np.ndarray:
+                  bases, parity: int) -> np.ndarray:
     """Q^H T [P_1 P_2 ...] for the (N m, N m) matrix T of one pair table
     of the array (AtomArray.pair_tables: the coupling or a flux table) on
-    the model's sublevels; Q and the P_k are excited-only bases.
+    the model's sublevels, T commuting with the rotation and of the given
+    parity under inversion; Q and the P_k are excited-only bases.
 
-    Q^H T is summed from T's rows at each padded orbit position of Q
-    (OrbitBasis.project_rows, PairTables.model_rows, from the table
-    restricted to the model's sublevels once) and projected onto each P_k
-    in turn, so T itself is formed only for the identity Q."""
-    tables = H.array.pair_tables
+    Column i of Q is sqrt(L_i) times the projector image of its first row
+    r_i (L_i its length; its first coefficient is exactly 1/sqrt(L_i)),
+    and the projector of irrep (k, p) moves through T as that of
+    (k, parity p).  So the block onto P is sqrt(L) T[r, :] P when P's
+    irrep is (k, parity p), Q's being (k, p), and exactly zero otherwise:
+    one gather of T's rows r (PairTables.model_rows), projected onto each
+    such P; the zero blocks are not computed."""
     sel = np.asarray(H.columns)
-    sub = table[:, sel[:, None], sel]
-    TQ = Q.project_rows(lambda r: tables.model_rows(sub, r),
-                        (H.n_atoms * H.n_sublevels,)).conj().T  # T^H Q
-    return np.ascontiguousarray(
-        np.hstack([P.project(TQ).conj().T for P in bases]))
+    rows = H.array.pair_tables.model_rows(table[:, sel[:, None], sel],
+                                          Q.first_rows)
+    rows *= np.sqrt(np.diff(Q.indptr))[:, None]
+    TQ = np.conj(rows, out=rows).T  # T^H Q
+    partner = (Q.irrep[0], parity * Q.irrep[1])
+    return np.ascontiguousarray(np.hstack([
+        P.project(TQ).conj().T if P.irrep == partner
+        else np.zeros((Q.shape[1], P.shape[1]), dtype=complex)
+        for P in bases]))
 
 
 # w^q = _QUARTER_TURNS[q % 4] for w = exp(-2 pi i/4), exact in floating point
@@ -444,9 +433,9 @@ def rotation_blocks(H: EffectiveHamiltonian, inversion: bool = True):
     the whole space alone.
 
     Returns one OrbitBasis, a (dim, b) isometry Q stored as orbit index
-    arrays, per nonempty irrep (k, p), in the order (0, +), (0, -),
-    (1, +), ...: U Q = w^k Q and P Q = p Q.  The b sum to dim, and the
-    generator splits into the blocks Q^H G Q.
+    arrays, per nonempty irrep Q.irrep = (k, p), in the order (0, +1),
+    (0, -1), (1, +1), ...: U Q = w^k Q and P Q = p Q, p = 0 where the
+    array has no inversion.  The b sum to dim; G splits into the Q^H G Q.
     The columns are the images of the character-table projectors
     (Dresselhaus, Dresselhaus & Jorio, Group Theory, Springer 2008).  The
     group's elements g = R^j P^i (j < order; i = 0, and 1 too with the
@@ -526,13 +515,16 @@ def _irrep_bases(H: EffectiveHamiltonian, inversion: bool):
         return np.concatenate([X[:, :, 0], X[:, :, 1:].reshape(
             len(X), -1, len(G))], axis=1)
 
+    signs = (0,) if inv is None else (1, -1)
     bases = []
-    for mask, r, v in zip(columns(keep), columns(rows[..., None, None]),
-                          columns(c)):
+    for irrep, mask, r, v in zip(
+            [(k, p) for k in range(order) for p in signs], columns(keep),
+            columns(rows[..., None, None]), columns(c)):
         length = mask.sum(axis=1)
         if length.any():
             indptr = np.concatenate([[0], np.cumsum(length[length > 0])])
-            bases.append(OrbitBasis(r[mask], v[mask], indptr, n * (1 + m)))
+            bases.append(OrbitBasis(r[mask], v[mask], indptr, n * (1 + m),
+                                    irrep))
     return tuple(bases)
 
 

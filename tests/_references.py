@@ -1,14 +1,54 @@
 """Test-only references of the package's symmetry bases, generator blocks,
 spectra, closed-form solutions and CSV writer: the orbit-by-orbit
 construction of the rotation_blocks bases, with the direct construction on
-the excited block alone (excited_only), the term-by-term block product,
-the lifted eigenvectors of a ModeSpectrum, the spectral coordinates in one
-product per block and the row-by-row CSV writer."""
+the excited block alone (excited_only), the projection of a pair table
+summed from its rows at every padded orbit position, the term-by-term
+block product, the lifted eigenvectors of a ModeSpectrum, the spectral
+coordinates in one product per block and the row-by-row CSV writer."""
 
 import numpy as np
 
 from arraylight.hamiltonian import (_QUARTER_TURNS, EffectiveHamiltonian,
                                     OrbitBasis, _position_permutation)
+
+
+def _padded(Q: OrbitBasis):
+    """(rows, conjugated coefficients) of an OrbitBasis, each (length, b):
+    position p of every column, padded with row 0 and coefficient 0."""
+    length = np.diff(Q.indptr)
+    column = np.repeat(np.arange(len(length)), length)
+    position = np.arange(len(Q.rows)) - np.repeat(Q.indptr[:-1], length)
+    rows = np.zeros((length.max(initial=0), len(length)), dtype=int)
+    conj = np.zeros(rows.shape, dtype=complex)
+    rows[position, column] = Q.rows
+    conj[position, column] = Q.coefficients.conj()
+    return rows, conj
+
+
+def project_rows(Q: OrbitBasis, rows_of, shape=()) -> np.ndarray:
+    """Q^H X for X of shape (n_rows,) + shape given only as rows_of(r),
+    which returns the rows r of X, summed one batch of rows per padded
+    position."""
+    rows, conj = _padded(Q)
+    c_shape = (-1,) + (1,) * len(shape)
+    out = np.zeros((rows.shape[1],) + tuple(shape), dtype=complex)
+    for r, c in zip(rows, conj):
+        out += c.reshape(c_shape) * rows_of(r)
+    return out
+
+
+def project_table_padded(H: EffectiveHamiltonian, table: np.ndarray,
+                         Q: OrbitBasis, bases) -> np.ndarray:
+    """hamiltonian.project_table without the symmetry of the table: Q^H T
+    summed from T's rows at each padded orbit position of Q, projected onto
+    each P_k in turn, every block computed."""
+    tables = H.array.pair_tables
+    sel = np.asarray(H.columns)
+    sub = table[:, sel[:, None], sel]
+    TQ = project_rows(Q, lambda r: tables.model_rows(sub, r),
+                      (H.n_atoms * H.n_sublevels,)).conj().T  # T^H Q
+    return np.hstack([project_rows(P, TQ.__getitem__, TQ.shape[1:]).conj().T
+                      for P in bases])
 
 
 def apply(blk, y: np.ndarray, f_value) -> np.ndarray:

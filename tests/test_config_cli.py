@@ -545,6 +545,17 @@ def test_cli_oracle_two_atom_rates(capsys):
     assert payload["sum"] == pytest.approx(2.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("orientation, message", [
+    ("1,x,0", "error: not a comma-separated vector: '1,x,0'"),
+    ("1,0", "error: orientation needs three components"),
+    ("1,0,0,0", "error: orientation needs three components"),
+])
+def test_cli_oracle_rejects_bad_orientations(capsys, orientation, message):
+    assert main(["oracle", "two-atom-rates", "--separation", "1",
+                 "--orientation", orientation]) == 2
+    assert capsys.readouterr().err.strip() == message
+
+
 def test_cli_oracle_directed_peak(capsys):
     assert main(["oracle", "directed-peak", "--nx", "4", "--ny", "4",
                  "--nz", "4"]) == 0

@@ -54,6 +54,27 @@ def test_frame_rejects_bad_input():
         helicity_frame(np.array([0.0, 0.0, 2.0]))
 
 
+_PAIR = build_lattice(2, 1, 1, 0.5)
+_BAD_INPUTS = [
+    (lambda: helicity_frame(np.zeros(3)), "r_hat must be nonzero"),
+    (lambda: helicity_frame([0.0, 0.0, 2.0]), "r_hat must be a unit vector"),
+    (lambda: AngularGrid(1, 8), "need at least 2 nodes per angle"),
+    (lambda: AngularGrid(8, 1), "need at least 2 nodes per angle"),
+    (lambda: intensity(np.zeros((3, 3)), _PAIR,
+                       helicity_frame([0.0, 0.0, 1.0])),
+     "beta must have shape (N, 3)"),
+    (lambda: intensity_map(np.zeros((2, 2)), _PAIR, AngularGrid(4, 4)),
+     "beta must have shape (N, 3)"),
+]
+
+
+@pytest.mark.parametrize("call, message", _BAD_INPUTS)
+def test_bad_inputs_raise_typed_errors(call, message):
+    with pytest.raises(InvalidArgumentError) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_grid_weights_cover_sphere():
     grid = AngularGrid(48, 96)
     assert np.isclose(grid.weights.sum(), 4.0 * np.pi, atol=1e-12)

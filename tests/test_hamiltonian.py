@@ -159,6 +159,33 @@ def test_driven_sublevel_must_be_included():
                  include_sublevels=(0,))
 
 
+# every raise of the module with its message; the LAPACK failure guard of
+# eigenmodes (NumericError, "eigendecomposition failed") is not reached:
+# no input is known to make numpy's eigvals raise on a finite block
+_BAD_INPUTS = [
+    (lambda H: assemble(H.array, H.drive, include_sublevels=()),
+     "include_sublevels must be a nonempty subset of {-1, 0, +1}"),
+    (lambda H: assemble(H.array, H.drive, include_sublevels=(1, 2)),
+     "include_sublevels must be a nonempty subset of {-1, 0, +1}"),
+    (lambda H: assemble(H.array, H.drive, include_sublevels=(0,)),
+     "driven sublevel is excluded from the model"),
+    (lambda H: H.pack(AmplitudeState(np.zeros(3))),
+     "state size does not match array"),
+    (lambda H: H.pack(AmplitudeState(np.zeros(2), np.eye(2, 3))),
+     "state has population in sublevels excluded from the model"),
+]
+
+
+@pytest.mark.parametrize("call, message", _BAD_INPUTS)
+def test_bad_inputs_raise_typed_errors(call, message):
+    H = assemble(build_lattice(2, 1, 1, 0.5),
+                 LaserDrive(1.0, 0.0, target_sublevel=1),
+                 include_sublevels=(0, 1))
+    with pytest.raises(InvalidArgumentError) as info:
+        call(H)
+    assert str(info.value) == message
+
+
 def test_pack_unpack_roundtrip():
     arr = build_lattice(2, 2, 1, 0.5)
     H = assemble(arr, LaserDrive(1.0, 0.0))
@@ -360,6 +387,20 @@ def test_eigenmodes_memory_on_a_6x6x6_lattice(above_live):
     assert spec.eigenvalues.size == 648
 
 
+def test_block_memory_on_an_8x8x8_lattice(above_live):
+    # each block's excited part is projected from one gather of the
+    # coupling table's rows at its columns' first rows, b N m entries: the
+    # allocation peak stays within four such gathers (3.25 of them when the
+    # rows were summed over every padded orbit position, 2.54 now)
+    H = assemble(build_lattice(8, 8, 8, 0.6), LaserDrive(2.0, 10.0))
+    n, m = H.n_atoms, H.n_sublevels
+    for Q in rotation_blocks(H):
+        gathered = Q.excited(n).shape[1] * n * m * 16
+        blk, peak, _ = above_live(H.block, Q)
+        assert blk.excited.shape == (192, 192)
+        assert peak <= 4 * gathered, (peak, gathered)
+
+
 def test_rotation_blocks_find_the_lattice_symmetry():
     drive = LaserDrive(1.0, 0.0)
     # the central column of 3x3x8 holds 8 fixed points: the C4 block of the
@@ -369,6 +410,8 @@ def test_rotation_blocks_find_the_lattice_symmetry():
     H = assemble(build_lattice(3, 3, 8, 0.6), drive)
     blocks = rotation_blocks(H)
     assert [Q.shape[1] for Q in blocks] == [36, 36, 40, 40, 32, 32, 36, 36]
+    assert [Q.irrep for Q in blocks] == [(k, p) for k in range(4)
+                                         for p in (1, -1)]
     c4 = rotation_blocks(H, inversion=False)
     assert [Q.shape[1] for Q in c4] == [72, 80, 64, 72]
     # 6x6x6: 864 = 8 x 108, and the excited 648 = 8 x 81
@@ -381,11 +424,14 @@ def test_rotation_blocks_find_the_lattice_symmetry():
     assert len(rotation_blocks(H)) == 4
     assert len(rotation_blocks(H, inversion=False)) == 2
     # moved along z the lattice keeps its C4 but loses inversion: the
-    # rotation-only blocks, unchanged
+    # rotation-only blocks, unchanged, labelled (k, 0) although the
+    # inversion was asked for
+    assert [Q.irrep for Q in c4] == [(k, 0) for k in range(4)]
     lifted = assemble(AtomArray(build_lattice(3, 3, 8, 0.6).positions
                                 + [0, 0, 0.1]), drive)
     for Q, Q4 in zip(rotation_blocks(lifted, inversion=True), c4,
                      strict=True):
+        assert Q.irrep == Q4.irrep
         assert np.array_equal(Q.rows, Q4.rows)
         assert np.array_equal(Q.indptr, Q4.indptr)
         assert np.array_equal(Q.coefficients, Q4.coefficients)
@@ -448,18 +494,17 @@ def test_orbit_bases_match_sparse_products(dims, subs):
 def _check_projected_tables(H, Q, Q2):
     """project_table of each pair table onto the excited columns of Q and
     [Q Q2] against S^H T [S S2] of the dense (N m, N m) table matrices, to
-    1e-14 of T's largest entry."""
+    1e-14 of T's largest entry: the coupling and the flux helicity sum with
+    parity +1, the helicity difference with parity -1."""
     n = H.n_atoms
     Qe, Qe2 = Q.excited(n), Q2.excited(n)
     S, S2 = _sparse(Qe), _sparse(Qe2)
     tables = H.array.pair_tables
-    pos = H.array.positions
-    for table, blocks in ((tables.coupling, _kernels.pair_blocks(pos)),
-                          *zip((tables.flux_plus, tables.flux_minus),
-                               _kernels.flux_blocks(pos))):
-        T = _kernels.model_matrix(blocks, H.columns)
+    for table, parity in ((tables.coupling, 1), (tables.flux_total, 1),
+                          (tables.flux_diff, -1)):
+        T = _kernels.model_matrix(tables.blocks(table), H.columns)
         want = np.hstack([S.conj().T @ T @ S, S.conj().T @ T @ S2])
-        got = project_table(H, table, Qe, (Qe, Qe2))
+        got = project_table(H, table, Qe, (Qe, Qe2), parity)
         assert got.flags.c_contiguous
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(T))
 

@@ -45,12 +45,13 @@ def test_pair_blocks_symmetric_under_swap():
 
 
 def _dense_flux(H):
-    """(F_plus, F_minus) at (N m, N m), gathered from the array's tables."""
+    """The helicity sum and difference of the flux operators at (N m, N m),
+    gathered from the array's tables."""
     tables = H.array.pair_tables
     rows = np.arange(H.excited_block.shape[0])
     sel = np.asarray(H.columns)
     return [tables.model_rows(F[:, sel[:, None], sel], rows)
-            for F in (tables.flux_plus, tables.flux_minus)]
+            for F in (tables.flux_total, tables.flux_diff)]
 
 
 @pytest.mark.parametrize("dims", [(1, 1, 3), (2, 3, 4), (3, 3, 3),
@@ -92,9 +93,9 @@ def test_table_rows_of_opposite_displacements(dims, d):
 
 def _check_parity(tables, rows, opposite):
     assert np.array_equal(tables.coupling[rows], tables.coupling[opposite])
-    plus, minus = tables.flux_plus, tables.flux_minus
-    assert np.array_equal((plus + minus)[rows], (plus + minus)[opposite])
-    assert np.array_equal((plus - minus)[rows], -(plus - minus)[opposite])
+    total, diff = tables.flux_total, tables.flux_diff
+    assert np.array_equal(total[rows], total[opposite])
+    assert np.array_equal(diff[rows], -diff[opposite])
 
 
 def test_table_self_terms():
@@ -103,13 +104,13 @@ def test_table_self_terms():
     lattice = build_lattice(2, 3, 4, 0.6)
     for arr in (lattice, AtomArray(lattice.positions)):
         blocks = [arr.pair_tables.blocks(T) for T in (
-            arr.pair_tables.coupling, arr.pair_tables.flux_plus,
-            arr.pair_tables.flux_minus)]
+            arr.pair_tables.coupling, arr.pair_tables.flux_total,
+            arr.pair_tables.flux_diff)]
         idx = np.arange(arr.n_atoms)
         assert not np.any(blocks[0][idx, idx])
-        assert np.array_equal(blocks[1][idx, idx] + blocks[2][idx, idx],
+        assert np.array_equal(blocks[1][idx, idx],
                               np.broadcast_to(np.eye(3), (len(idx), 3, 3)))
-        assert not np.any(blocks[1][idx, idx] - blocks[2][idx, idx])
+        assert not np.any(blocks[2][idx, idx])
 
 
 def test_positions_off_the_grid_use_the_free_form_path():

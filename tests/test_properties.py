@@ -10,7 +10,7 @@ import tempfile
 import numpy as np
 from hypothesis import Phase, assume, given, settings
 from _adiabatic_ode import adiabatic_ode
-from _references import _orbit_bases
+from _references import _orbit_bases, project_table_padded
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
@@ -22,7 +22,8 @@ from arraylight.dynamics import propagate_eigen, propagate_ode
 from arraylight.envelope import PulseEnvelope
 from arraylight.farfield import AngularGrid, _flux_operators, waveform
 from arraylight.greens import coupling_block
-from arraylight.hamiltonian import assemble, eigenmodes, rotation_blocks
+from arraylight.hamiltonian import (assemble, eigenmodes, project_table,
+                                    rotation_blocks)
 from arraylight.shaping import (AdiabaticModel, adiabatic_simulate,
                                 reparametrize)
 
@@ -145,18 +146,22 @@ def test_rotation_blocks_are_orthonormal_and_commute(nx, ny, nz, d, subs,
         assert np.max(np.abs(Q.conj().T @ Q - np.eye(H.dim))) <= 1e-14
         # each basis spans one eigenspace of U, an order-th root of 1, and
         # with inversion one of P too, a parity sign; the (phase, sign)
-        # pairs are distinct
+        # pairs are distinct, and each basis's irrep label (k, p) names
+        # them: phase w^k, sign p (0 without inversion)
         labels = []
-        for Qk in blocks:
+        for basis, Qk in zip(bases, blocks):
             phase = (Qk.conj().T @ U @ Qk)[0, 0]
             assert np.max(np.abs(U @ Qk - phase * Qk)) <= 1e-14
             assert abs(phase ** order - 1.0) <= 1e-14
+            k, p = basis.irrep
+            assert abs(phase - np.exp(-2j * np.pi * k / order)) <= 1e-14
             sign = 1.0
             if inversion:
                 sign = (Qk.conj().T @ P @ Qk)[0, 0]
                 assert abs(abs(sign) - 1.0) <= 1e-14
                 assert abs(sign.imag) <= 1e-14
                 assert np.max(np.abs(P @ Qk - sign * Qk)) <= 1e-14
+            assert p == (round(sign.real) if inversion else 0)
             labels.append(phase + 4.0 * sign.real)
         assert np.min(np.abs(np.subtract.outer(labels, labels))
                       + np.eye(len(labels))) > 0.5
@@ -251,14 +256,52 @@ def test_ode_keeps_the_rotation_blocks():
     assert np.max(np.abs(ode.states - eig.states)) <= 1e-9
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 4),
+       st.floats(0.2, 0.9), st.sampled_from(("lattice", "lifted", "free")),
+       st.sampled_from(_SUBSETS), st.booleans(), st.data())
+def test_project_table_matches_the_padded_projection(nx, ny, nz, d, kind,
+                                                     subs, inversion, data):
+    # the first-row rule against the table's rows summed at every padded
+    # orbit position, on every pair of excited bases: the coupling and the
+    # flux helicity sum with parity +1, the helicity difference with -1.
+    # The lattice has C4h (C2h for nx != ny), the lattice moved along z
+    # its rotation alone, and moved off the axis no symmetry (the identity
+    # basis).  The blocks the rule zeroes are exactly 0
+    lattice = build_lattice(nx, ny, nz, d)
+    arr = {"lattice": lattice,
+           "lifted": AtomArray(lattice.positions + [0.0, 0.0, 0.13]),
+           "free": AtomArray(lattice.positions + [0.1, 0.0, 0.0])}[kind]
+    nu0 = data.draw(st.sampled_from(subs))
+    H = assemble(arr, LaserDrive(1.3, 0.7, target_sublevel=nu0),
+                 include_sublevels=subs)
+    excited = (Q.excited(H.n_atoms)
+               for Q in rotation_blocks(H, inversion=inversion))
+    bases = [Q for Q in excited if Q.shape[1]]
+    assert kind != "free" or [Q.irrep for Q in bases] == [(0, 0)]
+    tables = H.array.pair_tables
+    sel = np.asarray(H.columns)
+    for table, parity in ((tables.coupling, 1), (tables.flux_total, 1),
+                          (tables.flux_diff, -1)):
+        scale = np.max(np.abs(table[:, sel[:, None], sel]))
+        for Q in bases:
+            got = project_table(H, table, Q, bases, parity)
+            want = project_table_padded(H, table, Q, bases)
+            assert np.max(np.abs(got - want)) <= 1e-14 * scale
+            partner = (Q.irrep[0], parity * Q.irrep[1])
+            zero = np.concatenate([np.full(P.shape[1], P.irrep != partner)
+                                   for P in bases])
+            assert not np.any(got[:, zero])
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 3),
        st.floats(0.2, 0.9), st.sampled_from(_SUBSETS), st.booleans(),
        st.data())
 def test_projected_flux_operators_match_the_dense_ones(nx, ny, nz, d, subs,
                                                        inversion, data):
-    # waveform's operators, summed from the flux table's rows at each
-    # padded orbit position, against Q_e^H F Q_e of the dense (N m, N m)
+    # waveform's operators, projected from the first rows of each block's
+    # columns in the flux tables, against Q_e^H F Q_e of the dense (N m, N m)
     # operators, on the stacked excited columns of every block and of a
     # random subset of them
     nu0 = data.draw(st.sampled_from(subs))
@@ -391,10 +434,20 @@ def test_block_observables_match_the_lifted_states(nx, ny, nz, d, direction,
     # flux, state side, populations, norm and the CSV's a_j, read from the
     # stored block coordinates, against the same quantities of the lifted
     # full-space states; a z-directed state touches one block, an
-    # x-directed one several
-    arr = build_lattice(nx, ny, nz, d)
+    # x-directed one several.  The lattice moved along z keeps its rotation
+    # but loses the inversion: its blocks are whole rotation irreps, which
+    # the helicity difference couples to themselves alone
+    lattice = build_lattice(nx, ny, nz, d)
     env = (PulseEnvelope.square(0.6, 1.0, 0.3) if square
            else PulseEnvelope.constant())
+    lifted = AtomArray(lattice.positions + [0.0, 0.0, 0.13])
+    for arr, inversion in ((lattice, True), (lifted, False)):
+        _check_block_observables(arr, env, direction, nx == ny, nu0,
+                                 inversion)
+
+
+def _check_block_observables(arr, env, direction, square_lattice, nu0,
+                             inversion):
     H = assemble(arr, LaserDrive(2.0, 3.0, envelope=env,
                                  target_sublevel=nu0))
     k_gf = [0.0, 0.0, K0] if direction == "z" else [K0, 0.0, 0.0]
@@ -405,16 +458,17 @@ def test_block_observables_match_the_lifted_states(nx, ny, nz, d, direction,
     # F+ + F- commutes with the rotation and the inversion: it is block
     # diagonal over every irrep.  F+ - F- commutes with the rotation but is
     # odd under inversion: it couples each irrep only to its parity
-    # partner, the other one of the same rotation phase
+    # partner, the other one of the same rotation phase, and without the
+    # inversion each rotation irrep to itself
     excited = (Q.excited(n) for Q in rotation_blocks(H))
     bases = [Qk.lift(np.eye(Qk.shape[1])) for Qk in excited if Qk.shape[1]]
-    U = _rotation_operator(H, 4 if nx == ny else 2)[n:, n:]
+    U = _rotation_operator(H, 4 if square_lattice else 2)[n:, n:]
     phases = [(Qk.conj().T @ U @ Qk)[0, 0] for Qk in bases]
     total, diff = ops[0] + ops[1], ops[0] - ops[1]
     for (Qk, pk), (Ql, pl) in itertools.product(zip(bases, phases), repeat=2):
         if Qk is not Ql:
             assert np.max(np.abs(Qk.conj().T @ total @ Ql)) <= 1e-14
-        if Qk is Ql or abs(pk - pl) > 0.5:
+        if (Qk is Ql and inversion) or abs(pk - pl) > 0.5:
             assert np.max(np.abs(Qk.conj().T @ diff @ Ql)) <= 1e-14
     # a z-directed state lies in one rotation irrep: the spectral path
     # touches its two parity halves at most, the ODE the whole irrep
