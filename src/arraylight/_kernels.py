@@ -14,13 +14,14 @@ zero displacement holds the self terms.  hamiltonian.project_table, the
 one consumer, restricts a table to the model's sublevels once per call,
 gathers the first row of each basis column from it straight into the
 atom-major amplitude layout (PairTables.model_rows) and projects them onto
-the symmetry blocks; pair_blocks and flux_blocks gather whole (N, N, 3, 3)
-arrays, the references of the tests.  direction_sums gives the plane-wave
-sums behind angular maps, sum_j exp(i k0 n.r_j) s_j.  On a lattice that is
-the structure factor, a product of one phase per axis, so the sum is three
-1-D contractions: z once per distinct n_z (one gemm), then y and x per
-group of directions sharing it; a free-form array takes the direct sum,
-one phase per direction and atom, as it takes one table row per pair.
+the symmetry blocks; pair_blocks gathers the whole (N, N, 3, 3) coupling
+array of the positions as a free-form array, which no command needs.
+direction_sums gives the plane-wave sums behind angular maps,
+sum_j exp(i k0 n.r_j) s_j.  On a lattice that is the structure factor, a
+product of one phase per axis, so the sum is three 1-D contractions: z
+once per distinct n_z (one gemm), then y and x per group of directions
+sharing it; a free-form array takes the direct sum, one phase per
+direction and atom, as it takes one table row per pair.
 Blocks are in the spherical basis, indices ordered nu = -1, 0, +1.
 """
 
@@ -32,8 +33,7 @@ import numpy as np
 
 from .greens import K0, fg_scalar_coefficients, spherical_basis
 
-__all__ = ["PairTables", "pair_tables", "pair_blocks", "flux_blocks",
-           "model_matrix", "direction_sums"]
+__all__ = ["PairTables", "pair_tables", "pair_blocks", "direction_sums"]
 
 # phase factors per chunk of the direct (free-form) direction_sums (at
 # least one direction): a 512 kB complex buffer and 256 kB real phase arrays
@@ -60,10 +60,6 @@ class PairTables:
     flux_diff: np.ndarray
     left: np.ndarray
     right: np.ndarray
-
-    def blocks(self, table: np.ndarray) -> np.ndarray:
-        """(N, N, 3, 3) blocks of one of the tables, for every pair."""
-        return table[self.left[:, None] + self.right]
 
     def model_rows(self, sub: np.ndarray, rows) -> np.ndarray:
         """The rows `rows` of the (N m, N m) matrix of one table's blocks
@@ -177,25 +173,8 @@ def pair_blocks(pos: np.ndarray) -> np.ndarray:
     pair_tables; F is even in the separation, so the result is symmetric
     under swapping atoms.
     """
-    tables = pair_tables(pos)
-    return tables.blocks(tables.coupling)
-
-
-def flux_blocks(pos: np.ndarray):
-    """Exact per-helicity flux operators (Q_plus, Q_minus), each
-    (N, N, 3, 3), gathered from pair_tables."""
     t = pair_tables(pos)
-    return tuple(t.blocks(0.5 * (t.flux_total + sign * t.flux_diff))
-                 for sign in (1, -1))
-
-
-def model_matrix(blocks: np.ndarray, cols) -> np.ndarray:
-    """(N m, N m) matrix of (N, N, 3, 3) blocks restricted to the sublevel
-    columns cols, in the atom-major amplitude layout."""
-    n, m = len(blocks), len(cols)
-    sel = np.asarray(cols)
-    sub = blocks[:, :, sel[:, None], sel[None, :]]
-    return sub.transpose(0, 2, 1, 3).reshape(n * m, n * m)
+    return t.coupling[t.left[:, None] + t.right]
 
 
 def direction_sums(dirs: np.ndarray, pos: np.ndarray, s: np.ndarray,

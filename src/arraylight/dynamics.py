@@ -74,10 +74,10 @@ class Trajectory:
     """Stored propagation result with dense evaluation.
 
     times: strictly increasing sample grid.  blocks: the generator blocks
-    (EffectiveHamiltonian.block) the run worked in, the whole generator
-    (H.block()) by default; coords: (sum of the block dims, K) stacked
-    block coordinates, one column per sample.  The full-space states are
-    never stored: states lifts them all on access, state_at lifts one.
+    (EffectiveHamiltonian.block) the run worked in; coords: (sum of the
+    block dims, K) stacked block coordinates, one column per sample.  The
+    full-space states are never stored: lift maps coordinates to them,
+    state_at lifts one.
     Populations, the norm and the CSV's a_j read the coordinates: every
     column of a block basis lies in one sector (the a_l, or one sublevel),
     and the bases are orthonormal.  Spectral trajectories evaluate
@@ -92,11 +92,11 @@ class Trajectory:
     for spectral trajectories).
     """
 
-    def __init__(self, H, times, coords, kind, blocks=None, segments=None,
+    def __init__(self, H, times, coords, kind, blocks, segments=None,
                  eigen_blocks=None, tols=None, ode_products=0):
         self.H = H
         self.times = np.asarray(times, dtype=float)
-        self.blocks = (H.block(),) if blocks is None else tuple(blocks)
+        self.blocks = tuple(blocks)
         self.coords = coords
         self.kind = kind
         self.eigen_blocks = eigen_blocks
@@ -121,11 +121,6 @@ class Trajectory:
     @property
     def t_end(self) -> float:
         return float(self.times[-1])
-
-    @property
-    def states(self) -> np.ndarray:
-        """(dim, K) full-space states, lifted from coords on each access."""
-        return self.lift(self.coords)
 
     def split(self, y: np.ndarray) -> list:
         """Stacked block coordinates -> each block's own rows of them."""

@@ -200,20 +200,19 @@ def intensity(beta_at_u, array: AtomArray, frame: HelicityFrame):
     beta = np.asarray(beta_at_u, dtype=complex)
     if beta.shape != (array.n_atoms, 3):
         raise InvalidArgumentError("beta must have shape (N, 3)")
-    s = _cartesian_source(beta)
-    V = _kernels.direction_sums(frame.r_hat[None, :], array.positions, s,
-                                array.dims, array.spacing)[0]
-    Ap = np.vdot(frame.eps_plus, V)
-    Am = np.vdot(frame.eps_minus, V)
-    return NORMALIZATION * abs(Ap) ** 2, NORMALIZATION * abs(Am) ** 2
+    Ip, Im = _map_values(beta, array, frame.r_hat[None, :],
+                         frame.eps_plus[None, :], frame.eps_minus[None, :])
+    return Ip[0], Im[0]
 
 
-def _map_values(beta, array: AtomArray, grid: AngularGrid):
+def _map_values(beta, array: AtomArray, dirs, eps_plus, eps_minus):
+    """(I_plus, I_minus) of a snapshot in the directions dirs (M, 3), with
+    the helicity vectors eps_plus and eps_minus (M, 3) of each."""
     s = _cartesian_source(beta)
-    V = _kernels.direction_sums(grid.dirs, array.positions, s, array.dims,
+    V = _kernels.direction_sums(dirs, array.positions, s, array.dims,
                                 array.spacing)
-    Ap = np.einsum("mc,mc->m", grid.eps_plus.conj(), V)
-    Am = np.einsum("mc,mc->m", grid.eps_minus.conj(), V)
+    Ap = np.einsum("mc,mc->m", eps_plus.conj(), V)
+    Am = np.einsum("mc,mc->m", eps_minus.conj(), V)
     return NORMALIZATION * np.abs(Ap) ** 2, NORMALIZATION * np.abs(Am) ** 2
 
 
@@ -224,7 +223,8 @@ def intensity_map(beta, array: AtomArray, grid: AngularGrid | None = None,
     beta = np.asarray(beta, dtype=complex)
     if beta.shape != (array.n_atoms, 3):
         raise InvalidArgumentError("beta must have shape (N, 3)")
-    Ip, Im = _map_values(beta, array, grid)
+    Ip, Im = _map_values(beta, array, grid.dirs, grid.eps_plus,
+                         grid.eps_minus)
     return AngularMap(theta=grid.theta, phi=grid.phi, weights=grid.weights,
                       I_plus=Ip, I_minus=Im, retarded_time=float(retarded_time))
 
@@ -278,9 +278,9 @@ def waveform(traj: Trajectory, u_grid=None,
     the helicity difference is odd under inversion: it couples each block
     split by inversion to its parity partner, so the per-helicity forms
     are not block diagonal.  The state side is 1 - |coordinates|^2, the
-    bases being orthonormal.  With decay on, the total flux equals
-    -d|psi|^2/dt exactly.  u_grid defaults to the trajectory's own sample
-    times (Trajectory.coords_at otherwise).
+    bases being orthonormal.  The total flux equals -d|psi|^2/dt exactly.
+    u_grid defaults to the trajectory's own sample times
+    (Trajectory.coords_at otherwise).
     The trajectory should be long enough that the residual excitation is
     below 1e-3; pass allow_truncation=True to accept a truncated waveform.
     """

@@ -70,14 +70,13 @@ class EffectiveHamiltonian:
     or whole, as a constant excited part, projected from the array's
     coupling table (project_table) when first asked for, and the drive,
     which couples each a_l to beta_l^{nu0} with -(i/2) Omega_L f(t); both
-    propagators work with it.  generator_at builds the dense (dim, dim)
-    generator, against which the tests check the projected blocks.
+    propagators work with it.  block().matrix(f) is the dense (dim, dim)
+    generator.
     """
 
     array: AtomArray
     drive: LaserDrive
     sublevels: tuple
-    decay: bool = True
 
     @property
     def n_atoms(self) -> int:
@@ -119,10 +118,6 @@ class EffectiveHamiltonian:
         """block(Q) by basis (an OrbitBasis hashes by identity)."""
         return {}
 
-    def generator_at(self, f_value: float) -> np.ndarray:
-        """Dense generator for one envelope value."""
-        return self.block().matrix(f_value)
-
     def block(self, basis=None) -> "GeneratorBlock":
         """The generator in one basis of rotation_blocks, Q^H G(f) Q, kept
         as a constant excited part and the drive pairing; by default on
@@ -143,13 +138,9 @@ class EffectiveHamiltonian:
         n = self.n_atoms
         n_meta = basis.n_meta(n)
         Qe = basis.excited(n)
-        if self.decay:
-            excited = project_table(
-                self, -0.5 * self.array.pair_tables.coupling, Qe, (Qe,), 1)
-        else:
-            excited = np.zeros((Qe.shape[1],) * 2, dtype=complex)
-        excited.flat[::Qe.shape[1] + 1] += (1j * self.drive.delta
-                                            - (0.5 if self.decay else 0.0))
+        excited = project_table(
+            self, -0.5 * self.array.pair_tables.coupling, Qe, (Qe,), 1)
+        excited.flat[::Qe.shape[1] + 1] += 1j * self.drive.delta - 0.5
         excited.setflags(write=False)
         coupling = -0.5j * self.drive.omega_L0
         driven = None
@@ -367,16 +358,14 @@ def _sublevel_columns(sublevels) -> list:
 
 
 def assemble(array: AtomArray, drive: LaserDrive,
-             include_sublevels=SUBLEVELS, decay: bool = True) -> EffectiveHamiltonian:
+             include_sublevels=SUBLEVELS) -> EffectiveHamiltonian:
     """Set up the rotating-frame generator.
 
     Only the inputs are checked and kept: each block's excited part is
     projected from the array's coupling table when it is first used
     (EffectiveHamiltonian.block), so no (N m, N m) matrix is formed here.
     include_sublevels restricts the excited manifold (two-level physics
-    uses just the driven sublevel).  decay=False drops every Gamma term
-    (self-decay and pair couplings), leaving the bare Rabi problem; it
-    exists to enable closed-form cross-checks.
+    uses just the driven sublevel).
     """
     subs = tuple(sorted(set(int(s) for s in include_sublevels)))
     if not subs or any(s not in SUBLEVELS for s in subs):
@@ -384,8 +373,7 @@ def assemble(array: AtomArray, drive: LaserDrive,
                                    "subset of {-1, 0, +1}")
     if drive.omega_L0 > 0 and drive.target_sublevel not in subs:
         raise InvalidArgumentError("driven sublevel is excluded from the model")
-    return EffectiveHamiltonian(array=array, drive=drive, sublevels=subs,
-                                decay=decay)
+    return EffectiveHamiltonian(array=array, drive=drive, sublevels=subs)
 
 
 def project_table(H: EffectiveHamiltonian, table: np.ndarray, Q: OrbitBasis,

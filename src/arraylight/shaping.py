@@ -91,15 +91,6 @@ class AdiabaticModel:
         object.__setattr__(self, "light_shift", light_shift)
         object.__setattr__(self, "matrix", matrix)
 
-    def beta_from_a(self, a: np.ndarray, f_value: float = 1.0) -> np.ndarray:
-        """Leading-order excited amplitudes (N, 3); only the driven
-        sublevel column is populated."""
-        a = np.asarray(a, dtype=complex)
-        beta = np.zeros((a.size, 3), dtype=complex)
-        c = self.target_sublevel + 1
-        beta[:, c] = (f_value * self.omega_L0 / (2.0 * self.delta)) * a
-        return beta
-
 
 @dataclass(frozen=True, eq=False)
 class AdiabaticReference:
@@ -212,8 +203,7 @@ class TargetWaveform:
     def gaussian(cls, center: float, width: float, t_end: float,
                  dt: float = 0.05, photon_fraction: float = 0.99):
         """exp(-((u-center)/width)^2); width is the 1/e half-width."""
-        u = np.arange(0.0, t_end + dt / 2, dt)
-        return cls(u, np.exp(-(((u - center) / width) ** 2)), photon_fraction)
+        return cls.two_gaussians((center,), width, t_end, dt, photon_fraction)
 
     @classmethod
     def two_gaussians(cls, centers, width: float, t_end: float,

@@ -1,15 +1,78 @@
 """Test-only references of the package's symmetry bases, generator blocks,
-spectra, closed-form solutions and CSV writer: the orbit-by-orbit
-construction of the rotation_blocks bases, with the direct construction on
-the excited block alone (excited_only), the projection of a pair table
-summed from its rows at every padded orbit position, the term-by-term
-block product, the lifted eigenvectors of a ModeSpectrum, the spectral
-coordinates in one product per block and the row-by-row CSV writer."""
+pair tables, trajectories, spectra, closed-form solutions and CSV writer:
+the orbit-by-orbit construction of the rotation_blocks bases, with the
+direct construction on the excited block alone (excited_only), the
+projection of a pair table summed from its rows at every padded orbit
+position, the dense (N, N, 3, 3) pair arrays of a table (table_blocks,
+flux_blocks) and their (N m, N m) matrix on the model's sublevels
+(model_matrix), the generator without any Gamma term (Undamped), the
+term-by-term block product, a trajectory's lifted states (states), the
+adiabatic model's excited amplitudes (beta_from_a), the lifted
+eigenvectors of a ModeSpectrum, the spectral coordinates in one product
+per block and the row-by-row CSV writer."""
+
+from dataclasses import replace
 
 import numpy as np
 
+from arraylight._kernels import pair_tables
 from arraylight.hamiltonian import (_QUARTER_TURNS, EffectiveHamiltonian,
                                     OrbitBasis, _position_permutation)
+
+
+def table_blocks(tables, table: np.ndarray) -> np.ndarray:
+    """(N, N, 3, 3) blocks of one of a PairTables' tables, for every pair."""
+    return table[tables.left[:, None] + tables.right]
+
+
+def flux_blocks(pos: np.ndarray):
+    """Exact per-helicity flux operators (Q_plus, Q_minus), each
+    (N, N, 3, 3), gathered from pair_tables."""
+    t = pair_tables(pos)
+    return tuple(table_blocks(t, 0.5 * (t.flux_total + sign * t.flux_diff))
+                 for sign in (1, -1))
+
+
+def model_matrix(pair_blocks: np.ndarray, cols) -> np.ndarray:
+    """(N m, N m) matrix of (N, N, 3, 3) blocks restricted to the sublevel
+    columns cols, in the atom-major amplitude layout."""
+    n, m = len(pair_blocks), len(cols)
+    sel = np.asarray(cols)
+    sub = pair_blocks[:, :, sel[:, None], sel[None, :]]
+    return sub.transpose(0, 2, 1, 3).reshape(n * m, n * m)
+
+
+class Undamped(EffectiveHamiltonian):
+    """The generator without any Gamma term (self-decay and pair
+    couplings), the bare Rabi problem of the closed-form checks: the
+    excited part of every block is i delta I, the drive is unchanged."""
+
+    @classmethod
+    def of(cls, H: EffectiveHamiltonian) -> "Undamped":
+        """H, an assembled generator, without its Gamma terms."""
+        return cls(H.array, H.drive, H.sublevels)
+
+    def block(self, basis=None):
+        blk = super().block(basis)
+        excited = 1j * self.drive.delta * np.eye(len(blk.excited))
+        excited.setflags(write=False)
+        return replace(blk, excited=excited)
+
+
+def states(traj) -> np.ndarray:
+    """(dim, K) full-space states of a Trajectory, lifted from its
+    coordinates."""
+    return traj.lift(traj.coords)
+
+
+def beta_from_a(model, a: np.ndarray, f_value: float = 1.0) -> np.ndarray:
+    """Leading-order excited amplitudes (N, 3) of an AdiabaticModel, f
+    Omega_L/(2 delta) a; only the driven sublevel column is populated."""
+    a = np.asarray(a, dtype=complex)
+    beta = np.zeros((a.size, 3), dtype=complex)
+    c = model.target_sublevel + 1
+    beta[:, c] = (f_value * model.omega_L0 / (2.0 * model.delta)) * a
+    return beta
 
 
 def _padded(Q: OrbitBasis):

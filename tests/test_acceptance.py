@@ -11,6 +11,7 @@ import sys
 
 import numpy as np
 from _adiabatic_ode import adiabatic_ode
+from _references import states
 from scipy.signal import argrelmax, argrelmin
 
 from arraylight import (
@@ -107,9 +108,9 @@ def test_single_atom_decay_and_photon_balance():
     exact = np.exp(-0.5 * times)
 
     traj_e = propagate_eigen(H, psi0, times)
-    err_eigen = float(np.max(np.abs(traj_e.states[3] - exact)))
+    err_eigen = float(np.max(np.abs(states(traj_e)[3] - exact)))
     traj_o = propagate_ode(H, psi0, t_end=30.0, times=times)
-    err_ode = float(np.max(np.abs(traj_o.states[3] - exact)))
+    err_ode = float(np.max(np.abs(states(traj_o)[3] - exact)))
 
     wave = waveform(traj_e)
     bal = float(np.max(np.abs(wave.cumulative - wave.state_side)))
@@ -266,7 +267,7 @@ def test_propagator_cross_validation():
     traj_e = propagate_eigen(H, psi0, times)
     traj_o = propagate_ode(H, psi0, t_end=30.0, tol=1e-10, atol=1e-13,
                            times=times)
-    solver_err = float(np.max(np.abs(traj_e.states - traj_o.states)))
+    solver_err = float(np.max(np.abs(states(traj_e) - states(traj_o))))
 
     model = AdiabaticModel(build_lattice(2, 2, 2, 0.6), 42.0, 120.0)
     a0 = timed_dicke_state(model.array, K0 * Z_HAT).a

@@ -1,15 +1,17 @@
 """Configuration parsing, digests, and the command line front end."""
 
 import ast
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 import yaml
-from _references import right_vectors
+from _references import right_vectors, states
 
 import arraylight
 from arraylight import __version__
@@ -374,11 +376,16 @@ def test_cli_simulate_bit_identical_reruns(tmp_path):
 
 def test_cli_never_lifts_the_whole_trajectory(tmp_path, monkeypatch):
     # simulate (both propagators, one block and several) and shape read
-    # the flux, populations and CSV columns from the block coordinates
-    def lifted(traj):
-        raise AssertionError("Trajectory.states was read")
+    # the flux, populations and CSV columns from the block coordinates;
+    # only single states and selected rows are lifted
+    lift = Trajectory.lift
 
-    monkeypatch.setattr(Trajectory, "states", property(lifted))
+    def lifted(traj, y, rows=None):
+        if rows is None and np.ndim(y) > 1:
+            raise AssertionError("a stack of states was lifted")
+        return lift(traj, y, rows)
+
+    monkeypatch.setattr(Trajectory, "lift", lifted)
     runs = []
     for propagator, direction in (("eigen", [0, 0, 1]), ("ode", [1, 0, 0])):
         raw = _fast_run_cfg()
@@ -630,7 +637,7 @@ def test_auto_runs_eigen_when_the_envelope_ramps_only_after_the_run(
     t = np.linspace(0.0, 8.0, 81)
     eig = propagate_eigen(H, psi0, t)
     ode = propagate_ode(H, psi0, t_end=8.0, times=t)
-    assert np.max(np.abs(eig.states - ode.states)) < 1e-6
+    assert np.max(np.abs(states(eig) - states(ode))) < 1e-6
 
 
 def _unwanted_modules_after(argv):
@@ -711,3 +718,15 @@ def test_package_imports_only_numpy_yaml_and_the_standard_library():
                             f"{module}" for module in modules
                             if module.split(".")[0] not in allowed]
     assert foreign == []
+
+
+def test_every_name_in_each_module_all_resolves():
+    # a name left in an __all__ after its definition is gone breaks
+    # "from module import *"
+    modules = [arraylight] + [
+        importlib.import_module(f"arraylight.{info.name}")
+        for info in pkgutil.iter_modules(arraylight.__path__)]
+    missing = [f"{module.__name__}.{name}" for module in modules
+               for name in getattr(module, "__all__", ())
+               if not hasattr(module, name)]
+    assert missing == []

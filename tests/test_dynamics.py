@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from _references import apply, modal_coords_at_once
+from _references import Undamped, apply, modal_coords_at_once, states
 from scipy.integrate import cumulative_trapezoid, solve_ivp
 
 from arraylight import dynamics
@@ -48,7 +48,7 @@ def test_rabi_oscillation_without_decay():
     # decay off, delta = 0: pure two-level Rabi between f and e_+1
     arr = build_lattice(1, 1, 1, 0.5)
     omega = 3.0
-    H = assemble(arr, LaserDrive(omega, 0.0), decay=False)
+    H = Undamped.of(assemble(arr, LaserDrive(omega, 0.0)))
     psi0 = single_f_excitation(arr, 0)
     t = np.linspace(0.0, 6.0, 121)
     traj = propagate_eigen(H, psi0, t)
@@ -64,8 +64,8 @@ def test_undriven_f_state_is_stationary():
     psi0 = timed_dicke_state(arr, np.array([0.0, 0.0, K0]))
     t = np.linspace(0.0, 10.0, 11)
     traj = propagate_eigen(H, psi0, t)
-    assert np.max(np.abs(traj.states[:8, :] - traj.states[:8, :1])) < 1e-12
-    assert np.max(np.abs(traj.states[8:, :])) < 1e-12
+    assert np.max(np.abs(states(traj)[:8, :] - states(traj)[:8, :1])) < 1e-12
+    assert np.max(np.abs(states(traj)[8:, :])) < 1e-12
 
 
 def test_norm_never_increases():
@@ -83,10 +83,10 @@ def test_linearity_of_propagation():
     arr = build_lattice(2, 1, 1, 0.5)
     H = assemble(arr, LaserDrive(1.5, 2.0))
     t = np.linspace(0.0, 5.0, 26)
-    s1 = propagate_eigen(H, single_f_excitation(arr, 0), t).states
-    s2 = propagate_eigen(H, single_f_excitation(arr, 1), t).states
+    s1 = states(propagate_eigen(H, single_f_excitation(arr, 0), t))
+    s2 = states(propagate_eigen(H, single_f_excitation(arr, 1), t))
     a = AmplitudeState(np.array([0.3 + 0.1j, -0.7j]))
-    s3 = propagate_eigen(H, a, t).states
+    s3 = states(propagate_eigen(H, a, t))
     assert np.max(np.abs(s3 - (0.3 + 0.1j) * s1 + 0.7j * s2)) < 1e-12
 
 
@@ -97,7 +97,7 @@ def test_eigen_vs_ode_constant_drive():
     t = np.linspace(0.0, 15.0, 151)
     tr_e = propagate_eigen(H, psi0, t)
     tr_o = propagate_ode(H, psi0, t_end=15.0, times=t)
-    assert np.max(np.abs(tr_e.states - tr_o.states)) < 1e-6
+    assert np.max(np.abs(states(tr_e) - states(tr_o))) < 1e-6
 
 
 def test_eigen_vs_ode_square_pulse():
@@ -109,7 +109,7 @@ def test_eigen_vs_ode_square_pulse():
     t = np.linspace(0.0, 5.0, 101)
     tr_e = propagate_eigen(H, psi0, t)
     tr_o = propagate_ode(H, psi0, t_end=5.0, times=t)
-    assert np.max(np.abs(tr_e.states - tr_o.states)) < 1e-6
+    assert np.max(np.abs(states(tr_e) - states(tr_o))) < 1e-6
 
 
 def _count_solver_calls(monkeypatch):
@@ -136,8 +136,8 @@ def test_ode_bare_rabi_closed_form_across_kinks(monkeypatch):
     env = PulseEnvelope.from_samples(knots, fk)
     omega = 5.0
     arr = build_lattice(1, 1, 1, 0.5)
-    H = assemble(arr, LaserDrive(omega, 0.0, envelope=env),
-                 include_sublevels=(1,), decay=False)
+    H = Undamped.of(assemble(arr, LaserDrive(omega, 0.0, envelope=env),
+                             include_sublevels=(1,)))
     a0 = 0.6 - 0.8j
     psi0 = AmplitudeState(np.array([a0]))
     t = np.linspace(0.0, 8.0, 161)
@@ -148,8 +148,8 @@ def test_ode_bare_rabi_closed_form_across_kinks(monkeypatch):
     grid = np.union1d(knots, t)
     integral = cumulative_trapezoid(env(grid), grid, initial=0.0)
     theta = 0.5 * omega * integral[np.searchsorted(grid, t)]
-    assert np.max(np.abs(traj.states[0] - a0 * np.cos(theta))) < 1e-7
-    assert np.max(np.abs(traj.states[1] + 1j * a0 * np.sin(theta))) < 1e-7
+    assert np.max(np.abs(states(traj)[0] - a0 * np.cos(theta))) < 1e-7
+    assert np.max(np.abs(states(traj)[1] + 1j * a0 * np.sin(theta))) < 1e-7
 
 
 def test_ode_is_one_pass_across_jumps(monkeypatch):
@@ -166,7 +166,7 @@ def test_ode_is_one_pass_across_jumps(monkeypatch):
     tr_o = propagate_ode(H, later, t_end=5.0, times=t)
     assert calls == [(1.0, 5.0)]
     tr_e = propagate_eigen(H, later, t)
-    assert np.max(np.abs(tr_e.states - tr_o.states)) < 1e-6
+    assert np.max(np.abs(states(tr_e) - states(tr_o))) < 1e-6
 
 
 def test_ode_matches_eigen_across_an_off_grid_jump():
@@ -181,7 +181,7 @@ def test_ode_matches_eigen_across_an_off_grid_jump():
     assert not np.any(np.isclose(t, t_w))
     tr_e = propagate_eigen(H, psi0, t)
     tr_o = propagate_ode(H, psi0, t_end=5.0, tol=1e-12, atol=1e-14, times=t)
-    err = np.max(np.abs(tr_o.states - tr_e.states), axis=0)
+    err = np.max(np.abs(states(tr_o) - states(tr_e)), axis=0)
     assert np.max(err[t < t_w]) < 2e-12
     assert np.max(err[t > t_w]) < 2e-12
 
@@ -247,7 +247,7 @@ def test_ode_pass_across_a_jump_costs_about_the_split_runs(monkeypatch):
     sols = _record_solutions(monkeypatch)
     propagate_ode(H, psi0, t_end=t_end, tol=1e-12, atol=1e-14)
     first = propagate_ode(H, psi0, t_end=t_w, tol=1e-12, atol=1e-14)
-    y = first.states[:, -1]
+    y = states(first)[:, -1]
     n = H.n_atoms
     at_jump = AmplitudeState(y[:n], H.beta_matrix(y), t=t_w)
     H_low, _ = _square_pulse_case(PulseEnvelope.constant(0.0))
@@ -268,8 +268,8 @@ def test_ode_storage_grid_ends_within_slack(end):
     want = propagate_ode(H, psi0, t_end=2.0, times=exact)
     got = propagate_ode(H, psi0, t_end=2.0, times=grid)
     assert np.array_equal(got.times, exact)
-    assert np.array_equal(got.states, want.states)
-    assert np.array_equal(got.state_at(grid[k]), want.states[:, k])
+    assert np.array_equal(states(got), states(want))
+    assert np.array_equal(got.state_at(grid[k]), states(want)[:, k])
 
 
 def _record_solutions(monkeypatch):
@@ -300,7 +300,7 @@ def test_ode_reads_the_left_limit_at_a_stretch_ending_jump(monkeypatch):
     square, constant = sols
     assert square.nfev == constant.nfev
     assert np.array_equal(runs[0].times, runs[1].times)
-    assert np.max(np.abs(runs[0].states - runs[1].states)) <= 1e-15
+    assert np.max(np.abs(states(runs[0]) - states(runs[1]))) <= 1e-15
 
 
 def _kinked_envelope():
@@ -537,8 +537,10 @@ def test_ode_tolerance_tightening_converges():
     H = assemble(arr, LaserDrive(2.0, 3.0))
     psi0 = timed_dicke_state(arr, np.array([0.0, 0.0, K0]))
     t = np.array([0.0, 4.0])
-    loose = propagate_ode(H, psi0, t_end=4.0, tol=1e-6, times=t).states[:, -1]
-    tight = propagate_ode(H, psi0, t_end=4.0, tol=1e-10, times=t).states[:, -1]
+    loose = states(propagate_ode(H, psi0, t_end=4.0, tol=1e-6,
+                                 times=t))[:, -1]
+    tight = states(propagate_ode(H, psi0, t_end=4.0, tol=1e-10,
+                                 times=t))[:, -1]
     assert np.max(np.abs(loose - tight)) < 1e-5
 
 
@@ -562,7 +564,7 @@ def test_state_at_exact_on_nodes():
     t = np.linspace(0.0, 3.0, 31)
     traj = propagate_ode(H, psi0, t_end=3.0, times=t)
     for k in (0, 10, 30):
-        assert np.array_equal(traj.state_at(t[k]), traj.states[:, k])
+        assert np.array_equal(traj.state_at(t[k]), states(traj)[:, k])
 
 
 def test_state_at_eigen_segment_at_step():
@@ -593,9 +595,9 @@ def test_state_at_eigen_segment_at_step():
         assert np.array_equal(traj.state_at(u), want)
     k = int(np.argmin(np.abs(t - step)))
     assert t[k] == step
-    assert np.allclose(traj.state_at(step), traj.states[:, k], rtol=0.0,
+    assert np.allclose(traj.state_at(step), states(traj)[:, k], rtol=0.0,
                        atol=1e-12)
-    assert np.allclose(traj.state_at(3.0), traj.states[:, -1], rtol=0.0,
+    assert np.allclose(traj.state_at(3.0), states(traj)[:, -1], rtol=0.0,
                        atol=1e-12)
 
 
@@ -641,14 +643,14 @@ def test_eigen_covers_the_run_from_the_initial_state():
     arr = build_lattice(1, 1, 2, 0.4)
     psi0 = timed_dicke_state(arr, np.array([0.0, 0.0, K0]))
     H = assemble(arr, LaserDrive(2.0, 3.0))
-    start = propagate_eigen(H, psi0, [0.0]).states[:, 0]
+    start = states(propagate_eigen(H, psi0, [0.0]))[:, 0]
     assert np.max(np.abs(start - H.pack(psi0))) < 1e-12
     env = PulseEnvelope.from_samples([2.0, 4.0], [0.6, 0.6])
     H = assemble(arr, LaserDrive(2.0, 3.0, envelope=env))
     t = np.linspace(0.0, 5.0, 11)
     tr_e = propagate_eigen(H, psi0, t)
     tr_o = propagate_ode(H, psi0, t_end=5.0, times=t)
-    assert np.max(np.abs(tr_e.states - tr_o.states)) < 1e-6
+    assert np.max(np.abs(states(tr_e) - states(tr_o))) < 1e-6
 
 
 def test_populations_shapes():
@@ -675,9 +677,9 @@ def test_restricted_sublevel_model_matches_full_for_z_chain():
     rest = propagate_eigen(
         assemble(arr, drive, include_sublevels=(1,)), psi0, t)
     n = arr.n_atoms
-    assert np.max(np.abs(full.states[:n] - rest.states[:n])) < 1e-10
-    full_beta_p1 = full.states[n:].reshape(n, 3, -1)[:, 2, :]
-    rest_beta_p1 = rest.states[n:].reshape(n, 1, -1)[:, 0, :]
+    assert np.max(np.abs(states(full)[:n] - states(rest)[:n])) < 1e-10
+    full_beta_p1 = states(full)[n:].reshape(n, 3, -1)[:, 2, :]
+    rest_beta_p1 = states(rest)[n:].reshape(n, 1, -1)[:, 0, :]
     assert np.max(np.abs(full_beta_p1 - rest_beta_p1)) < 1e-10
 
 
@@ -776,8 +778,8 @@ def test_eigen_blocks_follow_the_initial_state(monkeypatch):
         assert ode.eigen_blocks is None
         # one solver pass across the jump, on the touched rotation blocks
         assert sizes == [ode_dim]
-        assert ode.states.shape == (H.dim, len(t))
-        assert np.max(np.abs(ode.states - eig.states)) < 1e-6
+        assert states(ode).shape == (H.dim, len(t))
+        assert np.max(np.abs(states(ode) - states(eig))) < 1e-6
 
 
 def test_eigen_condition_is_the_2norm_condition_of_V():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from _references import states
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -295,7 +296,8 @@ def _sampled_trajectories(draw):
     k = draw(st.integers(2, 4))
     states = rng.normal(size=(H.dim, k)) + 1j * rng.normal(size=(H.dim, k))
     states /= np.linalg.norm(states, axis=0)
-    return Trajectory(H, np.arange(k, dtype=float), states, kind="ode")
+    return Trajectory(H, np.arange(k, dtype=float), states, kind="ode",
+                      blocks=(H.block(),))
 
 
 @settings(max_examples=100, deadline=None)
@@ -305,7 +307,7 @@ def test_total_flux_is_norm_loss(traj):
     #                                       = -2 Re <beta|X|beta>
     H = traj.H
     wave = waveform(traj, allow_truncation=True)
-    beta = traj.states[H.n_atoms:]
+    beta = states(traj)[H.n_atoms:]
     loss = -2.0 * np.real(np.einsum("ik,ik->k", beta.conj(),
                                     H.excited_block @ beta))
     assert np.allclose(wave.flux_total, loss, rtol=1e-12, atol=0.0)

@@ -2,7 +2,8 @@
 
 import numpy as np
 import pytest
-from _references import _orbit_bases, apply, right_vectors
+from _references import (Undamped, _orbit_bases, apply, model_matrix,
+                         right_vectors, table_blocks)
 from scipy.optimize import linear_sum_assignment
 
 from arraylight import _kernels
@@ -101,9 +102,10 @@ def test_drive_block_placement():
         col = n + 3 * j + 2  # nu = +1 column within atom j
         expected[j, col] = -0.5j * omega
         expected[col, j] = -0.5j * omega
-    G0 = H.generator_at(0.0)
-    assert np.allclose(H.generator_at(1.0) - G0, expected, atol=1e-15)
-    assert np.allclose(H.generator_at(0.5) - G0, 0.5 * expected, atol=1e-15)
+    G0 = H.block().matrix(0.0)
+    assert np.allclose(H.block().matrix(1.0) - G0, expected, atol=1e-15)
+    assert np.allclose(H.block().matrix(0.5) - G0, 0.5 * expected,
+                       atol=1e-15)
     # without drive there is no a-sector coupling; the rest is the block
     assert np.allclose(G0[:n, :], 0.0)
     assert np.allclose(G0[:, :n], 0.0)
@@ -131,8 +133,9 @@ def test_apply_matches_dense_generator():
                                      (0.0, True)):
                     drive = LaserDrive(omega, rng.uniform(-20.0, 20.0),
                                        target_sublevel=target)
-                    H = assemble(arr, drive, include_sublevels=subs,
-                                 decay=decay)
+                    H = assemble(arr, drive, include_sublevels=subs)
+                    if not decay:
+                        H = Undamped.of(H)
                     blocks = [H.block()] + [H.block(Q) for Q
                                             in rotation_blocks(H) or ()]
                     y = rng.normal(size=H.dim) + 1j * rng.normal(size=H.dim)
@@ -144,9 +147,9 @@ def test_apply_matches_dense_generator():
                     for blk in blocks:
                         Q = blk.basis
                         yb, Yb = Q.project(y), Q.project(Y)
-                        want = Q.project(H.generator_at(f) @ Q.lift(yb))
+                        want = Q.project(H.block().matrix(f) @ Q.lift(yb))
                         assert _rel_err(apply(blk, yb, f), want) < 1e-13
-                        want = np.stack([Q.project(H.generator_at(fk)
+                        want = np.stack([Q.project(H.block().matrix(fk)
                                                    @ Q.lift(Yb[:, k]))
                                          for k, fk in enumerate(fs)], axis=1)
                         assert _rel_err(apply(blk, Yb, fs), want) < 1e-13
@@ -237,7 +240,7 @@ def test_generator_residual_against_manual_rhs():
             H = assemble(arr, LaserDrive(omega, delta, target_sublevel=target),
                          include_sublevels=subs)
             psi = rng.normal(size=H.dim) + 1j * rng.normal(size=H.dim)
-            got = H.generator_at(1.0) @ psi
+            got = H.block().matrix(1.0) @ psi
 
             a = psi[:n]
             beta = np.zeros((n, 3), dtype=complex)
@@ -254,8 +257,8 @@ def test_generator_residual_against_manual_rhs():
 
 def test_no_decay_generator_is_antihermitian():
     arr = build_lattice(2, 1, 1, 0.5)
-    H = assemble(arr, LaserDrive(1.5, 2.0), decay=False)
-    G = H.generator_at(1.0)
+    H = Undamped.of(assemble(arr, LaserDrive(1.5, 2.0)))
+    G = H.block().matrix(1.0)
     assert np.allclose(G, -G.conj().T, atol=1e-14)
 
 
@@ -485,7 +488,7 @@ def test_orbit_bases_match_sparse_products(dims, subs):
             assert np.max(np.abs(Q.lift(y) - S @ y)) <= 1e-15
             assert np.max(np.abs(Q.lift(y, rows) - (S @ y)[rows])) <= 1e-15
             assert np.array_equal(Q.lift(np.eye(Q.shape[1])), S.toarray())
-            G = H.generator_at(0.7)
+            G = H.block().matrix(0.7)
             assert np.max(np.abs(H.block(Q).matrix(0.7)
                                  - S.conj().T @ G @ S)) \
                 <= 1e-14 * np.max(np.abs(G))
@@ -502,7 +505,7 @@ def _check_projected_tables(H, Q, Q2):
     tables = H.array.pair_tables
     for table, parity in ((tables.coupling, 1), (tables.flux_total, 1),
                           (tables.flux_diff, -1)):
-        T = _kernels.model_matrix(tables.blocks(table), H.columns)
+        T = model_matrix(table_blocks(tables, table), H.columns)
         want = np.hstack([S.conj().T @ T @ S, S.conj().T @ T @ S2])
         got = project_table(H, table, Qe, (Qe, Qe2), parity)
         assert got.flags.c_contiguous
@@ -520,8 +523,7 @@ def test_projected_tables_of_a_free_form_array():
                      include_sublevels=subs)
         (Q,) = rotation_blocks(H)
         _check_projected_tables(H, Q, Q)
-        T = _kernels.model_matrix(_kernels.pair_blocks(arr.positions),
-                                  H.columns)
+        T = model_matrix(_kernels.pair_blocks(arr.positions), H.columns)
         want = -0.5 * T + (2.5j - 0.5) * np.eye(len(T))
         assert np.max(np.abs(H.excited_block - want)) <= 1e-15
 

@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from _references import states
 
 from arraylight.core import (AmplitudeState, LaserDrive, build_lattice,
                              timed_dicke_state)
@@ -45,7 +46,7 @@ def test_amplitudes_match_decoupled_propagation():
     traj = propagate_eigen(H0, psi0, t)
     for i, ti in enumerate(t):
         ref = noninteracting_amplitudes(arr, k, ti)
-        got = H0.beta_matrix(traj.states[:, i])
+        got = H0.beta_matrix(states(traj)[:, i])
         assert np.max(np.abs(got - ref)) < 1e-13
 
 
@@ -62,7 +63,7 @@ def test_amplitudes_match_full_model_at_large_spacing():
     traj = propagate_eigen(H, psi0, t)
     for i, ti in enumerate(t):
         ref = noninteracting_amplitudes(arr, k, ti)
-        got = H.beta_matrix(traj.states[:, i])
+        got = H.beta_matrix(states(traj)[:, i])
         scale = np.max(np.abs(ref))
         assert np.max(np.abs(got - ref)) < 0.01 * scale
 

@@ -10,7 +10,8 @@ import tempfile
 import numpy as np
 from hypothesis import Phase, assume, given, settings
 from _adiabatic_ode import adiabatic_ode
-from _references import _orbit_bases, project_table_padded
+from _references import (_orbit_bases, flux_blocks, model_matrix,
+                         project_table_padded, states)
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
@@ -169,7 +170,7 @@ def test_rotation_blocks_are_orthonormal_and_commute(nx, ny, nz, d, subs,
         # excited part and the drive pairing
         gen_blocks = [H.block(Qk) for Qk in bases]
         for f in (0.0, 0.5, 1.0):
-            G = H.generator_at(f)
+            G = H.block().matrix(f)
             assert np.linalg.norm(U @ G - G @ U) <= 1e-13 * np.linalg.norm(G)
             for Qk, blk in zip(blocks, gen_blocks):
                 assert (np.max(np.abs(blk.matrix(f) - Qk.conj().T @ G @ Qk))
@@ -223,7 +224,7 @@ def test_inversion_blocks_match_the_whole_space(nx, ny, nz, d, nu0,
     H = assemble(arr, drive)
     p = _inversion_permutation(H)
     for f in (0.0, 0.5, 1.0):
-        G = H.generator_at(f)
+        G = H.block().matrix(f)
         assert np.array_equal(G[np.ix_(p, p)], G)
     # the same lattice moved off the z axis has neither symmetry: the
     # whole generator, one block
@@ -238,7 +239,7 @@ def test_inversion_blocks_match_the_whole_space(nx, ny, nz, d, nu0,
     t = np.linspace(0.0, 1.5, 16)
     block, full = (propagate_eigen(ham, psi0, t) for ham in (H, moved))
     assert all(dims == [H.dim] for dims in full.eigen_blocks)
-    assert np.max(np.abs(block.states - full.states)) <= 1e-10
+    assert np.max(np.abs(states(block) - states(full))) <= 1e-10
 
 
 def test_ode_keeps_the_rotation_blocks():
@@ -253,7 +254,7 @@ def test_ode_keeps_the_rotation_blocks():
     ode = propagate_ode(H, psi0, 2.0, tol=1e-10, atol=1e-13, times=t)
     assert eig.eigen_blocks == [[40, 40]]
     assert [blk.dim for blk in ode.blocks] == [80]
-    assert np.max(np.abs(ode.states - eig.states)) <= 1e-9
+    assert np.max(np.abs(states(ode) - states(eig))) <= 1e-9
 
 
 @settings(max_examples=40, deadline=None)
@@ -315,8 +316,8 @@ def test_projected_flux_operators_match_the_dense_ones(nx, ny, nz, d, subs,
     blocks = [H.block(bases[i]) for i in sorted(picked)]
     Qe = np.hstack([blk.basis.excited(H.n_atoms).lift(
         np.eye(blk.dim - blk.n_meta)) for blk in blocks])
-    dense = [_kernels.model_matrix(F, H.columns)
-             for F in _kernels.flux_blocks(H.array.positions)]
+    dense = [model_matrix(F, H.columns)
+             for F in flux_blocks(H.array.positions)]
     for got, F in zip(_flux_operators(H, blocks), dense):
         assert np.max(np.abs(got - Qe.conj().T @ F @ Qe)) <= 1e-14
     # without a symmetry: the dense operators themselves
@@ -408,7 +409,7 @@ def test_block_path_matches_full_path(pos, nu0, state, square, omega, delta):
     block = propagate_eigen(H_sym, psi0, t)
     full = propagate_eigen(H_full, psi0, t)
     assert all(dims == [H_full.dim] for dims in full.eigen_blocks)
-    assert np.max(np.abs(block.states - full.states)) <= 1e-10
+    assert np.max(np.abs(states(block) - states(full))) <= 1e-10
     # the ODE under a ramped drive, where the spectral path does not
     # apply; the two runs choose their own steps at rtol 1e-10, atol 1e-13,
     # and over 150 random examples they differed by at most 8.4e-11
@@ -417,7 +418,7 @@ def test_block_path_matches_full_path(pos, nu0, state, square, omega, delta):
                           [0.0, 0.8, 1.9, 3.0], [0.0, 1.0, 0.3, 0.6]))
     block, full = (propagate_ode(assemble(arr, ramp), psi0, 3.0, tol=1e-10,
                                  atol=1e-13, times=t) for arr in (sym, moved))
-    assert np.max(np.abs(block.states - full.states)) <= 1e-9
+    assert np.max(np.abs(states(block) - states(full))) <= 1e-9
     # off the grid: integrated from the stored sample before 1.234
     assert (np.max(np.abs(block.state_at(1.234) - full.state_at(1.234)))
             <= 1e-9)
@@ -453,8 +454,8 @@ def _check_block_observables(arr, env, direction, square_lattice, nu0,
     k_gf = [0.0, 0.0, K0] if direction == "z" else [K0, 0.0, 0.0]
     psi0 = timed_dicke_state(arr, k_gf)
     n, t = arr.n_atoms, np.linspace(0.0, 1.5, 16)
-    ops = [_kernels.model_matrix(Q, H.columns)
-           for Q in _kernels.flux_blocks(arr.positions)]
+    ops = [model_matrix(Q, H.columns)
+           for Q in flux_blocks(arr.positions)]
     # F+ + F- commutes with the rotation and the inversion: it is block
     # diagonal over every irrep.  F+ - F- commutes with the rotation but is
     # odd under inversion: it couples each irrep only to its parity
@@ -476,7 +477,7 @@ def _check_block_observables(arr, env, direction, square_lattice, nu0,
                            (propagate_ode(H, psi0, 1.5, times=t), 1)):
         if direction == "z":
             assert len(traj.blocks) <= n_blocks
-        psi = traj.states
+        psi = states(traj)
         beta = psi[n:]
         wave = waveform(traj, allow_truncation=True)
         for F, got in zip(ops, (wave.flux_plus, wave.flux_minus)):

@@ -1,16 +1,19 @@
 """Adiabatic model, reparametrization and inverse envelope design."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from _adiabatic_ode import adiabatic_ode
-from _references import modal_coords_at_once
+from _references import beta_from_a, modal_coords_at_once, states
 
 from arraylight import shaping
 from arraylight.core import (AmplitudeState, LaserDrive, build_lattice,
                              timed_dicke_state)
 from arraylight.dynamics import piecewise_grid, propagate_ode
 from arraylight.envelope import PulseEnvelope
-from arraylight.errors import InfeasibleTargetError, InvalidArgumentError
+from arraylight.errors import (InfeasibleTargetError, InvalidArgumentError,
+                               NumericError)
 from arraylight.farfield import waveform
 from arraylight.hamiltonian import assemble
 from arraylight.shaping import (_TAU_BANDS, AdiabaticModel, TargetWaveform,
@@ -273,9 +276,9 @@ def _beta_slaving_deviation(delta, omega=2.0):
     n = arr.n_atoms
     worst = 0.0
     for k in range(40, 81, 10):  # past the slaving transient ~ 1/delta
-        a = traj.states[:n, k]
-        beta_full = H.beta_matrix(traj.states[:, k])
-        beta_model = model.beta_from_a(a)
+        a = states(traj)[:n, k]
+        beta_full = H.beta_matrix(states(traj)[:, k])
+        beta_model = beta_from_a(model, a)
         scale = np.max(np.abs(beta_model))
         worst = max(worst, np.max(np.abs(beta_full - beta_model)) / scale)
     return worst
@@ -298,6 +301,47 @@ def test_target_waveform_validation():
     with pytest.raises(InvalidArgumentError):
         TargetWaveform(np.array([0.0, 1.0]), np.array([1.0, 1.0]),
                        photon_fraction=1.5)
+
+
+def _with_flux(ref, flux):
+    """ref with the flux replaced on the tau grid 0, 1, 2 (design_envelope
+    reads only the times and the flux)."""
+    return replace(ref, times=np.arange(3.0), flux=np.array(flux))
+
+
+_FLAT = TargetWaveform(np.linspace(0.0, 1.0, 11), np.ones(11))
+
+# the raises of the module that no other test reaches, each with its input,
+# error type and message.  design_envelope's NumericErrors take hand-built
+# references: a flux of 0 at one sample, and slopes 1/flux far steeper than
+# the secant of n0, where the Hermite derivative of the inverse dips below 0
+_BAD_INPUTS = [
+    (lambda ref: AdiabaticModel(ref.model.array, 30.0, 0.0),
+     InvalidArgumentError, "adiabatic model needs delta != 0"),
+    (lambda ref: AdiabaticModel(ref.model.array, 0.0, 150.0),
+     InvalidArgumentError, "adiabatic model needs omega_L0 > 0"),
+    (lambda ref: adiabatic_simulate(ref.model, np.ones(2), 10.0),
+     InvalidArgumentError, "a0 must have one amplitude per atom"),
+    (lambda ref: TargetWaveform(np.arange(3.0), np.ones(2)),
+     InvalidArgumentError, "u_grid and intensity must match"),
+    (lambda ref: design_envelope(
+        ref, TargetWaveform(np.arange(3.0), np.zeros(3))),
+     InvalidArgumentError, "target shape integrates to zero"),
+    (lambda ref: design_envelope(_with_flux(ref, [1.0, 0.0, 1.0]), _FLAT),
+     NumericError, "reference cumulative n0 is not strictly increasing; "
+     "refine or shorten the tau grid"),
+    (lambda ref: design_envelope(_with_flux(ref, [1e-3, 1.0, 1e-3]), _FLAT),
+     NumericError, "negative dtau/dt beyond roundoff in the designer"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", _BAD_INPUTS)
+def test_bad_inputs_raise_typed_errors(call, error, message):
+    model = _model(30.0, 150.0, dims=(1, 1, 1))
+    ref = adiabatic_simulate(model, np.array([1.0 + 0j]), 100.0)
+    with pytest.raises(error) as info:
+        call(ref)
+    assert str(info.value) == message
 
 
 def test_target_csv_roundtrip(tmp_path):
