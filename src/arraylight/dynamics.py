@@ -10,7 +10,10 @@ Two routes, cross-validated against each other:
   by inversion too when the array has it (C4h), which halves each solve.
   Otherwise the whole generator is diagonalized.  Requires a
   well-conditioned eigenbasis; collective modes are not orthogonal, so the
-  condition number is checked.
+  condition number is checked.  The trajectory keeps each segment's
+  modes, not its samples: they are evaluated from the closed form in
+  chunks of at most _CHUNK_ENTRIES coordinates when read, so the run
+  holds O(dim x chunk) coordinates, not O(dim x samples).
 * ODE: truncated-Taylor steps for arbitrary piecewise-linear envelopes,
   in one plain loop of steps (_taylor.taylor_pass, on numpy alone; bound
   here as solve_ivp, the one name every ODE pass calls, with solve_ivp's
@@ -35,18 +38,21 @@ Two routes, cross-validated against each other:
 
 Both routes take their blocks from EffectiveHamiltonian.block: a constant
 excited part, projected once, and the drive pairing, scaled by f(t).  A
-Trajectory stores what they compute, the stacked coordinates in those
-blocks; populations, the norm and (in farfield) the flux of each helicity
-are read from the coordinates, and only single vectors are lifted to the
-full space.  The helicity difference of the flux is odd under inversion,
-so it couples each inversion-split block to its parity partner: farfield
-projects the flux operators onto all of a trajectory's blocks at once.
+Trajectory holds the stacked coordinates in those blocks, stored (ODE) or
+as the segments' modes (spectral), and hands every reader of all samples
+the same bounded chunks of them (Trajectory.chunks): populations, the
+norm, the CSV and (in farfield) the flux of each helicity are read from
+the chunks, and only single vectors are lifted to the full space.  The
+helicity difference of the flux is odd under inversion, so it couples
+each inversion-split block to its parity partner: farfield projects the
+flux operators onto all of a trajectory's blocks at once.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ._kernels import _CHUNK_ENTRIES
 from ._taylor import _spans
 from ._taylor import taylor_pass as solve_ivp
 from .core import AmplitudeState
@@ -58,6 +64,9 @@ from .hamiltonian import (EffectiveHamiltonian, eigenbasis_condition,
 __all__ = ["Trajectory", "piecewise_grid", "propagate_eigen", "propagate_ode"]
 
 EIGEN_COND_LIMIT = 1e8
+
+# the atoms whose amplitudes Trajectory.chunks keeps for the CSV
+_KEPT_ATOMS = (0,)
 
 
 def piecewise_grid(t_end: float, bands) -> np.ndarray:
@@ -71,25 +80,39 @@ def piecewise_grid(t_end: float, bands) -> np.ndarray:
 
 
 class Trajectory:
-    """Stored propagation result with dense evaluation.
+    """Propagation result on a sample grid, with dense evaluation.
 
     times: strictly increasing sample grid.  blocks: the generator blocks
-    (EffectiveHamiltonian.block) the run worked in; coords: (sum of the
-    block dims, K) stacked block coordinates, one column per sample.  The
+    (EffectiveHamiltonian.block) the run worked in; dim is the sum of
+    their dimensions, the length of a stacked coordinate vector.  An ODE
+    trajectory stores coords, the (dim, K) stacked coordinates, one column
+    per sample.  A spectral one stores no coordinates (coords is None):
+    its segments keep their modes, (start, end, [(W_k, lam_k, c0_k) per
+    block]), and every sample is evaluated from them when read, a time on
+    or after a later segment's start (1e-12 slack) by that segment.  The
     full-space states are never stored: lift maps coordinates to them,
     state_at lifts one.
-    Populations, the norm and the CSV's a_j read the coordinates: every
-    column of a block basis lies in one sector (the a_l, or one sublevel),
-    and the bases are orthonormal.  Spectral trajectories evaluate
-    off-grid coordinates exactly from the cached eigendecompositions; ODE
-    trajectories integrate to off-grid times from the stored sample at or
-    before the first of them, in the same blocks, at the run's own
-    tolerances tols = (rtol, atol).  eigen_blocks lists, per spectral
-    segment, the dimensions of the blocks diagonalized (None for ODE
-    trajectories).  ode_passes and ode_products count the ODE work run for
-    the trajectory so far, its propagate_ode pass and any off-grid pass of
-    coords_at: Taylor passes, and products with the stacked blocks (zero
-    for spectral trajectories).
+
+    chunks is how the readers of every sample (populations, norm_squared,
+    to_csv, farfield.waveform) see the coordinates: at most
+    _CHUNK_ENTRIES of them at a time, in order, evaluated for a spectral
+    trajectory and sliced from coords for an ODE one.  Its first pass
+    through the grid also keeps the per-sample series that populations,
+    the norm and the CSV read (each sector's sum of |c|^2, their total
+    and the amplitudes of the atoms _KEPT_ATOMS), so a run that reads the
+    waveform and then writes the CSV evaluates each sample once.  Every
+    column of a block basis lies in one sector (the a_l, or one
+    sublevel), and the bases are orthonormal.
+
+    Off-grid coordinates come exactly from the segments' modes (spectral)
+    or are integrated from the stored sample at or before the first of
+    them, in the same blocks, at the run's own tolerances tols =
+    (rtol, atol) (ODE).  eigen_blocks lists, per spectral segment, the
+    dimensions of the blocks diagonalized (None for ODE trajectories).
+    ode_passes and ode_products count the ODE work run for the trajectory
+    so far, its propagate_ode pass and any off-grid pass of coords_at:
+    Taylor passes, and products with the stacked blocks (zero for
+    spectral trajectories).
     """
 
     def __init__(self, H, times, coords, kind, blocks, segments=None,
@@ -102,15 +125,18 @@ class Trajectory:
         self.eigen_blocks = eigen_blocks
         self._segments = segments
         if segments is not None:
-            self._segment_ends = np.array([seg[1] for seg in segments]) + 1e-12
+            self._later_starts = np.array([seg[0] for seg in segments[1:]]) \
+                - 1e-12
         self._tols = tols
+        self._series = None
         self.ode_passes = int(kind == "ode")
         self.ode_products = ode_products
         self._spans = _spans(self.blocks)
-        if coords.shape[0] != self._spans[-1].stop:
+        self.dim = self._spans[-1].stop
+        if coords is not None and coords.shape[0] != self.dim:
             raise InvalidArgumentError(
                 f"{coords.shape[0]} coordinates for blocks of total "
-                f"dimension {self._spans[-1].stop}")
+                f"dimension {self.dim}")
         if np.any(np.diff(self.times) <= 0):
             raise InvalidArgumentError("trajectory times must be strictly increasing")
 
@@ -127,12 +153,47 @@ class Trajectory:
         return [y[s] for s in self._spans]
 
     def lift(self, y: np.ndarray, rows=None) -> np.ndarray:
-        """Stacked block coordinates, (sum of the block dims,) or with K
-        columns, -> full-space vectors sum_k Q_k y_k; only the full-space
-        rows listed in rows when given."""
+        """Stacked block coordinates, (dim,) or with K columns, ->
+        full-space vectors sum_k Q_k y_k; only the full-space rows listed
+        in rows when given."""
         parts = [blk.basis.lift(y_k, rows)
                  for blk, y_k in zip(self.blocks, self.split(y))]
         return sum(parts[1:], parts[0])
+
+    def chunks(self):
+        """Yield (slice of the samples, their (dim, k) stacked
+        coordinates) through the grid in order, at most _CHUNK_ENTRIES
+        coordinates at a time (_chunk_slices).  The first pass to the end
+        keeps the per-sample series (class docstring)."""
+        n = len(self.times)
+        keep = self._series is None
+        if keep:
+            sectors = np.concatenate([_column_sectors(self.H, blk)
+                                      for blk in self.blocks])
+            onehot = sectors == np.arange(1 + self.H.n_sublevels)[:, None]
+            sums = np.empty((len(onehot) + 1, n))
+            atoms = np.empty((len(_KEPT_ATOMS), n), dtype=complex)
+        for s in _chunk_slices(self.dim, n):
+            y = (self._modal(self.times[s]) if self.coords is None
+                 else self.coords[:, s])
+            if keep:
+                _square_sums(onehot, y, out=sums[:, s])
+                atoms[:, s] = self.lift(y, rows=list(_KEPT_ATOMS))
+            yield s, y
+        if keep:
+            self._series = sums, atoms
+
+    def _modal(self, u) -> np.ndarray:
+        """Stacked coordinates at the sorted times u of a spectral
+        trajectory, each from the closed form of its segment: the last one
+        whose start, less 1e-12, is at or before it (the first one for
+        earlier times)."""
+        out = np.empty((self.dim, len(u)), dtype=complex)
+        cuts = [0, *np.searchsorted(u, self._later_starts).tolist(), len(u)]
+        for (t0, _, modes), a, b in zip(self._segments, cuts[:-1], cuts[1:]):
+            if b > a:
+                _modal_coords(modes, u[a:b] - t0, out=out[:, a:b])
+        return out
 
     def _check_coverage(self, u):
         if np.any(u < self.times[0] - 1e-12) or np.any(u > self.times[-1] + 1e-12):
@@ -143,20 +204,17 @@ class Trajectory:
     def coords_at(self, u) -> np.ndarray:
         """Stacked block coordinates at the times u, one column each
         (exact for spectral trajectories, to the run's tolerances for ODE
-        ones).  An ODE trajectory serves all off-grid times with one
-        integration over their sorted grid."""
+        ones).  A spectral trajectory evaluates the sorted times in the
+        chunks of chunks, so at its own grid the two agree bit for bit.
+        An ODE trajectory serves all off-grid times with one integration
+        over their sorted grid."""
         u = np.atleast_1d(np.asarray(u, dtype=float))
         self._check_coverage(u)
-        if self.kind == "eigen":
-            # first segment ending at or after u: a boundary time belongs
-            # to the earlier segment
-            k = np.minimum(np.searchsorted(self._segment_ends, u, side="left"),
-                           len(self._segments) - 1)
-            out = np.empty((self.coords.shape[0], len(u)), dtype=complex)
-            # (np.unique would import numpy.ma on its first call)
-            for i in sorted(set(k.tolist())):
-                t0, _, modes = self._segments[i]
-                out[:, k == i] = _modal_coords(modes, u[k == i] - t0)
+        if self.coords is None:
+            order = np.argsort(u, kind="stable")
+            out = np.empty((self.dim, len(u)), dtype=complex)
+            for s in _chunk_slices(self.dim, len(u)):
+                out[:, order[s]] = self._modal(u[order[s]])
             return out
         # within the coverage slack, u is the end sample
         u = np.clip(u, self.t_start, self.t_end)
@@ -190,16 +248,12 @@ class Trajectory:
     def _squares(self):
         """(metastable population, (K, 3) excited population per sublevel
         m = -1, 0, +1, norm squared), each sample's sums of |c|^2 over the
-        coordinates of each sector (_column_sectors) and over all of them;
-        |c|^2 is formed once per chunk of _CHUNK samples."""
-        sectors = np.concatenate([_column_sectors(self.H, blk)
-                                  for blk in self.blocks])
-        onehot = sectors == np.arange(1 + self.H.n_sublevels)[:, None]
-        sums = np.empty((len(onehot) + 1, len(self.times)))
-        for lo in range(0, len(self.times), _CHUNK):
-            c2 = np.abs(self.coords[:, lo:lo + _CHUNK]) ** 2
-            np.matmul(onehot, c2, out=sums[:-1, lo:lo + _CHUNK])
-            np.sum(c2, axis=0, out=sums[-1, lo:lo + _CHUNK])
+        coordinates of each sector (_column_sectors) and over all of them,
+        from the kept series (a pass of chunks when there is none yet)."""
+        if self._series is None:
+            for _ in self.chunks():
+                pass
+        sums = self._series[0]
         full = np.zeros((len(self.times), 3))
         full[:, self.H.columns] = sums[1:-1].T
         return sums[0], full, sums[-1]
@@ -211,15 +265,37 @@ class Trajectory:
         """(metastable, excited-per-sublevel) population time series."""
         return self._squares()[:2]
 
-    def to_csv(self, path, atoms=(0,), header_lines=()) -> None:
+    def to_csv(self, path, atoms=_KEPT_ATOMS, header_lines=()) -> None:
+        """The populations, the norm and the amplitudes a_j of the atoms
+        as CSV columns; atoms other than _KEPT_ATOMS take one more pass of
+        chunks."""
         meta, exc, norm2 = self._squares()
         cols = ["t", "pop_f", "pop_e_m1", "pop_e_0", "pop_e_p1", "norm2"]
         data = [self.times, meta, exc[:, 0], exc[:, 1], exc[:, 2], norm2]
-        a = self.lift(self.coords, rows=list(atoms))
+        a = (self._series[1] if tuple(atoms) == _KEPT_ATOMS else
+             np.hstack([self.lift(y, rows=list(atoms))
+                        for _, y in self.chunks()]))
         for j, a_j in zip(atoms, a):
             cols += [f"re_a_{j}", f"im_a_{j}"]
             data += [a_j.real, a_j.imag]
         write_columns(path, cols, data, header_lines)
+
+
+def _square_sums(onehot: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
+    """out[:-1] = onehot @ |y|^2 and out[-1] = the column sums of |y|^2;
+    |y|^2 is freed on return, before the chunk is handed on."""
+    c2 = np.abs(y)
+    c2 *= c2
+    np.matmul(onehot, c2, out=out[:-1])
+    np.sum(c2, axis=0, out=out[-1])
+
+
+def _chunk_slices(rows: int, n: int) -> list:
+    """Slices of n samples, each at most _CHUNK_ENTRIES // rows samples
+    (at least one), so that a chunk of rows coordinates per sample holds
+    at most _CHUNK_ENTRIES of them."""
+    step = max(1, _CHUNK_ENTRIES // max(rows, 1))
+    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
 def _column_sectors(H: EffectiveHamiltonian, blk) -> np.ndarray:
@@ -265,8 +341,12 @@ def propagate_eigen(H: EffectiveHamiltonian, psi0: AmplitudeState,
     the drive is the same on every atom, so the blocks psi0 touches stay
     the only ones touched on every segment: each of them
     is diagonalized on its own, Q_k^H G Q_k = W_k diag(lam_k) W_k^-1, and
-    the samples are the block coordinates W_k exp(lam_k t) c0_k, stored
-    as they are (Trajectory); the segment keeps the (W_k, lam_k, c0_k).
+    the segment keeps the (W_k, lam_k, c0_k).  No sample is computed
+    here: the returned Trajectory stores the segments alone and evaluates
+    the block coordinates W_k exp(lam_k t) c0_k of its samples in bounded
+    chunks when they are read (Trajectory.chunks), so the run holds
+    O(dim x chunk) coordinates, not O(dim x samples).  Only each
+    segment's end state, the next one's start, is evaluated here.
     Each segment's block is the block's constant excited part plus the
     drive pairing at that f; the dense generator is never formed.  Without
     a symmetry the whole generator is diagonalized.  The condition number
@@ -289,7 +369,6 @@ def propagate_eigen(H: EffectiveHamiltonian, psi0: AmplitudeState,
     blocks = _touched_blocks(H, psi, inversion=True)
     y = np.concatenate([blk.basis.project(psi) for blk in blocks])
     spans = _spans(blocks)
-    coords = np.empty((len(y), len(times)), dtype=complex)
     segments, dims = [], []
     for lo, hi, f, _ in pieces.tolist():
         eigs = [np.linalg.eig(blk.matrix(f)) for blk in blocks]
@@ -300,12 +379,8 @@ def propagate_eigen(H: EffectiveHamiltonian, psi0: AmplitudeState,
                  for (lam, W), s in zip(eigs, spans)]
         segments.append((lo, hi, modes))
         dims.append([len(lam) for lam, _ in eigs])
-        # the sorted samples in [lo, hi] (1e-12 slack), written in place
-        on = slice(np.searchsorted(times, lo - 1e-12, side="left"),
-                   np.searchsorted(times, hi + 1e-12, side="right"))
-        _modal_coords(modes, times[on] - lo, out=coords[:, on])
         y = _modal_coords(modes, [hi - lo])[:, 0]
-    return Trajectory(H, times, coords, kind="eigen", blocks=blocks,
+    return Trajectory(H, times, None, kind="eigen", blocks=blocks,
                       segments=segments, eigen_blocks=dims)
 
 

@@ -20,10 +20,12 @@ from .errors import InvalidArgumentError
 
 __all__ = ["PulseEnvelope"]
 
-# samples per chunk of every chunked loop over a time grid: the CSV rows of
-# one formatting call of write_columns, and the samples of one pass of the
-# closed-form solutions and |c|^2 sums in dynamics and shaping, so that
-# their temporaries scale with one chunk and not with the grid
+# samples per chunk of the sample-bounded loops over a time grid: the CSV
+# rows of one formatting call of write_columns, and the samples of one
+# product of the closed-form solutions (dynamics._modal_coords) and of
+# shaping's pass, so that their temporaries scale with one chunk and not
+# with the grid.  A trajectory's own chunks are bounded by entries instead
+# (dynamics._chunk_slices)
 _CHUNK = 1024
 
 

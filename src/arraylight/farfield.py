@@ -40,7 +40,7 @@ from numpy.polynomial.legendre import leggauss
 
 from . import _kernels
 from .core import AtomArray
-from .dynamics import Trajectory
+from .dynamics import Trajectory, _chunk_slices
 from .envelope import write_columns
 from .errors import InvalidArgumentError
 from .hamiltonian import project_table
@@ -60,9 +60,6 @@ __all__ = [
 ]
 
 NORMALIZATION = 3.0 / (8.0 * np.pi)
-
-_SAMPLE_CHUNK = 512  # samples per chunk of waveform's quadratic forms
-
 
 @dataclass(frozen=True)
 class HelicityFrame:
@@ -271,36 +268,39 @@ def waveform(traj: Trajectory, u_grid=None,
     The flux of each helicity is the quadratic form of the excited
     amplitudes with its exact flux operator, built once on the stacked
     excited columns of all the trajectory's blocks (_flux_operators)
-    and applied to the stored coordinates, so the state is never lifted.
-    The forms are summed over chunks of samples on slices of the
-    coordinates, so no stacked copy of them is made.  The flux operators
+    and applied to each chunk of the coordinates (Trajectory.chunks, which
+    evaluates a spectral trajectory's samples there), so the state is
+    never lifted and no (dim, K) table is formed.  The flux operators
     commute with the rotation about z, and their sum with inversion, but
     the helicity difference is odd under inversion: it couples each block
     split by inversion to its parity partner, so the per-helicity forms
     are not block diagonal.  The state side is 1 - |coordinates|^2, the
-    bases being orthonormal.  The total flux equals -d|psi|^2/dt exactly.
-    u_grid defaults to the trajectory's own sample times
-    (Trajectory.coords_at otherwise).
+    bases being orthonormal (Trajectory.norm_squared, whose series the
+    pass keeps).  The total flux equals -d|psi|^2/dt exactly.
+    u_grid defaults to the trajectory's own sample times; other times are
+    read through Trajectory.coords_at, then taken a chunk at a time.
     The trajectory should be long enough that the residual excitation is
     below 1e-3; pass allow_truncation=True to accept a truncated waveform.
     """
-    u = np.asarray(traj.times if u_grid is None else u_grid, dtype=float)
-    y = traj.coords if u_grid is None else traj.coords_at(u)
-    chunks = [slice(lo, lo + _SAMPLE_CHUNK)
-              for lo in range(0, y.shape[1], _SAMPLE_CHUNK)]
-    norm2 = np.concatenate([np.sum(np.abs(y[:, s]) ** 2, axis=0)
-                            for s in chunks])
+    ops = _flux_operators(traj.H, traj.blocks)
+    if u_grid is None:
+        u, chunks = traj.times, traj.chunks()
+    else:
+        u = np.asarray(u_grid, dtype=float)
+        y = traj.coords_at(u)
+        chunks = ((s, y[:, s]) for s in _chunk_slices(len(y), len(u)))
+    fp, fm = np.empty(len(u)), np.empty(len(u))
+    for s, y_s in chunks:
+        beta = np.vstack([y_k[blk.n_meta:] for blk, y_k
+                          in zip(traj.blocks, traj.split(y_s))])
+        fp[s], fm[s] = (_quadratic_forms(F, beta) for F in ops)
+    norm2 = (traj.norm_squared() if u_grid is None
+             else np.sum(np.abs(y) ** 2, axis=0))
     residual = float(norm2[-1])
     if residual > 1e-3 and not allow_truncation:
         raise InvalidArgumentError(
             f"residual norm {residual:.3e} > 1e-3 at u = {u[-1]:g}; "
             f"extend t_end or pass allow_truncation=True")
-    ops = _flux_operators(traj.H, traj.blocks)
-    fp, fm = np.empty(len(u)), np.empty(len(u))
-    for s in chunks:
-        beta = np.vstack([y_k[blk.n_meta:] for blk, y_k
-                          in zip(traj.blocks, traj.split(y[:, s]))])
-        fp[s], fm[s] = (_quadratic_forms(F, beta) for F in ops)
     ns = 1.0 - norm2
     total = fp + fm
     return Waveform(u_grid=u, flux_plus=fp, flux_minus=fm,

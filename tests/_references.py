@@ -60,9 +60,9 @@ class Undamped(EffectiveHamiltonian):
 
 
 def states(traj) -> np.ndarray:
-    """(dim, K) full-space states of a Trajectory, lifted from its
-    coordinates."""
-    return traj.lift(traj.coords)
+    """(dim, K) full-space states of a Trajectory, lifted from the
+    coordinates of each of its chunks."""
+    return np.hstack([traj.lift(y) for _, y in traj.chunks()])
 
 
 def beta_from_a(model, a: np.ndarray, f_value: float = 1.0) -> np.ndarray:

@@ -14,7 +14,7 @@ import yaml
 from _references import right_vectors, states
 
 import arraylight
-from arraylight import __version__
+from arraylight import __version__, dynamics
 from arraylight.cli import main
 from arraylight.config import RunConfig
 from arraylight.core import build_lattice, timed_dicke_state
@@ -372,6 +372,63 @@ def test_cli_simulate_bit_identical_reruns(tmp_path):
     sb = json.loads((out_b / "summary.json").read_text())
     sa.pop("timings_s"), sb.pop("timings_s")
     assert sa == sb
+
+
+def _readme_run_cfg(**time):
+    """The README run.yaml, with its time section updated by time."""
+    return {"lattice": {"nx": 3, "ny": 3, "nz": 8, "d": 0.6},
+            "k_gf": {"direction": [0, 0, 1]},
+            "drive": {"omega_L0": 2.0, "delta": 10.0,
+                      "envelope": {"kind": "constant", "value": 1.0}},
+            "time": {"t_end": 200.0, **time},
+            "grid": {"n_theta": 64, "n_phi": 128},
+            "propagator": "auto"}
+
+
+def test_cli_simulate_evaluates_each_sample_once(tmp_path, monkeypatch):
+    # on the README run (one flat segment from t = 0, so dt is t), the
+    # waveform's pass keeps the series the trajectory CSV writes: each of
+    # the 7701 grid times reaches _modal_coords once, besides the segment
+    # end t_end (the next segment's start) and the state at u_peak that
+    # the angular map reads
+    calls = []
+    modal = dynamics._modal_coords
+
+    def recorded(modes, dt, out=None):
+        calls.append(np.array(dt, dtype=float))
+        return modal(modes, dt, out)
+
+    monkeypatch.setattr(dynamics, "_modal_coords", recorded)
+    path = _write_yaml(tmp_path / "run.yaml", _readme_run_cfg())
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", path, "--out", str(out)]) == 0
+    times = RunConfig.from_yaml(path).time_grid()
+    assert len(times) == 7701
+    u_peak = json.loads((out / "summary.json").read_text())["u_peak_flux"]
+    want = np.sort(np.concatenate([times, [200.0, u_peak]]))
+    assert np.array_equal(np.sort(np.concatenate(calls)), want)
+
+
+def test_cli_simulate_memory_does_not_grow_with_the_samples(tmp_path,
+                                                           above_live):
+    # the README lattice on a uniform grid of 5001 and then 10001 samples:
+    # from propagation through the three CSVs, the allocation peak grows
+    # by the K-length series alone (sector sums, norm, amplitudes, flux
+    # and CSV columns; 9.7 float64 per added sample measured), not by an
+    # (80, K) table of coordinates (160 float64 per sample; the peak grew
+    # by 6.9 MB when one was kept)
+    peaks = []
+    for t_end in (100.0, 200.0):
+        raw = _readme_run_cfg(t_end=t_end, dt_early=0.02, t_early=400.0,
+                              t_mid=400.0)
+        raw["grid"] = {"n_theta": 16, "n_phi": 32}
+        path = _write_yaml(tmp_path / f"run{t_end:g}.yaml", raw)
+        code, peak, _ = above_live(main, ["simulate", "--config", path,
+                                          "--out", str(tmp_path / "out")])
+        assert code == 0
+        peaks.append(peak)
+    added = 10001 - 5001
+    assert peaks[1] - peaks[0] < 16 * 8 * added, peaks
 
 
 def test_cli_never_lifts_the_whole_trajectory(tmp_path, monkeypatch):

@@ -118,3 +118,36 @@ def test_laser_drive_validation():
         LaserDrive(-1.0, 0.0)
     with pytest.raises(InvalidArgumentError):
         LaserDrive(1.0, 0.0, target_sublevel=2)
+
+
+# the raises of the module that no other test reaches, and those of the
+# same constructors that one does, each with its input and message
+_BAD_INPUTS = [
+    (lambda: AtomArray(np.zeros((2, 2))),
+     "positions must be a nonempty (N, 3) array"),
+    (lambda: AtomArray(np.zeros((2, 2, 3))),
+     "positions must be a nonempty (N, 3) array"),
+    (lambda: AtomArray(np.zeros((0, 3))),
+     "positions must be a nonempty (N, 3) array"),
+    (lambda: AtomArray(np.array([[0.0, 0.0, 0.5], [0.3, 0.0, 0.0],
+                                 [0.0, 0.0, 0.5]])),
+     "coincident atom positions"),
+    (lambda: AmplitudeState(np.zeros((2, 2))),
+     "a must be a nonempty complex vector"),
+    (lambda: AmplitudeState([]), "a must be a nonempty complex vector"),
+    (lambda: AmplitudeState(np.zeros(2), np.zeros((3, 3))),
+     "beta must have shape (N, 3)"),
+    (lambda: AmplitudeState(np.zeros(2), np.zeros((2, 2))),
+     "beta must have shape (N, 3)"),
+    (lambda: timed_dicke_state(build_lattice(2, 1, 1, 0.5), [0.0, K0]),
+     "k_gf must be a 3-vector"),
+    (lambda: timed_dicke_state(build_lattice(2, 1, 1, 0.5), np.eye(3)),
+     "k_gf must be a 3-vector"),
+]
+
+
+@pytest.mark.parametrize("call, message", _BAD_INPUTS)
+def test_bad_inputs_raise_typed_errors(call, message):
+    with pytest.raises(InvalidArgumentError) as info:
+        call()
+    assert str(info.value) == message

@@ -568,8 +568,8 @@ def test_state_at_exact_on_nodes():
 
 
 def test_state_at_eigen_segment_at_step():
-    # a time on a segment boundary (within 1e-12) belongs to the earlier
-    # segment, as in a linear scan over the segments
+    # a time at or after a later segment's start, less 1e-12, belongs to
+    # that segment, as a sample on the grid does (Trajectory.chunks)
     arr = build_lattice(1, 1, 2, 0.35)
     H = assemble(arr, LaserDrive(6.0, 1.0,
                                  envelope=PulseEnvelope.square(0.75)))
@@ -580,25 +580,59 @@ def test_state_at_eigen_segment_at_step():
     assert len(segments) == 2
 
     def scan(u):
-        for seg in segments:
-            if u <= seg[1] + 1e-12:
+        for seg in reversed(segments[1:]):
+            if u >= seg[0] - 1e-12:
                 return seg
-        return segments[-1]
+        return segments[0]
 
     step = 0.75
-    for u in (0.0, np.nextafter(step, 0.0), step - 1e-13, step,
-              np.nextafter(step, 1.0), step + 5e-13, step + 1e-12,
-              step + 2e-12, 1.2, 3.0):
+    for u in (0.0, step - 2e-12, np.nextafter(step - 1e-12, 0.0),
+              step - 1e-12, step - 1e-13, np.nextafter(step, 0.0), step,
+              np.nextafter(step, 1.0), step + 1e-12, 1.2, 3.0):
         # the segment's block coordinates W_k exp(lam_k (u - t0)) c0_k
         t0, _, modes = scan(u)
         want = traj.lift(dynamics._modal_coords(modes, [u - t0])[:, 0])
         assert np.array_equal(traj.state_at(u), want)
+    assert scan(step - 1e-13) is segments[1]
     k = int(np.argmin(np.abs(t - step)))
     assert t[k] == step
     assert np.allclose(traj.state_at(step), states(traj)[:, k], rtol=0.0,
                        atol=1e-12)
     assert np.allclose(traj.state_at(3.0), states(traj)[:, -1], rtol=0.0,
                        atol=1e-12)
+
+
+def test_eigen_coords_at_the_grid_are_the_streamed_chunks():
+    # one rule for a time near a segment boundary, in coords_at and in the
+    # chunks every reader of all samples sees: on a two-segment run whose
+    # grid holds the boundary, times within 1e-12 of it on both sides and
+    # enough samples for several chunks, the two agree bit for bit, and
+    # the boundary samples come from the later segment
+    arr = build_lattice(1, 1, 2, 0.35)
+    H = assemble(arr, LaserDrive(6.0, 1.0,
+                                 envelope=PulseEnvelope.square(0.75)))
+    psi0 = timed_dicke_state(arr, np.array([0.0, 0.0, K0]))
+    step = 0.75
+    t = np.union1d(np.linspace(0.0, 3.0, 20001),
+                   [step - 5e-13, step, step + 5e-13])
+    traj = propagate_eigen(H, psi0, t)
+    assert len(traj._segments) == 2 and traj.coords is None
+    chunks = list(traj.chunks())
+    assert len(chunks) > 2
+    assert [s.start for s, _ in chunks] == [0] + [s.stop for s, _ in
+                                                  chunks[:-1]]
+    assert chunks[-1][0].stop == len(t)
+    assert max(y.size for _, y in chunks) <= dynamics._CHUNK_ENTRIES
+    streamed = np.hstack([y for _, y in chunks])
+    assert np.array_equal(traj.coords_at(t), streamed)
+    # any order of the times reads the same values
+    order = np.random.default_rng(0).permutation(len(t))
+    assert np.array_equal(traj.coords_at(t[order]), streamed[:, order])
+    t0, _, modes = traj._segments[1]
+    on = np.flatnonzero(np.abs(t - step) <= 1e-12)
+    assert len(on) >= 3
+    later = dynamics._modal_coords(modes, t[on] - t0)
+    assert np.allclose(streamed[:, on], later, rtol=0.0, atol=1e-15)
 
 
 def test_state_at_outside_coverage_raises():
@@ -633,7 +667,7 @@ def test_eigen_takes_equal_flat_segments_as_one():
         runs.append(propagate_eigen(
             assemble(arr, LaserDrive(2.0, 3.0, envelope=env)), psi0, t))
     assert len(runs[0]._segments) == len(runs[1]._segments) == 1
-    assert np.array_equal(runs[0].coords, runs[1].coords)
+    assert np.array_equal(runs[0].coords_at(t), runs[1].coords_at(t))
 
 
 def test_eigen_covers_the_run_from_the_initial_state():
@@ -710,13 +744,16 @@ def _readme_run():
 
 
 def test_propagate_eigen_memory_on_the_readme_run(above_live):
-    # the modal factors exp(lam t) c0 are formed one chunk of samples at a
-    # time: on the whole grid (80 x 7701, 9.9 MB) they took the allocation
-    # peak to 10.0 MB above the returned coordinates
+    # the trajectory keeps its segments' modes, not the (80, 7701)
+    # coordinates of its samples (9.9 MB), which it evaluates when read:
+    # keeping that table took the allocation peak to 9.9 MB plus up to
+    # 3 MB of temporaries
     H, psi0, times = _readme_run()
-    traj, peak, _ = above_live(propagate_eigen, H, psi0, times)
-    assert traj.coords.shape == (80, 7701)
-    assert peak - traj.coords.nbytes < 3e6, peak - traj.coords.nbytes
+    traj, peak, kept = above_live(propagate_eigen, H, psi0, times)
+    assert traj.coords is None
+    assert kept < 5e5, kept  # 0.31 MB: the blocks, modes and pair tables
+    assert peak < 1e6, peak  # 0.58 MB
+    assert sum(y.shape[1] for _, y in traj.chunks()) == 7701
 
 
 def test_trajectory_csv_memory_on_the_readme_run(tmp_path, above_live):

@@ -141,3 +141,23 @@ def test_two_atom_rates_validation():
         two_atom_rates(0.0)
     with pytest.raises(InvalidArgumentError):
         two_atom_rates(-1.0)
+
+
+# every raise of the module, each with its input and message
+_BAD_INPUTS = [
+    (lambda: noninteracting_intensity(build_lattice(2, 1, 1, 0.5),
+                                      [0.0, 0.0, K0], [0.0, 0.0, 1.0], 0.0,
+                                      helicity=0),
+     "helicity must be +1 or -1"),
+    (lambda: two_atom_rates(0.0), "separation must be positive"),
+    (lambda: two_atom_rates(-0.2), "separation must be positive"),
+    (lambda: two_atom_rates(0.2, sublevel=2),
+     "sublevel must be one of -1, 0, +1"),
+]
+
+
+@pytest.mark.parametrize("call, message", _BAD_INPUTS)
+def test_bad_inputs_raise_typed_errors(call, message):
+    with pytest.raises(InvalidArgumentError) as info:
+        call()
+    assert str(info.value) == message

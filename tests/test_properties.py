@@ -1,7 +1,7 @@
 """Invariants of the coupling blocks and the adiabatic model over random
 arrays (N <= 6, spacing >= 0.1), and of the rotation-symmetry blocks over
 random lattices and rotation-symmetric arrays, and of the observables
-read from the stored block coordinates."""
+read from the block coordinates."""
 
 import itertools
 import os
@@ -178,6 +178,30 @@ def test_rotation_blocks_are_orthonormal_and_commute(nx, ny, nz, d, subs,
         excited = [Q.excited(H.n_atoms)
                    for Q in rotation_blocks(H, inversion=inversion)]
         assert sum(Qk.shape[1] for Qk in excited) == H.excited_block.shape[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 4), st.floats(0.2, 0.9),
+       st.sampled_from(((-1, 0, 1), (-1, 1), (0,))))
+def test_c4_irreps_k_and_minus_k_share_their_spectrum(n, nz, d, subs):
+    # reciprocity: the Green's tensor is symmetric, G(r)^T = G(r) = G(-r),
+    # and e_nu^* = (-1)^nu e_-nu, so the excited block M satisfies
+    # M^T = S M S, S the signed sublevel flip nu -> -nu.  S conj maps the
+    # C4 irrep k onto -k = 4 - k and keeps the parity, so on a square
+    # lattice with sublevels closed under the flip the (1, p) and (3, p)
+    # excited blocks have one spectrum.  (With the sublevel +1 alone,
+    # M^T = M and conj maps k onto 2 - k, so 1 and 3 differ.)
+    H = assemble(build_lattice(n, n, nz, d),
+                 LaserDrive(1.3, 0.7, target_sublevel=subs[-1]),
+                 include_sublevels=subs)
+    lams = {Q.irrep: np.linalg.eigvals(H.block(Q).excited)
+            for Q in rotation_blocks(H)
+            if Q.n_meta(H.n_atoms) < Q.shape[1]}
+    for p in (1, -1):
+        assert ((1, p) in lams) == ((3, p) in lams)
+        if (1, p) in lams:
+            a, b = lams[1, p], lams[3, p]
+            assert _same_multiset(a, b, 1e-12 * np.max(np.abs(a)))
 
 
 @settings(max_examples=60, deadline=None)
