@@ -8,7 +8,7 @@ in every output file for provenance.
 
 from __future__ import annotations
 
-import hashlib
+import importlib
 import json
 import math
 import os
@@ -24,6 +24,23 @@ from .errors import ConfigError
 from .farfield import AngularGrid
 from .greens import K0
 from .shaping import TargetWaveform
+
+
+def _builtin_sha256():
+    """SHA-256 from CPython's own module, _sha256 up to 3.11 and _sha2 from
+    3.12 (named at run time, as each exists on one side of 3.12 only), so
+    that no run maps OpenSSL's libcrypto as importing hashlib does; hashlib
+    only on a build without either."""
+    for name in ("_sha2", "_sha256"):
+        try:
+            return importlib.import_module(name).sha256
+        except ImportError:
+            pass
+    from hashlib import sha256
+    return sha256
+
+
+_sha256 = _builtin_sha256()
 
 __all__ = ["RunConfig"]
 
@@ -268,9 +285,11 @@ class RunConfig:
         }
 
     def digest(self) -> str:
+        """The first 12 hex digits of the SHA-256 of the canonical form:
+        to_dict as compact JSON with sorted keys, UTF-8 encoded."""
         canon = json.dumps(self.to_dict(), sort_keys=True,
                            separators=(",", ":"))
-        return hashlib.sha256(canon.encode()).hexdigest()[:12]
+        return _sha256(canon.encode()).hexdigest()[:12]
 
     # ---- builders -------------------------------------------------------
 

@@ -201,21 +201,37 @@ class Trajectory:
                 f"time {np.min(u):g}..{np.max(u):g} outside trajectory "
                 f"coverage [{self.times[0]:g}, {self.times[-1]:g}]")
 
+    def chunks_at(self, u):
+        """Yield (indices into the times u, their (dim, k) stacked
+        coordinates), at most _CHUNK_ENTRIES coordinates at a time, until
+        every time of u is served.  A spectral trajectory evaluates the
+        sorted times chunk by chunk, in the chunks of chunks, so at its own
+        grid the two agree bit for bit; an ODE one takes coords_at (one
+        integration for all off-grid times) and slices it."""
+        u = np.atleast_1d(np.asarray(u, dtype=float))
+        if self.coords is None:
+            self._check_coverage(u)
+            order = np.argsort(u, kind="stable")
+            for s in _chunk_slices(self.dim, len(u)):
+                yield order[s], self._modal(u[order[s]])
+            return
+        y = self.coords_at(u)
+        for s in _chunk_slices(self.dim, len(u)):
+            yield s, y[:, s]
+
     def coords_at(self, u) -> np.ndarray:
         """Stacked block coordinates at the times u, one column each
         (exact for spectral trajectories, to the run's tolerances for ODE
-        ones).  A spectral trajectory evaluates the sorted times in the
-        chunks of chunks, so at its own grid the two agree bit for bit.
+        ones).  A spectral trajectory gathers the chunks of chunks_at.
         An ODE trajectory serves all off-grid times with one integration
         over their sorted grid."""
         u = np.atleast_1d(np.asarray(u, dtype=float))
-        self._check_coverage(u)
         if self.coords is None:
-            order = np.argsort(u, kind="stable")
             out = np.empty((self.dim, len(u)), dtype=complex)
-            for s in _chunk_slices(self.dim, len(u)):
-                out[:, order[s]] = self._modal(u[order[s]])
+            for idx, y in self.chunks_at(u):
+                out[:, idx] = y
             return out
+        self._check_coverage(u)
         # within the coverage slack, u is the end sample
         u = np.clip(u, self.t_start, self.t_end)
         k = np.searchsorted(self.times, u, side="right") - 1

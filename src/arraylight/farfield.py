@@ -15,8 +15,10 @@ and the helicity-summed single-atom pattern is (1 + cos^2 theta)/2
 relative to 2/(8pi/3).
 
 Angular maps use a Gauss-Legendre grid in cos(theta) crossed with a
-uniform phi grid.  The plane-wave sums sum_j exp(i k0 r_hat . r_j) s_j
-behind them (_kernels.direction_sums) factorize along the axes on a
+uniform phi grid; the Gauss-Legendre rule is computed here
+(_gauss_legendre), by Newton's method on the Legendre recurrence.  The
+plane-wave sums sum_j exp(i k0 r_hat . r_j) s_j behind them
+(_kernels.direction_sums) factorize along the axes on a
 lattice: with the array's dims and spacing they are contracted one axis at
 a time, z once per ring of the grid (one cos theta), then y and x per
 ring, and a free-form array takes the direct sum.  Waveforms need no grid:
@@ -36,11 +38,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from . import _kernels
 from .core import AtomArray
-from .dynamics import Trajectory, _chunk_slices
+from .dynamics import Trajectory
 from .envelope import write_columns
 from .errors import InvalidArgumentError
 from .hamiltonian import project_table
@@ -102,15 +103,47 @@ def helicity_frame(r_hat) -> HelicityFrame:
     return HelicityFrame(r_hat=r, eps_plus=ep[0], eps_minus=em[0])
 
 
+def _gauss_legendre(n: int):
+    """Nodes (ascending) and weights of the n-point Gauss-Legendre rule on
+    [-1, 1].  The positive roots of P_n are polished by Newton's method
+    from Tricomi's first-order guesses, P_n and P_n' from the three-term
+    recurrence; the weights are 2 / ((1 - x)(1 + x) P_n'(x)^2), scaled to
+    sum to 2.  The negative half mirrors the positive one, so the rule is
+    exactly symmetric (an odd n has the node 0)."""
+    m = (n + 1) // 2
+    x = np.cos(np.pi * (np.arange(1, m + 1) - 0.25) / (n + 0.5))
+    for _ in range(100):
+        p0, p1 = np.ones(m), x
+        for j in range(2, n + 1):
+            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+        dp = n * (p0 - x * p1) / ((1.0 - x) * (1.0 + x))
+        dx = p1 / dp
+        x = x - dx
+        if np.max(np.abs(dx)) < 1e-15:
+            break
+    if n % 2:
+        x[-1] = 0.0
+    w = 2.0 / ((1.0 - x) * (1.0 + x) * dp ** 2)
+    nodes = np.concatenate([-x, x[::-1][n % 2:]])
+    weights = np.concatenate([w, w[::-1][n % 2:]])
+    return nodes, weights * (2.0 / weights.sum())
+
+
 class AngularGrid:
-    """Gauss-Legendre(cos theta) x uniform(phi) product quadrature."""
+    """Gauss-Legendre(cos theta) x uniform(phi) product quadrature.
+
+    The n_theta nodes and weights in cos(theta) are the Gauss-Legendre
+    rule of _gauss_legendre, exactly symmetric about the equator; theta
+    ascends, phi is 2 pi k / n_phi, and each weight carries the 2 pi / n_phi
+    of its phi node, so the weights sum to 4 pi.
+    """
 
     def __init__(self, n_theta: int = 64, n_phi: int = 128):
         if n_theta < 2 or n_phi < 2:
             raise InvalidArgumentError("need at least 2 nodes per angle")
         self.n_theta = int(n_theta)
         self.n_phi = int(n_phi)
-        x, w = leggauss(self.n_theta)
+        x, w = _gauss_legendre(self.n_theta)
         theta_1d = np.arccos(x[::-1])           # ascending theta
         w_1d = w[::-1]
         phi_1d = 2.0 * np.pi * np.arange(self.n_phi) / self.n_phi
@@ -278,7 +311,9 @@ def waveform(traj: Trajectory, u_grid=None,
     bases being orthonormal (Trajectory.norm_squared, whose series the
     pass keeps).  The total flux equals -d|psi|^2/dt exactly.
     u_grid defaults to the trajectory's own sample times; other times are
-    read through Trajectory.coords_at, then taken a chunk at a time.
+    read a chunk at a time as well (Trajectory.chunks_at: a spectral
+    trajectory evaluates them chunk by chunk, an ODE one integrates them
+    in one pass), with the state side summed from each chunk.
     The trajectory should be long enough that the residual excitation is
     below 1e-3; pass allow_truncation=True to accept a truncated waveform.
     """
@@ -287,15 +322,19 @@ def waveform(traj: Trajectory, u_grid=None,
         u, chunks = traj.times, traj.chunks()
     else:
         u = np.asarray(u_grid, dtype=float)
-        y = traj.coords_at(u)
-        chunks = ((s, y[:, s]) for s in _chunk_slices(len(y), len(u)))
+        chunks = traj.chunks_at(u)
+        norm2 = np.empty(len(u))
     fp, fm = np.empty(len(u)), np.empty(len(u))
     for s, y_s in chunks:
         beta = np.vstack([y_k[blk.n_meta:] for blk, y_k
                           in zip(traj.blocks, traj.split(y_s))])
         fp[s], fm[s] = (_quadratic_forms(F, beta) for F in ops)
-    norm2 = (traj.norm_squared() if u_grid is None
-             else np.sum(np.abs(y) ** 2, axis=0))
+        if u_grid is not None:
+            c2 = np.abs(y_s)
+            c2 *= c2
+            norm2[s] = np.sum(c2, axis=0)
+    if u_grid is None:
+        norm2 = traj.norm_squared()
     residual = float(norm2[-1])
     if residual > 1e-3 and not allow_truncation:
         raise InvalidArgumentError(

@@ -1,6 +1,7 @@
 """Configuration parsing, digests, and the command line front end."""
 
 import ast
+import hashlib
 import importlib
 import json
 import os
@@ -15,7 +16,7 @@ from _references import right_vectors, states
 
 import arraylight
 from arraylight import __version__, dynamics
-from arraylight.cli import main
+from arraylight.cli import cmd_shape, cmd_validate, main
 from arraylight.config import RunConfig
 from arraylight.core import build_lattice, timed_dicke_state
 from arraylight.dynamics import Trajectory, propagate_eigen, propagate_ode
@@ -142,6 +143,26 @@ def test_digest_stable_and_sensitive():
     raw = _minimal()
     raw["lattice"]["d"] = 0.7
     assert RunConfig.from_dict(raw).digest() != cfg_a.digest()
+
+
+@pytest.mark.parametrize("edit", [
+    {},
+    {"drive": {"omega_L0": 2.0, "delta": 10.0, "target_sublevel": -1,
+               "envelope": {"kind": "square", "t_w": 2.5, "low": 0.25}}},
+    {"sublevels": [1], "propagator": "ode", "grid": {"n_theta": 65,
+                                                     "n_phi": 7}},
+    {"shaping": {"fraction": 0.75, "tau_end": 2000.0,
+                 "target": {"kind": "two_gaussians", "centers": [20, 60],
+                            "width": 10.0, "t_end": 100.0}}},
+    {"output": {"directory": "r\u00e9sultats/\u03b1"},
+     "k_gf": {"direction": [1, -2, 0.5], "magnitude": 3.25}},
+])
+def test_digest_is_the_sha256_of_the_canonical_form(edit):
+    # the digest comes from CPython's own SHA-256 module, not hashlib
+    # (which maps OpenSSL); it is hashlib's SHA-256 of the canonical JSON
+    cfg = RunConfig.from_dict({**_readme_run_cfg(), **edit})
+    canon = json.dumps(cfg.to_dict(), sort_keys=True, separators=(",", ":"))
+    assert cfg.digest() == hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
 def test_digest_ignores_config_dir():
@@ -277,6 +298,72 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
     assert main(["validate", "--config", path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "drive.deltaa" in err
+
+
+def _set(raw, dotted, value):
+    """Set the value at the dotted key path of raw, making the sections
+    on the way as needed."""
+    *sections, key = dotted.split(".")
+    for name in sections:
+        raw = raw.setdefault(name, {})
+    raw[key] = value
+
+
+# raises of the config module, each with the command that meets it, the
+# dotted key, the value put there and the message; every raise that no
+# other test reaches is here
+_BAD_CONFIGS = [
+    ("validate", "lattice", [2, 2, 1], "section 'lattice' must be a mapping"),
+    ("validate", "drive.envelope", "square",
+     "section 'drive.envelope' must be a mapping"),
+    ("validate", "lattice.nx", 0, "'lattice.nx' must be >= 1"),
+    ("validate", "grid.n_phi", 1, "'grid.n_phi' must be >= 2"),
+    ("validate", "k_gf.direction", [0, 1],
+     "'k_gf.direction' must be a 3-vector"),
+    ("validate", "k_gf.direction", "z", "'k_gf.direction' must be a 3-vector"),
+    ("validate", "drive.target_sublevel", 2,
+     "'drive.target_sublevel' must be -1, 0 or 1"),
+    ("validate", "drive.envelope", {"kind": "ramp"},
+     "'drive.envelope.kind' must be constant, square or file"),
+    ("validate", "sublevels", [], "'sublevels' must be a nonempty list"),
+    ("validate", "sublevels", 1, "'sublevels' must be a nonempty list"),
+    ("validate", "shaping.target", {"kind": "lorentzian"},
+     "'shaping.target.kind' must be gaussian, two_gaussians or file"),
+    ("validate", "drive.envelope", {"kind": "file", "path": ""},
+     "'drive.envelope.path' must be a nonempty string"),
+    ("validate", "shaping.target", {"kind": "file", "path": 3},
+     "'shaping.target.path' must be a nonempty string"),
+    ("shape", "shaping", {"fraction": 0.5},
+     "shape command needs 'shaping.target' in the config or a --target "
+     "file"),
+    ("validate", "shaping.target", {"kind": "two_gaussians", "width": 3.0,
+                                    "t_end": 60.0, "centers": 20.0},
+     "'shaping.target.centers' must be a list"),
+]
+
+
+@pytest.mark.parametrize("command, key, value, message", _BAD_CONFIGS)
+def test_bad_configs_raise_typed_errors(tmp_path, capsys, command, key,
+                                        value, message):
+    raw = _fast_run_cfg()
+    _set(raw, key, value)
+    path = _write_yaml(tmp_path / "run.yaml", raw)
+    out = str(tmp_path / "out")
+    with pytest.raises(ConfigError) as info:
+        cfg = RunConfig.from_yaml(path)
+        cmd_shape(cfg, out) if command == "shape" else cmd_validate(cfg)
+    assert str(info.value) == message
+    assert main([command, "--config", path, "--out", out]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("sublevel", [-1, 0, 1])
+def test_target_sublevel_is_read(sublevel):
+    raw = _fast_run_cfg()
+    raw["drive"]["target_sublevel"] = sublevel
+    cfg = RunConfig.from_dict(raw)
+    assert cfg.target_sublevel == cfg.build_drive().target_sublevel \
+        == sublevel
 
 
 @pytest.mark.parametrize("command, section, edit, needle", [
@@ -698,9 +785,11 @@ def test_auto_runs_eigen_when_the_envelope_ramps_only_after_the_run(
 
 
 def _unwanted_modules_after(argv):
-    """Exit code, and the scipy and numpy.ma modules, of a fresh
+    """Exit code, and the modules no run needs (scipy, numpy.ma,
+    numpy.polynomial, and OpenSSL's _hashlib and _ssl), of a fresh
     interpreter that imports arraylight and then runs the command line
-    on argv; the code is None when argv is None (the import alone)."""
+    on argv; the code is None when argv is None (the import alone).  It
+    takes a fresh interpreter, as pytest itself imports hashlib."""
     src = os.path.dirname(os.path.dirname(arraylight.__file__))
     code = ("import json, sys\n"
             "import arraylight\n"
@@ -708,8 +797,9 @@ def _unwanted_modules_after(argv):
             + ("" if argv is None else "from arraylight.cli import main\n"
                f"code = main({argv!r})\n")
             + "print(json.dumps([code, sorted(m for m in sys.modules "
-            "if m.split('.')[0] == 'scipy' "
-            "or m.split('.')[:2] == ['numpy', 'ma'])]))")
+            "if m.split('.')[0] in ('scipy', '_hashlib', '_ssl') "
+            "or m.split('.')[:2] in (['numpy', 'ma'], "
+            "['numpy', 'polynomial']))]))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")]))
     run = subprocess.run([sys.executable, "-c", code], env=env,
@@ -721,7 +811,9 @@ def _unwanted_modules_after(argv):
 def test_simulate_and_shape_import_no_scipy_or_numpy_ma(tmp_path):
     # the spectral path, the Taylor ODE pass and the designer run on numpy
     # alone, and none of them loads numpy.ma (np.unique and np.union1d
-    # import it on their first call)
+    # import it on their first call), numpy.polynomial (the Gauss-Legendre
+    # rule is farfield's own) or OpenSSL (the config digest takes CPython's
+    # own SHA-256; hashlib maps libcrypto, 3.6 MB resident)
     path = _write_yaml(tmp_path / "run.yaml", _fast_run_cfg())
     code, modules = _unwanted_modules_after(
         ["simulate", "--config", path, "--out", str(tmp_path / "sim")])

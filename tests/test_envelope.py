@@ -249,3 +249,42 @@ def test_two_column_csv_readers(tmp_path, read, samples, what):
     with pytest.raises(InvalidArgumentError,
                        match=f"{what} file {where} needs"):
         read(path)
+
+
+_INF = math.inf
+
+# the module's raises that no other test reaches, and the others of the
+# same constructors, each with its input and message
+_BAD_INPUTS = [
+    (lambda: PulseEnvelope([], [], [], []),
+     "envelope needs at least one segment"),
+    (lambda: PulseEnvelope([0.0], [1.0, 2.0], [1.0], [1.0]),
+     "envelope needs at least one segment"),
+    (lambda: PulseEnvelope([-1.0], [1.0], [1.0], [1.0]),
+     "envelope must start at t >= 0"),
+    (lambda: PulseEnvelope([0.0, 1.0], [1.0, 1.0], [1.0, 1.0], [1.0, 1.0]),
+     "envelope segments must have t1 > t0"),
+    (lambda: PulseEnvelope([0.0, 1.5], [1.0, _INF], [1.0, 0.5], [1.0, 0.5]),
+     "envelope segments must be contiguous"),
+    (lambda: PulseEnvelope([0.0], [1.0], [0.5], [1.5]),
+     "envelope values must lie in [0, 1], got [0.5, 1.5]"),
+    (lambda: PulseEnvelope([0.0], [_INF], [1.0], [0.5]),
+     "infinite final segment must be constant"),
+    (lambda: PulseEnvelope.square(0.0), "square pulse needs t_w > 0"),
+    (lambda: PulseEnvelope.square(-2.0), "square pulse needs t_w > 0"),
+    (lambda: PulseEnvelope.from_samples([0.0, 1.0], [1.0]),
+     "need matching 1-d grids with >= 2 samples"),
+    (lambda: PulseEnvelope.from_samples([0.0], [1.0]),
+     "need matching 1-d grids with >= 2 samples"),
+    (lambda: PulseEnvelope.from_samples([[0.0, 1.0]], [[1.0, 1.0]]),
+     "need matching 1-d grids with >= 2 samples"),
+    (lambda: PulseEnvelope.from_samples([0.0, 1.0, 1.0], [1.0, 1.0, 1.0]),
+     "t_grid must be strictly increasing"),
+]
+
+
+@pytest.mark.parametrize("call, message", _BAD_INPUTS)
+def test_bad_inputs_raise_typed_errors(call, message):
+    with pytest.raises(InvalidArgumentError) as info:
+        call()
+    assert str(info.value) == message
