@@ -43,14 +43,16 @@ def _header_lines(cfg: RunConfig) -> list:
     return [f"arraylight v{__version__}", f"config_digest {cfg.digest()}"]
 
 
-def _write_summary(out_dir: str, cfg: RunConfig, payload: dict) -> str:
-    payload = {"version": __version__, "config_digest": cfg.digest(),
-               **payload}
-    path = os.path.join(out_dir, "summary.json")
-    with open(path, "w") as fh:
+def _write_json(out_dir: str, name: str, payload: dict) -> None:
+    with open(os.path.join(out_dir, name), "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return path
+
+
+def _write_summary(out_dir: str, cfg: RunConfig, payload: dict) -> None:
+    """summary.json holds no wall times, so reruns write the same bytes."""
+    _write_json(out_dir, "summary.json", {
+        "version": __version__, "config_digest": cfg.digest(), **payload})
 
 
 def _prepare(cfg: RunConfig, out_dir: str):
@@ -119,9 +121,9 @@ def cmd_simulate(cfg: RunConfig, out_dir: str) -> int:
                            "phi": float(amap.phi[k])},
         "max_rate": float(np.max(spectrum.rates)),
         "min_rate": float(np.min(spectrum.rates)),
-        "timings_s": {"propagate": t1 - t0, "waveform": t2 - t1,
-                      "write": t3 - t2},
     })
+    _write_json(out_dir, "timings.json", {
+        "propagate": t1 - t0, "waveform": t2 - t1, "write": t3 - t2})
     return 0
 
 

@@ -39,13 +39,15 @@ Two routes, cross-validated against each other:
 Both routes take their blocks from EffectiveHamiltonian.block: a constant
 excited part, projected once, and the drive pairing, scaled by f(t).  A
 Trajectory holds the stacked coordinates in those blocks, stored (ODE) or
-as the segments' modes (spectral), and hands every reader of all samples
-the same bounded chunks of them (Trajectory.chunks): populations, the
-norm, the CSV and (in farfield) the flux of each helicity are read from
-the chunks, and only single vectors are lifted to the full space.  The
-helicity difference of the flux is odd under inversion, so it couples
-each inversion-split block to its parity partner: farfield projects the
-flux operators onto all of a trajectory's blocks at once.
+as the segments' modes (spectral), and is read two ways: chunks, every
+sample in order in bounded chunks, and coords_at, the coordinates at
+chosen times.  Populations, the norm, the CSV and (in farfield) the flux
+of each helicity are read from the chunks, and only single vectors are
+lifted to the full space; a waveform on other times comes from
+propagating on those times.  The helicity difference of the flux is odd
+under inversion, so it couples each inversion-split block to its parity
+partner: farfield projects the flux operators onto all of a trajectory's
+blocks at once.
 """
 
 from __future__ import annotations
@@ -104,9 +106,10 @@ class Trajectory:
     column of a block basis lies in one sector (the a_l, or one
     sublevel), and the bases are orthonormal.
 
-    Off-grid coordinates come exactly from the segments' modes (spectral)
-    or are integrated from the stored sample at or before the first of
-    them, in the same blocks, at the run's own tolerances tols =
+    coords_at is how a reader of chosen times (state_at, angular maps)
+    sees them.  Off-grid coordinates come exactly from the segments' modes
+    (spectral) or are integrated from the stored sample at or before the
+    first of them, in the same blocks, at the run's own tolerances tols =
     (rtol, atol) (ODE).  eigen_blocks lists, per spectral segment, the
     dimensions of the blocks diagonalized (None for ODE trajectories).
     ode_passes and ode_products count the ODE work run for the trajectory
@@ -195,43 +198,25 @@ class Trajectory:
                 _modal_coords(modes, u[a:b] - t0, out=out[:, a:b])
         return out
 
-    def _check_coverage(self, u):
+    def coords_at(self, u) -> np.ndarray:
+        """Stacked block coordinates at the chosen times u, one column each
+        (exact for spectral trajectories, to the run's tolerances for ODE
+        ones); chunks reads every sample.  A spectral trajectory evaluates
+        the sorted times in the chunks of chunks and scatters them back,
+        so at its own grid the two agree bit for bit.  An ODE trajectory
+        serves all off-grid times with one integration over their sorted
+        grid."""
+        u = np.atleast_1d(np.asarray(u, dtype=float))
         if np.any(u < self.times[0] - 1e-12) or np.any(u > self.times[-1] + 1e-12):
             raise InvalidArgumentError(
                 f"time {np.min(u):g}..{np.max(u):g} outside trajectory "
                 f"coverage [{self.times[0]:g}, {self.times[-1]:g}]")
-
-    def chunks_at(self, u):
-        """Yield (indices into the times u, their (dim, k) stacked
-        coordinates), at most _CHUNK_ENTRIES coordinates at a time, until
-        every time of u is served.  A spectral trajectory evaluates the
-        sorted times chunk by chunk, in the chunks of chunks, so at its own
-        grid the two agree bit for bit; an ODE one takes coords_at (one
-        integration for all off-grid times) and slices it."""
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        if self.coords is None:
-            self._check_coverage(u)
-            order = np.argsort(u, kind="stable")
-            for s in _chunk_slices(self.dim, len(u)):
-                yield order[s], self._modal(u[order[s]])
-            return
-        y = self.coords_at(u)
-        for s in _chunk_slices(self.dim, len(u)):
-            yield s, y[:, s]
-
-    def coords_at(self, u) -> np.ndarray:
-        """Stacked block coordinates at the times u, one column each
-        (exact for spectral trajectories, to the run's tolerances for ODE
-        ones).  A spectral trajectory gathers the chunks of chunks_at.
-        An ODE trajectory serves all off-grid times with one integration
-        over their sorted grid."""
-        u = np.atleast_1d(np.asarray(u, dtype=float))
         if self.coords is None:
             out = np.empty((self.dim, len(u)), dtype=complex)
-            for idx, y in self.chunks_at(u):
-                out[:, idx] = y
+            order = np.argsort(u, kind="stable")
+            for s in _chunk_slices(self.dim, len(u)):
+                out[:, order[s]] = self._modal(u[order[s]])
             return out
-        self._check_coverage(u)
         # within the coverage slack, u is the end sample
         u = np.clip(u, self.t_start, self.t_end)
         k = np.searchsorted(self.times, u, side="right") - 1
@@ -281,17 +266,13 @@ class Trajectory:
         """(metastable, excited-per-sublevel) population time series."""
         return self._squares()[:2]
 
-    def to_csv(self, path, atoms=_KEPT_ATOMS, header_lines=()) -> None:
+    def to_csv(self, path, header_lines=()) -> None:
         """The populations, the norm and the amplitudes a_j of the atoms
-        as CSV columns; atoms other than _KEPT_ATOMS take one more pass of
-        chunks."""
+        _KEPT_ATOMS as CSV columns, from the kept series."""
         meta, exc, norm2 = self._squares()
         cols = ["t", "pop_f", "pop_e_m1", "pop_e_0", "pop_e_p1", "norm2"]
         data = [self.times, meta, exc[:, 0], exc[:, 1], exc[:, 2], norm2]
-        a = (self._series[1] if tuple(atoms) == _KEPT_ATOMS else
-             np.hstack([self.lift(y, rows=list(atoms))
-                        for _, y in self.chunks()]))
-        for j, a_j in zip(atoms, a):
+        for j, a_j in zip(_KEPT_ATOMS, self._series[1]):
             cols += [f"re_a_{j}", f"im_a_{j}"]
             data += [a_j.real, a_j.imag]
         write_columns(path, cols, data, header_lines)

@@ -44,18 +44,17 @@ class PulseEnvelope:
         f1s = np.asarray(f1s, dtype=float)
         if not (len(t0s) == len(t1s) == len(f0s) == len(f1s)) or len(t0s) == 0:
             raise InvalidArgumentError("envelope needs at least one segment")
-        if t0s[0] < 0.0:
+        if not t0s[0] >= 0.0:
             raise InvalidArgumentError("envelope must start at t >= 0")
-        if np.any(t1s <= t0s):
+        if not np.all(t1s > t0s):
             raise InvalidArgumentError("envelope segments must have t1 > t0")
         if np.any(t0s[1:] != t1s[:-1]):
             raise InvalidArgumentError("envelope segments must be contiguous")
-        fmin = min(f0s.min(), f1s.min())
-        fmax = max(f0s.max(), f1s.max())
-        if fmin < 0.0 or fmax > 1.0 + 1e-12:
+        fs = np.concatenate([f0s, f1s])
+        if not np.all((fs >= 0.0) & (fs <= 1.0 + 1e-12)):
             raise InvalidArgumentError(
-                f"envelope values must lie in [0, 1], got [{fmin:g}, {fmax:g}]"
-            )
+                f"envelope values must lie in [0, 1], got "
+                f"[{fs.min():g}, {fs.max():g}]")
         if math.isinf(t1s[-1]) and f0s[-1] != f1s[-1]:
             raise InvalidArgumentError("infinite final segment must be constant")
         self._t0 = t0s
@@ -83,7 +82,7 @@ class PulseEnvelope:
     @classmethod
     def square(cls, t_w: float, high: float = 1.0, low: float = 0.0) -> "PulseEnvelope":
         """Square pulse: f = high on [0, t_w), then f = low."""
-        if t_w <= 0:
+        if not t_w > 0:
             raise InvalidArgumentError("square pulse needs t_w > 0")
         return cls([0.0, t_w], [t_w, math.inf], [high, low], [high, low])
 
@@ -94,7 +93,7 @@ class PulseEnvelope:
         f = np.asarray(f_values, dtype=float)
         if t.ndim != 1 or t.shape != f.shape or len(t) < 2:
             raise InvalidArgumentError("need matching 1-d grids with >= 2 samples")
-        if np.any(np.diff(t) <= 0):
+        if not np.all(np.diff(t) > 0):
             raise InvalidArgumentError("t_grid must be strictly increasing")
         t0 = np.concatenate([t[:-1], [t[-1]]])
         t1 = np.concatenate([t[1:], [math.inf]])

@@ -294,9 +294,10 @@ def _flux_operators(H, blocks) -> list:
     return [total + diff, np.subtract(total, diff, out=total)]
 
 
-def waveform(traj: Trajectory, u_grid=None,
-             allow_truncation: bool = False) -> Waveform:
-    """Angular-integrated flux and cumulative photon number versus u.
+def waveform(traj: Trajectory, *, allow_truncation: bool = False) -> Waveform:
+    """Angular-integrated flux and cumulative photon number versus u, on
+    the trajectory's own sample times; a waveform on other times comes
+    from propagating on those times.
 
     The flux of each helicity is the quadratic form of the excited
     amplitudes with its exact flux operator, built once on the stacked
@@ -310,31 +311,17 @@ def waveform(traj: Trajectory, u_grid=None,
     are not block diagonal.  The state side is 1 - |coordinates|^2, the
     bases being orthonormal (Trajectory.norm_squared, whose series the
     pass keeps).  The total flux equals -d|psi|^2/dt exactly.
-    u_grid defaults to the trajectory's own sample times; other times are
-    read a chunk at a time as well (Trajectory.chunks_at: a spectral
-    trajectory evaluates them chunk by chunk, an ODE one integrates them
-    in one pass), with the state side summed from each chunk.
     The trajectory should be long enough that the residual excitation is
     below 1e-3; pass allow_truncation=True to accept a truncated waveform.
     """
     ops = _flux_operators(traj.H, traj.blocks)
-    if u_grid is None:
-        u, chunks = traj.times, traj.chunks()
-    else:
-        u = np.asarray(u_grid, dtype=float)
-        chunks = traj.chunks_at(u)
-        norm2 = np.empty(len(u))
+    u = traj.times
     fp, fm = np.empty(len(u)), np.empty(len(u))
-    for s, y_s in chunks:
+    for s, y_s in traj.chunks():
         beta = np.vstack([y_k[blk.n_meta:] for blk, y_k
                           in zip(traj.blocks, traj.split(y_s))])
         fp[s], fm[s] = (_quadratic_forms(F, beta) for F in ops)
-        if u_grid is not None:
-            c2 = np.abs(y_s)
-            c2 *= c2
-            norm2[s] = np.sum(c2, axis=0)
-    if u_grid is None:
-        norm2 = traj.norm_squared()
+    norm2 = traj.norm_squared()
     residual = float(norm2[-1])
     if residual > 1e-3 and not allow_truncation:
         raise InvalidArgumentError(

@@ -192,9 +192,9 @@ class TargetWaveform:
         self.intensity = np.asarray(self.intensity, dtype=float)
         if self.u_grid.ndim != 1 or self.u_grid.shape != self.intensity.shape:
             raise InvalidArgumentError("u_grid and intensity must match")
-        if np.any(np.diff(self.u_grid) <= 0):
+        if not np.all(np.diff(self.u_grid) > 0):
             raise InvalidArgumentError("u_grid must be strictly increasing")
-        if np.any(self.intensity < 0):
+        if not np.all(self.intensity >= 0):
             raise InvalidArgumentError("target intensity must be >= 0")
         if not 0.0 < self.photon_fraction <= 1.0:
             raise InvalidArgumentError("photon_fraction must be in (0, 1]")

@@ -13,7 +13,6 @@ from arraylight.dynamics import (Trajectory, piecewise_grid,
                                  propagate_eigen, propagate_ode)
 from arraylight.envelope import _CHUNK, PulseEnvelope
 from arraylight.errors import EigenConditionError, InvalidArgumentError
-from arraylight.farfield import waveform
 from arraylight.hamiltonian import assemble
 
 K0 = 2.0 * np.pi
@@ -209,10 +208,10 @@ def test_ode_state_at_matches_eigen_around_a_jump(times):
         assert np.max(np.abs(tr_o.state_at(u) - tr_e.state_at(u))) <= 1e-10
 
 
-def test_ode_waveform_on_an_off_grid_grid_matches_eigen(monkeypatch):
-    # an off-grid u_grid on an ODE trajectory is served by one integration
-    # in the trajectory's own blocks, from the stored sample before its
-    # first time, over the sorted grid
+def test_ode_coords_at_an_off_grid_grid_match_eigen(monkeypatch):
+    # off-grid times on an ODE trajectory are served by one integration
+    # in the trajectory's own blocks, from the stored sample before the
+    # first of them, over their sorted grid
     H, psi0 = _square_pulse_case(PulseEnvelope.square(2.37))
     t = np.linspace(0.0, 4.9, 50)
     tr_o = propagate_ode(H, psi0, t_end=4.9, tol=1e-12, atol=1e-14, times=t)
@@ -220,21 +219,19 @@ def test_ode_waveform_on_an_off_grid_grid_matches_eigen(monkeypatch):
     u = np.linspace(0.03, 4.87, 121)
     assert not np.any(np.isin(u, t))
     calls, _ = _count_solver_calls(monkeypatch)
-    got = waveform(tr_o, u_grid=u, allow_truncation=True)
+    coords = tr_o.coords_at(u)
     assert calls == [(0.0, 4.87)]
-    want = waveform(tr_e, u_grid=u, allow_truncation=True)
-    for name in ("flux_plus", "flux_minus", "cumulative", "state_side"):
-        assert np.max(np.abs(getattr(got, name) - getattr(want, name))) <= 1e-9
+    want = tr_e.lift(tr_e.coords_at(u))
+    assert np.max(np.abs(tr_o.lift(coords) - want)) <= 1e-9
     # the grid's order does not matter; stored samples are not integrated
     order = np.random.default_rng(0).permutation(len(u))
-    coords = tr_o.coords_at(u)
     assert np.array_equal(tr_o.coords_at(u[order]), coords[:, order])
     assert np.array_equal(tr_o.coords_at(t[[7, 3]]), tr_o.coords[:, [7, 3]])
     # a repeated time is one grid time
     again = tr_o.coords_at(u[[5, 2, 5]])
     assert np.array_equal(again[:, 0], again[:, 2])
     assert np.max(np.abs(again - coords[:, [5, 2, 5]])) <= 1e-12
-    assert len(calls) == 4
+    assert len(calls) == 3
 
 
 def test_ode_pass_across_a_jump_costs_about_the_split_runs(monkeypatch):
@@ -796,28 +793,22 @@ def test_propagate_eigen_memory_on_the_readme_run(above_live):
     assert sum(y.shape[1] for _, y in traj.chunks()) == 7701
 
 
-def test_waveform_on_a_u_grid_streams_like_the_grid(above_live):
-    # waveform(traj, u_grid=...) on a spectral trajectory evaluates the
-    # sorted times a chunk at a time (Trajectory.chunks_at) and scatters
-    # the results back to the grid's order: at u_grid = traj.times it is
-    # waveform(traj) bit for bit, in any order of the grid, at about the
-    # grid path's allocation peak (2.4 and 2.8 MB).  Evaluating all of
-    # u_grid through coords_at, with a full-size |y|^2, took 15.4 MB
-    H, psi0, times = _readme_run()
-    traj = propagate_eigen(H, psi0, times)
-    waveform(traj, allow_truncation=True)  # keeps the per-sample series
-    want, grid_peak, _ = above_live(waveform, traj, allow_truncation=True)
-    got, peak, _ = above_live(waveform, traj, u_grid=times,
-                              allow_truncation=True)
-    for name in ("u_grid", "flux_plus", "flux_minus", "cumulative",
-                 "state_side"):
-        assert np.array_equal(getattr(got, name), getattr(want, name)), name
-    assert peak < 1.5 * grid_peak, (peak, grid_peak)
-    order = np.random.default_rng(0).permutation(len(times))
-    got = waveform(traj, u_grid=times[order], allow_truncation=True)
-    for name in ("flux_plus", "flux_minus", "state_side"):
-        assert np.array_equal(getattr(got, name),
-                              getattr(want, name)[order]), name
+@pytest.mark.parametrize("envelope", [PulseEnvelope.constant(1.0),
+                                      PulseEnvelope.square(0.75)])
+def test_a_run_on_u_reads_what_coords_at_u_reads(envelope):
+    # samples on other times u come from propagating on u: on the README
+    # lattice that run's chunks are, bit for bit, coords_at(u) of a run on
+    # a finer grid that ends later (1001 times, three chunks of at most
+    # 409 samples; u holds the square pulse's step at 0.75)
+    arr = build_lattice(3, 3, 8, 0.6)
+    H = assemble(arr, LaserDrive(2.0, 10.0, envelope=envelope))
+    psi0 = timed_dicke_state(arr, np.array([0.0, 0.0, K0]))
+    u = np.linspace(0.0, 20.0, 1001)
+    fine = propagate_eigen(H, psi0, np.linspace(0.0, 25.0, 2501))
+    run = propagate_eigen(H, psi0, u)
+    assert len(list(run.chunks())) == 3
+    got = np.hstack([y for _, y in run.chunks()])
+    assert np.array_equal(got, fine.coords_at(u))
 
 
 def test_trajectory_csv_memory_on_the_readme_run(tmp_path, above_live):

@@ -251,7 +251,7 @@ def test_two_column_csv_readers(tmp_path, read, samples, what):
         read(path)
 
 
-_INF = math.inf
+_INF, _NAN = math.inf, math.nan
 
 # the module's raises that no other test reaches, and the others of the
 # same constructors, each with its input and message
@@ -280,6 +280,17 @@ _BAD_INPUTS = [
      "need matching 1-d grids with >= 2 samples"),
     (lambda: PulseEnvelope.from_samples([0.0, 1.0, 1.0], [1.0, 1.0, 1.0]),
      "t_grid must be strictly increasing"),
+    # NaN fails every bound: an envelope file's "1,nan" row, and NaN times
+    (lambda: PulseEnvelope.from_samples([0.0, 1.0], [0.5, _NAN]),
+     "envelope values must lie in [0, 1], got [nan, nan]"),
+    pytest.param(lambda: PulseEnvelope.from_samples([0.0, _NAN], [1.0, 1.0]),
+                 "t_grid must be strictly increasing", id="nan-t_grid"),
+    pytest.param(lambda: PulseEnvelope([_NAN], [1.0], [1.0], [1.0]),
+                 "envelope must start at t >= 0", id="nan-start"),
+    pytest.param(lambda: PulseEnvelope([0.0], [_NAN], [1.0], [1.0]),
+                 "envelope segments must have t1 > t0", id="nan-end"),
+    pytest.param(lambda: PulseEnvelope.square(_NAN),
+                 "square pulse needs t_w > 0", id="nan-t_w"),
 ]
 
 

@@ -324,6 +324,11 @@ _BAD_INPUTS = [
      InvalidArgumentError, "a0 must have one amplitude per atom"),
     (lambda ref: TargetWaveform(np.arange(3.0), np.ones(2)),
      InvalidArgumentError, "u_grid and intensity must match"),
+    # NaN fails every bound, as a target file's NaN row would
+    (lambda ref: TargetWaveform([0.0, np.nan, 2.0], np.ones(3)),
+     InvalidArgumentError, "u_grid must be strictly increasing"),
+    (lambda ref: TargetWaveform(np.arange(3.0), [1.0, np.nan, 1.0]),
+     InvalidArgumentError, "target intensity must be >= 0"),
     (lambda ref: design_envelope(
         ref, TargetWaveform(np.arange(3.0), np.zeros(3))),
      InvalidArgumentError, "target shape integrates to zero"),
