@@ -132,7 +132,12 @@ def cmd_angular(cfg: RunConfig, out_dir: str, u: float) -> int:
     if u < 0.0 or u > cfg.t_end:
         raise InvalidArgumentError(
             f"u = {u!r} outside simulated range [0, {cfg.t_end!r}]")
+    # u joins the grid, as an ODE trajectory is read at its samples alone;
+    # neither propagator's steps or segments depend on the grid
     times = cfg.time_grid()
+    k = int(np.searchsorted(times, u))
+    if times[k] != u:
+        times = np.insert(times, k, u)
     traj, method = _propagate(cfg, ham, psi0, times)
     amap = angular_map(traj, u, grid=cfg.build_grid())
     amap.to_csv(os.path.join(out_dir, "angular_map.csv"),
@@ -182,7 +187,7 @@ def cmd_shape(cfg: RunConfig, out_dir: str, target_path=None) -> int:
                     t_grid=target.u_grid, header_lines=header)
     report = validate_shaping(envelope, target, reference,
                               include_sublevels=cfg.sublevels,
-                              tol=cfg.ode_rtol)
+                              tol=cfg.ode_rtol, atol=cfg.ode_atol)
     _write_summary(out_dir, cfg, {"shaping": report.summary()})
     return 0
 

@@ -56,7 +56,8 @@ def _check_keys(d: dict, allowed: set, path: str) -> None:
 
 def _require(d: dict, key: str, path: str):
     if key not in d:
-        raise ConfigError(f"missing required config key '{path}.{key}'")
+        raise ConfigError(f"missing required config key '{path}.{key}'"
+                          if path else f"missing required config key '{key}'")
     return d[key]
 
 

@@ -32,22 +32,23 @@ Two routes, cross-validated against each other:
   norm, term count, products and sum.  It integrates the touched blocks
   of the rotation alone (C4, not split by inversion: two half-size
   products per term cost more than one), or the whole space without a
-  symmetry.
-  Off-grid states are integrated from the stored sample before them, at
-  the run's tolerances.
+  symmetry.  The states are read at the stored samples alone: a time
+  that a reader needs goes into the storage grid, which leaves the steps
+  as they are.
 
 Both routes take their blocks from EffectiveHamiltonian.block: a constant
 excited part, projected once, and the drive pairing, scaled by f(t).  A
 Trajectory holds the stacked coordinates in those blocks, stored (ODE) or
 as the segments' modes (spectral), and is read two ways: chunks, every
 sample in order in bounded chunks, and coords_at, the coordinates at
-chosen times.  Populations, the norm, the CSV and (in farfield) the flux
-of each helicity are read from the chunks, and only single vectors are
-lifted to the full space; a waveform on other times comes from
-propagating on those times.  The helicity difference of the flux is odd
-under inversion, so it couples each inversion-split block to its parity
-partner: farfield projects the flux operators onto all of a trajectory's
-blocks at once.
+chosen times (any covered time of a spectral trajectory, the stored
+samples of an ODE one).  Populations, the norm, the CSV and (in farfield)
+the flux of each helicity are read from the chunks, and only single
+vectors are lifted to the full space; a waveform on other times comes
+from propagating on those times.  The helicity difference of the flux is
+odd under inversion, so it couples each inversion-split block to its
+parity partner: farfield projects the flux operators onto all of a
+trajectory's blocks at once.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from ._kernels import _CHUNK_ENTRIES
 from ._taylor import _spans
 from ._taylor import taylor_pass as solve_ivp
 from .core import AmplitudeState
-from .envelope import _CHUNK, write_columns
+from .envelope import write_columns
 from .errors import EigenConditionError, InvalidArgumentError
 from .hamiltonian import (EffectiveHamiltonian, eigenbasis_condition,
                           rotation_blocks)
@@ -82,7 +83,7 @@ def piecewise_grid(t_end: float, bands) -> np.ndarray:
 
 
 class Trajectory:
-    """Propagation result on a sample grid, with dense evaluation.
+    """Propagation result on a sample grid.
 
     times: strictly increasing sample grid.  blocks: the generator blocks
     (EffectiveHamiltonian.block) the run worked in; dim is the sum of
@@ -107,32 +108,25 @@ class Trajectory:
     sublevel), and the bases are orthonormal.
 
     coords_at is how a reader of chosen times (state_at, angular maps)
-    sees them.  Off-grid coordinates come exactly from the segments' modes
-    (spectral) or are integrated from the stored sample at or before the
-    first of them, in the same blocks, at the run's own tolerances tols =
-    (rtol, atol) (ODE).  eigen_blocks lists, per spectral segment, the
-    dimensions of the blocks diagonalized (None for ODE trajectories).
-    ode_passes and ode_products count the ODE work run for the trajectory
-    so far, its propagate_ode pass and any off-grid pass of coords_at:
-    Taylor passes, and products with the stacked blocks (zero for
-    spectral trajectories).
+    sees them: any covered time of a spectral trajectory, exactly from the
+    segments' modes, and only the stored samples of an ODE one (a reader
+    of another time propagates on a grid that holds it).  eigen_blocks
+    lists, per spectral segment, the dimensions of the blocks diagonalized
+    (None for ODE trajectories).  ode_products counts the products with
+    the stacked blocks of the ODE pass (zero for spectral trajectories).
     """
 
-    def __init__(self, H, times, coords, kind, blocks, segments=None,
-                 eigen_blocks=None, tols=None, ode_products=0):
+    def __init__(self, H, times, blocks, coords=None, segments=None,
+                 ode_products=0):
         self.H = H
         self.times = np.asarray(times, dtype=float)
         self.blocks = tuple(blocks)
         self.coords = coords
-        self.kind = kind
-        self.eigen_blocks = eigen_blocks
         self._segments = segments
         if segments is not None:
             self._later_starts = np.array([seg[0] for seg in segments[1:]]) \
                 - 1e-12
-        self._tols = tols
         self._series = None
-        self.ode_passes = int(kind == "ode")
         self.ode_products = ode_products
         self._spans = _spans(self.blocks)
         self.dim = self._spans[-1].stop
@@ -144,12 +138,10 @@ class Trajectory:
             raise InvalidArgumentError("trajectory times must be strictly increasing")
 
     @property
-    def t_start(self) -> float:
-        return float(self.times[0])
-
-    @property
-    def t_end(self) -> float:
-        return float(self.times[-1])
+    def eigen_blocks(self):
+        if self._segments is not None:
+            return [[len(lam) for _, lam, _ in modes]
+                    for _, _, modes in self._segments]
 
     def split(self, y: np.ndarray) -> list:
         """Stacked block coordinates -> each block's own rows of them."""
@@ -199,13 +191,11 @@ class Trajectory:
         return out
 
     def coords_at(self, u) -> np.ndarray:
-        """Stacked block coordinates at the chosen times u, one column each
-        (exact for spectral trajectories, to the run's tolerances for ODE
-        ones); chunks reads every sample.  A spectral trajectory evaluates
-        the sorted times in the chunks of chunks and scatters them back,
-        so at its own grid the two agree bit for bit.  An ODE trajectory
-        serves all off-grid times with one integration over their sorted
-        grid."""
+        """Stacked block coordinates at the chosen times u, one column each;
+        chunks reads every sample.  A spectral trajectory evaluates the
+        sorted times in the chunks of chunks and scatters them back, so at
+        its own grid the two agree bit for bit.  An ODE trajectory reads
+        its stored samples, and raises for any other time."""
         u = np.atleast_1d(np.asarray(u, dtype=float))
         if np.any(u < self.times[0] - 1e-12) or np.any(u > self.times[-1] + 1e-12):
             raise InvalidArgumentError(
@@ -218,28 +208,17 @@ class Trajectory:
                 out[:, order[s]] = self._modal(u[order[s]])
             return out
         # within the coverage slack, u is the end sample
-        u = np.clip(u, self.t_start, self.t_end)
-        k = np.searchsorted(self.times, u, side="right") - 1
-        out = self.coords[:, k]
+        u = np.clip(u, self.times[0], self.times[-1])
+        k = np.searchsorted(self.times, u)
         off = u != self.times[k]
         if np.any(off):
-            # sorted, without repeats (np.unique would import numpy.ma
-            # on its first call)
-            grid = np.array(sorted(set(u[off].tolist())))
-            first = int(np.min(k[off]))
-            tol, atol = self._tols
-            sol = solve_ivp(self.blocks, (self.times[first], grid[-1]),
-                            self.coords[:, first].copy(),
-                            envelope=self.H.drive.envelope, rtol=tol,
-                            atol=atol, t_eval=grid)
-            self.ode_passes += 1
-            self.ode_products += sol.nfev
-            out[:, off] = sol.y[:, np.searchsorted(grid, u[off])]
-        return out
+            raise InvalidArgumentError(
+                f"time {float(u[off][0])!r} is not a stored sample of the "
+                "ODE trajectory; propagate on a grid that holds it")
+        return self.coords[:, k]
 
     def state_at(self, u: float) -> np.ndarray:
-        """Flat state vector at time u (exact for spectral trajectories,
-        to the run's tolerances for ODE ones)."""
+        """Flat state vector at time u (coords_at)."""
         return self.lift(self.coords_at(float(u))[:, 0])
 
     def beta_at(self, u: float) -> np.ndarray:
@@ -307,22 +286,19 @@ def _column_sectors(H: EffectiveHamiltonian, blk) -> np.ndarray:
 def _modal_coords(modes, dt, out=None) -> np.ndarray:
     """Stacked block coordinates W_k exp(lam_k dt) c0_k at the offsets dt
     from a spectral segment's start, one column each; modes holds
-    (W_k, lam_k, c0_k) per block.  The columns are computed _CHUNK samples
-    at a time, each chunk written straight into out (a new array when not
-    given; any view, column slices included), so the temporaries hold one
-    chunk of one block."""
+    (W_k, lam_k, c0_k) per block.  Each block's columns are written
+    straight into out (a new array when not given; any view, column slices
+    included); the callers bound the number of offsets."""
     dt = np.asarray(dt, dtype=float)
     if out is None:
         out = np.empty((sum(len(lam) for _, lam, _ in modes), len(dt)),
                        dtype=complex)
     lo = 0
     for W, lam, c0 in modes:
-        rows = out[lo:lo + len(lam)]
-        for s in range(0, len(dt), _CHUNK):
-            E = np.outer(lam, dt[s:s + _CHUNK])
-            np.exp(E, out=E)
-            E *= c0[:, None]
-            np.matmul(W, E, out=rows[:, s:s + _CHUNK])
+        E = np.outer(lam, dt)
+        np.exp(E, out=E)
+        E *= c0[:, None]
+        np.matmul(W, E, out=out[lo:lo + len(lam)])
         lo += len(lam)
     return out
 
@@ -366,7 +342,7 @@ def propagate_eigen(H: EffectiveHamiltonian, psi0: AmplitudeState,
     blocks = _touched_blocks(H, psi, inversion=True)
     y = np.concatenate([blk.basis.project(psi) for blk in blocks])
     spans = _spans(blocks)
-    segments, dims = [], []
+    segments = []
     for lo, hi, f, _ in pieces.tolist():
         eigs = [np.linalg.eig(blk.matrix(f)) for blk in blocks]
         cond = eigenbasis_condition(W for _, W in eigs)
@@ -375,10 +351,8 @@ def propagate_eigen(H: EffectiveHamiltonian, psi0: AmplitudeState,
         modes = [(W, lam, np.linalg.solve(W, y[s]))
                  for (lam, W), s in zip(eigs, spans)]
         segments.append((lo, hi, modes))
-        dims.append([len(lam) for lam, _ in eigs])
         y = _modal_coords(modes, [hi - lo])[:, 0]
-    return Trajectory(H, times, None, kind="eigen", blocks=blocks,
-                      segments=segments, eigen_blocks=dims)
+    return Trajectory(H, times, blocks, segments=segments)
 
 
 def _touched_blocks(H: EffectiveHamiltonian, psi: np.ndarray,
@@ -418,9 +392,11 @@ def propagate_ode(H: EffectiveHamiltonian, psi0: AmplitudeState,
     block, of [h s P | G(f) - mu] with the last two terms (_taylor).  The
     stacked coordinates are stored as they are (Trajectory), with the
     pass's block products (ode_products).  times selects the storage grid,
-    a nonempty, strictly increasing 1-D grid read from the Taylor sum of
-    the step around each time; ends up to 1e-12 outside [t0, t_end] are
-    taken as t0 and t_end (default: t0 and every step end).
+    the only times the trajectory is read at (Trajectory.coords_at): a
+    nonempty, strictly increasing 1-D grid read from the Taylor sum of the
+    step around each time, so the steps do not depend on it; ends up to
+    1e-12 outside [t0, t_end] are taken as t0 and t_end (default: t0 and
+    every step end).
     """
     if not 0 < tol < np.inf:
         raise InvalidArgumentError("tol must be finite and positive")
@@ -449,6 +425,5 @@ def propagate_ode(H: EffectiveHamiltonian, psi0: AmplitudeState,
     y0 = np.concatenate([blk.basis.project(psi) for blk in blocks])
     sol = solve_ivp(blocks, (t0, t_end), y0, envelope=H.drive.envelope,
                     rtol=tol, atol=atol, t_eval=times)
-    return Trajectory(H, sol.t, sol.y, kind="ode", blocks=blocks,
-                      tols=(tol, atol), ode_products=sol.nfev)
+    return Trajectory(H, sol.t, blocks, sol.y, ode_products=sol.nfev)
 

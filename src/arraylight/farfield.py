@@ -260,7 +260,9 @@ def intensity_map(beta, array: AtomArray, grid: AngularGrid | None = None,
 
 
 def angular_map(traj: Trajectory, u: float, grid: AngularGrid | None = None) -> AngularMap:
-    """Helicity-resolved intensity snapshot at retarded time u."""
+    """Helicity-resolved intensity snapshot at retarded time u: any covered
+    time of a spectral trajectory, a stored sample of an ODE one
+    (Trajectory.coords_at)."""
     return intensity_map(traj.beta_at(u), traj.H.array, grid,
                          retarded_time=u)
 

@@ -196,6 +196,9 @@ class TargetWaveform:
             raise InvalidArgumentError("u_grid must be strictly increasing")
         if not np.all(self.intensity >= 0):
             raise InvalidArgumentError("target intensity must be >= 0")
+        if not (np.all(np.isfinite(self.u_grid))
+                and np.all(np.isfinite(self.intensity))):
+            raise InvalidArgumentError("target u and intensity must be finite")
         if not 0.0 < self.photon_fraction <= 1.0:
             raise InvalidArgumentError("photon_fraction must be in (0, 1]")
 
@@ -301,15 +304,15 @@ class ShapingReport:
 
 def validate(envelope: PulseEnvelope, target: TargetWaveform,
              reference: AdiabaticReference, include_sublevels=SUBLEVELS,
-             tol: float = 1e-8) -> ShapingReport:
+             tol: float = 1e-8, atol: float = 1e-12) -> ShapingReport:
     """Insert the designed envelope into the full multilevel model.
 
     The run is the reference's: the drive carries the array, omega_L0,
     delta and target sublevel of reference.model, and the state starts
     from the reference's initial amplitudes reference.initial.  Propagates
-    adaptively, computes the exact far-field flux on the target's time
-    grid, and reports the relative L2 mismatch against the normalized
-    target flux.
+    with propagate_ode at the tolerances tol and atol, computes the exact
+    far-field flux on the target's time grid, and reports the relative L2
+    mismatch against the normalized target flux.
     """
     model = reference.model
     u = target.u_grid
@@ -317,7 +320,8 @@ def validate(envelope: PulseEnvelope, target: TargetWaveform,
                        model.target_sublevel)
     H = assemble(model.array, drive, include_sublevels)
     psi0 = AmplitudeState(reference.initial)
-    traj = propagate_ode(H, psi0, t_end=float(u[-1]), tol=tol, times=u)
+    traj = propagate_ode(H, psi0, t_end=float(u[-1]), tol=tol, atol=atol,
+                         times=u)
     wf = farfield.waveform(traj, allow_truncation=True)
     # scale the target to photon_fraction * (1 - |a|^2) at the reference's
     # end; the designer scales by its trapezoid n0[-1] instead, which

@@ -15,7 +15,7 @@ import yaml
 from _references import right_vectors, states
 
 import arraylight
-from arraylight import __version__, dynamics
+from arraylight import __version__, dynamics, shaping
 from arraylight.cli import cmd_shape, cmd_validate, main
 from arraylight.config import RunConfig
 from arraylight.core import build_lattice, timed_dicke_state
@@ -85,7 +85,7 @@ def test_unknown_doubly_nested_key_rejected():
 
 def test_missing_required_keys():
     with pytest.raises(ConfigError, match="missing required config key "
-                       "'.lattice'"):
+                       "'lattice'$"):
         RunConfig.from_dict({})
     with pytest.raises(ConfigError, match="'lattice.d'"):
         RunConfig.from_dict({"lattice": {"nx": 2, "ny": 2, "nz": 1}})
@@ -426,12 +426,18 @@ def test_cli_rejects_non_finite_numbers(tmp_path, capsys, command, section,
      "envelope values must lie in [0, 1], got [nan, nan]"),
     ("shape", "u,intensity\n0.0,1.0\n1.0,nan\n2.0,1.0\n",
      "target intensity must be >= 0"),
-], ids=["envelope", "target"])
+    ("shape", "u,intensity\n0.0,1.0\n1.0,inf\n2.0,1.0\n",
+     "target u and intensity must be finite"),
+    ("shape", "u,intensity\n0.0,1.0\n1.0,1.0\ninf,1\n",
+     "target u and intensity must be finite"),
+], ids=["envelope", "target", "target-inf", "target-inf-u"])
 def test_cli_rejects_nan_in_csv_inputs(tmp_path, capsys, command, csv,
                                        message):
     # a NaN row in an envelope or target file fails the file's bound checks
     # in validate and in the run alike; nan < 0 being False, it had passed
-    # validate, and simulate then died with an untyped ValueError
+    # validate, and simulate then died with an untyped ValueError.  An inf
+    # target row passes the order and sign checks, and shape then failed
+    # in the envelope it built
     (tmp_path / "in.csv").write_text(csv)
     raw = _fast_run_cfg()
     if command == "simulate":
@@ -613,6 +619,37 @@ def test_cli_angular_and_range_check(tmp_path, capsys):
     assert "outside simulated range" in capsys.readouterr().err
 
 
+def test_cli_angular_reads_an_ode_run_at_an_off_grid_u(tmp_path,
+                                                       monkeypatch):
+    # u = 0.3000123 is off the config grid: angular adds it to the grid, so
+    # the ODE run stores the state at u in its one Taylor pass, and its map
+    # matches the spectral map within 1e-10 of each column's maximum (a
+    # second pass restarted from the sample before u was 4.2e-9 off)
+    passes = []
+    solve = dynamics.solve_ivp
+
+    def counted(*args, **kwargs):
+        passes.append(args[1])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "solve_ivp", counted)
+    raw = _readme_run_cfg(t_end=5.0)
+    raw["drive"]["envelope"] = {"kind": "square", "t_w": 3.0, "low": 0.3}
+    raw["grid"] = {"n_theta": 16, "n_phi": 32}
+    maps = []
+    for propagator in ("eigen", "ode"):
+        raw["propagator"] = propagator
+        path = _write_yaml(tmp_path / f"{propagator}.yaml", raw)
+        out = tmp_path / propagator
+        assert main(["angular", "--config", path, "--out", str(out),
+                     "--u", "0.3000123"]) == 0
+        maps.append(np.loadtxt(out / "angular_map.csv", delimiter=",",
+                               comments="#", skiprows=4))
+    assert passes == [(0.0, 5.0)]
+    eig, ode = maps
+    assert np.all(np.abs(ode - eig) <= 1e-10 * np.max(np.abs(eig), axis=0))
+
+
 def test_cli_modes(tmp_path):
     path = _write_yaml(tmp_path / "run.yaml", _fast_run_cfg())
     out = tmp_path / "out"
@@ -750,6 +787,36 @@ def test_cli_tol_override_applies(tmp_path):
     assert summary["eigen_blocks"] is None
 
 
+def test_cli_shape_validates_at_the_config_tolerances(tmp_path,
+                                                     monkeypatch):
+    # tolerances.ode_rtol and ode_atol both reach the validate pass, and a
+    # loose atol moves its mismatch
+    seen = []
+    propagate = shaping.propagate_ode
+
+    def recorded(*args, **kwargs):
+        seen.append((kwargs["tol"], kwargs["atol"]))
+        return propagate(*args, **kwargs)
+
+    monkeypatch.setattr(shaping, "propagate_ode", recorded)
+    raw = _fast_run_cfg()
+    raw["lattice"] = {"nx": 2, "ny": 2, "nz": 2, "d": 0.6}
+    raw["drive"] = {"omega_L0": 42.0, "delta": 120.0}
+    raw["shaping"] = {"fraction": 0.05, "tau_end": 2000.0,
+                      "target": {"kind": "gaussian", "center": 10.0,
+                                 "width": 4.0, "t_end": 20.0, "dt": 0.1}}
+    mismatch = []
+    for atol in (1e-12, 1e-3):
+        raw["tolerances"] = {"ode_rtol": 1e-7, "ode_atol": atol}
+        path = _write_yaml(tmp_path / "shape.yaml", raw)
+        out = tmp_path / f"out{atol:g}"
+        assert main(["shape", "--config", path, "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        mismatch.append(summary["shaping"]["l2_mismatch"])
+    assert seen == [(1e-7, 1e-12), (1e-7, 1e-3)]
+    assert mismatch[0] != mismatch[1]
+
+
 @pytest.mark.parametrize("tol, needle", [("nan", "must be a finite number"),
                                          ("-1", "must be >= 0.0"),
                                          ("0", "must be > 0")])
@@ -857,13 +924,14 @@ def test_simulate_and_shape_import_no_scipy_or_numpy_ma(tmp_path):
 @pytest.mark.parametrize("command", [None, "modes", "angular", "validate"])
 def test_import_and_other_commands_load_no_scipy_or_numpy_ma(tmp_path,
                                                              command):
-    # the package import alone (command None), and each remaining command
+    # the package import alone (command None), and each remaining command;
+    # angular at a u off the grid, which it inserts into the grid
     path = _write_yaml(tmp_path / "run.yaml", _fast_run_cfg())
     out = str(tmp_path / "out")
     argv = {None: None,
             "modes": ["modes", "--config", path, "--out", out],
             "angular": ["angular", "--config", path, "--out", out,
-                        "--u", "1.0"],
+                        "--u", "1.0000123"],
             "validate": ["validate", "--config", path]}[command]
     assert _unwanted_modules_after(argv) == [
         None if command is None else 0, []]

@@ -195,43 +195,51 @@ def _square_pulse_case(envelope):
 
 @pytest.mark.parametrize("times", [None, np.linspace(0.0, 4.9, 50)])
 def test_ode_state_at_matches_eigen_around_a_jump(times):
-    # off-grid states on the steps on both sides of the jump, with the jump
-    # stored (default grid) or not (0.1 grid), come from the integrator
+    # samples inside the steps on both sides of the jump, added to a grid
+    # that holds the jump (the default grid, every step end) or not (0.1
+    # grid), come from the Taylor sums of the steps around them
     t_w = 2.37
     H, psi0 = _square_pulse_case(PulseEnvelope.square(t_w))
+    u = np.concatenate([np.linspace(2.2, t_w, 9)[1:-1],
+                        np.linspace(t_w, 2.6, 9)[1:-1]])
+    if times is None:
+        times = propagate_ode(H, psi0, t_end=4.9, tol=1e-12,
+                              atol=1e-14).times
+    assert not np.any(np.isin(u, times))
     tr_o = propagate_ode(H, psi0, t_end=4.9, tol=1e-12, atol=1e-14,
-                         times=times)
+                         times=np.union1d(times, u))
     tr_e = propagate_eigen(H, psi0, np.linspace(0.0, 4.9, 50))
-    for u in np.concatenate([np.linspace(2.2, t_w, 9)[1:-1],
-                             np.linspace(t_w, 2.6, 9)[1:-1]]):
-        assert u not in tr_o.times
-        assert np.max(np.abs(tr_o.state_at(u) - tr_e.state_at(u))) <= 1e-10
+    for x in u:
+        assert np.max(np.abs(tr_o.state_at(x) - tr_e.state_at(x))) <= 1e-10
 
 
 def test_ode_coords_at_an_off_grid_grid_match_eigen(monkeypatch):
-    # off-grid times on an ODE trajectory are served by one integration
-    # in the trajectory's own blocks, from the stored sample before the
-    # first of them, over their sorted grid
+    # times off a grid are read from one Taylor pass on the grid with them
+    # added: its steps, products and samples on the grid are those of the
+    # run on the grid alone, and the added samples match the spectral run
     H, psi0 = _square_pulse_case(PulseEnvelope.square(2.37))
     t = np.linspace(0.0, 4.9, 50)
-    tr_o = propagate_ode(H, psi0, t_end=4.9, tol=1e-12, atol=1e-14, times=t)
-    tr_e = propagate_eigen(H, psi0, t)
     u = np.linspace(0.03, 4.87, 121)
     assert not np.any(np.isin(u, t))
-    calls, _ = _count_solver_calls(monkeypatch)
+    sols = _record_solutions(monkeypatch)
+    tr_t = propagate_ode(H, psi0, t_end=4.9, tol=1e-12, atol=1e-14, times=t)
+    tr_o = propagate_ode(H, psi0, t_end=4.9, tol=1e-12, atol=1e-14,
+                         times=np.union1d(t, u))
+    tr_e = propagate_eigen(H, psi0, t)
+    assert len(sols) == 2 and tr_o.ode_products == tr_t.ode_products
+    assert np.array_equal(tr_o.coords_at(t), tr_t.coords)
     coords = tr_o.coords_at(u)
-    assert calls == [(0.0, 4.87)]
     want = tr_e.lift(tr_e.coords_at(u))
-    assert np.max(np.abs(tr_o.lift(coords) - want)) <= 1e-9
-    # the grid's order does not matter; stored samples are not integrated
+    assert np.max(np.abs(tr_o.lift(coords) - want)) <= 1e-11
+    # the order of the times does not matter, a repeated time is read
+    # twice, and reading runs no pass
     order = np.random.default_rng(0).permutation(len(u))
     assert np.array_equal(tr_o.coords_at(u[order]), coords[:, order])
-    assert np.array_equal(tr_o.coords_at(t[[7, 3]]), tr_o.coords[:, [7, 3]])
-    # a repeated time is one grid time
-    again = tr_o.coords_at(u[[5, 2, 5]])
-    assert np.array_equal(again[:, 0], again[:, 2])
-    assert np.max(np.abs(again - coords[:, [5, 2, 5]])) <= 1e-12
-    assert len(calls) == 3
+    assert np.array_equal(tr_o.coords_at(u[[5, 2, 5]]), coords[:, [5, 2, 5]])
+    assert len(sols) == 2
+    # a time the grid does not hold is not read from the run on t
+    with pytest.raises(InvalidArgumentError, match="not a stored sample"):
+        tr_t.coords_at(u[[0]])
 
 
 def test_ode_pass_across_a_jump_costs_about_the_split_runs(monkeypatch):
@@ -479,18 +487,19 @@ def test_ode_stores_each_sample_from_the_step_around_it(term_counts):
 
 
 def test_ode_work_is_recorded_on_the_trajectory(monkeypatch):
-    # propagate_ode and each off-grid pass of coords_at add their solver
-    # pass and block products; a spectral trajectory has none
+    # propagate_ode records its pass's block products; reading the
+    # trajectory, at a stored time or (raising) at another, runs no pass;
+    # a spectral trajectory has none
     H, psi0 = _square_pulse_case(PulseEnvelope.square(2.37))
     sols = _record_solutions(monkeypatch)
     traj = propagate_ode(H, psi0, t_end=4.9, times=np.linspace(0.0, 4.9, 50))
-    assert (traj.ode_passes, traj.ode_products) == (1, sols[0].nfev)
-    traj.coords_at([0.05, 3.33])
-    traj.state_at(1.0)  # stored: no pass
-    assert traj.ode_passes == len(sols) == 2
-    assert traj.ode_products == sum(sol.nfev for sol in sols)
+    assert traj.ode_products == sols[0].nfev > 0
+    traj.state_at(1.0)
+    with pytest.raises(InvalidArgumentError):
+        traj.coords_at([0.05, 3.33])
+    assert len(sols) == 1 and traj.ode_products == sols[0].nfev
     eig = propagate_eigen(H, psi0, np.linspace(0.0, 4.9, 50))
-    assert (eig.ode_passes, eig.ode_products) == (0, 0)
+    assert eig.ode_products == 0
 
 
 @pytest.mark.parametrize("times", [[], [0.0, 2.0, 1.0], [0.0, 1.0, 1.0, 2.0],
@@ -545,11 +554,13 @@ def test_state_at_interpolation_accuracy():
     arr = build_lattice(1, 1, 2, 0.4)
     H = assemble(arr, LaserDrive(2.0, 4.0))
     psi0 = timed_dicke_state(arr, np.array([0.0, 0.0, K0]))
+    # 25 random times added to a 0.01 grid, read from the Taylor sums of
+    # the steps around them
     grid = np.arange(0.0, 5.0 + 1e-12, 0.01)
-    traj = propagate_ode(H, psi0, t_end=5.0, times=grid)
+    queries = np.random.default_rng(6).uniform(0.0, 5.0, size=25)
+    traj = propagate_ode(H, psi0, t_end=5.0, times=np.union1d(grid, queries))
     ref = propagate_eigen(H, psi0, grid)
-    rng = np.random.default_rng(6)
-    for tq in rng.uniform(0.0, 5.0, size=25):
+    for tq in queries:
         got = traj.state_at(tq)
         want = ref.state_at(tq)
         assert np.max(np.abs(got - want)) < 1e-7
@@ -660,19 +671,21 @@ def _two_atom_run():
     return H, psi0, propagate_eigen(H, psi0, [0.0])
 
 
-# the raises of the Trajectory constructor and of propagate_eigen's grid
-# checks, which no other test reaches, each with its input and message
+# the raises of the Trajectory constructor, of an ODE trajectory's read
+# off its samples and of propagate_eigen's grid checks, each with its
+# input and message
 _BAD_INPUTS = [
-    (lambda H, psi0, tr: Trajectory(H, [0.0, 1.0],
-                                    np.zeros((tr.dim + 1, 2), dtype=complex),
-                                    kind="ode", blocks=tr.blocks),
+    (lambda H, psi0, tr: Trajectory(
+        H, [0.0, 1.0], tr.blocks, np.zeros((tr.dim + 1, 2), dtype=complex)),
      "{} coordinates for blocks of total dimension {}"),
-    (lambda H, psi0, tr: Trajectory(H, [0.0, 1.0, 1.0], None,
-                                    kind="eigen", blocks=tr.blocks),
+    (lambda H, psi0, tr: Trajectory(H, [0.0, 1.0, 1.0], tr.blocks),
      "trajectory times must be strictly increasing"),
-    (lambda H, psi0, tr: Trajectory(H, [1.0, 0.5], None, kind="eigen",
-                                    blocks=tr.blocks),
+    (lambda H, psi0, tr: Trajectory(H, [1.0, 0.5], tr.blocks),
      "trajectory times must be strictly increasing"),
+    (lambda H, psi0, tr: propagate_ode(
+        H, psi0, t_end=1.0, times=[0.0, 1.0]).coords_at([1.0, 0.25]),
+     "time 0.25 is not a stored sample of the ODE trajectory; propagate on "
+     "a grid that holds it"),
     (lambda H, psi0, tr: propagate_eigen(H, psi0, []),
      "need a nonempty time grid"),
     (lambda H, psi0, tr: propagate_eigen(H, psi0, [[0.0, 1.0]]),

@@ -342,8 +342,7 @@ def _sampled_trajectories(draw):
     k = draw(st.integers(2, 4))
     states = rng.normal(size=(H.dim, k)) + 1j * rng.normal(size=(H.dim, k))
     states /= np.linalg.norm(states, axis=0)
-    return Trajectory(H, np.arange(k, dtype=float), states, kind="ode",
-                      blocks=(H.block(),))
+    return Trajectory(H, np.arange(k, dtype=float), (H.block(),), states)
 
 
 @settings(max_examples=100, deadline=None)

@@ -329,6 +329,11 @@ _BAD_INPUTS = [
      InvalidArgumentError, "u_grid must be strictly increasing"),
     (lambda ref: TargetWaveform(np.arange(3.0), [1.0, np.nan, 1.0]),
      InvalidArgumentError, "target intensity must be >= 0"),
+    # inf passes the order and sign checks
+    (lambda ref: TargetWaveform([0.0, 1.0, np.inf], np.ones(3)),
+     InvalidArgumentError, "target u and intensity must be finite"),
+    (lambda ref: TargetWaveform(np.arange(3.0), [1.0, np.inf, 1.0]),
+     InvalidArgumentError, "target u and intensity must be finite"),
     (lambda ref: design_envelope(
         ref, TargetWaveform(np.arange(3.0), np.zeros(3))),
      InvalidArgumentError, "target shape integrates to zero"),
