@@ -129,7 +129,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: str) -> int:
 
 def cmd_angular(cfg: RunConfig, out_dir: str, u: float) -> int:
     array, drive, ham, psi0 = _prepare(cfg, out_dir)
-    if u < 0.0 or u > cfg.t_end:
+    if not 0.0 <= u <= cfg.t_end:
         raise InvalidArgumentError(
             f"u = {u!r} outside simulated range [0, {cfg.t_end!r}]")
     # u joins the grid, as an ODE trajectory is read at its samples alone;
@@ -223,6 +223,8 @@ def cmd_oracle(args) -> int:
                           "sum": rates[0] + rates[1]}, indent=2))
         return 0
     # directed-peak: structure-factor peak ratio of a noninteracting array
+    if min(args.nx, args.ny, args.nz) < 1:
+        raise InvalidArgumentError("lattice dimensions must be >= 1")
     n = args.nx * args.ny * args.nz
     print(json.dumps({"n_atoms": n, "peak_to_single_ratio": float(n * n),
                       "note": "forward peak of the timed state scales as "
@@ -238,8 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"arraylight {__version__}")
     sub = parser.add_subparsers(dest="command")
 
-    def add_common(p, config_required=True):
-        p.add_argument("--config", required=config_required,
+    def add_common(p):
+        p.add_argument("--config", required=True,
                        help="YAML run configuration")
         p.add_argument("--out", default=None,
                        help="output directory (overrides config)")
@@ -280,17 +282,12 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.print_help()
         return 0
-    if args.command == "oracle":
-        if args.which is None:
-            parser.parse_args(["oracle", "--help"])
-            return 0
-        try:
-            return cmd_oracle(args)
-        except ArrayLightError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return exc.exit_code
-
+    if args.command == "oracle" and args.which is None:
+        parser.parse_args(["oracle", "--help"])
+        return 0
     try:
+        if args.command == "oracle":
+            return cmd_oracle(args)
         cfg = RunConfig.from_yaml(args.config)
         if args.tol is not None:
             cfg.ode_rtol = _rtol(args.tol, "--tol")

@@ -2,8 +2,11 @@
 
 YAML with a fixed schema: every key is checked against the schema and
 unknown keys are hard errors, so a typo never silently falls back to a
-default.  A canonical digest of the normalized configuration is embedded
-in every output file for provenance.
+default.  drive.envelope and shaping.target take their kind's keys alone,
+and a key of another kind is unknown: constant: value; square: t_w, high,
+low; gaussian: center, width, t_end, dt; two_gaussians: centers, width,
+t_end, dt; file: path.  A canonical digest of the normalized configuration
+is embedded in every output file for provenance.
 """
 
 from __future__ import annotations
@@ -94,6 +97,69 @@ def _integer(value, path: str, lo=None) -> int:
     return value
 
 
+def _vector(value, path: str) -> tuple:
+    if not isinstance(value, (list, tuple)) or len(value) != 3:
+        raise ConfigError(f"'{path}' must be a 3-vector")
+    vec = tuple(_number(x, f"{path}[i]") for x in value)
+    if math.sqrt(sum(x * x for x in vec)) == 0.0:
+        raise ConfigError(f"'{path}' must be nonzero")
+    return vec
+
+
+def _sublevel(value, path: str) -> int:
+    if _integer(value, path) not in (-1, 0, 1):
+        raise ConfigError(f"'{path}' must be -1, 0 or 1")
+    return value
+
+
+def _string(value, path: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"'{path}' must be a string")
+    return value
+
+
+def _kind_spec(spec, path: str, kinds: dict) -> dict:
+    """A copy of spec: a mapping of a kind in kinds and that kind's keys."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"section '{path}' must be a mapping")
+    names = tuple(kinds)
+    if _require(spec, "kind", path) not in names:
+        raise ConfigError(f"'{path}.kind' must be {', '.join(names[:-1])} "
+                          f"or {names[-1]}")
+    _check_keys(spec, {"kind", *kinds[spec["kind"]]}, path)
+    return dict(spec)
+
+
+# each kind's keys besides 'kind'
+_ENVELOPE_KINDS = {"constant": ("value",), "square": ("t_w", "high", "low"),
+                   "file": ("path",)}
+_TARGET_KINDS = {"gaussian": ("center", "width", "t_end", "dt"),
+                 "two_gaussians": ("centers", "width", "t_end", "dt"),
+                 "file": ("path",)}
+
+# each plain section's keys: key -> (RunConfig field, check, check's bounds)
+_SECTIONS = {
+    "k_gf": {"direction": ("k_gf_direction", _vector),
+             "magnitude": ("k_gf_magnitude", _number, 0.0)},
+    "drive": {"omega_L0": ("omega_L0", _number, 0.0),
+              "delta": ("delta", _number),
+              "target_sublevel": ("target_sublevel", _sublevel),
+              "envelope": ("envelope_spec", _kind_spec, _ENVELOPE_KINDS)},
+    "time": {"t_end": ("t_end", _number, 1e-12),
+             "dt_early": ("dt_early", _number, 1e-9),
+             "t_early": ("t_early", _number, 0.0),
+             "dt_mid": ("dt_mid", _number, 1e-9),
+             "t_mid": ("t_mid", _number, 0.0),
+             "dt_late": ("dt_late", _number, 1e-9)},
+    "grid": {"n_theta": ("n_theta", _integer, 2),
+             "n_phi": ("n_phi", _integer, 2)},
+    "tolerances": {"ode_rtol": ("ode_rtol", _rtol),
+                   "ode_atol": ("ode_atol", _number, 0.0),
+                   "eigen_cond_max": ("eigen_cond_max", _number, 0.0)},
+    "output": {"directory": ("out_dir", _string)},
+}
+
+
 @dataclass
 class RunConfig:
     """Parsed and validated configuration for one run."""
@@ -141,56 +207,23 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict, config_dir: str = ".") -> "RunConfig":
-        _check_keys(raw, {"lattice", "k_gf", "drive", "sublevels", "time",
-                          "grid", "tolerances", "propagator", "output",
-                          "shaping"}, "")
+        _check_keys(raw, {"lattice", "sublevels", "propagator", "shaping",
+                          *_SECTIONS}, "")
         kw = {"config_dir": config_dir}
 
         lat = _require(raw, "lattice", "")
         _check_keys(lat, {"nx", "ny", "nz", "d"}, "lattice")
-        kw["lattice"] = (_integer(_require(lat, "nx", "lattice"), "lattice.nx", 1),
-                         _integer(_require(lat, "ny", "lattice"), "lattice.ny", 1),
-                         _integer(_require(lat, "nz", "lattice"), "lattice.nz", 1),
-                         _number(_require(lat, "d", "lattice"), "lattice.d", 1e-12))
+        kw["lattice"] = tuple(
+            check(_require(lat, key, "lattice"), f"lattice.{key}", lo)
+            for key, check, lo in (("nx", _integer, 1), ("ny", _integer, 1),
+                                   ("nz", _integer, 1), ("d", _number, 1e-12)))
 
-        if "k_gf" in raw:
-            kg = raw["k_gf"]
-            _check_keys(kg, {"direction", "magnitude"}, "k_gf")
-            if "direction" in kg:
-                v = kg["direction"]
-                if (not isinstance(v, (list, tuple)) or len(v) != 3):
-                    raise ConfigError("'k_gf.direction' must be a 3-vector")
-                vec = tuple(_number(x, "k_gf.direction[i]") for x in v)
-                if math.sqrt(sum(x * x for x in vec)) == 0.0:
-                    raise ConfigError("'k_gf.direction' must be nonzero")
-                kw["k_gf_direction"] = vec
-            if "magnitude" in kg:
-                kw["k_gf_magnitude"] = _number(kg["magnitude"],
-                                               "k_gf.magnitude", 0.0)
-
-        if "drive" in raw:
-            dr = raw["drive"]
-            _check_keys(dr, {"omega_L0", "delta", "target_sublevel",
-                             "envelope"}, "drive")
-            if "omega_L0" in dr:
-                kw["omega_L0"] = _number(dr["omega_L0"], "drive.omega_L0", 0.0)
-            if "delta" in dr:
-                kw["delta"] = _number(dr["delta"], "drive.delta")
-            if "target_sublevel" in dr:
-                ts = _integer(dr["target_sublevel"], "drive.target_sublevel")
-                if ts not in (-1, 0, 1):
-                    raise ConfigError("'drive.target_sublevel' must be "
-                                      "-1, 0 or 1")
-                kw["target_sublevel"] = ts
-            if "envelope" in dr:
-                env = dr["envelope"]
-                _check_keys(env, {"kind", "value", "t_w", "high", "low",
-                                  "path"}, "drive.envelope")
-                kind = _require(env, "kind", "drive.envelope")
-                if kind not in ("constant", "square", "file"):
-                    raise ConfigError("'drive.envelope.kind' must be "
-                                      "constant, square or file")
-                kw["envelope_spec"] = dict(env)
+        for name, table in _SECTIONS.items():
+            section = raw.get(name, {})
+            _check_keys(section, table, name)
+            for key, (attr, check, *bounds) in table.items():
+                if key in section:
+                    kw[attr] = check(section[key], f"{name}.{key}", *bounds)
 
         if "sublevels" in raw:
             sl = raw["sublevels"]
@@ -201,62 +234,19 @@ class RunConfig:
                 raise ConfigError("'sublevels' entries must be -1, 0 or 1")
             kw["sublevels"] = subs
 
-        if "time" in raw:
-            tm = raw["time"]
-            _check_keys(tm, {"t_end", "dt_early", "t_early", "dt_mid",
-                             "t_mid", "dt_late"}, "time")
-            for key, lo in (("t_end", 1e-12), ("dt_early", 1e-9),
-                            ("t_early", 0.0), ("dt_mid", 1e-9),
-                            ("t_mid", 0.0), ("dt_late", 1e-9)):
-                if key in tm:
-                    kw[key] = _number(tm[key], f"time.{key}", lo)
-
-        if "grid" in raw:
-            gr = raw["grid"]
-            _check_keys(gr, {"n_theta", "n_phi"}, "grid")
-            if "n_theta" in gr:
-                kw["n_theta"] = _integer(gr["n_theta"], "grid.n_theta", 2)
-            if "n_phi" in gr:
-                kw["n_phi"] = _integer(gr["n_phi"], "grid.n_phi", 2)
-
-        if "tolerances" in raw:
-            tl = raw["tolerances"]
-            _check_keys(tl, {"ode_rtol", "ode_atol", "eigen_cond_max"},
-                        "tolerances")
-            if "ode_rtol" in tl:
-                kw["ode_rtol"] = _rtol(tl["ode_rtol"], "tolerances.ode_rtol")
-            for key in ("ode_atol", "eigen_cond_max"):
-                if key in tl:
-                    kw[key] = _number(tl[key], f"tolerances.{key}", 0.0)
-
         if "propagator" in raw:
             if raw["propagator"] not in ("auto", "eigen", "ode"):
                 raise ConfigError("'propagator' must be auto, eigen or ode")
             kw["propagator"] = raw["propagator"]
 
-        if "output" in raw:
-            out = raw["output"]
-            _check_keys(out, {"directory"}, "output")
-            if "directory" in out:
-                if not isinstance(out["directory"], str):
-                    raise ConfigError("'output.directory' must be a string")
-                kw["out_dir"] = out["directory"]
-
         if "shaping" in raw:
             sh = raw["shaping"]
             _check_keys(sh, {"target", "tau_end", "fraction"}, "shaping")
             if "target" in sh:
-                tg = sh["target"]
-                _check_keys(tg, {"kind", "center", "centers", "width",
-                                 "t_end", "dt", "path"}, "shaping.target")
-                if _require(tg, "kind", "shaping.target") not in (
-                        "gaussian", "two_gaussians", "file"):
-                    raise ConfigError("'shaping.target.kind' must be "
-                                      "gaussian, two_gaussians or file")
-            if "tau_end" in sh:
-                _number(sh["tau_end"], "shaping.tau_end", 1e-12)
-            if "fraction" in sh:
-                _number(sh["fraction"], "shaping.fraction", 0.0, 1.0)
+                _kind_spec(sh["target"], "shaping.target", _TARGET_KINDS)
+            for key, *bounds in (("tau_end", 1e-12), ("fraction", 0.0, 1.0)):
+                if key in sh:
+                    _number(sh[key], f"shaping.{key}", *bounds)
             kw["shaping"] = dict(sh)
 
         return cls(**kw)
@@ -265,23 +255,12 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         return {
-            "lattice": {"nx": self.lattice[0], "ny": self.lattice[1],
-                        "nz": self.lattice[2], "d": self.lattice[3]},
-            "k_gf": {"direction": list(self.k_gf_direction),
-                     "magnitude": self.k_gf_magnitude},
-            "drive": {"omega_L0": self.omega_L0, "delta": self.delta,
-                      "target_sublevel": self.target_sublevel,
-                      "envelope": self.envelope_spec},
+            "lattice": dict(zip(("nx", "ny", "nz", "d"), self.lattice)),
+            **{name: {key: getattr(self, attr)
+                      for key, (attr, *_) in table.items()}
+               for name, table in _SECTIONS.items()},
             "sublevels": list(self.sublevels),
-            "time": {"t_end": self.t_end, "dt_early": self.dt_early,
-                     "t_early": self.t_early, "dt_mid": self.dt_mid,
-                     "t_mid": self.t_mid, "dt_late": self.dt_late},
-            "grid": {"n_theta": self.n_theta, "n_phi": self.n_phi},
-            "tolerances": {"ode_rtol": self.ode_rtol,
-                           "ode_atol": self.ode_atol,
-                           "eigen_cond_max": self.eigen_cond_max},
             "propagator": self.propagator,
-            "output": {"directory": self.out_dir},
             "shaping": self.shaping,
         }
 
@@ -295,8 +274,7 @@ class RunConfig:
     # ---- builders -------------------------------------------------------
 
     def build_array(self) -> AtomArray:
-        nx, ny, nz, d = self.lattice
-        return build_lattice(nx, ny, nz, d)
+        return build_lattice(*self.lattice)
 
     def k_gf_vector(self) -> np.ndarray:
         v = np.asarray(self.k_gf_direction, dtype=float)
@@ -306,16 +284,14 @@ class RunConfig:
         path = _require(spec, "path", where)
         if not isinstance(path, str) or not path:
             raise ConfigError(f"'{where}.path' must be a nonempty string")
-        return path if os.path.isabs(path) else os.path.join(self.config_dir,
-                                                             path)
+        return os.path.join(self.config_dir, path)  # keeps an absolute path
 
     def build_envelope(self) -> PulseEnvelope:
         spec, where = self.envelope_spec, "drive.envelope"
-        kind = spec.get("kind", "constant")
-        if kind == "constant":
+        if spec["kind"] == "constant":
             return PulseEnvelope.constant(
                 _number(spec.get("value", 1.0), f"{where}.value"))
-        if kind == "square":
+        if spec["kind"] == "square":
             return PulseEnvelope.square(
                 _number(_require(spec, "t_w", where), f"{where}.t_w"),
                 high=_number(spec.get("high", 1.0), f"{where}.high"),
@@ -331,16 +307,13 @@ class RunConfig:
         if path is None and not spec:
             raise ConfigError("shape command needs 'shaping.target' in the "
                               "config or a --target file")
-        fraction = _number(self.shaping.get("fraction", 0.99),
-                           "shaping.fraction", 0.0, 1.0)
+        fraction = float(self.shaping.get("fraction", 0.99))
         if path is None and spec["kind"] == "file":
             path = self._config_path(spec, where)
         if path is not None:
             return TargetWaveform.from_csv(path, photon_fraction=fraction)
-        width = _number(_require(spec, "width", where), f"{where}.width",
-                        1e-12)
-        t_end = _number(_require(spec, "t_end", where), f"{where}.t_end",
-                        1e-12)
+        width, t_end = (_number(_require(spec, key, where), f"{where}.{key}",
+                                1e-12) for key in ("width", "t_end"))
         dt = _number(spec.get("dt", 0.05), f"{where}.dt", 1e-9)
         if spec["kind"] == "gaussian":
             center = _number(_require(spec, "center", where),

@@ -50,6 +50,8 @@ class AtomArray:
         pos = np.atleast_2d(np.asarray(self.positions, dtype=float))
         if pos.ndim != 2 or pos.shape[1] != 3 or pos.shape[0] == 0:
             raise InvalidArgumentError("positions must be a nonempty (N, 3) array")
+        if not np.all(np.isfinite(pos)):
+            raise InvalidArgumentError("positions must be finite")
         if pos.shape[0] > 1:
             diff = pos[:, None, :] - pos[None, :, :]
             dist = np.linalg.norm(diff, axis=-1)
@@ -90,8 +92,10 @@ class LaserDrive:
     target_sublevel: int = 1
 
     def __post_init__(self):
-        if self.omega_L0 < 0:
-            raise InvalidArgumentError("omega_L0 must be >= 0")
+        if not 0 <= self.omega_L0 < np.inf:
+            raise InvalidArgumentError("omega_L0 must be finite and >= 0")
+        if not np.isfinite(self.delta):
+            raise InvalidArgumentError("delta must be finite")
         if self.envelope is None:
             object.__setattr__(self, "envelope", PulseEnvelope.constant())
         if self.target_sublevel not in SUBLEVELS:
@@ -142,8 +146,8 @@ def build_lattice(nx: int, ny: int, nz: int, d: float) -> AtomArray:
     """
     if min(nx, ny, nz) < 1:
         raise InvalidArgumentError("lattice dimensions must be >= 1")
-    if d <= 0:
-        raise InvalidArgumentError("lattice spacing must be positive")
+    if not 0 < d < np.inf:
+        raise InvalidArgumentError("lattice spacing must be finite and positive")
     xs = d * (np.arange(nx) - (nx - 1) / 2.0)
     ys = d * (np.arange(ny) - (ny - 1) / 2.0)
     zs = d * (np.arange(nz) - (nz - 1) / 2.0)

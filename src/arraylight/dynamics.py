@@ -134,7 +134,7 @@ class Trajectory:
             raise InvalidArgumentError(
                 f"{coords.shape[0]} coordinates for blocks of total "
                 f"dimension {self.dim}")
-        if np.any(np.diff(self.times) <= 0):
+        if not np.all(np.diff(self.times) > 0):
             raise InvalidArgumentError("trajectory times must be strictly increasing")
 
     @property
@@ -197,7 +197,8 @@ class Trajectory:
         its own grid the two agree bit for bit.  An ODE trajectory reads
         its stored samples, and raises for any other time."""
         u = np.atleast_1d(np.asarray(u, dtype=float))
-        if np.any(u < self.times[0] - 1e-12) or np.any(u > self.times[-1] + 1e-12):
+        if not np.all((self.times[0] - 1e-12 <= u)
+                      & (u <= self.times[-1] + 1e-12)):
             raise InvalidArgumentError(
                 f"time {np.min(u):g}..{np.max(u):g} outside trajectory "
                 f"coverage [{self.times[0]:g}, {self.times[-1]:g}]")
@@ -330,6 +331,8 @@ def propagate_eigen(H: EffectiveHamiltonian, psi0: AmplitudeState,
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
         raise InvalidArgumentError("need a nonempty time grid")
+    if not np.all(np.isfinite(times)):
+        raise InvalidArgumentError("time grid must be finite")
     t0 = psi0.t
     if times[0] < t0 - 1e-12:
         raise InvalidArgumentError("time grid starts before the initial state")
@@ -365,8 +368,11 @@ def _touched_blocks(H: EffectiveHamiltonian, psi: np.ndarray,
     (rotation_blocks(H, inversion=True), the spectral path's).  The drive
     is the same on every atom, so no other block is ever reached:
     propagate_eigen and propagate_ode both work in these blocks only and
-    store their coordinates in them.
+    store their coordinates in them.  Raises for a non-finite psi, the
+    initial state of both.
     """
+    if not np.all(np.isfinite(psi)):
+        raise InvalidArgumentError("initial state must be finite")
     bases = rotation_blocks(H, inversion=inversion)
     tol = psi.size * np.finfo(float).eps * np.linalg.norm(psi)
     touched = [Q for Q in bases if np.linalg.norm(Q.project(psi)) > tol]
@@ -419,8 +425,6 @@ def propagate_ode(H: EffectiveHamiltonian, psi0: AmplitudeState,
                 "storage grid must be strictly increasing")
 
     psi = H.pack(psi0)
-    if not np.all(np.isfinite(psi)):
-        raise InvalidArgumentError("initial state must be finite")
     blocks = _touched_blocks(H, psi)
     y0 = np.concatenate([blk.basis.project(psi) for blk in blocks])
     sol = solve_ivp(blocks, (t0, t_end), y0, envelope=H.drive.envelope,

@@ -68,12 +68,15 @@ def two_atom_rates(separation: float, orientation=(0.0, 0.0, 1.0),
     projected on the chosen transition dipole.  The rates always sum to
     2 Gamma; they approach (2 Gamma, 0) as the pair merges.
     """
-    if separation <= 0:
-        raise InvalidArgumentError("separation must be positive")
+    if not 0 < separation < np.inf:
+        raise InvalidArgumentError("separation must be finite and positive")
     if sublevel not in (-1, 0, 1):
         raise InvalidArgumentError("sublevel must be one of -1, 0, +1")
     rhat = np.asarray(orientation, dtype=float)
-    rhat = rhat / np.linalg.norm(rhat)
+    norm = np.linalg.norm(rhat)
+    if not 0 < norm < np.inf:
+        raise InvalidArgumentError("orientation must be finite and nonzero")
+    rhat = rhat / norm
     f = eval_f_g(K0 * separation, rhat).f_part
     basis = spherical_basis()
     e_nu = (basis.e_minus, basis.e_zero, basis.e_plus)[sublevel + 1]

@@ -75,7 +75,7 @@ class AdiabaticModel:
     def __post_init__(self):
         if self.delta == 0.0:
             raise InvalidArgumentError("adiabatic model needs delta != 0")
-        if self.omega_L0 <= 0.0:
+        if not self.omega_L0 > 0.0:
             raise InvalidArgumentError("adiabatic model needs omega_L0 > 0")
         if abs(self.delta) < 2.0 * self.omega_L0 or abs(self.delta) < 10.0:
             warnings.warn("detuning does not dominate the drive; adiabatic "

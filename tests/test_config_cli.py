@@ -145,24 +145,31 @@ def test_digest_stable_and_sensitive():
     assert RunConfig.from_dict(raw).digest() != cfg_a.digest()
 
 
-@pytest.mark.parametrize("edit", [
-    {},
-    {"drive": {"omega_L0": 2.0, "delta": 10.0, "target_sublevel": -1,
-               "envelope": {"kind": "square", "t_w": 2.5, "low": 0.25}}},
-    {"sublevels": [1], "propagator": "ode", "grid": {"n_theta": 65,
-                                                     "n_phi": 7}},
-    {"shaping": {"fraction": 0.75, "tau_end": 2000.0,
-                 "target": {"kind": "two_gaussians", "centers": [20, 60],
-                            "width": 10.0, "t_end": 100.0}}},
-    {"output": {"directory": "r\u00e9sultats/\u03b1"},
-     "k_gf": {"direction": [1, -2, 0.5], "magnitude": 3.25}},
-])
-def test_digest_is_the_sha256_of_the_canonical_form(edit):
+@pytest.mark.parametrize("edit, digest", [
+    ({}, "5581f187fc52"),
+    ({"drive": {"omega_L0": 2.0, "delta": 10.0, "target_sublevel": -1,
+                "envelope": {"kind": "square", "t_w": 2.5, "low": 0.25}}},
+     "b5017472fcf5"),
+    ({"sublevels": [1], "propagator": "ode", "grid": {"n_theta": 65,
+                                                      "n_phi": 7}},
+     "e0ce3b01f713"),
+    ({"shaping": {"fraction": 0.75, "tau_end": 2000.0,
+                  "target": {"kind": "two_gaussians", "centers": [20, 60],
+                             "width": 10.0, "t_end": 100.0}}},
+     "0bec1a352056"),
+    ({"output": {"directory": "r\u00e9sultats/\u03b1"},
+      "k_gf": {"direction": [1, -2, 0.5], "magnitude": 3.25}},
+     "8b684230a2f9"),
+], ids=[f"edit{i}" for i in range(5)])
+def test_digest_is_the_sha256_of_the_canonical_form(edit, digest):
     # the digest comes from CPython's own SHA-256 module, not hashlib
-    # (which maps OpenSSL); it is hashlib's SHA-256 of the canonical JSON
+    # (which maps OpenSSL); it is hashlib's SHA-256 of the canonical JSON.
+    # The digests are pinned: a change to the canonical form moves them,
+    # and with them the header of every output CSV
     cfg = RunConfig.from_dict({**_readme_run_cfg(), **edit})
     canon = json.dumps(cfg.to_dict(), sort_keys=True, separators=(",", ":"))
     assert cfg.digest() == hashlib.sha256(canon.encode()).hexdigest()[:12]
+    assert cfg.digest() == digest
 
 
 def test_digest_ignores_config_dir():
@@ -339,6 +346,12 @@ _BAD_CONFIGS = [
     ("validate", "shaping.target", {"kind": "two_gaussians", "width": 3.0,
                                     "t_end": 60.0, "centers": 20.0},
      "'shaping.target.centers' must be a list"),
+    # a key of another kind is unknown, not ignored
+    ("validate", "drive.envelope", {"kind": "constant", "t_w": 3.0},
+     "unknown config key 'drive.envelope.t_w'"),
+    ("validate", "shaping.target", {"kind": "file", "path": "t.csv",
+                                    "width": 3.0},
+     "unknown config key 'shaping.target.width'"),
 ]
 
 
@@ -614,9 +627,10 @@ def test_cli_angular_and_range_check(tmp_path, capsys):
     assert summary["eigen_blocks"] == [[2, 2]]
     assert summary["integrated_flux"] > 0.0
 
-    assert main(["angular", "--config", path, "--out", str(out),
-                 "--u", "9.0"]) == 2
-    assert "outside simulated range" in capsys.readouterr().err
+    for u in ("9.0", "nan"):
+        assert main(["angular", "--config", path, "--out", str(out),
+                     "--u", u]) == 2
+        assert "outside simulated range" in capsys.readouterr().err
 
 
 def test_cli_angular_reads_an_ode_run_at_an_off_grid_u(tmp_path,
@@ -761,10 +775,25 @@ def test_cli_oracle_two_atom_rates(capsys):
     ("1,x,0", "error: not a comma-separated vector: '1,x,0'"),
     ("1,0", "error: orientation needs three components"),
     ("1,0,0,0", "error: orientation needs three components"),
+    ("nan,0,1", "error: orientation must be finite and nonzero"),
+    ("0,0,0", "error: orientation must be finite and nonzero"),
 ])
 def test_cli_oracle_rejects_bad_orientations(capsys, orientation, message):
     assert main(["oracle", "two-atom-rates", "--separation", "1",
                  "--orientation", orientation]) == 2
+    assert capsys.readouterr().err.strip() == message
+
+
+@pytest.mark.parametrize("args, message", [
+    (["two-atom-rates", "--separation", "nan"],
+     "error: separation must be finite and positive"),
+    (["two-atom-rates", "--separation", "inf"],
+     "error: separation must be finite and positive"),
+    (["directed-peak", "--nx", "-2", "--ny", "1", "--nz", "1"],
+     "error: lattice dimensions must be >= 1"),
+])
+def test_cli_oracle_rejects_bad_values(capsys, args, message):
+    assert main(["oracle", *args]) == 2
     assert capsys.readouterr().err.strip() == message
 
 

@@ -132,6 +132,18 @@ _BAD_INPUTS = [
     (lambda: AtomArray(np.array([[0.0, 0.0, 0.5], [0.3, 0.0, 0.0],
                                  [0.0, 0.0, 0.5]])),
      "coincident atom positions"),
+    # NaN passes the coincidence check (nan <= 0 is False)
+    (lambda: AtomArray(np.array([[0.0, 0.0, 0.0], [np.nan, 0.0, 0.0]])),
+     "positions must be finite"),
+    (lambda: build_lattice(2, 1, 1, 0.0),
+     "lattice spacing must be finite and positive"),
+    (lambda: build_lattice(2, 1, 1, np.nan),
+     "lattice spacing must be finite and positive"),
+    (lambda: build_lattice(2, 1, 1, np.inf),
+     "lattice spacing must be finite and positive"),
+    (lambda: LaserDrive(np.nan, 0.0), "omega_L0 must be finite and >= 0"),
+    (lambda: LaserDrive(np.inf, 0.0), "omega_L0 must be finite and >= 0"),
+    (lambda: LaserDrive(1.0, np.nan), "delta must be finite"),
     (lambda: AmplitudeState(np.zeros((2, 2))),
      "a must be a nonempty complex vector"),
     (lambda: AmplitudeState([]), "a must be a nonempty complex vector"),

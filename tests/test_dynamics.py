@@ -671,9 +671,10 @@ def _two_atom_run():
     return H, psi0, propagate_eigen(H, psi0, [0.0])
 
 
-# the raises of the Trajectory constructor, of an ODE trajectory's read
-# off its samples and of propagate_eigen's grid checks, each with its
-# input and message
+# the raises of the Trajectory constructor, of a read outside the coverage
+# or off an ODE trajectory's samples and of propagate_eigen's grid and
+# initial state checks, each with its input and message; NaN fails every
+# bound
 _BAD_INPUTS = [
     (lambda H, psi0, tr: Trajectory(
         H, [0.0, 1.0], tr.blocks, np.zeros((tr.dim + 1, 2), dtype=complex)),
@@ -682,6 +683,13 @@ _BAD_INPUTS = [
      "trajectory times must be strictly increasing"),
     (lambda H, psi0, tr: Trajectory(H, [1.0, 0.5], tr.blocks),
      "trajectory times must be strictly increasing"),
+    (lambda H, psi0, tr: Trajectory(H, [0.0, np.nan], tr.blocks),
+     "trajectory times must be strictly increasing"),
+    (lambda H, psi0, tr: tr.coords_at(np.nan),
+     "time nan..nan outside trajectory coverage [0, 0]"),
+    (lambda H, psi0, tr: propagate_ode(
+        H, psi0, t_end=1.0, times=[0.0, 1.0]).coords_at([0.5, np.nan]),
+     "time nan..nan outside trajectory coverage [0, 1]"),
     (lambda H, psi0, tr: propagate_ode(
         H, psi0, t_end=1.0, times=[0.0, 1.0]).coords_at([1.0, 0.25]),
      "time 0.25 is not a stored sample of the ODE trajectory; propagate on "
@@ -693,6 +701,13 @@ _BAD_INPUTS = [
     (lambda H, psi0, tr: propagate_eigen(
         H, AmplitudeState(psi0.a, psi0.beta, t=1.0), [0.5, 2.0]),
      "time grid starts before the initial state"),
+    (lambda H, psi0, tr: propagate_eigen(H, psi0, [0.0, np.nan]),
+     "time grid must be finite"),
+    (lambda H, psi0, tr: propagate_eigen(H, psi0, [0.0, np.inf]),
+     "time grid must be finite"),
+    (lambda H, psi0, tr: propagate_eigen(
+        H, AmplitudeState(psi0.a * np.nan, psi0.beta), [0.0]),
+     "initial state must be finite"),
 ]
 
 

@@ -149,8 +149,14 @@ _BAD_INPUTS = [
                                       [0.0, 0.0, K0], [0.0, 0.0, 1.0], 0.0,
                                       helicity=0),
      "helicity must be +1 or -1"),
-    (lambda: two_atom_rates(0.0), "separation must be positive"),
-    (lambda: two_atom_rates(-0.2), "separation must be positive"),
+    (lambda: two_atom_rates(0.0), "separation must be finite and positive"),
+    (lambda: two_atom_rates(-0.2), "separation must be finite and positive"),
+    (lambda: two_atom_rates(np.nan), "separation must be finite and positive"),
+    (lambda: two_atom_rates(np.inf), "separation must be finite and positive"),
+    (lambda: two_atom_rates(0.2, orientation=(np.nan, 0.0, 1.0)),
+     "orientation must be finite and nonzero"),
+    (lambda: two_atom_rates(0.2, orientation=(0.0, 0.0, 0.0)),
+     "orientation must be finite and nonzero"),
     (lambda: two_atom_rates(0.2, sublevel=2),
      "sublevel must be one of -1, 0, +1"),
 ]

@@ -320,6 +320,8 @@ _BAD_INPUTS = [
      InvalidArgumentError, "adiabatic model needs delta != 0"),
     (lambda ref: AdiabaticModel(ref.model.array, 0.0, 150.0),
      InvalidArgumentError, "adiabatic model needs omega_L0 > 0"),
+    (lambda ref: AdiabaticModel(ref.model.array, np.nan, 120.0),
+     InvalidArgumentError, "adiabatic model needs omega_L0 > 0"),
     (lambda ref: adiabatic_simulate(ref.model, np.ones(2), 10.0),
      InvalidArgumentError, "a0 must have one amplitude per atom"),
     (lambda ref: TargetWaveform(np.arange(3.0), np.ones(2)),
