@@ -1,11 +1,11 @@
 """The dipole-dipole Green's tensor on an array's distinct displacements,
 in plain numpy.
 
-The coupling blocks of the generator and the exact full-sphere flux
-operators of the far field depend on a pair of atoms only through its
-displacement D = r_l - r_j.  pair_tables evaluates the coupling and the
-two per-helicity flux tensors once per distinct displacement, from one
-call of greens.fg_scalar_coefficients.  On a lattice the displacements are
+The coupling blocks of the generator and the far field's exact
+full-sphere flux helicity difference depend on a pair of atoms only
+through its displacement D = r_l - r_j.  pair_tables evaluates both once
+per distinct displacement, from one call of
+greens.fg_scalar_coefficients.  On a lattice the displacements are
 the integer offsets times the spacing, (2 n_x - 1)(2 n_y - 1)(2 n_z - 1)
 of them against N^2 pairs, so both matrices are block Toeplitz, as in
 discrete-dipole codes (Goodman, Draine & Flatau, Opt. Lett. 16, 1198
@@ -50,13 +50,12 @@ class PairTables:
     """Spherical blocks of the pair tensors on an array's distinct
     displacements (pair_tables).
 
-    coupling, flux_total (the helicity sum, even under inversion) and
-    flux_diff (the helicity difference, odd) are (K, 3, 3); the pair
-    (l, j) reads row left[l] + right[j] of each.
+    coupling (even under inversion) and flux_diff (the flux helicity
+    difference, odd) are (K, 3, 3); the pair (l, j) reads row left[l] +
+    right[j] of each.
     """
 
     coupling: np.ndarray
-    flux_total: np.ndarray
     flux_diff: np.ndarray
     left: np.ndarray
     right: np.ndarray
@@ -110,12 +109,6 @@ def _displacements(pos: np.ndarray, dims, spacing: float):
     return spacing * offsets, flat + (span // 2) @ stride, -flat
 
 
-def _dyad_blocks(a, b, u):
-    """Spherical blocks of the Cartesian tensor a I - b r_hat r_hat^T."""
-    return a[..., None, None] * np.eye(3) \
-        - b[..., None, None] * (np.conj(u)[..., :, None] * u[..., None, :])
-
-
 def _spherical(v: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """sum_c v[:, c] basis[c] as three elementwise products and two sums,
     so that -v gives exactly the negated result."""
@@ -126,20 +119,17 @@ def _spherical(v: np.ndarray, basis: np.ndarray) -> np.ndarray:
 
 def pair_tables(pos: np.ndarray, dims=(0, 0, 0),
                 spacing: float = 0.0) -> PairTables:
-    """The coupling and flux tensors of an array on its distinct
+    """The coupling and flux-difference tensors of an array on its distinct
     displacements D = r_l - r_j (one row per distinct D, see _displacements).
 
     coupling[D] = E^dag F(k0 D) E, zero at D = 0, with F = f - i g the
     coupling tensor: F is even in D, so the table is symmetric under
     swapping atoms.  Integrating the far-field intensity of a source beta
     over the sphere gives flux_sigma = sum_{l,j} beta_l^dag Q_sigma[D] beta_j.
-    flux_total, the helicity sum, is the dissipative tensor (Lehmberg,
-    Phys. Rev. A 2, 883 (1970)),
-
-        Q_plus + Q_minus = delta_lj I + f(k0 D),
-
-    and flux_diff, the helicity difference eps_+ eps_+^dag - eps_- eps_-^dag
-    = i [r_hat]_x integrated,
+    The helicity sum Q_plus + Q_minus = delta_lj I + f(k0 D) (Lehmberg,
+    Phys. Rev. A 2, 883 (1970)) is the Hermitian part of delta_lj I + F,
+    which the generator's blocks hold.  flux_diff, the helicity difference
+    eps_+ eps_+^dag - eps_- eps_-^dag = i [r_hat]_x integrated, is
 
         Q_plus - Q_minus = (3/2) j1(k0 |D|) [D_hat]_x,   zero at D = 0,
 
@@ -155,15 +145,15 @@ def pair_tables(pos: np.ndarray, dims=(0, 0, 0),
     rhat = D[far] / dist[far, None]
     u = _spherical(rhat, _EMATRIX)  # u = r_hat . e_mu
     f1, f2, g1, g2 = fg_scalar_coefficients(x)
+    # F = a I - b r_hat r_hat^T
+    a = (f1 + f2) - 1j * (g1 + g2)
+    b = (f1 + 3.0 * f2) - 1j * (g1 + 3.0 * g2)
     coupling = np.zeros((len(D), 3, 3), dtype=complex)
-    coupling[far] = _dyad_blocks((f1 + f2) - 1j * (g1 + g2),
-                                 (f1 + 3.0 * f2) - 1j * (g1 + 3.0 * g2), u)
-    total = np.zeros_like(coupling)
-    total[far] = _dyad_blocks(f1 + f2, f1 + 3.0 * f2, u)
-    total[~far] = np.eye(3)
+    coupling[far] = a[:, None, None] * np.eye(3) \
+        - b[:, None, None] * (np.conj(u)[:, :, None] * u[:, None, :])
     diff = np.zeros_like(coupling)
     diff[far] = _spherical((-x * f2)[:, None] * rhat, _CROSS)
-    return PairTables(coupling, total, diff, left, right)
+    return PairTables(coupling, diff, left, right)
 
 
 def pair_blocks(pos: np.ndarray) -> np.ndarray:

@@ -128,10 +128,10 @@ def cmd_simulate(cfg: RunConfig, out_dir: str) -> int:
 
 
 def cmd_angular(cfg: RunConfig, out_dir: str, u: float) -> int:
-    array, drive, ham, psi0 = _prepare(cfg, out_dir)
     if not 0.0 <= u <= cfg.t_end:
         raise InvalidArgumentError(
             f"u = {u!r} outside simulated range [0, {cfg.t_end!r}]")
+    array, drive, ham, psi0 = _prepare(cfg, out_dir)
     # u joins the grid, as an ODE trajectory is read at its samples alone;
     # neither propagator's steps or segments depend on the grid
     times = cfg.time_grid()
@@ -207,8 +207,6 @@ def _parse_vector(text: str) -> np.ndarray:
         parts = [float(p) for p in text.split(",")]
     except ValueError:
         raise InvalidArgumentError(f"not a comma-separated vector: {text!r}")
-    if len(parts) != 3:
-        raise InvalidArgumentError("orientation needs three components")
     return np.asarray(parts)
 
 

@@ -70,7 +70,7 @@ class AtomArray:
 
     @cached_property
     def pair_tables(self) -> "_kernels.PairTables":
-        """The coupling and flux tensors on the array's distinct
+        """The coupling and flux-difference tensors on the array's distinct
         displacements (_kernels.pair_tables), built once: on the lattice's
         integer offsets when dims/spacing describe one and every position
         is on it, else one row per ordered pair."""
@@ -165,6 +165,8 @@ def timed_dicke_state(array: AtomArray, k_gf) -> AmplitudeState:
     k = np.asarray(k_gf, dtype=float)
     if k.shape != (3,):
         raise InvalidArgumentError("k_gf must be a 3-vector")
+    if not np.all(np.isfinite(k)):
+        raise InvalidArgumentError("k_gf must be finite")
     a = np.exp(-1j * (array.positions @ k)) / np.sqrt(array.n_atoms)
     return AmplitudeState(a)
 

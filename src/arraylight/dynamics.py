@@ -47,7 +47,7 @@ the flux of each helicity are read from the chunks, and only single
 vectors are lifted to the full space; a waveform on other times comes
 from propagating on those times.  The helicity difference of the flux is
 odd under inversion, so it couples each inversion-split block to its
-parity partner: farfield projects the flux operators onto all of a
+parity partner: farfield projects its operator onto all of a
 trajectory's blocks at once.
 """
 

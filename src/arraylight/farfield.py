@@ -23,14 +23,13 @@ lattice: with the array's dims and spacing they are contracted one axis at
 a time, z once per ring of the grid (one cos theta), then y and x per
 ring, and a free-form array takes the direct sum.  Waveforms need no grid:
 the full-sphere flux per helicity is a quadratic form of the excited
-amplitudes whose operators have a closed form in the dissipative part f
-of the coupling tensor and the spherical Bessel function j1.  Like the
-coupling, they depend on a pair of atoms only through its displacement.
-Their helicity sum and difference, even and odd under inversion, are
-projected onto the trajectory's symmetry blocks from the array's tables
-(AtomArray.pair_tables) as the generator's blocks are
-(hamiltonian.project_table): the sum couples each block to itself, the
-difference to its parity partner, and every other block pair is zero.
+amplitudes.  The helicity sum is the norm loss, read from the generator's
+blocks.  The helicity difference has a closed form in the spherical Bessel
+function j1 and, like the coupling, depends on a pair of atoms only
+through its displacement; odd under inversion, it is projected from the
+array's flux_diff table (AtomArray.pair_tables) as the generator's blocks
+are (hamiltonian.project_table), coupling each block to its parity
+partner alone.
 """
 
 from __future__ import annotations
@@ -280,20 +279,15 @@ def _quadratic_forms(Q: np.ndarray, B: np.ndarray) -> np.ndarray:
         + np.einsum("ik,ik->k", B.imag, QB.imag)
 
 
-def _flux_operators(H, blocks) -> list:
-    """[F_plus, F_minus] on the stacked excited columns Q_e = [Q_e,1 Q_e,2
-    ...] of the generator blocks, Q_e^H F_sigma Q_e: half the sum and
-    difference of the helicity sum and difference, each projected from its
-    flux table one block row Q_e,k^H F Q_e at a time
-    (hamiltonian.project_table, with parity +1 and -1).  With a symmetry,
-    neither F_sigma at (N m, N m) nor any per-pair array is formed."""
-    tables = H.array.pair_tables
+def _flux_difference(H, blocks) -> np.ndarray:
+    """The helicity difference F_plus - F_minus on the stacked excited
+    columns Q_e = [Q_e,1 Q_e,2 ...] of the generator blocks, Q_e^H F Q_e,
+    projected from the flux_diff table one block row Q_e,k^H F Q_e at a
+    time (hamiltonian.project_table, with parity -1).  With a symmetry,
+    neither F at (N m, N m) nor any per-pair array is formed."""
     Qs = [blk.basis.excited(H.n_atoms) for blk in blocks]
-    total, diff = (0.5 * np.vstack([project_table(H, F, Q, Qs, parity)
-                                    for Q in Qs])
-                   for F, parity in ((tables.flux_total, 1),
-                                     (tables.flux_diff, -1)))
-    return [total + diff, np.subtract(total, diff, out=total)]
+    return np.vstack([project_table(H, H.array.pair_tables.flux_diff, Q, Qs,
+                                    -1) for Q in Qs])
 
 
 def waveform(traj: Trajectory, *, allow_truncation: bool = False) -> Waveform:
@@ -301,35 +295,36 @@ def waveform(traj: Trajectory, *, allow_truncation: bool = False) -> Waveform:
     the trajectory's own sample times; a waveform on other times comes
     from propagating on those times.
 
-    The flux of each helicity is the quadratic form of the excited
-    amplitudes with its exact flux operator, built once on the stacked
-    excited columns of all the trajectory's blocks (_flux_operators)
-    and applied to each chunk of the coordinates (Trajectory.chunks, which
-    evaluates a spectral trajectory's samples there), so the state is
-    never lifted and no (dim, K) table is formed.  The flux operators
-    commute with the rotation about z, and their sum with inversion, but
-    the helicity difference is odd under inversion: it couples each block
-    split by inversion to its parity partner, so the per-helicity forms
-    are not block diagonal.  The state side is 1 - |coordinates|^2, the
-    bases being orthonormal (Trajectory.norm_squared, whose series the
-    pass keeps).  The total flux equals -d|psi|^2/dt exactly.
+    The total flux is the norm loss -d|psi|^2/dt = -2 Re(beta^H A beta),
+    summed over the blocks with each one's excited part A.  The helicity
+    difference, odd under inversion, couples each block split by inversion
+    to its parity partner: its operator is built once on the stacked
+    excited columns of all the trajectory's blocks (_flux_difference).
+    Both are applied to each chunk of the coordinates (Trajectory.chunks,
+    which evaluates a spectral trajectory's samples there), so the state is
+    never lifted and no (dim, K) table is formed; each helicity's flux is
+    half their sum or difference.  The state side is 1 - |coordinates|^2,
+    the bases being orthonormal (Trajectory.norm_squared, whose series the
+    pass keeps).
     The trajectory should be long enough that the residual excitation is
     below 1e-3; pass allow_truncation=True to accept a truncated waveform.
     """
-    ops = _flux_operators(traj.H, traj.blocks)
+    F_diff = _flux_difference(traj.H, traj.blocks)
     u = traj.times
-    fp, fm = np.empty(len(u)), np.empty(len(u))
+    total, diff = np.empty(len(u)), np.empty(len(u))
     for s, y_s in traj.chunks():
-        beta = np.vstack([y_k[blk.n_meta:] for blk, y_k
-                          in zip(traj.blocks, traj.split(y_s))])
-        fp[s], fm[s] = (_quadratic_forms(F, beta) for F in ops)
+        betas = [y_k[blk.n_meta:] for blk, y_k
+                 in zip(traj.blocks, traj.split(y_s))]
+        total[s] = -2.0 * sum(_quadratic_forms(blk.excited, beta)
+                              for blk, beta in zip(traj.blocks, betas))
+        diff[s] = _quadratic_forms(F_diff, np.vstack(betas))
     norm2 = traj.norm_squared()
     residual = float(norm2[-1])
     if residual > 1e-3 and not allow_truncation:
         raise InvalidArgumentError(
             f"residual norm {residual:.3e} > 1e-3 at u = {u[-1]:g}; "
             f"extend t_end or pass allow_truncation=True")
-    ns = 1.0 - norm2
-    total = fp + fm
-    return Waveform(u_grid=u, flux_plus=fp, flux_minus=fm,
-                    cumulative=_cumulative_trapezoid(total, u), state_side=ns)
+    return Waveform(u_grid=u, flux_plus=0.5 * (total + diff),
+                    flux_minus=0.5 * (total - diff),
+                    cumulative=_cumulative_trapezoid(total, u),
+                    state_side=1.0 - norm2)

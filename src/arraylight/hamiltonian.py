@@ -379,7 +379,7 @@ def assemble(array: AtomArray, drive: LaserDrive,
 def project_table(H: EffectiveHamiltonian, table: np.ndarray, Q: OrbitBasis,
                   bases, parity: int) -> np.ndarray:
     """Q^H T [P_1 P_2 ...] for the (N m, N m) matrix T of one pair table
-    of the array (AtomArray.pair_tables: the coupling or a flux table) on
+    of the array (AtomArray.pair_tables: the coupling or flux_diff) on
     the model's sublevels, T commuting with the rotation and of the given
     parity under inversion; Q and the P_k are excited-only bases.
 

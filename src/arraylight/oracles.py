@@ -73,6 +73,8 @@ def two_atom_rates(separation: float, orientation=(0.0, 0.0, 1.0),
     if sublevel not in (-1, 0, 1):
         raise InvalidArgumentError("sublevel must be one of -1, 0, +1")
     rhat = np.asarray(orientation, dtype=float)
+    if rhat.shape != (3,):
+        raise InvalidArgumentError("orientation needs three components")
     norm = np.linalg.norm(rhat)
     if not 0 < norm < np.inf:
         raise InvalidArgumentError("orientation must be finite and nonzero")

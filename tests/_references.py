@@ -3,19 +3,22 @@ pair tables, trajectories, spectra, closed-form solutions and CSV writer:
 the orbit-by-orbit construction of the rotation_blocks bases, with the
 direct construction on the excited block alone (excited_only), the
 projection of a pair table summed from its rows at every padded orbit
-position, the dense (N, N, 3, 3) pair arrays of a table (table_blocks,
-flux_blocks) and their (N m, N m) matrix on the model's sublevels
-(model_matrix), the generator without any Gamma term (Undamped), the
-term-by-term block product, a trajectory's lifted states (states), the
-adiabatic model's excited amplitudes (beta_from_a), the lifted
-eigenvectors of a ModeSpectrum, the spectral coordinates in one product
-per block and the row-by-row CSV writer."""
+position, the dense (N, N, 3, 3) pair arrays of a table (table_blocks)
+and of the flux operators, their helicity sum from greens (flux_blocks),
+and their (N m, N m) matrix on the model's sublevels (model_matrix), the
+generator without any Gamma term (Undamped), the term-by-term block
+product, a trajectory's lifted states (states), the adiabatic model's
+excited amplitudes (beta_from_a), the lifted eigenvectors of a
+ModeSpectrum, the spectral coordinates in one product per block and the
+row-by-row CSV writer."""
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
 
 from arraylight._kernels import pair_tables
+from arraylight.greens import K0, eval_f_g, spherical_basis
 from arraylight.hamiltonian import (_QUARTER_TURNS, EffectiveHamiltonian,
                                     OrbitBasis, _position_permutation)
 
@@ -26,11 +29,20 @@ def table_blocks(tables, table: np.ndarray) -> np.ndarray:
 
 
 def flux_blocks(pos: np.ndarray):
-    """Exact per-helicity flux operators (Q_plus, Q_minus), each
-    (N, N, 3, 3), gathered from pair_tables."""
+    """The helicity sum and difference of the exact flux operators, each
+    (N, N, 3, 3).  The sum, delta_lj I + f(k0 |r_l - r_j|) in the spherical
+    basis, is built pair by pair from greens.eval_f_g, apart from the
+    package's tables; the difference is gathered from pair_tables."""
+    pos = np.asarray(pos, dtype=float)
+    E = spherical_basis().matrix
+    total = np.zeros((len(pos), len(pos), 3, 3), dtype=complex)
+    for l, j in itertools.product(range(len(pos)), repeat=2):
+        R = pos[l] - pos[j]
+        dist = np.linalg.norm(R)
+        total[l, j] = np.eye(3) if l == j else \
+            E.conj().T @ eval_f_g(K0 * dist, R / dist).f_part @ E
     t = pair_tables(pos)
-    return tuple(table_blocks(t, 0.5 * (t.flux_total + sign * t.flux_diff))
-                 for sign in (1, -1))
+    return total, table_blocks(t, t.flux_diff)
 
 
 def model_matrix(pair_blocks: np.ndarray, cols) -> np.ndarray:

@@ -627,10 +627,13 @@ def test_cli_angular_and_range_check(tmp_path, capsys):
     assert summary["eigen_blocks"] == [[2, 2]]
     assert summary["integrated_flux"] > 0.0
 
-    for u in ("9.0", "nan"):
-        assert main(["angular", "--config", path, "--out", str(out),
+    # u is checked before the output directory is made
+    for u in ("9.0", "nan", "-1"):
+        fresh = tmp_path / f"out{u}"
+        assert main(["angular", "--config", path, "--out", str(fresh),
                      "--u", u]) == 2
         assert "outside simulated range" in capsys.readouterr().err
+        assert not fresh.exists()
 
 
 def test_cli_angular_reads_an_ode_run_at_an_off_grid_u(tmp_path,

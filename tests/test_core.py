@@ -155,6 +155,9 @@ _BAD_INPUTS = [
      "k_gf must be a 3-vector"),
     (lambda: timed_dicke_state(build_lattice(2, 1, 1, 0.5), np.eye(3)),
      "k_gf must be a 3-vector"),
+    (lambda: timed_dicke_state(build_lattice(2, 1, 1, 0.5),
+                               [np.nan, 0.0, 1.0]),
+     "k_gf must be finite"),
 ]
 
 

@@ -497,14 +497,13 @@ def test_orbit_bases_match_sparse_products(dims, subs):
 def _check_projected_tables(H, Q, Q2):
     """project_table of each pair table onto the excited columns of Q and
     [Q Q2] against S^H T [S S2] of the dense (N m, N m) table matrices, to
-    1e-14 of T's largest entry: the coupling and the flux helicity sum with
-    parity +1, the helicity difference with parity -1."""
+    1e-14 of T's largest entry: the coupling with parity +1, the flux
+    helicity difference with parity -1."""
     n = H.n_atoms
     Qe, Qe2 = Q.excited(n), Q2.excited(n)
     S, S2 = _sparse(Qe), _sparse(Qe2)
     tables = H.array.pair_tables
-    for table, parity in ((tables.coupling, 1), (tables.flux_total, 1),
-                          (tables.flux_diff, -1)):
+    for table, parity in ((tables.coupling, 1), (tables.flux_diff, -1)):
         T = model_matrix(table_blocks(tables, table), H.columns)
         want = np.hstack([S.conj().T @ T @ S, S.conj().T @ T @ S2])
         got = project_table(H, table, Qe, (Qe, Qe2), parity)

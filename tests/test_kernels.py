@@ -45,14 +45,13 @@ def test_pair_blocks_symmetric_under_swap():
     assert np.allclose(blocks, blocks.transpose(1, 0, 2, 3), atol=1e-14)
 
 
-def _dense_flux(H):
-    """The helicity sum and difference of the flux operators at (N m, N m),
-    gathered from the array's tables."""
+def _dense_flux_difference(H):
+    """The helicity difference of the flux operators at (N m, N m),
+    gathered from the array's table."""
     tables = H.array.pair_tables
     rows = np.arange(H.excited_block.shape[0])
     sel = np.asarray(H.columns)
-    return [tables.model_rows(F[:, sel[:, None], sel], rows)
-            for F in (tables.flux_total, tables.flux_diff)]
+    return tables.model_rows(tables.flux_diff[:, sel[:, None], sel], rows)
 
 
 @pytest.mark.parametrize("dims", [(1, 1, 3), (2, 3, 4), (3, 3, 3),
@@ -72,16 +71,16 @@ def test_lattice_table_matches_free_form_table(dims, subs):
     H_lat, H_free = (assemble(arr, drive, subs) for arr in (lattice, free))
     assert (np.max(np.abs(H_lat.excited_block - H_free.excited_block))
             <= 1e-14)
-    for F_lat, F_free in zip(_dense_flux(H_lat), _dense_flux(H_free)):
-        assert np.max(np.abs(F_lat - F_free)) <= 1e-14
+    assert np.max(np.abs(_dense_flux_difference(H_lat)
+                         - _dense_flux_difference(H_free))) <= 1e-14
 
 
 @pytest.mark.parametrize("dims, d", [((1, 1, 3), 0.4), ((2, 3, 4), 0.55),
                                      ((3, 3, 8), 0.6), ((4, 4, 4), 0.37)])
 def test_table_rows_of_opposite_displacements(dims, d):
     # on a lattice the offsets o and -o are rows k and K - 1 - k; the
-    # coupling and the helicity sum are even in D, exactly, and the
-    # helicity difference is odd
+    # coupling is even in D, exactly, and the flux helicity difference is
+    # odd
     tables = build_lattice(*dims, d).pair_tables
     K = len(tables.coupling)
     _check_parity(tables, np.arange(K), K - 1 - np.arange(K))
@@ -94,24 +93,18 @@ def test_table_rows_of_opposite_displacements(dims, d):
 
 def _check_parity(tables, rows, opposite):
     assert np.array_equal(tables.coupling[rows], tables.coupling[opposite])
-    total, diff = tables.flux_total, tables.flux_diff
-    assert np.array_equal(total[rows], total[opposite])
+    diff = tables.flux_diff
     assert np.array_equal(diff[rows], -diff[opposite])
 
 
 def test_table_self_terms():
-    # the zero displacement: no coupling, the helicity sum I and no
-    # helicity difference, on either path
+    # the zero displacement: no coupling and no flux helicity difference,
+    # on either path
     lattice = build_lattice(2, 3, 4, 0.6)
     for arr in (lattice, AtomArray(lattice.positions)):
-        blocks = [table_blocks(arr.pair_tables, T) for T in (
-            arr.pair_tables.coupling, arr.pair_tables.flux_total,
-            arr.pair_tables.flux_diff)]
         idx = np.arange(arr.n_atoms)
-        assert not np.any(blocks[0][idx, idx])
-        assert np.array_equal(blocks[1][idx, idx],
-                              np.broadcast_to(np.eye(3), (len(idx), 3, 3)))
-        assert not np.any(blocks[2][idx, idx])
+        for T in (arr.pair_tables.coupling, arr.pair_tables.flux_diff):
+            assert not np.any(table_blocks(arr.pair_tables, T)[idx, idx])
 
 
 def test_positions_off_the_grid_use_the_free_form_path():

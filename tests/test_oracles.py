@@ -157,6 +157,8 @@ _BAD_INPUTS = [
      "orientation must be finite and nonzero"),
     (lambda: two_atom_rates(0.2, orientation=(0.0, 0.0, 0.0)),
      "orientation must be finite and nonzero"),
+    (lambda: two_atom_rates(0.2, orientation=(1.0, 0.0)),
+     "orientation needs three components"),
     (lambda: two_atom_rates(0.2, sublevel=2),
      "sublevel must be one of -1, 0, +1"),
 ]

@@ -21,7 +21,7 @@ from arraylight.core import (SUBLEVELS, AmplitudeState, AtomArray,
                              timed_dicke_state)
 from arraylight.dynamics import propagate_eigen, propagate_ode
 from arraylight.envelope import PulseEnvelope
-from arraylight.farfield import AngularGrid, _flux_operators, waveform
+from arraylight.farfield import AngularGrid, _flux_difference, waveform
 from arraylight.greens import coupling_block
 from arraylight.hamiltonian import (assemble, eigenmodes, project_table,
                                     rotation_blocks)
@@ -288,8 +288,8 @@ def test_ode_keeps_the_rotation_blocks():
 def test_project_table_matches_the_padded_projection(nx, ny, nz, d, kind,
                                                      subs, inversion, data):
     # the first-row rule against the table's rows summed at every padded
-    # orbit position, on every pair of excited bases: the coupling and the
-    # flux helicity sum with parity +1, the helicity difference with -1.
+    # orbit position, on every pair of excited bases: the coupling with
+    # parity +1, the flux helicity difference with -1.
     # The lattice has C4h (C2h for nx != ny), the lattice moved along z
     # its rotation alone, and moved off the axis no symmetry (the identity
     # basis).  The blocks the rule zeroes are exactly 0
@@ -306,8 +306,7 @@ def test_project_table_matches_the_padded_projection(nx, ny, nz, d, kind,
     assert kind != "free" or [Q.irrep for Q in bases] == [(0, 0)]
     tables = H.array.pair_tables
     sel = np.asarray(H.columns)
-    for table, parity in ((tables.coupling, 1), (tables.flux_total, 1),
-                          (tables.flux_diff, -1)):
+    for table, parity in ((tables.coupling, 1), (tables.flux_diff, -1)):
         scale = np.max(np.abs(table[:, sel[:, None], sel]))
         for Q in bases:
             got = project_table(H, table, Q, bases, parity)
@@ -325,10 +324,10 @@ def test_project_table_matches_the_padded_projection(nx, ny, nz, d, kind,
        st.data())
 def test_projected_flux_operators_match_the_dense_ones(nx, ny, nz, d, subs,
                                                        inversion, data):
-    # waveform's operators, projected from the first rows of each block's
-    # columns in the flux tables, against Q_e^H F Q_e of the dense (N m, N m)
-    # operators, on the stacked excited columns of every block and of a
-    # random subset of them
+    # waveform's helicity-difference operator, projected from the first
+    # rows of each block's columns in the flux_diff table, against
+    # Q_e^H F Q_e of the dense (N m, N m) operator, on the stacked excited
+    # columns of every block and of a random subset of them
     nu0 = data.draw(st.sampled_from(subs))
     H = assemble(build_lattice(nx, ny, nz, d),
                  LaserDrive(1.3, 0.7, target_sublevel=nu0),
@@ -340,13 +339,11 @@ def test_projected_flux_operators_match_the_dense_ones(nx, ny, nz, d, subs,
     blocks = [H.block(bases[i]) for i in sorted(picked)]
     Qe = np.hstack([blk.basis.excited(H.n_atoms).lift(
         np.eye(blk.dim - blk.n_meta)) for blk in blocks])
-    dense = [model_matrix(F, H.columns)
-             for F in flux_blocks(H.array.positions)]
-    for got, F in zip(_flux_operators(H, blocks), dense):
-        assert np.max(np.abs(got - Qe.conj().T @ F @ Qe)) <= 1e-14
-    # without a symmetry: the dense operators themselves
-    for got, F in zip(_flux_operators(H, [H.block()]), dense):
-        assert np.max(np.abs(got - F)) <= 1e-14
+    F = model_matrix(flux_blocks(H.array.positions)[1], H.columns)
+    assert np.max(np.abs(_flux_difference(H, blocks)
+                         - Qe.conj().T @ F @ Qe)) <= 1e-14
+    # without a symmetry: the dense operator itself
+    assert np.max(np.abs(_flux_difference(H, [H.block()]) - F)) <= 1e-14
 
 
 @settings(max_examples=40, deadline=None)
@@ -479,8 +476,8 @@ def _check_block_observables(arr, env, direction, square_lattice, nu0,
     k_gf = [0.0, 0.0, K0] if direction == "z" else [K0, 0.0, 0.0]
     psi0 = timed_dicke_state(arr, k_gf)
     n, t = arr.n_atoms, np.linspace(0.0, 1.5, 16)
-    ops = [model_matrix(Q, H.columns)
-           for Q in flux_blocks(arr.positions)]
+    F_sum, F_diff = (model_matrix(F, H.columns)
+                     for F in flux_blocks(arr.positions))
     # F+ + F- commutes with the rotation and the inversion: it is block
     # diagonal over every irrep.  F+ - F- commutes with the rotation but is
     # odd under inversion: it couples each irrep only to its parity
@@ -490,12 +487,11 @@ def _check_block_observables(arr, env, direction, square_lattice, nu0,
     bases = [Qk.lift(np.eye(Qk.shape[1])) for Qk in excited if Qk.shape[1]]
     U = _rotation_operator(H, 4 if square_lattice else 2)[n:, n:]
     phases = [(Qk.conj().T @ U @ Qk)[0, 0] for Qk in bases]
-    total, diff = ops[0] + ops[1], ops[0] - ops[1]
     for (Qk, pk), (Ql, pl) in itertools.product(zip(bases, phases), repeat=2):
         if Qk is not Ql:
-            assert np.max(np.abs(Qk.conj().T @ total @ Ql)) <= 1e-14
+            assert np.max(np.abs(Qk.conj().T @ F_sum @ Ql)) <= 1e-14
         if (Qk is Ql and inversion) or abs(pk - pl) > 0.5:
-            assert np.max(np.abs(Qk.conj().T @ diff @ Ql)) <= 1e-14
+            assert np.max(np.abs(Qk.conj().T @ F_diff @ Ql)) <= 1e-14
     # a z-directed state lies in one rotation irrep: the spectral path
     # touches its two parity halves at most, the ODE the whole irrep
     for traj, n_blocks in ((propagate_eigen(H, psi0, t), 2),
@@ -505,11 +501,11 @@ def _check_block_observables(arr, env, direction, square_lattice, nu0,
         psi = states(traj)
         beta = psi[n:]
         wave = waveform(traj, allow_truncation=True)
-        for F, got in zip(ops, (wave.flux_plus, wave.flux_minus)):
+        for F, got in ((0.5 * (F_sum + F_diff), wave.flux_plus),
+                       (0.5 * (F_sum - F_diff), wave.flux_minus)):
             want = np.real(np.einsum("ik,ik->k", beta.conj(), F @ beta))
             assert np.max(np.abs(got - want)) <= 1e-13
-        total = np.real(np.einsum("ik,ik->k", beta.conj(),
-                                  (ops[0] + ops[1]) @ beta))
+        total = np.real(np.einsum("ik,ik->k", beta.conj(), F_sum @ beta))
         cumulative = np.concatenate(
             [[0.0], np.cumsum(0.5 * (total[1:] + total[:-1]) * np.diff(t))])
         assert np.max(np.abs(wave.cumulative - cumulative)) <= 1e-13
